@@ -290,6 +290,7 @@ func BenchmarkEngineExecThroughput(b *testing.B) {
 // parked-goroutine handoff per event. The events/s metric isolates the
 // kernel-loop win from the engine numbers.
 func BenchmarkExecThroughput(b *testing.B) {
+	b.ReportAllocs()
 	ex := exec.New(trace.New())
 	events := 0
 	for i := 0; i < 8; i++ {
@@ -456,9 +457,14 @@ func BenchmarkExecSMPUniprocessor(b *testing.B) {
 	b.ReportMetric(float64(p.Jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
 }
 
-// BenchmarkExecContextSwitch measures the raw cost of one executive
-// preemption round trip (kernel -> thread -> kernel).
+// BenchmarkExecContextSwitch measures one batched same-thread step: a
+// single spinner consumes one unit per op, so the direct kernel's
+// scheduling loop picks the running thread again and returns inline, with
+// no park and no wake. Despite the name it never switches goroutines; it
+// is the floor under a scheduling decision. BenchmarkExecHandoff measures
+// a real context switch.
 func BenchmarkExecContextSwitch(b *testing.B) {
+	b.ReportAllocs()
 	ex := exec.New(trace.New())
 	steps := 0
 	ex.Spawn("spinner", 1, 0, func(tc *exec.TC) {
@@ -475,6 +481,38 @@ func BenchmarkExecContextSwitch(b *testing.B) {
 	ex.Shutdown()
 	if steps == 0 {
 		b.Fatal("spinner never ran")
+	}
+}
+
+// BenchmarkExecHandoff measures one real context switch: two
+// equal-priority threads take turns, each consuming one unit and then
+// sleeping until its next turn two units later. Every op is one step
+// that ends in a SleepUntil, so the sleeping thread's goroutine parks and
+// the other thread's goroutine is woken — a park/wake handoff per op, plus
+// one sleep timer armed and fired.
+func BenchmarkExecHandoff(b *testing.B) {
+	b.ReportAllocs()
+	ex := exec.New(nil)
+	steps := 0
+	for i := 0; i < 2; i++ {
+		next := rtime.Time(rtime.TUs(float64(i)))
+		ex.Spawn(fmt.Sprintf("t%d", i), 1, next, func(tc *exec.TC) {
+			for {
+				tc.Consume(rtime.TUs(1))
+				steps++
+				next = next.Add(rtime.TUs(2))
+				tc.SleepUntil(next)
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := ex.Run(rtime.Time(rtime.TUs(1)) * rtime.Time(b.N)); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	ex.Shutdown()
+	if steps < b.N {
+		b.Fatalf("%d steps for %d ops", steps, b.N)
 	}
 }
 

@@ -12,6 +12,14 @@
 // run entirely (renamed, deleted, or failed to list): losing a benchmark
 // silently would quietly shrink the gate's coverage.
 //
+// allocs/op is gated too, for every benchmark that reports it (calls
+// b.ReportAllocs) on both sides. Allocation counts are deterministic, so
+// they need no noise threshold and no speed normalization: the gate fails
+// when a benchmark's minimum allocs/op, read from the "raw" text of both
+// snapshots, exceeds the baseline's by more than max(1, 0.1%) — the
+// one-allocation slack absorbs the rounding of setup allocations amortized
+// over a varying b.N.
+//
 // Refresh the baseline after an intentional performance change:
 //
 //	go run ./cmd/benchgate -update
@@ -91,7 +99,10 @@ func calibrate() float64 {
 	return best
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op`)
+var (
+	benchLine   = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op`)
+	allocsField = regexp.MustCompile(`\s([0-9.e+]+) allocs/op`)
+)
 
 func main() {
 	var (
@@ -373,18 +384,63 @@ func gate(base, cur *Snapshot, threshold float64) (failed bool) {
 		}
 		fmt.Printf("  %s %-40s %12.0f -> %12.0f ns/op  (%+.1f%%)\n", mark, name, old, now, 100*delta)
 	}
+	baseAllocs, curAllocs := allocsPerOp(base.Raw), allocsPerOp(cur.Raw)
+	for _, name := range names {
+		now, ok := curAllocs[name]
+		old, inBase := baseAllocs[name]
+		if !ok || !inBase {
+			continue
+		}
+		mark := "ok   "
+		if allocsRegressed(old, now) {
+			mark = "FAIL "
+			failed = true
+		}
+		fmt.Printf("  %s %-40s %12.0f -> %12.0f allocs/op\n", mark, name, old, now)
+	}
 	for _, name := range missingFromRun(base, cur) {
 		fmt.Printf("  MISSING from run %-29s (in baseline %12.0f ns/op; renamed, deleted, or failed to list — refresh the baseline if intentional)\n",
 			name, base.NsPerOp[name])
 		failed = true
 	}
 	if failed {
-		fmt.Printf("benchgate: FAIL — regression beyond %.0f%% vs baseline (%s, %s/%s)\n",
+		fmt.Printf("benchgate: FAIL — regression beyond %.0f%% ns/op or max(1, 0.1%%) allocs/op vs baseline (%s, %s/%s)\n",
 			100*threshold, base.Date, base.GoOS, base.GoArch)
 	} else {
-		fmt.Printf("benchgate: ok — within %.0f%% of baseline (%s)\n", 100*threshold, base.Date)
+		fmt.Printf("benchgate: ok — within %.0f%% ns/op and max(1, 0.1%%) allocs/op of baseline (%s)\n", 100*threshold, base.Date)
 	}
 	return failed
+}
+
+// allocsPerOp reads each benchmark's minimum allocs/op out of raw
+// `go test -bench` text. Benchmarks that do not report allocations are
+// absent from the map.
+func allocsPerOp(raw string) map[string]float64 {
+	out := map[string]float64{}
+	for _, line := range strings.Split(raw, "\n") {
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		a := allocsField.FindStringSubmatch(line)
+		if a == nil {
+			continue
+		}
+		v, err := strconv.ParseFloat(a[1], 64)
+		if err != nil {
+			continue
+		}
+		if old, ok := out[m[1]]; !ok || v < old {
+			out[m[1]] = v
+		}
+	}
+	return out
+}
+
+// allocsRegressed reports whether now allocs/op exceeds the baseline old
+// by more than the tolerance max(1, 0.1% of old).
+func allocsRegressed(old, now float64) bool {
+	return now > old+max(1, 0.001*old)
 }
 
 // collectAtRef measures the benchmarks of another git ref on this same

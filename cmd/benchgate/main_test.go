@@ -50,3 +50,52 @@ func TestOneSidedCalibrationComparesRaw(t *testing.T) {
 		t.Fatal("one-sided calibration must warn")
 	}
 }
+
+func TestAllocsPerOpFromRaw(t *testing.T) {
+	raw := "BenchmarkA-2 \t 10\t 100 ns/op\t 64 B/op\t 12 allocs/op\n" +
+		"BenchmarkA-2 \t 10\t 90 ns/op\t 64 B/op\t 11 allocs/op\n" +
+		"BenchmarkB/sub-2 \t 5\t 7 ns/op\t 3 allocs/op\n" +
+		"BenchmarkC \t 5\t 7 ns/op\n"
+	got := allocsPerOp(raw)
+	if len(got) != 2 || got["BenchmarkA"] != 11 || got["BenchmarkB/sub"] != 3 {
+		t.Fatalf("allocsPerOp = %v, want A:11 (the minimum), B/sub:3 and no C", got)
+	}
+}
+
+func TestAllocsGateTolerance(t *testing.T) {
+	for _, c := range []struct {
+		old, now  float64
+		regressed bool
+	}{
+		{0, 0, false},
+		{0, 1, false}, // one allocation of slack
+		{0, 2, true},
+		{110756, 110757, false}, // the committed baseline's own jitter
+		{110756, 110866, false}, // 0.1%
+		{110756, 110868, true},
+		{39889, 110756, true},
+	} {
+		if got := allocsRegressed(c.old, c.now); got != c.regressed {
+			t.Errorf("allocsRegressed(%v, %v) = %v, want %v", c.old, c.now, got, c.regressed)
+		}
+	}
+}
+
+func TestGateFailsOnAllocsRegression(t *testing.T) {
+	base := snap(100, map[string]float64{"BenchmarkA": 50})
+	cur := snap(100, map[string]float64{"BenchmarkA": 50})
+	base.Raw = "BenchmarkA-2 \t 10\t 50 ns/op\t 4 allocs/op\n"
+	cur.Raw = "BenchmarkA-2 \t 10\t 50 ns/op\t 5 allocs/op\n"
+	if gate(base, cur, 0.15) {
+		t.Fatal("one extra allocation is within tolerance, yet the gate failed")
+	}
+	cur.Raw = "BenchmarkA-2 \t 10\t 50 ns/op\t 6 allocs/op\n"
+	if !gate(base, cur, 0.15) {
+		t.Fatal("two extra allocations must fail the gate")
+	}
+	// A side that does not report allocations is not gated on them.
+	cur.Raw = "BenchmarkA-2 \t 10\t 50 ns/op\n"
+	if gate(base, cur, 0.15) {
+		t.Fatal("a run without allocs/op must not fail the allocation gate")
+	}
+}

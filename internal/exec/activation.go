@@ -155,7 +155,7 @@ func (th *Thread) callBody() {
 	if th.periodic {
 		th.ex.stats.Dispatches.Inc()
 	}
-	tc := &TC{th: th}
+	tc := &th.tc
 	if th.periodic && th.missPolicy == MissAbort {
 		if tc.WithBudget(th.nextRel.Add(th.period).Sub(th.ex.now), func() { th.body(tc) }) {
 			th.aborted++

@@ -1,0 +1,108 @@
+package exec
+
+import (
+	"testing"
+
+	"rtsj/internal/rtime"
+)
+
+// The executive's steady state allocates nothing: once warm, a release,
+// a sleep/wake step or a budgeted section reuses the thread's embedded
+// context, the pool queue's array and recycled timer nodes. These tests
+// pin that with testing.AllocsPerRun, one Run step per measured call.
+
+// assertNoAllocs runs step until warm and then requires it to allocate
+// nothing on average. The race detector allocates on its own account, and
+// the debugchecks build audits the ready heap through allocating copies on
+// every dispatch, so under either the assertion is skipped.
+func assertNoAllocs(t *testing.T, step func()) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector allocates; allocation counts are meaningless under -race")
+	}
+	if debugChecks {
+		t.Skip("the debugchecks heap audit allocates on every dispatch")
+	}
+	for i := 0; i < 20; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(200, step); n != 0 {
+		t.Errorf("%v allocations per step, want 0", n)
+	}
+}
+
+// runStepper returns a step that advances ex's horizon by d and runs to
+// it.
+func runStepper(t *testing.T, ex *Exec, d rtime.Duration) func() {
+	horizon := ex.Now()
+	return func() {
+		horizon = horizon.Add(d)
+		if err := ex.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAllocsPooledActivationRelease: one release of an activation entity
+// on the worker pool — timer fire, pool start, body dispatch, rearm.
+func TestAllocsPooledActivationRelease(t *testing.T) {
+	ex := NewWithOptions(nil, Options{MaxGoroutines: 2})
+	defer ex.Shutdown()
+	runs := 0
+	ex.SpawnPeriodic("p", 1, ActivationSpec{Period: tu(2)}, func(tc *TC) {
+		tc.Consume(tu(1))
+		runs++
+	})
+	run := runStepper(t, ex, tu(2))
+	steps := 0
+	assertNoAllocs(t, func() { run(); steps++ })
+	if runs != steps {
+		t.Fatalf("%d releases in %d steps, want one per step", runs, steps)
+	}
+}
+
+// TestAllocsThreadSleepWake: one step of a goroutine-per-thread loop —
+// consume, then sleep until the next period through a wake timer.
+func TestAllocsThreadSleepWake(t *testing.T) {
+	ex := New(nil)
+	defer ex.Shutdown()
+	steps := 0
+	ex.Spawn("loop", 1, 0, func(tc *TC) {
+		next := rtime.Time(0)
+		for {
+			tc.Consume(tu(1))
+			steps++
+			next = next.Add(tu(2))
+			tc.SleepUntil(next)
+		}
+	})
+	step := runStepper(t, ex, tu(2))
+	assertNoAllocs(t, step)
+	if steps == 0 {
+		t.Fatal("the loop never ran")
+	}
+}
+
+// TestAllocsBudgetArmedThenCancelled: one WithBudget section whose body
+// finishes inside the budget, so its expiry timer is armed and then
+// cancelled (and its node recycled when the dead key surfaces).
+func TestAllocsBudgetArmedThenCancelled(t *testing.T) {
+	ex := New(nil)
+	defer ex.Shutdown()
+	completed := 0
+	ex.Spawn("budgeted", 1, 0, func(tc *TC) {
+		next := rtime.Time(0)
+		for {
+			if !tc.WithBudget(tu(5), func() { tc.Consume(tu(1)) }) {
+				completed++
+			}
+			next = next.Add(tu(2))
+			tc.SleepUntil(next)
+		}
+	})
+	step := runStepper(t, ex, tu(2))
+	assertNoAllocs(t, step)
+	if completed == 0 {
+		t.Fatal("no budgeted section completed")
+	}
+}

@@ -30,13 +30,34 @@
 //   - ChannelKernel: the original two-channel rendezvous (kernel goroutine
 //     resumes a thread, thread sends its next request back), with linear
 //     ready/timer scans. It is kept as the reference implementation
-//     (unchanged except one deliberate fix noted in kernel_channel.go:
-//     cancelled timers never fire); differential tests assert both kernels
+//     (unchanged except one deliberate fix noted in kernel_channel.go —
+//     cancelled timers never fire — and firing its timers through the
+//     shared typed-event function); differential tests assert both kernels
 //     produce trace-for-trace identical schedules.
 //
 // Use New for the default direct kernel, NewKernel to pick explicitly, and
 // NewWithOptions for full configuration. There is no reason to run
 // ChannelKernel outside differential tests.
+//
+// # Timers and the allocation-free steady state
+//
+// Every kernel timer is a node plus a value key (timer.go). The direct
+// kernel's timer heap stores {instant, seq, node} by value, so ordering
+// never dereferences a node. Kernel-internal timers are typed events (a
+// kind plus the thread they act on: first release, sleep wake-up — which
+// also re-releases an activation entity through rearm — and WithBudget
+// expiry) instead of closures, and both kernels fire them through one
+// function. At and rtsjvm.VM.FireAt return a Timer handle whose Cancel
+// checks the handle's seq against the node's, so a stale handle never
+// cancels the newer timer that reused its node. Nodes are recycled
+// through a per-executive free list owned, like all kernel state, by the
+// scheduling-token holder, and a node is recycled only after its key has
+// left the queue.
+//
+// With the thread context and the park condition variable embedded in
+// Thread, and the pool queue reusing its array, the warm executive
+// allocates nothing per release or per kernel call; the allocation tests
+// in alloc_test.go pin that contract.
 //
 // # Trace recording
 //

@@ -165,7 +165,7 @@ type Thread struct {
 	resumeCh chan resumeMsg
 
 	// DirectKernel handoff: park/wake under ex.mu.
-	cond      *sync.Cond
+	cond      sync.Cond
 	scheduled bool // wake flag of the park/wake protocol; guarded by mu
 	killed    bool // shutdown kill flag; guarded by mu
 	heapIdx   int  // position in the ready heap, -1 when not enqueued
@@ -217,6 +217,7 @@ type Thread struct {
 
 	label string
 	body  func(tc *TC)
+	tc    TC // the context every dispatch of body receives
 	err   error
 }
 
@@ -234,16 +235,6 @@ func (th *Thread) Done() bool { return th.state == stateDone }
 
 // Err returns the error a thread terminated with (a panic in its body).
 func (th *Thread) Err() error { return th.err }
-
-// timerEv is a kernel time event: at instant at, run fn in kernel context.
-// Kernel functions must be tiny (wake a thread, set a flag); anything that
-// costs CPU must be modeled as a thread.
-type timerEv struct {
-	at        rtime.Time
-	seq       int64
-	fn        func()
-	cancelled bool
-}
 
 // WaitQueue is a FIFO queue of blocked threads, the executive's only
 // blocking primitive (condition-variable style: wait / notify).
@@ -282,8 +273,13 @@ type Exec struct {
 	pool   workerPool
 
 	// ChannelKernel state: pending timers (linear) and the request channel.
-	timers []*timerEv
+	timers []timerKey
 	reqCh  chan request
+
+	// Timer nodes not currently queued (timer.go), and how many nodes the
+	// executive has allocated in all. Token-owned like the queues.
+	freeTimers *timerNode
+	timerNodes int
 
 	// SMP topology (smp.go): the virtual CPU count, migration policy,
 	// per-domain CPU index sets, the per-domain ready queues (DirectKernel
@@ -457,11 +453,12 @@ func (ex *Exec) newThread(name string, prio, affinity int, body func(tc *TC)) *T
 	}
 	ex.threads = append(ex.threads, th)
 	th.domain = ex.domainFor(affinity, len(ex.threads)-1)
+	th.tc.th = th
 	ex.sink.DeclareEntity(name)
 	if ex.kind == ChannelKernel {
 		th.resumeCh = make(chan resumeMsg)
 	} else {
-		th.cond = sync.NewCond(&ex.mu)
+		th.cond.L = &ex.mu
 	}
 	return th
 }
@@ -474,7 +471,7 @@ func (ex *Exec) scheduleFirstRelease(th *Thread, startAt rtime.Time) {
 	} else {
 		th.state = stateSleeping
 		th.wakeAt = startAt
-		ex.At(startAt, func() { ex.makeReady(th) })
+		ex.arm(startAt, evRelease, th, nil)
 	}
 }
 
@@ -490,27 +487,6 @@ type killSentinel struct{}
 // aieSentinel models the AsynchronouslyInterruptedException unwinding a
 // Timed section.
 type aieSentinel struct{}
-
-// At schedules fn to run in kernel context at instant at (>= now). It
-// returns a cancel function. Safe to call before Run and from thread bodies.
-func (ex *Exec) At(at rtime.Time, fn func()) (cancel func()) {
-	if at < ex.now {
-		at = ex.now
-	}
-	ev := &timerEv{at: at, seq: ex.nextSeq(), fn: fn}
-	if ex.kind == ChannelKernel {
-		ex.timers = append(ex.timers, ev)
-		if ex.statsOn {
-			ex.stats.TimerHeapMax.Max(int64(len(ex.timers)))
-		}
-	} else {
-		ex.theap.push(ev)
-		if ex.statsOn {
-			ex.stats.TimerHeapMax.Max(int64(len(ex.theap.a)))
-		}
-	}
-	return func() { ev.cancelled = true }
-}
 
 func (ex *Exec) nextSeq() int64 {
 	ex.seq++
@@ -545,23 +521,6 @@ func (ex *Exec) readyRemove(th *Thread) {
 	}
 }
 
-// nextTimer returns the earliest pending timer, or nil.
-func (ex *Exec) nextTimer() *timerEv {
-	if ex.kind == DirectKernel {
-		return ex.theap.peek()
-	}
-	var best *timerEv
-	for _, ev := range ex.timers {
-		if ev.cancelled {
-			continue
-		}
-		if best == nil || ev.at < best.at || (ev.at == best.at && ev.seq < best.seq) {
-			best = ev
-		}
-	}
-	return best
-}
-
 // apply processes one kernel request from a thread.
 func (ex *Exec) apply(req request) {
 	th := req.th
@@ -577,11 +536,7 @@ func (ex *Exec) apply(req request) {
 		th.state = stateSleeping
 		th.wakeAt = req.until
 		ex.readyRemove(th)
-		ex.At(req.until, func() {
-			if th.state == stateSleeping {
-				ex.makeReady(th)
-			}
-		})
+		ex.arm(req.until, evWake, th, nil)
 	case reqWait:
 		th.state = stateBlocked
 		ex.readyRemove(th)

@@ -328,8 +328,7 @@ func TestKernelTimerAt(t *testing.T) {
 	var fired []float64
 	ex := New(nil)
 	ex.At(at(3), func() { fired = append(fired, ex.Now().TUs()) })
-	cancel := ex.At(at(4), func() { fired = append(fired, -1) })
-	cancel()
+	ex.At(at(4), func() { fired = append(fired, -1) }).Cancel()
 	ex.At(at(5), func() { fired = append(fired, ex.Now().TUs()) })
 	if err := ex.Run(at(10)); err != nil {
 		t.Fatal(err)

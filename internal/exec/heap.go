@@ -12,7 +12,8 @@ package exec
 // The ready heap maintains Thread.heapIdx so membership tests, removal and
 // re-keying (priority-inheritance boosts, FIFO re-queues) are O(log n)
 // without searching. The timer heap uses lazy deletion: cancelled events
-// stay in the heap and are dropped when they surface at the top.
+// stay in the heap and are dropped when they surface at the top
+// (Exec.peekTimer).
 
 type readyHeap struct{ a []*Thread }
 
@@ -107,18 +108,21 @@ func (h *readyHeap) removeAt(i int) {
 	}
 }
 
-type timerHeap struct{ a []*timerEv }
+// timerHeap holds its entries by value: the (instant, seq) key sits inline
+// in the array, so sifting compares adjacent memory and never dereferences
+// a node. A key is live while its seq still matches its node's (see
+// timerNode).
+type timerHeap struct{ a []timerKey }
 
 func (h *timerHeap) less(i, j int) bool {
-	ei, ej := h.a[i], h.a[j]
-	if ei.at != ej.at {
-		return ei.at < ej.at
+	if h.a[i].at != h.a[j].at {
+		return h.a[i].at < h.a[j].at
 	}
-	return ei.seq < ej.seq
+	return h.a[i].seq < h.a[j].seq
 }
 
-func (h *timerHeap) push(ev *timerEv) {
-	h.a = append(h.a, ev)
+func (h *timerHeap) push(k timerKey) {
+	h.a = append(h.a, k)
 	i := len(h.a) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -130,23 +134,11 @@ func (h *timerHeap) push(ev *timerEv) {
 	}
 }
 
-// peek returns the earliest pending timer, discarding cancelled events that
-// have surfaced at the top (lazy deletion).
-func (h *timerHeap) peek() *timerEv {
-	for len(h.a) > 0 {
-		if !h.a[0].cancelled {
-			return h.a[0]
-		}
-		h.pop()
-	}
-	return nil
-}
-
-func (h *timerHeap) pop() *timerEv {
+func (h *timerHeap) pop() timerKey {
 	n := len(h.a)
 	top := h.a[0]
 	h.a[0] = h.a[n-1]
-	h.a[n-1] = nil
+	h.a[n-1] = timerKey{}
 	h.a = h.a[:n-1]
 	n--
 	i := 0

@@ -125,15 +125,20 @@ func (ex *Exec) pickReadyZeroCPU() *Thread {
 }
 
 // fireDueTimers runs every timer due at or before now, in (time, seq) order.
+// Nodes go back to the free list once their key leaves the list: dropped
+// when cancelled, after firing otherwise.
 func (ex *Exec) fireDueTimers() {
 	for {
-		var due []*timerEv
+		var due []timerKey
 		rest := ex.timers[:0]
-		for _, ev := range ex.timers {
-			if !ev.cancelled && ev.at <= ex.now {
-				due = append(due, ev)
-			} else if !ev.cancelled {
-				rest = append(rest, ev)
+		for _, k := range ex.timers {
+			switch {
+			case !k.live():
+				ex.freeTimer(k.node)
+			case k.at <= ex.now:
+				due = append(due, k)
+			default:
+				rest = append(rest, k)
 			}
 		}
 		ex.timers = rest
@@ -146,14 +151,14 @@ func (ex *Exec) fireDueTimers() {
 			}
 			return due[i].seq < due[j].seq
 		})
-		for _, ev := range due {
-			if ev.cancelled {
-				// Cancelled by an earlier fn in this batch: a cancelled
-				// timer never fires (matches the direct kernel's lazy-
-				// deletion pop, which re-checks the flag at the top).
-				continue
+		for _, k := range due {
+			if k.live() {
+				ex.fire(k.node) // may schedule new timers; loop again
 			}
-			ev.fn() // may schedule new timers; loop again
+			// A key cancelled by an earlier timer in this batch never
+			// fires (matches the direct kernel's lazy-deletion pop, which
+			// re-checks liveness at the top).
+			ex.freeTimer(k.node)
 		}
 	}
 }
@@ -165,11 +170,11 @@ func (ex *Exec) runChannel(until rtime.Time) error {
 	for ex.now < until {
 		ex.fireDueTimers()
 		if ex.assignCPUs() == 0 {
-			ev := ex.nextTimer()
-			if ev == nil {
+			at, ok := ex.nextTimer()
+			if !ok {
 				break // quiescent: nothing will ever happen again
 			}
-			ex.now = rtime.Min(ev.at, until)
+			ex.now = rtime.Min(at, until)
 			continue
 		}
 		th := ex.zeroStepOccupant()

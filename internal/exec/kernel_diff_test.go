@@ -280,9 +280,9 @@ func TestKernelDiffSameInstantCancel(t *testing.T) {
 	for _, kind := range []Kernel{ChannelKernel, DirectKernel} {
 		ex := NewKernel(nil, kind)
 		fired := false
-		var cancel func()
-		ex.At(at(5), func() { cancel() })
-		cancel = ex.At(at(5), func() { fired = true })
+		var victim Timer
+		ex.At(at(5), func() { victim.Cancel() })
+		victim = ex.At(at(5), func() { fired = true })
 		if err := ex.Run(at(10)); err != nil {
 			t.Fatal(err)
 		}
@@ -294,14 +294,14 @@ func TestKernelDiffSameInstantCancel(t *testing.T) {
 	// And the schedules around such a cancellation stay identical.
 	diffRun(t, "same-instant-cancel", at(20), func(ex *Exec) {
 		e := ex
-		var cancel func()
+		var notify Timer
 		q := NewWaitQueue("q")
 		ex.Spawn("victim", 2, 0, func(tc *TC) {
 			tc.Wait(q)
 			tc.Consume(tu(1))
 		})
-		e.At(at(5), func() { cancel() })
-		cancel = e.At(at(5), func() { e.NotifyAll(q) })
+		e.At(at(5), func() { notify.Cancel() })
+		notify = e.At(at(5), func() { e.NotifyAll(q) })
 		e.At(at(7), func() { e.NotifyAll(q) })
 		ex.Spawn("busy", 1, 0, func(tc *TC) { tc.Consume(tu(12)) })
 	})

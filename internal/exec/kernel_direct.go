@@ -205,12 +205,13 @@ func (ex *Exec) handoff(cur, next *Thread) resumeMsg {
 // collect-sort-fire batches.
 func (ex *Exec) fireDueTimersHeap() {
 	for {
-		ev := ex.theap.peek()
-		if ev == nil || ev.at > ex.now {
+		k, ok := ex.peekTimer()
+		if !ok || k.at > ex.now {
 			return
 		}
 		ex.theap.pop()
-		ev.fn()
+		ex.fire(k.node)
+		ex.freeTimer(k.node)
 	}
 }
 
@@ -268,12 +269,12 @@ func (ex *Exec) dispatch(cur *Thread) resumeMsg {
 			}
 			ex.fireDueTimersHeap()
 			if ex.assignCPUs() == 0 {
-				ev := ex.theap.peek()
-				if ev == nil {
+				k, ok := ex.peekTimer()
+				if !ok {
 					ex.phase = phaseDone // quiescent: nothing will ever happen again
 					continue
 				}
-				ex.now = rtime.Min(ev.at, ex.until)
+				ex.now = rtime.Min(k.at, ex.until)
 				continue
 			}
 			th := ex.zeroStepOccupant()

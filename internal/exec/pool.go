@@ -176,8 +176,12 @@ func (ex *Exec) poolWorker() {
 			p.mu.Unlock()
 			return
 		}
+		// Pop the front in place so startThread's append keeps reusing
+		// the backing array (the queue is rarely more than one deep).
 		th := p.queue[0]
-		p.queue = p.queue[1:]
+		n := copy(p.queue, p.queue[1:])
+		p.queue[n] = nil
+		p.queue = p.queue[:n]
 		p.avail--
 		if len(p.queue) > 0 && p.avail > 0 {
 			// Propagate the wakeup: with more queued starts and more

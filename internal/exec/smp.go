@@ -325,8 +325,8 @@ func (ex *Exec) zeroStepOccupant() *Thread {
 // order; all CPUs advance in lockstep on the shared virtual clock.
 func (ex *Exec) runSlices(until rtime.Time) {
 	stop := until
-	if ev := ex.nextTimer(); ev != nil {
-		stop = rtime.Min(stop, ev.at)
+	if at, ok := ex.nextTimer(); ok {
+		stop = rtime.Min(stop, at)
 	}
 	delta := stop.Sub(ex.now)
 	for _, th := range ex.cpuRun {

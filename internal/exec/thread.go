@@ -121,7 +121,7 @@ func (tc *TC) WithBudget(budget rtime.Duration, fn func()) (interrupted bool) {
 	th.inBudget = true
 	th.pendingIntr = false
 	th.intrDelivered = false
-	cancel := func() {}
+	var expiry Timer
 	if budget <= 0 {
 		// An expired-on-entry budget needs no timer: mark the interrupt
 		// pending so the first Consume unwinds immediately on both
@@ -129,10 +129,10 @@ func (tc *TC) WithBudget(budget rtime.Duration, fn func()) (interrupted bool) {
 		// with the ready queue.
 		th.pendingIntr = true
 	} else {
-		cancel = ex.At(ex.now.Add(budget), func() { ex.interruptNow(th) })
+		expiry = ex.arm(ex.now.Add(budget), evBudget, th, nil)
 	}
 	defer func() {
-		cancel()
+		expiry.Cancel()
 		th.inBudget = false
 		th.pendingIntr = false
 		th.intrDelivered = false

@@ -1,6 +1,7 @@
 package rtsjvm
 
 import (
+	"rtsj/internal/exec"
 	"rtsj/internal/rtime"
 )
 
@@ -12,7 +13,8 @@ type OneShotTimer struct {
 	at      rtime.Time
 	target  Firable
 	label   string
-	cancel  func()
+	timer   exec.Timer
+	armed   bool
 	started bool
 }
 
@@ -28,16 +30,17 @@ func (t *OneShotTimer) Start() {
 		return
 	}
 	t.started = true
-	t.cancel = t.vm.FireAt(t.at, t.target, t.label)
+	t.timer = t.vm.FireAt(t.at, t.target, t.label)
+	t.armed = true
 }
 
 // Stop disarms the timer; returns false if it was not armed.
 func (t *OneShotTimer) Stop() bool {
-	if !t.started || t.cancel == nil {
+	if !t.armed {
 		return false
 	}
-	t.cancel()
-	t.cancel = nil
+	t.timer.Cancel()
+	t.armed = false
 	return true
 }
 
@@ -51,7 +54,7 @@ type PeriodicTimer struct {
 	label    string
 	stopped  bool
 	started  bool
-	cancel   func()
+	timer    exec.Timer
 }
 
 // NewPeriodicTimer creates a periodic timer. Call Start to arm it.
@@ -72,7 +75,7 @@ func (t *PeriodicTimer) Start() {
 }
 
 func (t *PeriodicTimer) arm(at rtime.Time) {
-	t.cancel = t.vm.ex.At(at, func() {
+	t.timer = t.vm.ex.At(at, func() {
 		if t.stopped {
 			return
 		}
@@ -84,7 +87,5 @@ func (t *PeriodicTimer) arm(at rtime.Time) {
 // Stop disarms the timer permanently.
 func (t *PeriodicTimer) Stop() {
 	t.stopped = true
-	if t.cancel != nil {
-		t.cancel()
-	}
+	t.timer.Cancel()
 }

@@ -56,7 +56,8 @@ type VM struct {
 	ex      *exec.Exec
 	oh      Overheads
 	daemonQ *exec.WaitQueue
-	pending []pendingFire
+	pending []pendingFire // firings queued for the daemon; pending[head:] are unserved
+	head    int
 	sched   *PriorityScheduler
 }
 
@@ -124,11 +125,17 @@ func (vm *VM) Shutdown() { vm.ex.Shutdown() }
 // charged to fire the asynchronous events").
 func (vm *VM) daemonBody(tc *exec.TC) {
 	for {
-		for len(vm.pending) == 0 {
+		for vm.head == len(vm.pending) {
 			tc.Wait(vm.daemonQ)
 		}
-		p := vm.pending[0]
-		vm.pending = vm.pending[1:]
+		p := vm.pending[vm.head]
+		vm.pending[vm.head] = pendingFire{}
+		vm.head++
+		if vm.head == len(vm.pending) {
+			// Drained: rewind so enqueueFire reuses the backing array.
+			vm.pending = vm.pending[:0]
+			vm.head = 0
+		}
 		tc.SetLabel(p.label)
 		if vm.oh.TimerFire > 0 {
 			tc.Consume(vm.oh.TimerFire)
@@ -146,8 +153,8 @@ func (vm *VM) enqueueFire(target Firable, label string) {
 }
 
 // FireAt schedules target to be fired by the timer daemon at instant at.
-// It returns a cancel function. This is the primitive OneShotTimer and
-// PeriodicTimer are built on.
-func (vm *VM) FireAt(at rtime.Time, target Firable, label string) (cancel func()) {
+// The returned handle cancels the firing. This is the primitive
+// OneShotTimer is built on.
+func (vm *VM) FireAt(at rtime.Time, target Firable, label string) exec.Timer {
 	return vm.ex.At(at, func() { vm.enqueueFire(target, label) })
 }
