@@ -145,7 +145,6 @@ func runOverload(scenario string, events int, seed int64, faultsFlag string, poo
 		p.Events = events
 		p.Seed = seed
 		p.Faults = plan
-		p.Kernel = exec.DirectKernel
 		p.MaxGoroutines = pooled
 		p.PeriodicActivation = activation
 		r, err := experiments.RunOverload(p)
@@ -205,7 +204,6 @@ func runSMP(scenario string, cpus, pooled int, activation, quiet bool) {
 				p.CPUs = cpus
 				p.Policy = pol
 				p.Sched = sched
-				p.Kernel = exec.DirectKernel
 				p.MaxGoroutines = pooled
 				p.PeriodicActivation = activation
 				r, err := experiments.RunSMP(p)

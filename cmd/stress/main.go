@@ -15,9 +15,9 @@
 // Usage:
 //
 //	stress [-scenario sporadic|steady] [-n 10000] [-maxgoroutines 64]
-//	       [-kernel direct|channel] [-activation] [-background 4] [-cpus 4]
-//	       [-bands 6] [-seed 2007] [-faults 'seed=1 drop=0.05'] [-quiet]
-//	       [-stats] [-perfetto out.json] [-debug-addr 127.0.0.1:6060]
+//	       [-activation] [-background 4] [-cpus 4] [-bands 6] [-seed 2007]
+//	       [-faults 'seed=1 drop=0.05'] [-quiet] [-stats]
+//	       [-perfetto out.json] [-debug-addr 127.0.0.1:6060]
 //
 // -stats prints the executive's obs snapshot (context switches, heap
 // high-water marks, pool churn) after the run; -perfetto records the
@@ -35,8 +35,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -49,56 +51,63 @@ import (
 	"rtsj/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, runs the selected scenario
+// and returns the exit status — 0 on success, 2 for a malformed command
+// line (unknown flag, bad flag value), 1 for every other error.
+func run(args []string, stdout, stderr io.Writer) int {
 	def := experiments.DefaultStressParams()
 	steadyDef := experiments.DefaultSteadyStateParams()
-	scenario := flag.String("scenario", "sporadic", "workload: sporadic (one-shot jobs) or steady (periodic entities)")
-	n := flag.Int("n", 0, "job count (sporadic) or entity count (steady); 0 = scenario default")
-	maxg := flag.Int("maxgoroutines", def.MaxGoroutines, "pool size; 0 = one goroutine per thread")
-	kernel := flag.String("kernel", "direct", "executive kernel: direct or channel")
-	activation := flag.Bool("activation", true, "periodic entities use activation dispatch (no goroutine between releases)")
-	background := flag.Int("background", def.Background, "periodic background threads (sporadic scenario)")
-	bands := flag.Int("bands", def.PriorityBands, "priority bands for the sporadic jobs")
-	horizon := flag.Float64("horizon", steadyDef.HorizonTU, "steady-scenario horizon in time units")
-	cpus := flag.Int("cpus", 0, "virtual CPUs for the sporadic scenario (0 = uniprocessor)")
-	seed := flag.Uint64("seed", def.Seed, "scenario seed")
-	faultsFlag := flag.String("faults", "", "fault plan for the sporadic jobs (e.g. 'seed=1 overrun=0.2:0.5 drop=0.05'); 'off' or empty for none")
-	quiet := flag.Bool("quiet", false, "print only the summary line")
-	stats := flag.Bool("stats", false, "print the executive's obs stats snapshot after the run")
-	perfetto := flag.String("perfetto", "", "record the schedule and write Chrome trace-event JSON (ui.perfetto.dev) to this file")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address during the run")
-	flag.Parse()
+	fs := flag.NewFlagSet("stress", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scenario := fs.String("scenario", "sporadic", "workload: sporadic (one-shot jobs) or steady (periodic entities)")
+	n := fs.Int("n", 0, "job count (sporadic) or entity count (steady); 0 = scenario default")
+	maxg := fs.Int("maxgoroutines", def.MaxGoroutines, "pool size; 0 = one goroutine per thread")
+	activation := fs.Bool("activation", true, "periodic entities use activation dispatch (no goroutine between releases)")
+	background := fs.Int("background", def.Background, "periodic background threads (sporadic scenario)")
+	bands := fs.Int("bands", def.PriorityBands, "priority bands for the sporadic jobs")
+	horizon := fs.Float64("horizon", steadyDef.HorizonTU, "steady-scenario horizon in time units")
+	cpus := fs.Int("cpus", 0, "virtual CPUs for the sporadic scenario (0 = uniprocessor)")
+	seed := fs.Uint64("seed", def.Seed, "scenario seed")
+	faultsFlag := fs.String("faults", "", "fault plan for the sporadic jobs (e.g. 'seed=1 overrun=0.2:0.5 drop=0.05'); 'off' or empty for none")
+	quiet := fs.Bool("quiet", false, "print only the summary line")
+	stats := fs.Bool("stats", false, "print the executive's obs stats snapshot after the run")
+	perfetto := fs.String("perfetto", "", "record the schedule and write Chrome trace-event JSON (ui.perfetto.dev) to this file")
+	debugAddr := fs.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address during the run")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "stress: %v\n", err)
+		return 1
+	}
 	plan, err := faults.Parse(*faultsFlag)
 	if err != nil {
-		fatal(fmt.Errorf("-faults: %v", err))
-	}
-
-	var kind exec.Kernel
-	switch *kernel {
-	case "direct":
-		kind = exec.DirectKernel
-	case "channel":
-		kind = exec.ChannelKernel
-	default:
-		fatal(fmt.Errorf("unknown kernel %q (want direct or channel)", *kernel))
+		return fail(fmt.Errorf("-faults: %v", err))
 	}
 	if *n < 0 || *background < 0 || *bands <= 0 || *maxg < 0 || *cpus < 0 {
-		fatal(fmt.Errorf("-n, -background, -maxgoroutines and -cpus must be >= 0; -bands must be positive"))
+		return fail(fmt.Errorf("-n, -background, -maxgoroutines and -cpus must be >= 0; -bands must be positive"))
 	}
 	// Reject flags the selected scenario would silently ignore: a user
 	// comparing configurations must not believe a setting took effect when
 	// it did not.
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch *scenario {
 	case "steady":
 		if set["background"] || set["bands"] || set["faults"] || set["cpus"] {
-			fatal(fmt.Errorf("-background, -bands, -faults and -cpus apply only to -scenario sporadic"))
+			return fail(fmt.Errorf("-background, -bands, -faults and -cpus apply only to -scenario sporadic"))
 		}
 	case "sporadic":
 		if set["horizon"] {
-			fatal(fmt.Errorf("-horizon applies only to -scenario steady"))
+			return fail(fmt.Errorf("-horizon applies only to -scenario steady"))
 		}
+	default:
+		return fail(fmt.Errorf("unknown scenario %q (want sporadic or steady)", *scenario))
 	}
 
 	// The observability layer: an obs registry backs -stats and the
@@ -116,23 +125,21 @@ func main() {
 	if *debugAddr != "" {
 		addr, err := obs.ServeDebug(*debugAddr)
 		if err != nil {
-			fatal(fmt.Errorf("-debug-addr: %v", err))
+			return fail(fmt.Errorf("-debug-addr: %v", err))
 		}
-		fmt.Fprintf(os.Stderr, "stress: debug endpoint on http://%s/debug/\n", addr)
+		fmt.Fprintf(stderr, "stress: debug endpoint on http://%s/debug/\n", addr)
 	}
 	var tr *trace.Trace
 	if *perfetto != "" {
 		tr = trace.New()
 	}
 
-	switch *scenario {
-	case "sporadic":
+	if *scenario == "sporadic" {
 		p := experiments.StressParams{
 			Jobs:               def.Jobs,
 			Background:         *background,
 			PriorityBands:      *bands,
 			Seed:               *seed,
-			Kernel:             kind,
 			MaxGoroutines:      *maxg,
 			PeriodicActivation: *activation,
 			Faults:             plan,
@@ -145,14 +152,13 @@ func main() {
 		if *n > 0 {
 			p.Jobs = *n
 		}
-		runSporadic(p, *quiet)
-	case "steady":
+		err = runSporadic(stdout, p, *quiet)
+	} else {
 		p := experiments.SteadyStateParams{
 			Entities:      steadyDef.Entities,
 			HorizonTU:     *horizon,
 			Utilization:   steadyDef.Utilization,
 			Seed:          *seed,
-			Kernel:        kind,
 			MaxGoroutines: *maxg,
 			Activation:    *activation,
 			Stats:         execStats,
@@ -163,95 +169,98 @@ func main() {
 		if *n > 0 {
 			p.Entities = *n
 		}
-		runSteady(p, *quiet)
-	default:
-		fatal(fmt.Errorf("unknown scenario %q (want sporadic or steady)", *scenario))
+		err = runSteady(stdout, p, *quiet)
+	}
+	if err != nil {
+		return fail(err)
 	}
 
 	if *perfetto != "" {
-		f, err := os.Create(*perfetto)
-		if err != nil {
-			fatal(err)
-		}
-		if err := tr.WritePerfetto(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
+		if err := writePerfetto(*perfetto, tr); err != nil {
+			return fail(err)
 		}
 	}
 	if *stats {
-		fmt.Print(reg.Format())
+		fmt.Fprint(stdout, reg.Format())
 	}
+	return 0
 }
 
-func runSporadic(p experiments.StressParams, quiet bool) {
+// writePerfetto exports tr as Chrome trace-event JSON to path.
+func writePerfetto(path string, tr *trace.Trace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tr.WritePerfetto(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func runSporadic(w io.Writer, p experiments.StressParams, quiet bool) error {
 	goroutinesBefore := runtime.NumGoroutine()
 	start := time.Now()
 	res, err := experiments.RunStress(p)
 	elapsed := time.Since(start)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if !quiet {
-		fmt.Printf("scenario : %d jobs over %d bands, %d background threads (activation=%v), seed %d\n",
+		fmt.Fprintf(w, "scenario : %d jobs over %d bands, %d background threads (activation=%v), seed %d\n",
 			res.Jobs, p.PriorityBands, p.Background, p.PeriodicActivation, p.Seed)
 		cpus := p.CPUs
 		if cpus < 1 {
 			cpus = 1
 		}
-		fmt.Printf("executive: %s kernel, maxgoroutines=%d, cpus=%d\n", p.Kernel, p.MaxGoroutines, cpus)
-		fmt.Printf("completed: %d/%d jobs (%d dropped by faults), %d background activations\n",
+		fmt.Fprintf(w, "executive: maxgoroutines=%d, cpus=%d\n", p.MaxGoroutines, cpus)
+		fmt.Fprintf(w, "completed: %d/%d jobs (%d dropped by faults), %d background activations\n",
 			res.Completed, res.Jobs, res.Dropped, res.BackgroundRun)
-		fmt.Printf("virtual  : consumed %v, finished at %v of %v horizon\n",
+		fmt.Fprintf(w, "virtual  : consumed %v, finished at %v of %v horizon\n",
 			res.TotalConsumed, res.FinalTime, res.Horizon)
-		fmt.Printf("pool     : peak %d workers (goroutines before run: %d)\n",
+		fmt.Fprintf(w, "pool     : peak %d workers (goroutines before run: %d)\n",
 			res.PeakWorkers, goroutinesBefore)
-		fmt.Printf("wall     : %v (%.0f jobs/s)\n", elapsed.Round(time.Millisecond),
+		fmt.Fprintf(w, "wall     : %v (%.0f jobs/s)\n", elapsed.Round(time.Millisecond),
 			float64(res.Completed)/elapsed.Seconds())
 	}
-	fmt.Printf("stress: %d jobs, kernel=%s maxgoroutines=%d peak-workers=%d fingerprint=%016x wall=%v\n",
-		res.Completed, p.Kernel, p.MaxGoroutines, res.PeakWorkers, res.Fingerprint,
+	fmt.Fprintf(w, "stress: %d jobs, maxgoroutines=%d peak-workers=%d fingerprint=%016x wall=%v\n",
+		res.Completed, p.MaxGoroutines, res.PeakWorkers, res.Fingerprint,
 		elapsed.Round(time.Millisecond))
 	if res.Completed != res.Jobs-res.Dropped {
 		// The CI stress smoke relies on this: stranded jobs are a
 		// scheduling bug, not a soft statistic.
-		fatal(fmt.Errorf("only %d of %d spawned jobs completed", res.Completed, res.Jobs-res.Dropped))
+		return fmt.Errorf("only %d of %d spawned jobs completed", res.Completed, res.Jobs-res.Dropped)
 	}
+	return nil
 }
 
-func runSteady(p experiments.SteadyStateParams, quiet bool) {
+func runSteady(w io.Writer, p experiments.SteadyStateParams, quiet bool) error {
 	goroutinesBefore := runtime.NumGoroutine()
 	start := time.Now()
 	res, err := experiments.RunPeriodicSteadyState(p)
 	elapsed := time.Since(start)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if !quiet {
-		fmt.Printf("scenario : %d periodic entities, horizon %gtu, utilization %g, seed %d\n",
+		fmt.Fprintf(w, "scenario : %d periodic entities, horizon %gtu, utilization %g, seed %d\n",
 			res.Entities, p.HorizonTU, p.Utilization, p.Seed)
-		fmt.Printf("executive: %s kernel, maxgoroutines=%d, activation=%v\n",
-			p.Kernel, p.MaxGoroutines, p.Activation)
-		fmt.Printf("released : %d activations (%d missed)\n", res.Activations, res.Missed)
-		fmt.Printf("virtual  : consumed %v, finished at %v of %v horizon\n",
+		fmt.Fprintf(w, "executive: maxgoroutines=%d, activation=%v\n", p.MaxGoroutines, p.Activation)
+		fmt.Fprintf(w, "released : %d activations (%d missed)\n", res.Activations, res.Missed)
+		fmt.Fprintf(w, "virtual  : consumed %v, finished at %v of %v horizon\n",
 			res.TotalConsumed, res.FinalTime, res.Horizon)
-		fmt.Printf("pool     : peak %d workers (goroutines before run: %d)\n",
+		fmt.Fprintf(w, "pool     : peak %d workers (goroutines before run: %d)\n",
 			res.PeakWorkers, goroutinesBefore)
-		fmt.Printf("wall     : %v (%.0f activations/s)\n", elapsed.Round(time.Millisecond),
+		fmt.Fprintf(w, "wall     : %v (%.0f activations/s)\n", elapsed.Round(time.Millisecond),
 			float64(res.Activations)/elapsed.Seconds())
 	}
-	fmt.Printf("steady: %d entities %d activations, kernel=%s maxgoroutines=%d activation=%v peak-workers=%d fingerprint=%016x wall=%v\n",
-		res.Entities, res.Activations, p.Kernel, p.MaxGoroutines, p.Activation,
+	fmt.Fprintf(w, "steady: %d entities %d activations, maxgoroutines=%d activation=%v peak-workers=%d fingerprint=%016x wall=%v\n",
+		res.Entities, res.Activations, p.MaxGoroutines, p.Activation,
 		res.PeakWorkers, res.Fingerprint, elapsed.Round(time.Millisecond))
 	if res.Activations < res.Entities {
 		// Every entity must release at least once within the horizon.
-		fatal(fmt.Errorf("only %d activations for %d entities", res.Activations, res.Entities))
+		return fmt.Errorf("only %d activations for %d entities", res.Activations, res.Entities)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "stress: %v\n", err)
-	os.Exit(1)
+	return nil
 }

@@ -6,8 +6,7 @@ import (
 	"rtsj/internal/rtime"
 )
 
-// This file is the activation-driven periodic dispatch path, shared by both
-// kernels.
+// This file is the activation-driven periodic dispatch path.
 //
 // A thread spawned with SpawnPeriodic has no long-lived body goroutine:
 // instead of a loop that parks on "work; WaitForNextPeriod()", the kernel
@@ -16,11 +15,11 @@ import (
 // and the body RETURNING is the release boundary. The kernel then rearms
 // the entity: it advances the release instant by one period, skips (and
 // counts, see Thread.MissedActivations) any releases the body overran
-// past, and applies exactly the sleep request a per-thread loop's
-// WaitForNextPeriod would have issued at the same point in the schedule.
+// past, and puts the entity to sleep exactly as a per-thread loop's
+// WaitForNextPeriod would have at the same point in the schedule.
 //
 // Because the rearm reproduces the loop's kernel-call sequence verbatim —
-// same requests, same timer registrations, same sequence numbers — an
+// same sleeps, same timer registrations, same sequence numbers — an
 // activation entity is trace-for-trace identical to the equivalent looping
 // thread on every executive configuration (pinned by TestActivationDiff*).
 // What changes is the resource cost: between releases the entity owns no
@@ -85,8 +84,7 @@ func (ex *Exec) SpawnPeriodicOn(name string, prio, cpu int, spec ActivationSpec,
 		th.boost = th.prio
 	}
 	// Unlike Spawn, no goroutine is created even outside pooled mode: the
-	// body is dispatched lazily at each release (handoff on the direct
-	// kernel, resume on the channel kernel).
+	// body is dispatched lazily at each release (see handoff).
 	ex.scheduleFirstRelease(th, startAt)
 	return th
 }
@@ -116,11 +114,11 @@ func (th *Thread) Miss() MissPolicy { return th.missPolicy }
 // rearm ends an activation in kernel context: it advances th's release by
 // one period, handles releases the body overran past according to the miss
 // policy (MissSkip skips and counts them; MissContinueLate keeps the first
-// past-due release, counting it late), and applies the same sleep request
-// a per-thread loop's WaitForNextPeriod would issue here — so timer
-// sequence numbers, ready-queue ranks and therefore whole schedules match
-// the loop formulation exactly (a past-due sleep re-queues the thread
-// immediately and deterministically; see apply). It also detaches the body
+// past-due release, counting it late), and sleeps until the next release
+// as a per-thread loop's WaitForNextPeriod would here — so timer sequence
+// numbers, ready-queue ranks and therefore whole schedules match the loop
+// formulation exactly (a past-due sleep re-queues the thread immediately
+// and deterministically; see sleepUntil). It also detaches the body
 // (started=false) so the next release dispatches a fresh one.
 func (ex *Exec) rearm(th *Thread) {
 	th.started = false
@@ -142,7 +140,7 @@ func (ex *Exec) rearm(th *Thread) {
 		// same point a looping thread would call TC.SetPriority.
 		ex.setBasePrio(th, th.dynPrio(th.nextRel))
 	}
-	ex.apply(request{th: th, kind: reqSleep, until: th.nextRel})
+	ex.sleepUntil(th, th.nextRel)
 }
 
 // callBody runs one dispatch of the thread body, applying the entity's

@@ -13,8 +13,7 @@ import (
 // periodic workload expressed as SpawnPeriodic activations must be
 // trace-for-trace identical to the same workload expressed as looping
 // Spawn threads (work; sleep-until-next-release), on every executive
-// configuration — the full {Channel, Direct} × {per-thread, pooled,
-// activation} matrix, with channel/per-thread/loop as the reference.
+// configuration (diffConfigs), with the per-thread loop as the reference.
 
 // periodicEntity is one periodic workload item, buildable either as a
 // looping thread or as an activation entity.
@@ -65,7 +64,8 @@ func (e periodicEntity) buildActivation(ex *Exec) *Thread {
 
 // activationDiffRun builds the scenario in both formulations on every
 // executive configuration and compares everything observable against the
-// loop formulation on the channel reference kernel.
+// per-thread loop formulation, whose trace must match the committed
+// fingerprint "activation/<name>".
 func activationDiffRun(t *testing.T, name string, horizon rtime.Time,
 	entities []periodicEntity, extra func(ex *Exec)) {
 	t.Helper()
@@ -83,15 +83,16 @@ func activationDiffRun(t *testing.T, name string, horizon rtime.Time,
 			extra(ex)
 		}
 		if err := ex.Run(horizon); err != nil {
-			t.Fatalf("%s: run failed on %v/activation=%v: %v", name, opts.Kernel, activation, err)
+			t.Fatalf("%s: run failed on %+v/activation=%v: %v", name, opts, activation, err)
 		}
 		return ex
 	}
-	ref := run(Options{Kernel: ChannelKernel}, false)
+	ref := run(diffConfigs[0].opts, false)
 	defer ref.Shutdown()
-	for _, cfg := range diffConfigs {
+	checkPinned(t, "activation/"+name, ref.Trace().Fingerprint())
+	for i, cfg := range diffConfigs {
 		for _, activation := range []bool{false, true} {
-			if cfg.opts.Kernel == ChannelKernel && cfg.opts.MaxGoroutines == 0 && !activation {
+			if i == 0 && !activation {
 				continue // the reference itself
 			}
 			label := fmt.Sprintf("%s/%s-act=%v", name, cfg.name, activation)
@@ -210,7 +211,7 @@ func TestActivationRunContinuation(t *testing.T) {
 			}
 		}
 	}
-	ref := NewKernel(trace.New(), ChannelKernel)
+	ref := New(trace.New())
 	build(ref, false)
 	type variant struct {
 		label string
@@ -271,29 +272,27 @@ func TestActivationGoroutineFootprint(t *testing.T) {
 	// Many periodic entities, pooled: the goroutine count is bounded by the
 	// pool, not the entity count — the whole point of the activation path.
 	const n = 400
-	for _, kind := range []Kernel{DirectKernel, ChannelKernel} {
-		before := runtime.NumGoroutine()
-		ex := NewWithOptions(nil, Options{Kernel: kind, MaxGoroutines: 8})
-		done := 0
-		for i := 0; i < n; i++ {
-			prio := 2 + i%5
-			ex.SpawnPeriodic(fmt.Sprintf("p%d", i), prio,
-				ActivationSpec{Start: rtime.Time(rtime.TUs(float64(i % 50))), Period: tu(100)},
-				func(tc *TC) { tc.Consume(tu(0.1)); done++ })
-		}
-		if err := ex.Run(at(500)); err != nil {
-			t.Fatal(err)
-		}
-		if peak := ex.PoolPeak(); peak == 0 || peak > 8+1 {
-			t.Errorf("%v: pool peaked at %d workers for %d entities, want <= pool size", kind, peak, n)
-		}
-		if done < n {
-			t.Errorf("%v: only %d of %d entities ever activated", kind, done, n)
-		}
-		ex.Shutdown()
-		if after := runtime.NumGoroutine(); after > before+4 {
-			t.Errorf("%v: goroutines leaked: before=%d after=%d", kind, before, after)
-		}
+	before := runtime.NumGoroutine()
+	ex := NewWithOptions(nil, Options{MaxGoroutines: 8})
+	done := 0
+	for i := 0; i < n; i++ {
+		prio := 2 + i%5
+		ex.SpawnPeriodic(fmt.Sprintf("p%d", i), prio,
+			ActivationSpec{Start: rtime.Time(rtime.TUs(float64(i % 50))), Period: tu(100)},
+			func(tc *TC) { tc.Consume(tu(0.1)); done++ })
+	}
+	if err := ex.Run(at(500)); err != nil {
+		t.Fatal(err)
+	}
+	if peak := ex.PoolPeak(); peak == 0 || peak > 8+1 {
+		t.Errorf("pool peaked at %d workers for %d entities, want <= pool size", peak, n)
+	}
+	if done < n {
+		t.Errorf("only %d of %d entities ever activated", done, n)
+	}
+	ex.Shutdown()
+	if after := runtime.NumGoroutine(); after > before+4 {
+		t.Errorf("goroutines leaked: before=%d after=%d", before, after)
 	}
 }
 

@@ -16,38 +16,31 @@
 // code between kernel calls executes in zero virtual time, and virtual time
 // only advances while a thread is inside Consume or the processor is idle.
 //
-// # Kernel selection
+// # The kernel
 //
-// Two kernels implement the scheduling contract behind one API:
+// The scheduling loop runs inline in whichever goroutine currently holds
+// the virtual CPU (kernel_direct.go), so consecutive same-thread
+// Consume/advance/sleep steps never leave the goroutine, and a real
+// parked-goroutine handoff (mutex + condition variable, one futex wake per
+// switch) happens only when a *different* thread must run. The ready
+// queues and the timer queue are binary heaps. Use New for the defaults
+// and NewWithOptions for full configuration.
 //
-//   - DirectKernel (the default): channel-free. The scheduling loop runs
-//     inline in whichever goroutine currently holds the virtual CPU, so
-//     consecutive same-thread Consume/advance/sleep steps never leave the
-//     goroutine, and a real parked-goroutine handoff (mutex + condition
-//     variable, one futex wake per switch) happens only when a *different*
-//     thread must run. The ready queue and timer queue are binary heaps.
-//
-//   - ChannelKernel: the original two-channel rendezvous (kernel goroutine
-//     resumes a thread, thread sends its next request back), with linear
-//     ready/timer scans. It is kept as the reference implementation
-//     (unchanged except one deliberate fix noted in kernel_channel.go —
-//     cancelled timers never fire — and firing its timers through the
-//     shared typed-event function); differential tests assert both kernels
-//     produce trace-for-trace identical schedules.
-//
-// Use New for the default direct kernel, NewKernel to pick explicitly, and
-// NewWithOptions for full configuration. There is no reason to run
-// ChannelKernel outside differential tests.
+// Determinism is checked two ways. The differential tests run every
+// scenario on every configuration (goroutine-per-thread, pooled,
+// activation, one-CPU SMP) and compare the schedules segment by segment
+// against the goroutine-per-thread run; and that reference run must match
+// a committed trace fingerprint (trace.Trace.Fingerprint), so a change to
+// any schedule fails a test even when every configuration changes alike.
 //
 // # Timers and the allocation-free steady state
 //
-// Every kernel timer is a node plus a value key (timer.go). The direct
-// kernel's timer heap stores {instant, seq, node} by value, so ordering
-// never dereferences a node. Kernel-internal timers are typed events (a
-// kind plus the thread they act on: first release, sleep wake-up — which
-// also re-releases an activation entity through rearm — and WithBudget
-// expiry) instead of closures, and both kernels fire them through one
-// function. At and rtsjvm.VM.FireAt return a Timer handle whose Cancel
+// Every kernel timer is a node plus a value key (timer.go). The timer heap
+// stores {instant, seq, node} by value, so ordering never dereferences a
+// node. Kernel-internal timers are typed events (a kind plus the thread
+// they act on: first release, sleep wake-up — which also re-releases an
+// activation entity through rearm — and WithBudget expiry) instead of
+// closures, all fired through one function. At and rtsjvm.VM.FireAt return a Timer handle whose Cancel
 // checks the handle's seq against the node's, so a stale handle never
 // cancels the newer timer that reused its node. Nodes are recycled
 // through a per-executive free list owned, like all kernel state, by the
@@ -68,7 +61,7 @@
 //
 // # Pooled workers
 //
-// Orthogonally to the kernel choice, Options.MaxGoroutines multiplexes
+// Options.MaxGoroutines multiplexes
 // thread bodies over a bounded pool of worker goroutines (pool.go) instead
 // of dedicating one goroutine per thread, so a system with tens of
 // thousands of mostly run-to-completion threads needs only a handful of
@@ -88,7 +81,7 @@
 //
 // # Choosing a configuration
 //
-//   - Default (per-thread, direct kernel): small systems, simplest
+//   - Default (one goroutine per thread): small systems, simplest
 //     debugging — every thread is a parked goroutine with a full stack.
 //   - Pooled (Options.MaxGoroutines > 0): many mostly run-to-completion
 //     threads (sporadic job floods); goroutine count bounded by preemption

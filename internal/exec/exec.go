@@ -1,37 +1,14 @@
 package exec
 
 import (
-	"fmt"
 	"sync"
 
 	"rtsj/internal/rtime"
 	"rtsj/internal/trace"
 )
 
-// Kernel selects the executive's scheduling implementation.
-type Kernel int
-
-const (
-	// DirectKernel is the channel-free executive: inline scheduling with
-	// batched same-thread steps and condition-variable handoffs.
-	DirectKernel Kernel = iota
-	// ChannelKernel is the legacy channel-rendezvous executive, kept as the
-	// reference implementation for differential testing.
-	ChannelKernel
-)
-
-// String returns the kernel's short name ("direct" or "channel").
-func (k Kernel) String() string {
-	if k == ChannelKernel {
-		return "channel"
-	}
-	return "direct"
-}
-
 // Options configures an executive beyond the sink it records into.
 type Options struct {
-	// Kernel selects the scheduling implementation (default DirectKernel).
-	Kernel Kernel
 	// MaxGoroutines, when positive, multiplexes thread bodies over a
 	// bounded pool of worker goroutines instead of one goroutine per
 	// thread: a thread's goroutine is materialized lazily the first time
@@ -46,7 +23,7 @@ type Options struct {
 	// concurrently in-progress bodies, which for run-to-completion
 	// workloads is tiny regardless of the thread count. Zero (the default)
 	// keeps the goroutine-per-thread mode. Scheduling is identical either
-	// way, enforced by the kernel differential tests.
+	// way, enforced by the differential tests.
 	MaxGoroutines int
 	// CPUs is the number of virtual CPUs the executive schedules (see
 	// smp.go). Zero and one are the uniprocessor: the same code path with
@@ -73,7 +50,7 @@ type Options struct {
 // MissPolicy selects how a periodic entity (SpawnPeriodic) handles a
 // deadline overrun — a body still running when its next release comes due.
 // The policy is applied by the activation rearm path, so it is identical
-// across kernels and worker modes.
+// across worker modes.
 type MissPolicy int
 
 const (
@@ -116,41 +93,6 @@ const (
 	stateDone
 )
 
-// resumeMsg is what the kernel delivers to a parked thread goroutine.
-type resumeMsg struct {
-	kill bool // the executive is shutting down; unwind now
-}
-
-type reqKind int
-
-const (
-	reqConsume reqKind = iota
-	reqSleep
-	reqWait
-	reqTerminate
-	// reqRearm ends one activation of a periodic entity (ChannelKernel;
-	// the direct kernel calls rearm inline): advance the release, then
-	// sleep until it as reqSleep would.
-	reqRearm
-)
-
-type request struct {
-	th   *Thread
-	kind reqKind
-
-	// consume
-	amount rtime.Duration
-
-	// sleep
-	until rtime.Time
-
-	// wait
-	queue *WaitQueue
-
-	// terminate
-	err error
-}
-
 // Thread is a schedulable entity of the executive.
 type Thread struct {
 	ex   *Exec
@@ -161,10 +103,7 @@ type Thread struct {
 	readySeq int64
 	wakeAt   rtime.Time
 
-	// ChannelKernel handoff.
-	resumeCh chan resumeMsg
-
-	// DirectKernel handoff: park/wake under ex.mu.
+	// Handoff: park/wake under ex.mu.
 	cond      sync.Cond
 	scheduled bool // wake flag of the park/wake protocol; guarded by mu
 	killed    bool // shutdown kill flag; guarded by mu
@@ -246,7 +185,7 @@ type WaitQueue struct {
 // NewWaitQueue returns a named wait queue.
 func NewWaitQueue(name string) *WaitQueue { return &WaitQueue{name: name} }
 
-// runPhase is the DirectKernel scheduling-loop phase (see dispatch).
+// runPhase is the scheduling-loop phase (see dispatch).
 type runPhase int
 
 const (
@@ -256,10 +195,9 @@ const (
 	phaseDone
 )
 
-// Exec is the virtual-time executive. Create with New (direct kernel) or
-// NewKernel, add threads with Spawn, then call Run.
+// Exec is the virtual-time executive. Create with New or NewWithOptions,
+// add threads with Spawn, then call Run.
 type Exec struct {
-	kind    Kernel
 	now     rtime.Time
 	threads []*Thread
 	sink    trace.Sink    // never nil; trace.Nop when nothing records
@@ -272,18 +210,14 @@ type Exec struct {
 	pooled bool
 	pool   workerPool
 
-	// ChannelKernel state: pending timers (linear) and the request channel.
-	timers []timerKey
-	reqCh  chan request
-
 	// Timer nodes not currently queued (timer.go), and how many nodes the
 	// executive has allocated in all. Token-owned like the queues.
 	freeTimers *timerNode
 	timerNodes int
 
 	// SMP topology (smp.go): the virtual CPU count, migration policy,
-	// per-domain CPU index sets, the per-domain ready queues (DirectKernel
-	// heaps; one domain with one CPU is the uniprocessor), the CPU
+	// per-domain CPU index sets, the per-domain ready queues (heaps; one
+	// domain with one CPU is the uniprocessor), the CPU
 	// occupancy vector recomputed by assignCPUs each scheduling decision,
 	// a scratch buffer for top-K selection, and the migration tally.
 	ncpu        int
@@ -296,14 +230,14 @@ type Exec struct {
 	pickBuf     []*Thread
 	migrations  int
 
-	// DirectKernel state: the timer heap and the handoff protocol.
+	// The timer heap and the handoff protocol.
 	theap  timerHeap
 	mu     sync.Mutex
 	main   sync.Cond // parks the Run goroutine while threads hold the CPU
 	reap   sync.Cond // Shutdown waits here for killed threads to die
 	mainOn bool      // main has been scheduled (run is over); guarded by mu
 
-	// Run-loop state shared with dispatch (DirectKernel).
+	// Run-loop state shared with dispatch.
 	phase      runPhase
 	until      rtime.Time
 	zeroSteps  int
@@ -317,18 +251,10 @@ type Exec struct {
 	errs     []error
 }
 
-// New returns an executive recording into sink, on the default direct
-// (channel-free) kernel. A nil sink records nothing — the metrics-only fast
-// path (same contract as the sim engine); pass trace.New() to keep a full
-// schedule recording.
+// New returns an executive recording into sink with default options. A nil
+// sink records nothing — the metrics-only fast path (same contract as the
+// sim engine); pass trace.New() to keep a full schedule recording.
 func New(sink trace.Sink) *Exec { return NewWithOptions(sink, Options{}) }
-
-// NewKernel returns an executive on an explicitly chosen kernel. Both
-// kernels implement the same deterministic scheduling contract; the choice
-// only affects how goroutine handoffs are realized.
-func NewKernel(sink trace.Sink, kind Kernel) *Exec {
-	return NewWithOptions(sink, Options{Kernel: kind})
-}
 
 // NewWithOptions returns a fully configured executive. A nil sink (or a nil
 // *trace.Trace inside the interface) is normalized to trace.Nop.
@@ -339,7 +265,7 @@ func NewWithOptions(sink trace.Sink, opts Options) *Exec {
 	if sink == nil {
 		sink = trace.Nop{}
 	}
-	ex := &Exec{kind: opts.Kernel, sink: sink, pooled: opts.MaxGoroutines > 0}
+	ex := &Exec{sink: sink, pooled: opts.MaxGoroutines > 0}
 	ex.tr, _ = sink.(*trace.Trace)
 	ex.cpuSink, _ = sink.(trace.CPUSink)
 	if opts.Stats != nil {
@@ -382,12 +308,6 @@ func NewWithOptions(sink trace.Sink, opts Options) *Exec {
 	}
 	ex.readyQ = make([]readyHeap, len(ex.domains))
 	ex.cpuRun = make([]*Thread, ex.ncpu)
-	if opts.Kernel == ChannelKernel {
-		ex.reqCh = make(chan request)
-	}
-	// The direct kernel parks on these; the channel kernel never touches
-	// them, but initializing unconditionally keeps the zero-value checks
-	// out of the hot path.
 	ex.main.L = &ex.mu
 	ex.reap.L = &ex.mu
 	if ex.pooled {
@@ -395,9 +315,6 @@ func NewWithOptions(sink trace.Sink, opts Options) *Exec {
 	}
 	return ex
 }
-
-// KernelKind returns the kernel this executive runs on.
-func (ex *Exec) KernelKind() Kernel { return ex.kind }
 
 // Pooled reports whether thread bodies are multiplexed over the worker
 // pool (Options.MaxGoroutines > 0).
@@ -435,7 +352,7 @@ func (ex *Exec) Threads() []*Thread {
 // newThread constructs and registers a thread without starting or
 // scheduling it — the construction invariants shared by Spawn and
 // SpawnPeriodic (entity declaration, scheduling-domain assignment,
-// kernel-specific handoff state). affinity is a CPU index or -1 for none.
+// handoff state). affinity is a CPU index or -1 for none.
 func (ex *Exec) newThread(name string, prio, affinity int, body func(tc *TC)) *Thread {
 	if affinity < -1 || affinity >= ex.ncpu {
 		ex.panicBadCPU(name, affinity)
@@ -455,11 +372,7 @@ func (ex *Exec) newThread(name string, prio, affinity int, body func(tc *TC)) *T
 	th.domain = ex.domainFor(affinity, len(ex.threads)-1)
 	th.tc.th = th
 	ex.sink.DeclareEntity(name)
-	if ex.kind == ChannelKernel {
-		th.resumeCh = make(chan resumeMsg)
-	} else {
-		th.cond.L = &ex.mu
-	}
+	th.cond.L = &ex.mu
 	return th
 }
 
@@ -501,75 +414,45 @@ func (ex *Exec) makeReady(th *Thread) {
 	}
 	th.state = stateReady
 	th.readySeq = ex.nextSeq()
-	if ex.kind == DirectKernel {
-		if th.heapIdx >= 0 {
-			ex.readyQ[th.domain].fix(th.heapIdx) // seq grew: sink to the new FIFO rank
-		} else {
-			ex.readyQ[th.domain].push(th)
-			if ex.statsOn {
-				ex.stats.ReadyMax.Max(int64(len(ex.readyQ[th.domain].a)))
-			}
+	if th.heapIdx >= 0 {
+		ex.readyQ[th.domain].fix(th.heapIdx) // seq grew: sink to the new FIFO rank
+	} else {
+		ex.readyQ[th.domain].push(th)
+		if ex.statsOn {
+			ex.stats.ReadyMax.Max(int64(len(ex.readyQ[th.domain].a)))
 		}
 	}
 }
 
-// readyRemove drops th from its domain's ready heap (DirectKernel
-// bookkeeping; the channel kernel scans thread states instead).
+// readyRemove drops th from its domain's ready heap, if it is queued.
 func (ex *Exec) readyRemove(th *Thread) {
-	if ex.kind == DirectKernel && th.heapIdx >= 0 {
+	if th.heapIdx >= 0 {
 		ex.readyQ[th.domain].remove(th)
 	}
 }
 
-// apply processes one kernel request from a thread.
-func (ex *Exec) apply(req request) {
-	th := req.th
-	switch req.kind {
-	case reqConsume:
-		th.needCPU = req.amount
-	case reqSleep:
-		if req.until <= ex.now {
-			// Already due: stay ready (deterministic re-queue).
-			ex.makeReady(th)
-			return
-		}
-		th.state = stateSleeping
-		th.wakeAt = req.until
-		ex.readyRemove(th)
-		ex.arm(req.until, evWake, th, nil)
-	case reqWait:
-		th.state = stateBlocked
-		ex.readyRemove(th)
-		if req.queue != nil {
-			req.queue.waiters = append(req.queue.waiters, th)
-		}
-		// A nil queue is a bare suspension (mutex hand-off): the waker
-		// calls makeReady explicitly.
-	case reqTerminate:
-		th.state = stateDone
-		ex.readyRemove(th)
-		if req.err != nil {
-			th.err = req.err
-			ex.errs = append(ex.errs, req.err)
-		}
-	case reqRearm:
-		ex.rearm(th)
+// sleepUntil puts th to sleep until instant until. A sleep that is already
+// due keeps th ready instead, re-queued behind its priority peers (a
+// deterministic yield).
+func (ex *Exec) sleepUntil(th *Thread, until rtime.Time) {
+	if until <= ex.now {
+		ex.makeReady(th)
+		return
 	}
+	th.state = stateSleeping
+	th.wakeAt = until
+	ex.readyRemove(th)
+	ex.arm(until, evWake, th, nil)
 }
 
-// Run advances virtual time until the horizon, or until the system
-// quiesces (no ready thread and no pending timer). It returns the first
-// thread body error, if any.
-func (ex *Exec) Run(until rtime.Time) error {
-	if ex.running {
-		return fmt.Errorf("exec: Run called re-entrantly")
+// block suspends th on q. A nil q is a bare suspension (mutex hand-off):
+// the waker calls makeReady explicitly.
+func (ex *Exec) block(th *Thread, q *WaitQueue) {
+	th.state = stateBlocked
+	ex.readyRemove(th)
+	if q != nil {
+		q.waiters = append(q.waiters, th)
 	}
-	ex.running = true
-	defer func() { ex.running = false }()
-	if ex.kind == ChannelKernel {
-		return ex.runChannel(until)
-	}
-	return ex.runDirect(until)
 }
 
 // interruptNow delivers an asynchronous interrupt to th's budgeted section:
@@ -591,20 +474,6 @@ func (ex *Exec) interruptNow(th *Thread) {
 		// interruption when next scheduled.
 		th.needCPU = 0
 		th.intrDelivered = true
-	}
-}
-
-// Shutdown unwinds every live thread goroutine. Call after Run to avoid
-// goroutine leaks when many executives are created (e.g. in benchmarks).
-func (ex *Exec) Shutdown() {
-	ex.shutdown = true
-	if ex.kind == ChannelKernel {
-		ex.shutdownChannel()
-	} else {
-		ex.shutdownDirect()
-	}
-	if ex.pooled {
-		ex.pool.close()
 	}
 }
 

@@ -1,8 +1,7 @@
 package exec
 
-// Binary heaps backing the DirectKernel's ready queue and timer queue.
-// Both are keyed exactly like the channel kernel's linear-scan tie-breaks,
-// so pop order is identical to the reference implementation:
+// Binary heaps backing the executive's ready queues and timer queue. Both
+// are keyed by total orders, so pop order is deterministic:
 //
 //   ready: (effective priority desc, readySeq asc) — FIFO within a
 //          priority level by wake order; readySeq is unique, so the order

@@ -9,7 +9,7 @@ import (
 // accounting (consumed CPU, miss and abort counts never negative),
 // priority-inheritance sanity (a thread's boost never drops below its base
 // priority, and collapses back to it once the thread holds no locks), and
-// the DirectKernel's ready-heap bookkeeping (heap indices consistent, done
+// the ready-heap bookkeeping (heap indices consistent, done
 // threads evicted). It is meant to be called after (or between) runs —
 // from the overload scenario family, the differential-test net and the
 // fault-plan fuzz run — and returns one error listing every violation, or
@@ -42,24 +42,20 @@ func (ex *Exec) CheckInvariants() error {
 		if th.waitingOn != nil && th.state != stateBlocked && th.state != stateDone {
 			note("thread %s: waiting on %s but in state %d", th.name, th.waitingOn.name, th.state)
 		}
-		if ex.kind == DirectKernel {
-			if th.state == stateDone && th.heapIdx >= 0 {
-				note("thread %s: done but still in the ready heap", th.name)
-			}
-			if th.heapIdx >= 0 && th.state != stateReady {
-				note("thread %s: in the ready heap in state %d", th.name, th.state)
-			}
+		if th.state == stateDone && th.heapIdx >= 0 {
+			note("thread %s: done but still in the ready heap", th.name)
+		}
+		if th.heapIdx >= 0 && th.state != stateReady {
+			note("thread %s: in the ready heap in state %d", th.name, th.state)
 		}
 	}
-	if ex.kind == DirectKernel {
-		for d := range ex.readyQ {
-			for i, th := range ex.readyQ[d].a {
-				if th.heapIdx != i {
-					note("ready heap %d: slot %d holds %s with heapIdx %d", d, i, th.name, th.heapIdx)
-				}
-				if th.domain != d {
-					note("ready heap %d: holds %s of domain %d", d, th.name, th.domain)
-				}
+	for d := range ex.readyQ {
+		for i, th := range ex.readyQ[d].a {
+			if th.heapIdx != i {
+				note("ready heap %d: slot %d holds %s with heapIdx %d", d, i, th.name, th.heapIdx)
+			}
+			if th.domain != d {
+				note("ready heap %d: holds %s of domain %d", d, th.name, th.domain)
 			}
 		}
 	}

@@ -8,35 +8,35 @@ import (
 	"rtsj/internal/trace"
 )
 
-// Differential kernel tests: every scenario is built identically on every
-// executive configuration — {ChannelKernel, DirectKernel} × {one goroutine
-// per thread, pooled workers} — and must produce trace-for-trace identical
+// Differential tests: every scenario is built identically on every
+// executive configuration — one goroutine per thread, pooled workers, and
+// the one-CPU SMP reduction — and must produce trace-for-trace identical
 // schedules — same segments, same preemption points, same virtual
-// timestamps, same point events, same per-thread accounting. The channel
-// kernel in goroutine-per-thread mode is the reference implementation.
+// timestamps, same point events, same per-thread accounting. The
+// goroutine-per-thread run is the in-run reference, and its trace must
+// also match the committed fingerprint of the scenario (fingerprint_test.go),
+// so a schedule change fails even when every configuration changes alike.
 
 // diffConfigs is the executive configuration matrix under differential
-// test. The small MaxGoroutines forces worker recycling (and transient
-// over-cap growth) inside the scenarios rather than hiding it.
-// The two smp1 entries run the whole corpus through the M=1 SMP
-// reduction — an explicit CPU count and a non-trivial migration policy —
-// which must stay byte-identical to the uniprocessor schedules
-// (TestSMPM1MatchesUniprocessor pins the same property against Options{}).
+// test; the first entry is the reference. The small MaxGoroutines forces
+// worker recycling (and transient over-cap growth) inside the scenarios
+// rather than hiding it. The smp1 entry runs the whole corpus through the
+// M=1 SMP reduction — an explicit CPU count and a non-trivial migration
+// policy — which must stay byte-identical to the uniprocessor schedules
+// (TestSMPM1MatchesUniprocessor pins the same property for every policy).
 var diffConfigs = []struct {
 	name string
 	opts Options
 }{
-	{"channel", Options{Kernel: ChannelKernel}},
-	{"direct", Options{Kernel: DirectKernel}},
-	{"channel-pooled", Options{Kernel: ChannelKernel, MaxGoroutines: 2}},
-	{"direct-pooled", Options{Kernel: DirectKernel, MaxGoroutines: 2}},
-	{"channel-smp1", Options{Kernel: ChannelKernel, CPUs: 1, Migration: Clustered}},
-	{"direct-smp1", Options{Kernel: DirectKernel, CPUs: 1, Migration: Partitioned}},
+	{"direct", Options{}},
+	{"direct-pooled", Options{MaxGoroutines: 2}},
+	{"direct-smp1", Options{CPUs: 1, Migration: Partitioned}},
 }
 
-// diffRun builds the scenario on every configuration, runs to the horizon
-// and compares everything observable against the channel reference.
-func diffRun(t *testing.T, name string, horizon rtime.Time, build func(ex *Exec)) {
+// diffRun builds the scenario on every configuration, runs to the horizon,
+// compares everything observable against the reference and returns the
+// reference trace's fingerprint.
+func diffRun(t *testing.T, name string, horizon rtime.Time, build func(ex *Exec)) uint64 {
 	t.Helper()
 	run := func(opts Options) (*Exec, error) {
 		ex := NewWithOptions(trace.New(), opts)
@@ -49,11 +49,19 @@ func diffRun(t *testing.T, name string, horizon rtime.Time, build func(ex *Exec)
 	for _, cfg := range diffConfigs[1:] {
 		got, gotErr := run(cfg.opts)
 		if (refErr == nil) != (gotErr == nil) {
-			t.Fatalf("%s: error mismatch: channel=%v %s=%v", name, refErr, cfg.name, gotErr)
+			t.Fatalf("%s: error mismatch: reference=%v %s=%v", name, refErr, cfg.name, gotErr)
 		}
 		compareExecs(t, name+"/"+cfg.name, ref, got)
 		got.Shutdown()
 	}
+	return ref.Trace().Fingerprint()
+}
+
+// diffPinned is diffRun plus the check against the scenario's committed
+// fingerprint.
+func diffPinned(t *testing.T, name string, horizon rtime.Time, build func(ex *Exec)) {
+	t.Helper()
+	checkPinned(t, name, diffRun(t, name, horizon, build))
 }
 
 func compareExecs(t *testing.T, name string, ref, got *Exec) {
@@ -104,7 +112,7 @@ func compareExecsCPUs(t *testing.T, name string, ref, got *Exec, m int) {
 }
 
 func TestKernelDiffPreemptionAndFIFO(t *testing.T) {
-	diffRun(t, "preemption", at(20), func(ex *Exec) {
+	diffPinned(t, "preemption", at(20), func(ex *Exec) {
 		ex.Spawn("lo", 1, 0, func(tc *TC) { tc.Consume(tu(6)) })
 		ex.Spawn("hi", 2, at(2), func(tc *TC) { tc.Consume(tu(2)) })
 		ex.Spawn("peer-a", 1, 0, func(tc *TC) { tc.Consume(tu(1)) })
@@ -113,7 +121,7 @@ func TestKernelDiffPreemptionAndFIFO(t *testing.T) {
 }
 
 func TestKernelDiffSleepWaitNotify(t *testing.T) {
-	diffRun(t, "sleep-wait-notify", at(30), func(ex *Exec) {
+	diffPinned(t, "sleep-wait-notify", at(30), func(ex *Exec) {
 		q := NewWaitQueue("q")
 		ex.Spawn("periodic", 3, 0, func(tc *TC) {
 			next := rtime.Time(0)
@@ -136,7 +144,7 @@ func TestKernelDiffSleepWaitNotify(t *testing.T) {
 }
 
 func TestKernelDiffBudgetInterrupt(t *testing.T) {
-	diffRun(t, "budget", at(30), func(ex *Exec) {
+	diffPinned(t, "budget", at(30), func(ex *Exec) {
 		ex.Spawn("timerd", 9, at(1), func(tc *TC) { tc.Consume(tu(1)) })
 		ex.Spawn("srv", 1, 0, func(tc *TC) {
 			tc.WithBudget(tu(3), func() { tc.Consume(tu(3)) }) // wall-clock: interrupted
@@ -146,7 +154,7 @@ func TestKernelDiffBudgetInterrupt(t *testing.T) {
 }
 
 func TestKernelDiffMutexPriorityInheritance(t *testing.T) {
-	diffRun(t, "mutex-pi", at(40), func(ex *Exec) {
+	diffPinned(t, "mutex-pi", at(40), func(ex *Exec) {
 		m := NewMutex("m")
 		ex.Spawn("low", 1, 0, func(tc *TC) {
 			tc.WithLock(m, func() { tc.Consume(tu(5)) })
@@ -160,7 +168,7 @@ func TestKernelDiffMutexPriorityInheritance(t *testing.T) {
 }
 
 func TestKernelDiffSpawnFromThreadAndHorizonDrain(t *testing.T) {
-	diffRun(t, "spawn-horizon", at(5), func(ex *Exec) {
+	diffPinned(t, "spawn-horizon", at(5), func(ex *Exec) {
 		ex.Spawn("parent", 1, 0, func(tc *TC) {
 			tc.Consume(tu(1))
 			tc.Exec().Spawn("child", 2, tc.Now(), func(tc2 *TC) {
@@ -172,8 +180,8 @@ func TestKernelDiffSpawnFromThreadAndHorizonDrain(t *testing.T) {
 }
 
 func TestKernelDiffRunContinuation(t *testing.T) {
-	// Two Run calls: threads parked mid-consume at the first horizon must
-	// continue identically in the second window on both kernels.
+	// Three Run calls: threads parked mid-consume at a horizon must
+	// continue identically in the next window on every configuration.
 	build := func(ex *Exec) {
 		ex.Spawn("a", 2, 0, func(tc *TC) {
 			for i := 0; i < 3; i++ {
@@ -183,7 +191,7 @@ func TestKernelDiffRunContinuation(t *testing.T) {
 		})
 		ex.Spawn("b", 1, 0, func(tc *TC) { tc.Consume(tu(9)) })
 	}
-	ref := NewKernel(trace.New(), ChannelKernel)
+	ref := New(trace.New())
 	build(ref)
 	others := make([]*Exec, 0, len(diffConfigs)-1)
 	for _, cfg := range diffConfigs[1:] {
@@ -195,6 +203,7 @@ func TestKernelDiffRunContinuation(t *testing.T) {
 		if err := ref.Run(horizon); err != nil {
 			t.Fatal(err)
 		}
+		checkPinned(t, fmt.Sprintf("continuation@%v", horizon.TUs()), ref.Trace().Fingerprint())
 		for i, ex := range others {
 			if err := ex.Run(horizon); err != nil {
 				t.Fatal(err)
@@ -208,14 +217,17 @@ func TestKernelDiffRunContinuation(t *testing.T) {
 	}
 }
 
-// TestKernelDiffFuzz runs randomized thread/priority workloads through both
-// kernels: random mixes of consume, sleep, contended locking and budgeted
-// sections across threads with random priorities and release offsets.
+// TestKernelDiffFuzz runs randomized thread/priority workloads through every
+// configuration: random mixes of consume, sleep, contended locking and
+// budgeted sections across threads with random priorities and release
+// offsets. The reference fingerprints of all trials, folded in trial order,
+// must match the committed value for the trial count.
 func TestKernelDiffFuzz(t *testing.T) {
 	trials := 60
 	if testing.Short() {
 		trials = 10
 	}
+	combined := uint64(14695981039346656037)
 	for trial := 0; trial < trials; trial++ {
 		rng := newDetRand(uint64(4000 + trial))
 		n := 2 + rng.next()%6
@@ -239,7 +251,7 @@ func TestKernelDiffFuzz(t *testing.T) {
 				})
 			}
 		}
-		diffRun(t, fmt.Sprintf("fuzz-%d", trial), at(100), func(ex *Exec) {
+		fp := diffRun(t, fmt.Sprintf("fuzz-%d", trial), at(100), func(ex *Exec) {
 			ms := []*Mutex{NewMutex("m0"), NewMutex("m1")}
 			q := NewWaitQueue("fq")
 			for i := 0; i < n; i++ {
@@ -270,29 +282,29 @@ func TestKernelDiffFuzz(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("fuzz trial %d diverged (seed %d)", trial, 4000+trial)
 		}
+		combined = (combined ^ fp) * 1099511628211
 	}
+	checkPinned(t, fmt.Sprintf("fuzz/%d-trials", trials), combined)
 }
 
 // TestKernelDiffSameInstantCancel pins the edge where a timer fn cancels
-// another timer due at the same instant: on both kernels a cancelled timer
-// never fires, even when it was already due when the batch began.
+// another timer due at the same instant: a cancelled timer never fires,
+// even when it was already due when the firing pass began.
 func TestKernelDiffSameInstantCancel(t *testing.T) {
-	for _, kind := range []Kernel{ChannelKernel, DirectKernel} {
-		ex := NewKernel(nil, kind)
-		fired := false
-		var victim Timer
-		ex.At(at(5), func() { victim.Cancel() })
-		victim = ex.At(at(5), func() { fired = true })
-		if err := ex.Run(at(10)); err != nil {
-			t.Fatal(err)
-		}
-		ex.Shutdown()
-		if fired {
-			t.Errorf("%v kernel: timer cancelled at its own instant still fired", kind)
-		}
+	ex := New(nil)
+	fired := false
+	var victim Timer
+	ex.At(at(5), func() { victim.Cancel() })
+	victim = ex.At(at(5), func() { fired = true })
+	if err := ex.Run(at(10)); err != nil {
+		t.Fatal(err)
+	}
+	ex.Shutdown()
+	if fired {
+		t.Error("timer cancelled at its own instant still fired")
 	}
 	// And the schedules around such a cancellation stay identical.
-	diffRun(t, "same-instant-cancel", at(20), func(ex *Exec) {
+	diffPinned(t, "same-instant-cancel", at(20), func(ex *Exec) {
 		e := ex
 		var notify Timer
 		q := NewWaitQueue("q")
@@ -305,25 +317,4 @@ func TestKernelDiffSameInstantCancel(t *testing.T) {
 		e.At(at(7), func() { e.NotifyAll(q) })
 		ex.Spawn("busy", 1, 0, func(tc *TC) { tc.Consume(tu(12)) })
 	})
-}
-
-// TestChannelKernelStillWorks pins the reference kernel's basic behaviour
-// so the differential baseline itself cannot silently rot.
-func TestChannelKernelStillWorks(t *testing.T) {
-	ex := NewKernel(nil, ChannelKernel)
-	if ex.KernelKind() != ChannelKernel {
-		t.Fatal("kernel kind not recorded")
-	}
-	th := ex.Spawn("a", 1, 0, func(tc *TC) {
-		tc.Consume(tu(2))
-		tc.Sleep(tu(1))
-		tc.Consume(tu(1))
-	})
-	if err := ex.Run(at(10)); err != nil {
-		t.Fatal(err)
-	}
-	ex.Shutdown()
-	if th.Consumed() != tu(3) || !th.Done() {
-		t.Fatalf("consumed=%v done=%v", th.Consumed(), th.Done())
-	}
 }

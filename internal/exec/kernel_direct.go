@@ -6,7 +6,8 @@ import (
 	"rtsj/internal/rtime"
 )
 
-// This file is the DirectKernel: the channel-free executive.
+// This file is the executive's kernel: the scheduling loop and the
+// goroutine handoff protocol.
 //
 // Handoff protocol. At any instant exactly one goroutine owns the virtual
 // CPU (the "token"): either the Run goroutine or one thread goroutine. The
@@ -15,44 +16,42 @@ import (
 // same-thread Consume/advance/sleep steps therefore never leave the
 // goroutine (batching; zero futex operations). Only when a *different*
 // thread must run does the owner wake that thread's condition variable and
-// park on its own: one parked-goroutine handoff per real context switch,
-// instead of the channel kernel's two channel rendezvous per kernel call.
+// park on its own: one parked-goroutine handoff per real context switch.
 //
 // All park/wake flags live under ex.mu; the mutex handoff also publishes
 // every kernel-state write of the old owner to the new one (the race
 // detector sees the happens-before edge through ex.mu). Kernel state itself
 // needs no lock: only the token owner touches it.
 //
-// Determinism contract. dispatch reproduces the channel kernel's loop
-// structure exactly — fire due timers, assign ready threads to the virtual
-// CPUs (per-domain top-K by priority, FIFO within a priority by wake
-// order; see smp.go), zero-step occupants in ascending CPU index order,
-// advance consume slices on every occupied CPU in lockstep to the next
-// timer or horizon, drain zero-CPU threads at the horizon — so both
-// kernels produce identical schedules, timestamps and trace segments. The
-// per-domain ready queues and the timer queue are binary heaps (heap.go)
-// keyed exactly like the channel kernel's linear-scan tie-breaks; with one
-// CPU the assignment degenerates to "the heap top runs", the pre-SMP loop.
+// Determinism contract. Each pass of dispatch fires the due timers in
+// (instant, seq) order, assigns ready threads to the virtual CPUs
+// (per-domain top-K by priority, FIFO within a priority by wake order; see
+// smp.go), lets zero-step occupants run in ascending CPU index order,
+// advances consume slices on every occupied CPU in lockstep to the next
+// timer or the horizon, and drains zero-CPU threads at the horizon. Every
+// decision depends only on virtual time and the executive's sequence
+// counter, never on goroutine timing, so the schedule — segments,
+// timestamps, events — is the same in goroutine-per-thread and pooled mode
+// and from run to run. The ready queues and the timer queue are binary
+// heaps (heap.go); with one CPU the assignment degenerates to "the heap
+// top runs".
 
-// directRun is the goroutine wrapper around a thread body (DirectKernel,
-// goroutine-per-thread mode).
-func (th *Thread) directRun() {
-	if msg := th.park(); msg.kill {
-		th.directFinish(nil)
+// run is the goroutine wrapper around a thread body in
+// goroutine-per-thread mode: it parks until the thread is first scheduled.
+func (th *Thread) run() {
+	if th.park() {
+		th.finish(nil)
 		return
 	}
-	th.directBody()
+	th.runBody()
 }
 
-// runPooledDirect runs the body on a pool worker (DirectKernel, pooled
-// mode). The thread was just picked by the scheduler, so unlike directRun
-// there is no initial park: the worker already holds the virtual CPU.
-func (th *Thread) runPooledDirect() { th.directBody() }
-
-// directBody executes the body with the executive's panic discipline and
+// runBody executes the body with the executive's panic discipline and
 // finishes the thread — or, for an activation entity that completed
-// normally, rearms it for the next release instead.
-func (th *Thread) directBody() {
+// normally, ends the activation instead. Pool workers and per-activation
+// goroutines call it directly: they receive a body only once the
+// scheduler has picked its thread, so there is no initial park.
+func (th *Thread) runBody() {
 	var err error
 	func() {
 		defer func() {
@@ -65,32 +64,32 @@ func (th *Thread) directBody() {
 		th.callBody()
 	}()
 	if th.periodic && err == nil && !th.ex.shutdown {
-		th.directRearm()
+		th.endActivation()
 		return
 	}
-	th.directFinish(err)
+	th.finish(err)
 }
 
-// directRearm ends one activation: the body just returned, so detach it
+// endActivation ends one activation: the body just returned, so detach it
 // (this goroutine leaves, but the thread lives on to its next release),
 // rearm the release bookkeeping and keep scheduling until the token is
-// handed off — the activation analogue of directFinish.
-func (th *Thread) directRearm() {
+// handed off — the activation analogue of finish.
+func (th *Thread) endActivation() {
 	ex := th.ex
 	th.detached = true
 	ex.rearm(th)
 	if ex.pooled {
 		// Declare this worker free (or retire it) before the token is
-		// handed on, exactly as directFinish does for a terminating body.
+		// handed on, exactly as finish does for a terminating body.
 		ex.bodyFinished(th)
 	}
 	ex.dispatch(th)
 }
 
-// directFinish terminates the thread: during a run it applies the terminate
-// request and keeps scheduling in this goroutine until the token is handed
-// off; during shutdown it only reports the death to the reaper.
-func (th *Thread) directFinish(err error) {
+// finish terminates the thread: during a run it marks the thread done and
+// keeps scheduling in this goroutine until the token is handed off; during
+// shutdown it only reports the death to the reaper.
+func (th *Thread) finish(err error) {
 	ex := th.ex
 	if ex.shutdown {
 		ex.mu.Lock()
@@ -103,7 +102,12 @@ func (th *Thread) directFinish(err error) {
 		ex.mu.Unlock()
 		return
 	}
-	ex.apply(request{th: th, kind: reqTerminate, err: err})
+	th.state = stateDone
+	ex.readyRemove(th)
+	if err != nil {
+		th.err = err
+		ex.errs = append(ex.errs, err)
+	}
 	if ex.pooled {
 		// Declare this worker free (or retire it) before the token is
 		// handed on, so a successor thread starting right away reuses it
@@ -113,28 +117,28 @@ func (th *Thread) directFinish(err error) {
 	ex.dispatch(th)
 }
 
-// directCall posts a kernel request and schedules inline (DirectKernel side
-// of TC.kernelCall). The calling goroutine returns once its thread is
-// picked to run user code again — possibly without ever parking.
-func (tc *TC) directCall(req request) {
-	ex := tc.th.ex
-	ex.apply(req)
-	if msg := ex.dispatch(tc.th); msg.kill {
+// reschedule runs the scheduling loop inline after the calling thread
+// changed its own kernel state (consume, sleep or wait). It returns once
+// the thread is picked to run user code again — possibly without ever
+// parking — and unwinds the body if the executive is shutting down.
+func (tc *TC) reschedule() {
+	if tc.th.ex.dispatch(tc.th) {
 		panic(killSentinel{})
 	}
 }
 
-// park blocks the calling thread goroutine until it is scheduled or killed.
-func (th *Thread) park() resumeMsg {
+// park blocks the calling thread goroutine until it is scheduled or
+// killed, and reports whether it was killed.
+func (th *Thread) park() (killed bool) {
 	ex := th.ex
 	ex.mu.Lock()
 	for !th.scheduled && !th.killed {
 		th.cond.Wait()
 	}
 	th.scheduled = false
-	killed := th.killed
+	killed = th.killed
 	ex.mu.Unlock()
-	return resumeMsg{kill: killed}
+	return killed
 }
 
 // wake marks th scheduled and signals its goroutine.
@@ -169,8 +173,8 @@ func (ex *Exec) wakeMain() {
 // body has not started — a pooled thread before its first dispatch, or an
 // activation entity at a release — is handed to a pool worker (or a fresh
 // per-activation goroutine outside pooled mode) instead of woken: it has
-// no goroutine parked yet.
-func (ex *Exec) handoff(cur, next *Thread) resumeMsg {
+// no goroutine parked yet. It reports whether cur was killed while parked.
+func (ex *Exec) handoff(cur, next *Thread) (killed bool) {
 	ex.stats.ContextSwitches.Inc()
 	// Read our own state while we still hold the token: the instant next
 	// is woken (or handed to a pool worker) it may run kernel code that
@@ -184,27 +188,29 @@ func (ex *Exec) handoff(cur, next *Thread) resumeMsg {
 		if ex.pooled {
 			ex.startThread(next)
 		} else {
-			go next.directBody()
+			go next.runBody()
 		}
 	} else {
 		ex.wake(next)
 	}
 	if cur == nil {
 		ex.parkMain()
-		return resumeMsg{}
+		return false
 	}
 	if curDone {
-		return resumeMsg{}
+		return false
 	}
 	return cur.park()
 }
 
-// fireDueTimersHeap pops and runs every timer due at or before now in
-// (time, seq) order. Timers scheduled by a fired fn are clamped to >= now
-// and carry a larger seq, so heap pop order matches the channel kernel's
-// collect-sort-fire batches.
-func (ex *Exec) fireDueTimersHeap() {
+// fireDueTimers pops and runs every timer due at or before now in
+// (instant, seq) order. Timers armed by a fired fn are clamped to >= now
+// and carry a larger seq, so they run later in the same pass.
+func (ex *Exec) fireDueTimers() {
 	for {
+		// peekTimer re-checks liveness before every pop, so a timer
+		// cancelled by an earlier fn due at the same instant never fires,
+		// although it was already due when the pass began.
 		k, ok := ex.peekTimer()
 		if !ok || k.at > ex.now {
 			return
@@ -215,11 +221,11 @@ func (ex *Exec) fireDueTimersHeap() {
 	}
 }
 
-// pickReadyZeroCPUHeap returns the highest-priority ready thread across
-// every scheduling domain that is not mid-consume (horizon drain — time is
+// pickReadyZeroCPU returns the highest-priority ready thread across every
+// scheduling domain that is not mid-consume (horizon drain — time is
 // frozen at the horizon instant, so the drain serializes zero-time
-// completions globally, exactly like the channel kernel's all-thread scan).
-func (ex *Exec) pickReadyZeroCPUHeap() *Thread {
+// completions globally).
+func (ex *Exec) pickReadyZeroCPU() *Thread {
 	var best *Thread
 	for d := range ex.readyQ {
 		th := ex.pickReadyZeroCPUDomain(d)
@@ -230,11 +236,18 @@ func (ex *Exec) pickReadyZeroCPUHeap() *Thread {
 	return best
 }
 
-// runDirect is the DirectKernel Run: it seeds the scheduling loop in the
-// Run goroutine; the loop then migrates between goroutines with the token
-// and the Run goroutine parks until the horizon, quiescence or a livelock
-// ends the run.
-func (ex *Exec) runDirect(until rtime.Time) error {
+// Run advances virtual time until the horizon, or until the system
+// quiesces (no ready thread and no pending timer). It returns the first
+// thread body error, if any. Run seeds the scheduling loop in its own
+// goroutine; the loop then migrates between goroutines with the token, and
+// the Run goroutine parks until the horizon, quiescence or a livelock ends
+// the run.
+func (ex *Exec) Run(until rtime.Time) error {
+	if ex.running {
+		return fmt.Errorf("exec: Run called re-entrantly")
+	}
+	ex.running = true
+	defer func() { ex.running = false }()
 	ex.until = until
 	ex.phase = phaseRunning
 	ex.zeroSteps = 0
@@ -254,8 +267,8 @@ func (ex *Exec) runDirect(until rtime.Time) error {
 // dispatch runs the scheduling loop inline in the calling goroutine (cur's
 // goroutine; cur == nil for the Run goroutine). It returns when cur's own
 // thread is picked to run user code, or — after handing the token off —
-// when cur is woken again. The loop structure mirrors runChannel exactly.
-func (ex *Exec) dispatch(cur *Thread) resumeMsg {
+// when cur is woken again. It reports whether cur was killed meanwhile.
+func (ex *Exec) dispatch(cur *Thread) (killed bool) {
 	for {
 		switch ex.phase {
 		case phaseRunning:
@@ -267,7 +280,7 @@ func (ex *Exec) dispatch(cur *Thread) resumeMsg {
 				ex.phase = phaseDraining
 				continue
 			}
-			ex.fireDueTimersHeap()
+			ex.fireDueTimers()
 			if ex.assignCPUs() == 0 {
 				k, ok := ex.peekTimer()
 				if !ok {
@@ -299,34 +312,39 @@ func (ex *Exec) dispatch(cur *Thread) resumeMsg {
 				ex.checkReadyHeap()
 			}
 			if th == cur && !cur.detached {
-				return resumeMsg{} // batched continuation: no handoff
+				return false // batched continuation: no handoff
 			}
 			// A detached cur re-picked at the same instant is NOT a
 			// continuation: its body already returned, so the next
 			// activation needs a fresh dispatch via handoff.
 			return ex.handoff(cur, th)
 		case phaseDraining:
-			// Zero-time work pending at the horizon instant (see runChannel).
-			th := ex.pickReadyZeroCPUHeap()
+			// Zero-time work pending at the horizon instant: a consume that
+			// finished exactly at the horizon must still return to its
+			// thread so completion bookkeeping (e.g. a server marking a
+			// handler served) is observable — the discrete-event simulator
+			// records such completions, and the two engines must agree at
+			// the boundary.
+			th := ex.pickReadyZeroCPU()
 			if th == nil || ex.drainSteps >= 1_000_000 {
 				ex.phase = phaseDone
 				continue
 			}
 			ex.drainSteps++
 			if th == cur && !cur.detached {
-				return resumeMsg{}
+				return false
 			}
 			return ex.handoff(cur, th)
 		case phaseDone:
 			if cur == nil {
-				return resumeMsg{} // Run goroutine: runDirect returns
+				return false // Run goroutine: Run returns
 			}
 			// Read before the token moves; a detached cur must not park —
 			// its goroutine is leaving while the thread sleeps on.
 			curDone := cur.state == stateDone || cur.detached
 			ex.wakeMain()
 			if curDone {
-				return resumeMsg{} // goroutine exits via directFinish
+				return false // goroutine exits via finish
 			}
 			return cur.park() // resumes in a later Run (or unwinds on kill)
 		default:
@@ -335,10 +353,12 @@ func (ex *Exec) dispatch(cur *Thread) resumeMsg {
 	}
 }
 
-// shutdownDirect unwinds every live thread goroutine (DirectKernel). Each
-// parked thread is killed and the reaper waits for its death before moving
-// on, so Shutdown returns with every goroutine gone.
-func (ex *Exec) shutdownDirect() {
+// Shutdown unwinds every live thread goroutine. Call after Run to avoid
+// goroutine leaks when many executives are created (e.g. in benchmarks).
+// Each parked thread is killed and the reaper waits for its death before
+// moving on, so Shutdown returns with every goroutine gone.
+func (ex *Exec) Shutdown() {
+	ex.shutdown = true
 	for _, th := range ex.threads {
 		if th.state == stateDone {
 			continue
@@ -346,7 +366,7 @@ func (ex *Exec) shutdownDirect() {
 		if !th.started {
 			// No body in progress, so there is no goroutine to unwind: a
 			// pooled thread never dispatched, or an activation entity
-			// between releases (on any executive configuration).
+			// between releases.
 			th.state = stateDone
 			continue
 		}
@@ -357,5 +377,8 @@ func (ex *Exec) shutdownDirect() {
 			ex.reap.Wait()
 		}
 		ex.mu.Unlock()
+	}
+	if ex.pooled {
+		ex.pool.close()
 	}
 }

@@ -82,15 +82,16 @@ func TestMissContinueLateLoopActivationParity(t *testing.T) {
 		}
 		return o
 	}
-	ref := run(Options{Kernel: ChannelKernel}, false)
+	ref := run(diffConfigs[0].opts, false)
 	defer ref.ex.Shutdown()
 	if ref.missed == 0 {
 		t.Fatal("scenario produced no late release: not exercising ContinueLate")
 	}
-	for _, cfg := range diffConfigs {
+	checkPinned(t, "miss/continue-late", ref.ex.Trace().Fingerprint())
+	for i, cfg := range diffConfigs {
 		for _, activation := range []bool{false, true} {
-			if cfg.opts.Kernel == ChannelKernel && cfg.opts.MaxGoroutines == 0 && !activation {
-				continue
+			if i == 0 && !activation {
+				continue // the reference itself
 			}
 			label := fmt.Sprintf("%s-act=%v", cfg.name, activation)
 			got := run(cfg.opts, activation)
@@ -107,7 +108,7 @@ func TestMissContinueLateLoopActivationParity(t *testing.T) {
 // whose body periodically overruns: the overrunning releases must be cut
 // at the next release boundary (aborted, not late, not skipped), the
 // well-behaved releases must complete, and the schedule must be identical
-// on all four executive configurations.
+// on every executive configuration.
 func TestMissAbortCutsOverrunningBodies(t *testing.T) {
 	const period = 5.0
 	run := func(opts Options) (*Exec, *Thread, int) {
@@ -134,8 +135,9 @@ func TestMissAbortCutsOverrunningBodies(t *testing.T) {
 		}
 		return ex, th, completed
 	}
-	ref, refTh, refDone := run(Options{Kernel: ChannelKernel})
+	ref, refTh, refDone := run(diffConfigs[0].opts)
 	defer ref.Shutdown()
+	checkPinned(t, "miss/abort", ref.Trace().Fingerprint())
 	if refTh.AbortedActivations() == 0 {
 		t.Fatal("no activation aborted: not exercising MissAbort")
 	}
@@ -173,7 +175,7 @@ func TestMissPolicyString(t *testing.T) {
 }
 
 // TestWithBudgetUnderInjectedOverruns drives WithBudget with actual costs
-// drawn from a seeded fault plan, on all four executive configurations:
+// drawn from a seeded fault plan, on every executive configuration:
 // a job must be interrupted exactly when its faulted cost exceeds the
 // budget, and the outcome sequence must be configuration-independent.
 func TestWithBudgetUnderInjectedOverruns(t *testing.T) {
@@ -219,6 +221,7 @@ func TestWithBudgetUnderInjectedOverruns(t *testing.T) {
 	if refInt == 0 || refInt == jobs {
 		t.Fatalf("degenerate overrun draw: %d of %d interrupted", refInt, jobs)
 	}
+	checkPinned(t, "miss/budget-overruns", refFP)
 	for _, cfg := range diffConfigs[1:] {
 		fp, n := run(cfg.opts)
 		if fp != refFP || n != refInt {

@@ -37,7 +37,7 @@ func (th *Thread) effPrio() int {
 // recomputeBoost recalculates a thread's inherited boost from the waiters
 // of every contended lock it holds, and propagates the change up the chain
 // of locks the thread itself may be blocked on. A boost change re-keys the
-// thread in the direct kernel's ready heap.
+// thread in its ready heap.
 func recomputeBoost(th *Thread) {
 	boost := th.prio
 	for _, m := range th.held {
@@ -54,7 +54,7 @@ func recomputeBoost(th *Thread) {
 		return
 	}
 	th.boost = boost
-	if th.ex.kind == DirectKernel && th.heapIdx >= 0 {
+	if th.heapIdx >= 0 {
 		th.ex.readyQ[th.domain].fix(th.heapIdx)
 	}
 	if th.waitingOn != nil && th.waitingOn.owner != nil {
@@ -79,7 +79,8 @@ func (tc *TC) Lock(m *Mutex) {
 		recomputeBoost(m.owner)
 	}
 	// Suspend until Unlock hands us the lock.
-	tc.kernelCall(request{th: th, kind: reqWait})
+	th.ex.block(th, nil)
+	tc.reschedule()
 	th.waitingOn = nil
 }
 

@@ -3,24 +3,23 @@ package exec
 import "sync"
 
 // workerPool multiplexes thread bodies over a bounded set of goroutines
-// (Options.MaxGoroutines). It is shared by both kernels: only the body
-// runner differs (runPooledDirect / runPooledChannel).
+// (Options.MaxGoroutines).
 //
-// Why a pool is possible at all: the executive is a uniprocessor — at any
-// instant at most one thread executes user code, and the scheduler hands a
-// brand-new thread to the pool only at that single point (the token owner
-// in the direct kernel, the kernel loop in the channel kernel). A worker is
-// therefore pinned only while "its" body is in progress (running, or parked
-// mid-body at a kernel call); when the body returns, the worker is recycled
-// for the next unstarted thread. For run-to-completion workloads the number
-// of bodies simultaneously in progress — and hence the number of live
-// workers — is bounded by the preemption depth, not by the thread count.
+// Why a pool is possible at all: at any instant at most one thread
+// executes user code (even with several virtual CPUs, occupants take their
+// zero-time steps one at a time), and the scheduler hands a brand-new
+// thread to the pool only at that single point: the token owner's handoff.
+// A worker is therefore pinned only while "its" body is in progress
+// (running, or parked mid-body at a kernel call); when the body returns,
+// the worker is recycled for the next unstarted thread. For
+// run-to-completion workloads the number of bodies simultaneously in
+// progress — and hence the number of live workers — is bounded by the
+// preemption depth, not by the thread count.
 //
 // Worker accounting is race-free by construction: a finishing body calls
-// bodyFinished *before* the scheduling token moves on (before the direct
-// kernel wakes the successor, before the channel kernel receives the
-// terminate request), so when the scheduler next starts an unstarted
-// thread, the just-freed worker is already counted available and is reused
+// bodyFinished *before* the scheduling token moves on (before the
+// successor is woken or started), so when the scheduler next starts an
+// unstarted thread, the just-freed worker is already counted available and is reused
 // instead of spawning a fresh goroutine. The pool's peak size therefore
 // equals the true peak of concurrently in-progress bodies.
 //
@@ -134,8 +133,8 @@ func (ex *Exec) bodyFinished(th *Thread) {
 }
 
 // close retires every worker and waits for them to exit, so Shutdown
-// leaves no goroutines behind. Must be called after the kernel-specific
-// shutdown has unwound all started thread bodies.
+// leaves no goroutines behind. Must be called after Shutdown has unwound
+// all started thread bodies.
 func (p *workerPool) close() {
 	p.mu.Lock()
 	p.closed = true
@@ -195,11 +194,7 @@ func (ex *Exec) poolWorker() {
 		p.mu.Unlock()
 		counted = false
 
-		if ex.kind == ChannelKernel {
-			th.runPooledChannel()
-		} else {
-			th.runPooledDirect()
-		}
+		th.runBody()
 
 		if fate.retire {
 			return // bodyFinished already dropped it from live

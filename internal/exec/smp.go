@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the SMP generalization of the executive: M virtual CPUs
-// behind the same deterministic virtual clock, shared by both kernels.
+// behind the same deterministic virtual clock.
 //
 // Model. A *scheduling domain* is a set of CPUs sharing one ready queue:
 // the Global policy has a single domain spanning every CPU, Partitioned
@@ -42,9 +42,8 @@ import (
 // one it last occupied, the move is counted (Thread.Migrations,
 // Exec.Migrations) and, if the thread is mid-consume, the configured
 // Options.MigrationCost is added to its remaining demand — the cache-
-// reload penalty of a real migration. Placement happens in kernel context
-// on both kernels, so migration counts are part of the deterministic
-// schedule.
+// reload penalty of a real migration. Placement happens in kernel context,
+// so migration counts are part of the deterministic schedule.
 
 // MigrationPolicy selects how ready threads map onto the virtual CPUs.
 type MigrationPolicy int
@@ -108,15 +107,11 @@ func (th *Thread) Migrations() int { return th.migrations }
 func (ex *Exec) SpawnOn(name string, prio int, startAt rtime.Time, cpu int, body func(tc *TC)) *Thread {
 	th := ex.newThread(name, prio, cpu, body)
 	// In pooled mode the body is handed to a pool worker lazily, the first
-	// time the scheduler actually runs the thread (see handoff/runChannel);
-	// threads that never run never cost a goroutine.
+	// time the scheduler actually runs the thread (see handoff); threads
+	// that never run never cost a goroutine.
 	if !ex.pooled {
 		th.started = true
-		if ex.kind == ChannelKernel {
-			go th.channelRun()
-		} else {
-			go th.directRun()
-		}
+		go th.run()
 	}
 	ex.scheduleFirstRelease(th, startAt)
 	return th
@@ -145,8 +140,8 @@ func (ex *Exec) domainFor(affinity, spawnIdx int) int {
 
 // higherRank reports whether a dispatches before b: effective priority
 // descending, then readySeq ascending (FIFO within a priority level by
-// wake order). This is the one ordering both kernels and every queue
-// implementation share.
+// wake order). This is the one ordering every ready queue and pick
+// shares.
 func higherRank(a, b *Thread) bool {
 	pa, pb := a.effPrio(), b.effPrio()
 	if pa != pb {
@@ -159,17 +154,12 @@ func higherRank(a, b *Thread) bool {
 // ready queues: per domain, the top-K ready threads (K = CPUs in the
 // domain) are selected and placed. It returns the number of occupied
 // CPUs; zero means no thread is ready anywhere. Runs in kernel context
-// under the scheduling token, on both kernels.
+// under the scheduling token.
 func (ex *Exec) assignCPUs() int {
 	if ex.ncpu == 1 {
 		// Uniprocessor fast path: the top of the single ready queue
 		// occupies CPU 0 — the pre-SMP dispatch decision verbatim.
-		var th *Thread
-		if ex.kind == DirectKernel {
-			th = ex.readyQ[0].peek()
-		} else {
-			th = ex.pickReady()
-		}
+		th := ex.readyQ[0].peek()
 		if ex.statsOn {
 			if prev := ex.cpuRun[0]; prev != nil && prev != th && prev.state == stateReady && prev.needCPU > 0 {
 				ex.stats.Preemptions.Inc()
@@ -191,52 +181,22 @@ func (ex *Exec) assignCPUs() int {
 }
 
 // pickTop returns the k highest-ranked ready threads of domain d, in
-// dispatch order, using the executive's scratch buffer. The direct kernel
-// pops them off the domain heap and pushes them back; the channel kernel
-// repeats its reference linear scan with exclusion — the two must agree,
-// which the SMP differential tests pin.
+// dispatch order, using the executive's scratch buffer: it pops them off
+// the domain heap and pushes them back.
 func (ex *Exec) pickTop(d, k int) []*Thread {
 	buf := ex.pickBuf[:0]
-	if ex.kind == DirectKernel {
-		h := &ex.readyQ[d]
-		if k > len(h.a) {
-			k = len(h.a)
-		}
-		for i := 0; i < k; i++ {
-			buf = append(buf, h.pop())
-		}
-		for _, th := range buf {
-			h.push(th)
-		}
-	} else {
-		for len(buf) < k {
-			var best *Thread
-			for _, th := range ex.threads {
-				if th.state != stateReady || th.domain != d || threadIn(buf, th) {
-					continue
-				}
-				if best == nil || higherRank(th, best) {
-					best = th
-				}
-			}
-			if best == nil {
-				break
-			}
-			buf = append(buf, best)
-		}
+	h := &ex.readyQ[d]
+	if k > len(h.a) {
+		k = len(h.a)
+	}
+	for i := 0; i < k; i++ {
+		buf = append(buf, h.pop())
+	}
+	for _, th := range buf {
+		h.push(th)
 	}
 	ex.pickBuf = buf
 	return buf
-}
-
-// threadIn reports whether th is already among the picked threads.
-func threadIn(picks []*Thread, th *Thread) bool {
-	for _, p := range picks {
-		if p == th {
-			return true
-		}
-	}
-	return false
 }
 
 // placeDomain maps the picked threads of one domain onto its CPUs and
@@ -325,8 +285,8 @@ func (ex *Exec) zeroStepOccupant() *Thread {
 // order; all CPUs advance in lockstep on the shared virtual clock.
 func (ex *Exec) runSlices(until rtime.Time) {
 	stop := until
-	if at, ok := ex.nextTimer(); ok {
-		stop = rtime.Min(stop, at)
+	if k, ok := ex.peekTimer(); ok {
+		stop = rtime.Min(stop, k.at)
 	}
 	delta := stop.Sub(ex.now)
 	for _, th := range ex.cpuRun {
@@ -358,13 +318,12 @@ func (ex *Exec) runSlices(until rtime.Time) {
 // priority hook job-level-fixed schedulers (EDF) build on. The change is a
 // pure kernel-state mutation under the scheduling token — it re-keys the
 // thread in its ready queue and re-evaluates priority-inheritance boosts —
-// and takes scheduling effect at the thread's next kernel call, identically
-// on both kernels.
+// and takes scheduling effect at the thread's next kernel call.
 func (tc *TC) SetPriority(p int) { tc.th.ex.setBasePrio(tc.th, p) }
 
 // setBasePrio rebases th's priority in kernel context. recomputeBoost
 // re-derives the inheritance boost from the new base and re-keys the
-// thread in the direct kernel's ready heap; when the boost is unchanged
+// thread in its ready heap; when the boost is unchanged
 // the effective priority is unchanged too (it is max(base, boost) and the
 // boost never drops below the base), so no re-key is needed.
 func (ex *Exec) setBasePrio(th *Thread, p int) {

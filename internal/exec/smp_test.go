@@ -9,11 +9,11 @@ import (
 )
 
 // SMP differential tests: every multiprocessor scenario is built
-// identically on {ChannelKernel, DirectKernel} x {goroutine-per-thread,
-// pooled, pooled+activation} x M in {1, 2, 4} and must produce
-// trace-for-trace identical schedules, with the channel per-thread
-// configuration as the M-CPU reference implementation. The M=1 runs must
-// additionally match the plain uniprocessor executive byte for byte
+// identically on {goroutine-per-thread, pooled, pooled+activation} x M in
+// {1, 2, 4} and must produce trace-for-trace identical schedules, with the
+// per-thread configuration as the M-CPU reference, whose trace must match
+// its committed fingerprint. The M=1 runs must additionally match the
+// plain uniprocessor executive byte for byte
 // (TestSMPM1MatchesUniprocessor).
 
 // smpScenario builds one workload. activation selects the dispatch
@@ -129,16 +129,12 @@ var smpCorpus = []smpScenario{
 // first entry is the reference.
 var smpDiffConfigs = []struct {
 	name       string
-	kernel     Kernel
 	goroutines int
 	activation bool
 }{
-	{"channel/thread", ChannelKernel, 0, false},
-	{"direct/thread", DirectKernel, 0, false},
-	{"channel/pooled", ChannelKernel, 3, false},
-	{"direct/pooled", DirectKernel, 3, false},
-	{"channel/activation", ChannelKernel, 3, true},
-	{"direct/activation", DirectKernel, 3, true},
+	{"direct/thread", 0, false},
+	{"direct/pooled", 3, false},
+	{"direct/activation", 3, true},
 }
 
 // smpPolicies pairs each policy with the CPU counts it is exercised at.
@@ -153,19 +149,20 @@ var smpPolicies = []struct {
 
 // TestSMPDiffCorpus runs every SMP scenario through the full
 // configuration x policy x M matrix and requires trace-for-trace identity
-// with the channel per-thread reference at the same (policy, M), a valid
-// m-CPU occupancy, and a clean invariant net.
+// with the per-thread reference at the same (policy, M), the reference's
+// committed fingerprint, a valid m-CPU occupancy, and a clean invariant
+// net.
 func TestSMPDiffCorpus(t *testing.T) {
 	for _, sc := range smpCorpus {
 		for _, pol := range smpPolicies {
 			for _, m := range pol.cpus {
 				sc, pol, m := sc, pol, m
-				t.Run(fmt.Sprintf("%s/%v/m%d", sc.name, pol.policy, m), func(t *testing.T) {
+				key := fmt.Sprintf("%s/%v/m%d", sc.name, pol.policy, m)
+				t.Run(key, func(t *testing.T) {
 					t.Parallel()
 					run := func(cfg int) *Exec {
 						c := smpDiffConfigs[cfg]
 						ex := NewWithOptions(trace.New(), Options{
-							Kernel:        c.kernel,
 							MaxGoroutines: c.goroutines,
 							CPUs:          m,
 							Migration:     pol.policy,
@@ -183,6 +180,9 @@ func TestSMPDiffCorpus(t *testing.T) {
 					defer ref.Shutdown()
 					if err := ref.Trace().CheckCPUs(m); err != nil {
 						t.Errorf("reference trace invalid: %v", err)
+					}
+					if fp := ref.Trace().Fingerprint(); fp != smpCorpusFingerprints[key] {
+						t.Errorf("reference schedule fingerprint %#x, committed %#x", fp, smpCorpusFingerprints[key])
 					}
 					for cfg := 1; cfg < len(smpDiffConfigs); cfg++ {
 						got := run(cfg)
@@ -203,38 +203,37 @@ func TestSMPDiffCorpus(t *testing.T) {
 // property over the entire pre-SMP differential corpus.
 func TestSMPM1MatchesUniprocessor(t *testing.T) {
 	for _, sc := range smpCorpus {
-		for _, kernel := range []Kernel{ChannelKernel, DirectKernel} {
-			for _, pol := range smpPolicies {
-				sc, kernel, pol := sc, kernel, pol
-				t.Run(fmt.Sprintf("%s/%v/%v", sc.name, kernel, pol.policy), func(t *testing.T) {
-					t.Parallel()
-					run := func(opts Options) *Exec {
-						ex := NewWithOptions(trace.New(), opts)
-						sc.build(ex, 1, false)
-						if err := ex.Run(sc.horizon); err != nil {
-							t.Fatal(err)
-						}
-						return ex
+		for _, pol := range smpPolicies {
+			sc, pol := sc, pol
+			t.Run(fmt.Sprintf("%s/%v", sc.name, pol.policy), func(t *testing.T) {
+				t.Parallel()
+				run := func(opts Options) *Exec {
+					ex := NewWithOptions(trace.New(), opts)
+					sc.build(ex, 1, false)
+					if err := ex.Run(sc.horizon); err != nil {
+						t.Fatal(err)
 					}
-					uni := run(Options{Kernel: kernel})
-					smp := run(Options{Kernel: kernel, CPUs: 1, Migration: pol.policy, MigrationCost: tu(1)})
-					compareExecs(t, "m1", uni, smp)
-					if smp.Migrations() != 0 {
-						t.Errorf("M=1 run migrated %d times", smp.Migrations())
-					}
-					uni.Shutdown()
-					smp.Shutdown()
-				})
-			}
+					return ex
+				}
+				uni := run(Options{})
+				smp := run(Options{CPUs: 1, Migration: pol.policy, MigrationCost: tu(1)})
+				compareExecs(t, "m1", uni, smp)
+				if smp.Migrations() != 0 {
+					t.Errorf("M=1 run migrated %d times", smp.Migrations())
+				}
+				uni.Shutdown()
+				smp.Shutdown()
+			})
 		}
 	}
 }
 
 // TestSMPDiffFuzz drives randomized workloads — random thread counts,
 // priorities, affinities, costs, policies and CPU counts — through the
-// configuration matrix: every configuration must match the channel
-// per-thread reference trace-for-trace, and rerunning the reference must
-// reproduce itself exactly (determinism across reruns and worker counts).
+// configuration matrix: every configuration must match the per-thread
+// reference trace-for-trace, the reference must match the trial's
+// committed fingerprint, and rerunning it must reproduce it exactly
+// (determinism across reruns and worker counts).
 func TestSMPDiffFuzz(t *testing.T) {
 	trials := 40
 	if testing.Short() {
@@ -279,9 +278,8 @@ func TestSMPDiffFuzz(t *testing.T) {
 					ex.SpawnOn(name, p.prio, p.start, p.cpu, func(tc *TC) { tc.Consume(c) })
 				}
 			}
-			run := func(kernel Kernel, workers int, activation bool) *Exec {
+			run := func(workers int, activation bool) *Exec {
 				ex := NewWithOptions(trace.New(), Options{
-					Kernel:        kernel,
 					MaxGoroutines: workers,
 					CPUs:          m,
 					Migration:     policy,
@@ -296,24 +294,25 @@ func TestSMPDiffFuzz(t *testing.T) {
 				}
 				return ex
 			}
-			ref := run(ChannelKernel, 0, false)
+			ref := run(0, false)
 			defer ref.Shutdown()
 			if err := ref.Trace().CheckCPUs(m); err != nil {
 				t.Errorf("reference trace invalid: %v", err)
 			}
+			if fp := ref.Trace().Fingerprint(); fp != smpFuzzFingerprints[trial] {
+				t.Errorf("reference schedule fingerprint %#x, committed %#x", fp, smpFuzzFingerprints[trial])
+			}
 			for _, cmp := range []struct {
 				name       string
-				kernel     Kernel
 				workers    int
 				activation bool
 			}{
-				{"rerun", ChannelKernel, 0, false},
-				{"direct", DirectKernel, 0, false},
-				{"channel-w2", ChannelKernel, 2, false},
-				{"direct-w8", DirectKernel, 8, false},
-				{"direct-activation", DirectKernel, 2, true},
+				{"rerun", 0, false},
+				{"direct-w2", 2, false},
+				{"direct-w8", 8, false},
+				{"direct-activation", 2, true},
 			} {
-				got := run(cmp.kernel, cmp.workers, cmp.activation)
+				got := run(cmp.workers, cmp.activation)
 				compareExecsCPUs(t, cmp.name, ref, got, m)
 				got.Shutdown()
 			}

@@ -15,7 +15,7 @@ import "rtsj/internal/obs"
 // deterministic packages.
 type Stats struct {
 	// ContextSwitches counts real control transfers between goroutines
-	// (direct-kernel handoffs, channel-kernel resumes).
+	// (handoffs of the scheduling token).
 	ContextSwitches *obs.Counter
 	// Preemptions counts threads displaced from a CPU while still ready
 	// with demand remaining.

@@ -30,24 +30,22 @@ func runStatsScenario(t *testing.T, opts Options) (*trace.Trace, *Exec) {
 }
 
 // Enabling stats must not perturb the schedule: the trace with stats on
-// is segment-for-segment identical to the trace without, on both kernels.
+// is segment-for-segment identical to the trace without.
 func TestStatsDoNotPerturbSchedule(t *testing.T) {
-	for _, kind := range []Kernel{DirectKernel, ChannelKernel} {
-		base, _ := runStatsScenario(t, Options{Kernel: kind})
-		reg := obs.NewRegistry()
-		withStats, _ := runStatsScenario(t, Options{Kernel: kind, Stats: NewStats(reg)})
-		if len(base.Segments) != len(withStats.Segments) {
-			t.Fatalf("%v kernel: segment counts differ: %d vs %d", kind, len(base.Segments), len(withStats.Segments))
+	base, _ := runStatsScenario(t, Options{})
+	reg := obs.NewRegistry()
+	withStats, _ := runStatsScenario(t, Options{Stats: NewStats(reg)})
+	if len(base.Segments) != len(withStats.Segments) {
+		t.Fatalf("segment counts differ: %d vs %d", len(base.Segments), len(withStats.Segments))
+	}
+	for i := range base.Segments {
+		if base.Segments[i] != withStats.Segments[i] {
+			t.Fatalf("segment %d differs: %+v vs %+v", i, base.Segments[i], withStats.Segments[i])
 		}
-		for i := range base.Segments {
-			if base.Segments[i] != withStats.Segments[i] {
-				t.Fatalf("%v kernel: segment %d differs: %+v vs %+v", kind, i, base.Segments[i], withStats.Segments[i])
-			}
-		}
-		for i := range base.Events {
-			if base.Events[i] != withStats.Events[i] {
-				t.Fatalf("%v kernel: event %d differs: %+v vs %+v", kind, i, base.Events[i], withStats.Events[i])
-			}
+	}
+	for i := range base.Events {
+		if base.Events[i] != withStats.Events[i] {
+			t.Fatalf("event %d differs: %+v vs %+v", i, base.Events[i], withStats.Events[i])
 		}
 	}
 }

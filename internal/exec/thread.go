@@ -26,18 +26,6 @@ func (tc *TC) Now() rtime.Time { return tc.th.ex.now }
 // name of the handler a server thread is currently serving.
 func (tc *TC) SetLabel(label string) { tc.th.label = label }
 
-// kernelCall submits a kernel request and returns once the scheduler picks
-// this thread to run user code again. On the direct kernel the scheduling
-// happens inline in this goroutine (often without parking at all); on the
-// channel kernel it is a rendezvous with the central kernel loop.
-func (tc *TC) kernelCall(req request) {
-	if tc.th.ex.kind == ChannelKernel {
-		tc.channelCall(req)
-		return
-	}
-	tc.directCall(req)
-}
-
 // Consume models d units of CPU demand. The thread may be preempted and
 // resumed arbitrarily; Consume returns once the full demand was scheduled.
 // Inside a WithBudget section, Consume is the interruption point: if the
@@ -55,7 +43,8 @@ func (tc *TC) Consume(d rtime.Duration) {
 	if d == 0 {
 		return
 	}
-	tc.kernelCall(request{th: th, kind: reqConsume, amount: d})
+	th.needCPU = d
+	tc.reschedule()
 	if th.intrDelivered {
 		th.intrDelivered = false
 		panic(aieSentinel{})
@@ -65,7 +54,8 @@ func (tc *TC) Consume(d rtime.Duration) {
 // SleepUntil suspends the thread until instant t (no-op if t is not in the
 // future).
 func (tc *TC) SleepUntil(t rtime.Time) {
-	tc.kernelCall(request{th: tc.th, kind: reqSleep, until: t})
+	tc.th.ex.sleepUntil(tc.th, t)
+	tc.reschedule()
 }
 
 // Sleep suspends the thread for duration d.
@@ -73,7 +63,8 @@ func (tc *TC) Sleep(d rtime.Duration) { tc.SleepUntil(tc.Now().Add(d)) }
 
 // Wait blocks the thread on q until another thread notifies it.
 func (tc *TC) Wait(q *WaitQueue) {
-	tc.kernelCall(request{th: tc.th, kind: reqWait, queue: q})
+	tc.th.ex.block(tc.th, q)
+	tc.reschedule()
 }
 
 // NotifyOne wakes the longest-waiting thread on q, if any.
@@ -124,9 +115,8 @@ func (tc *TC) WithBudget(budget rtime.Duration, fn func()) (interrupted bool) {
 	var expiry Timer
 	if budget <= 0 {
 		// An expired-on-entry budget needs no timer: mark the interrupt
-		// pending so the first Consume unwinds immediately on both
-		// kernels, independent of how same-instant timers interleave
-		// with the ready queue.
+		// pending so the first Consume unwinds immediately, independent
+		// of how same-instant timers interleave with the ready queue.
 		th.pendingIntr = true
 	} else {
 		expiry = ex.arm(ex.now.Add(budget), evBudget, th, nil)

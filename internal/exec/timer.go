@@ -2,13 +2,13 @@ package exec
 
 import "rtsj/internal/rtime"
 
-// Timer representation, shared by both kernels.
+// Timer representation.
 //
 // A timer is a node plus a key. The node (timerNode) says what fires: a
 // typed kernel event — a kind and the thread it acts on — or, for At, the
 // caller's function. The key (timerKey) is the value the queues order by,
 // (instant, seq), carried inline next to a pointer to its node, so the
-// direct kernel's heap compares keys without dereferencing anything.
+// timer heap compares keys without dereferencing anything.
 //
 // seq comes from the executive's single sequence counter (nextSeq), the
 // same counter that ranks the ready queue's FIFO order, so arming a timer
@@ -106,17 +106,9 @@ func (ex *Exec) arm(at rtime.Time, kind timerKind, th *Thread, fn func()) Timer 
 	n.kind = kind
 	n.th = th
 	n.fn = fn
-	k := timerKey{at: at, seq: n.seq, node: n}
-	if ex.kind == ChannelKernel {
-		ex.timers = append(ex.timers, k)
-		if ex.statsOn {
-			ex.stats.TimerHeapMax.Max(int64(len(ex.timers)))
-		}
-	} else {
-		ex.theap.push(k)
-		if ex.statsOn {
-			ex.stats.TimerHeapMax.Max(int64(len(ex.theap.a)))
-		}
+	ex.theap.push(timerKey{at: at, seq: n.seq, node: n})
+	if ex.statsOn {
+		ex.stats.TimerHeapMax.Max(int64(len(ex.theap.a)))
 	}
 	return Timer{node: n, seq: n.seq}
 }
@@ -144,7 +136,7 @@ func (ex *Exec) freeTimer(n *timerNode) {
 	ex.freeTimers = n
 }
 
-// fire runs one due timer in kernel context. Both kernels fire through it.
+// fire runs one due timer in kernel context.
 func (ex *Exec) fire(n *timerNode) {
 	switch n.kind {
 	case evRelease:
@@ -160,8 +152,8 @@ func (ex *Exec) fire(n *timerNode) {
 	}
 }
 
-// peekTimer returns the earliest live key of the direct kernel's heap,
-// dropping and recycling cancelled keys that have surfaced at the top.
+// peekTimer returns the earliest live key of the timer heap, dropping and
+// recycling cancelled keys that have surfaced at the top.
 func (ex *Exec) peekTimer() (timerKey, bool) {
 	for len(ex.theap.a) > 0 {
 		if k := ex.theap.a[0]; k.live() {
@@ -170,23 +162,4 @@ func (ex *Exec) peekTimer() (timerKey, bool) {
 		ex.freeTimer(ex.theap.pop().node)
 	}
 	return timerKey{}, false
-}
-
-// nextTimer returns the instant of the earliest pending timer, if any.
-func (ex *Exec) nextTimer() (rtime.Time, bool) {
-	if ex.kind == DirectKernel {
-		k, ok := ex.peekTimer()
-		return k.at, ok
-	}
-	var best timerKey
-	found := false
-	for _, k := range ex.timers {
-		if !k.live() {
-			continue
-		}
-		if !found || k.at < best.at || (k.at == best.at && k.seq < best.seq) {
-			best, found = k, true
-		}
-	}
-	return best.at, found
 }

@@ -37,11 +37,6 @@ type ExecModel struct {
 	// NoiseSeed and SysIndex derive the deterministic per-event u.
 	NoiseSeed int64
 	SysIndex  int // system index within its set, for noise derivation
-	// Kernel selects the executive implementation the VM runs on. The zero
-	// value is exec.DirectKernel (the fast channel-free executive); the
-	// kernel differential tests set exec.ChannelKernel to re-run Tables 3/5
-	// workloads on the reference implementation.
-	Kernel exec.Kernel
 	// MaxGoroutines > 0 multiplexes executive thread bodies over a bounded
 	// worker pool (exec.Options.MaxGoroutines) instead of one goroutine
 	// per thread. Zero keeps the default goroutine-per-thread mode.
@@ -56,7 +51,7 @@ type ExecModel struct {
 	// Faults is the optional deterministic fault-injection plan. Aperiodic
 	// faults (drops, jitter, cost overruns) are applied to the workload
 	// itself before either engine would see it, so they are identical
-	// across every kernel/pool/activation configuration; periodic
+	// across every pool/activation configuration; periodic
 	// per-release overruns are drawn order-independently inside each body
 	// (Plan.ActivationFault). Nil injects nothing and leaves every code
 	// path byte-identical to a fault-free run.
@@ -91,7 +86,7 @@ type ExecModel struct {
 
 // execOptions maps the model onto the executive configuration.
 func (m ExecModel) execOptions() exec.Options {
-	return exec.Options{Kernel: m.Kernel, MaxGoroutines: m.MaxGoroutines, CPUs: m.CPUs, Migration: m.Migration, Stats: m.Stats}
+	return exec.Options{MaxGoroutines: m.MaxGoroutines, CPUs: m.CPUs, Migration: m.Migration, Stats: m.Stats}
 }
 
 // DefaultExecModel is the calibrated execution platform used for Tables 3
@@ -163,7 +158,7 @@ func runExecutionSink(sys sim.System, m ExecModel, horizon rtime.Time, sink trac
 	}
 	// Workload-level faults rewrite the system up front, independent of the
 	// executive configuration: the same plan yields the same faulted
-	// workload on every kernel/pool/activation combination.
+	// workload on every pool/activation combination.
 	sys = m.Faults.ApplySystem(sys, m.SysIndex)
 	vm := rtsjvm.NewVMSink(sink, m.Overheads, m.execOptions())
 	spec := *sys.Server

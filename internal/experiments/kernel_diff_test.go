@@ -3,15 +3,50 @@ package experiments
 import (
 	"testing"
 
-	"rtsj/internal/exec"
+	"rtsj/internal/core"
 	"rtsj/internal/gen"
 	"rtsj/internal/sim"
 )
 
-// The execution tables (3 and 5) must not depend on which executive kernel
-// realizes the framework: the direct (channel-free) kernel and the channel
-// reference kernel must produce identical per-event records — and therefore
-// byte-identical table output — over the paper's generated system sets.
+// tablesFingerprints pins recordsFingerprint of the reference execution of
+// each system TestExecutionTablesKernelIndependent runs, keyed like its
+// subtests. The values were captured from the executive's former
+// channel-rendezvous reference kernel in goroutine-per-thread mode, which
+// every configuration matched at the time.
+var tablesFingerprints = map[string][]uint64{
+	"(2, 2)/PS-lim": {0xf9fe30c889df14aa, 0xf7c55facd08591fb, 0x998797fb74f0a82f},
+	"(1, 0)/DS-lim": {0x74244d096755717, 0xa31695602dbc313d, 0x7885cc021032b83b},
+}
+
+// recordsFingerprint hashes every field of the event records, in order,
+// with the package's FNV-1a fold.
+func recordsFingerprint(records []*core.EventRecord) uint64 {
+	h := uint64(14695981039346656037)
+	fold := func(v uint64) { h = (h ^ v) * 1099511628211 }
+	for _, r := range records {
+		for i := 0; i < len(r.Handler); i++ {
+			fold(uint64(r.Handler[i]))
+		}
+		fold(uint64(r.Released))
+		fold(uint64(r.Started))
+		fold(uint64(r.Finished))
+		var flags uint64
+		for i, b := range []bool{r.Served, r.Interrupted, r.Rejected, r.Shed} {
+			if b {
+				flags |= 1 << i
+			}
+		}
+		fold(flags)
+		fold(uint64(r.Predicted))
+	}
+	return h
+}
+
+// The execution tables (3 and 5) must not depend on how the executive is
+// configured: per-thread, pooled and activation dispatch must produce
+// identical per-event records — and therefore byte-identical table output
+// — over the paper's generated system sets, and the reference records
+// must match their committed fingerprints.
 func TestExecutionTablesKernelIndependent(t *testing.T) {
 	for _, cfg := range []struct {
 		key    string
@@ -21,47 +56,42 @@ func TestExecutionTablesKernelIndependent(t *testing.T) {
 		{"(1, 0)", sim.LimitedDeferrableServer},
 	} {
 		cfg := cfg
-		t.Run(cfg.key+"/"+cfg.policy.String(), func(t *testing.T) {
+		name := cfg.key + "/" + cfg.policy.String()
+		t.Run(name, func(t *testing.T) {
 			p := GenParams(cfg.key)
 			systems := gen.Generate(p)
 			if len(systems) > 3 {
 				systems = systems[:3] // three systems per set keep the test fast
 			}
 			model := DefaultExecModel()
-			// The full executive configuration matrix: both kernels, each
-			// in goroutine-per-thread, pooled and activation mode (the
-			// latter lowering periodic threads onto the activation dispatch
-			// path). channel/per-thread is the reference.
+			// The executive configuration matrix: goroutine-per-thread (the
+			// reference), pooled and activation mode (the latter lowering
+			// periodic threads onto the activation dispatch path).
 			variants := []struct {
 				name          string
-				kernel        exec.Kernel
 				maxGoroutines int
 				activation    bool
 			}{
-				{"channel", exec.ChannelKernel, 0, false},
-				{"direct", exec.DirectKernel, 0, false},
-				{"channel-pooled", exec.ChannelKernel, 4, false},
-				{"direct-pooled", exec.DirectKernel, 4, false},
-				{"channel-activation", exec.ChannelKernel, 4, true},
-				{"direct-activation", exec.DirectKernel, 4, true},
-				{"direct-activation-perthread", exec.DirectKernel, 0, true},
+				{"direct-pooled", 4, false},
+				{"direct-activation", 4, true},
+				{"direct-activation-perthread", 0, true},
 			}
 			for i, base := range systems {
 				sys := gen.WithServer(base, p, cfg.policy, 100)
 				model.SysIndex = i
 
-				ref := model
-				ref.Kernel = variants[0].kernel
-				co, err := RunExecution(sys, ref, p.Horizon())
+				co, err := RunExecution(sys, model, p.Horizon())
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(co.Records) == 0 {
 					t.Fatalf("system %d: no event records; workload is empty", i)
 				}
-				for _, v := range variants[1:] {
+				if fp, want := recordsFingerprint(co.Records), tablesFingerprints[name][i]; fp != want {
+					t.Errorf("system %d: reference records fingerprint %#x, committed %#x", i, fp, want)
+				}
+				for _, v := range variants {
 					m := model
-					m.Kernel = v.kernel
 					m.MaxGoroutines = v.maxGoroutines
 					m.PeriodicActivation = v.activation
 					do, err := RunExecution(sys, m, p.Horizon())
@@ -69,23 +99,23 @@ func TestExecutionTablesKernelIndependent(t *testing.T) {
 						t.Fatal(err)
 					}
 					if len(do.Records) != len(co.Records) {
-						t.Fatalf("system %d: record counts differ: %s=%d channel=%d",
+						t.Fatalf("system %d: record counts differ: %s=%d reference=%d",
 							i, v.name, len(do.Records), len(co.Records))
 					}
 					for k := range do.Records {
 						d, c := do.Records[k], co.Records[k]
 						if *d != *c {
-							t.Fatalf("system %d record %d differs:\n%s: %+v\nchannel: %+v", i, k, v.name, *d, *c)
+							t.Fatalf("system %d record %d differs:\n%s: %+v\nreference: %+v", i, k, v.name, *d, *c)
 						}
 					}
 					a, b := co.Trace, do.Trace
 					if len(a.Segments) != len(b.Segments) {
-						t.Fatalf("system %d: segment counts differ: channel=%d %s=%d",
+						t.Fatalf("system %d: segment counts differ: reference=%d %s=%d",
 							i, len(a.Segments), v.name, len(b.Segments))
 					}
 					for k := range a.Segments {
 						if a.Segments[k] != b.Segments[k] {
-							t.Fatalf("system %d segment %d differs: channel=%+v %s=%+v",
+							t.Fatalf("system %d segment %d differs: reference=%+v %s=%+v",
 								i, k, a.Segments[k], v.name, b.Segments[k])
 						}
 					}

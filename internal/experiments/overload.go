@@ -21,7 +21,7 @@ import (
 // (conservation of released vs. completed vs. shed work, monotone
 // counters, non-negative capacity) and checks the executive's scheduler
 // invariants afterwards; the per-run fingerprint is pinned across the full
-// kernel/pool/activation configuration matrix by the overload tests.
+// pool/activation configuration matrix by the overload tests.
 
 // Overload scenario names.
 const (
@@ -63,9 +63,8 @@ type OverloadParams struct {
 	// PeriodicMiss selects the hard periodics' overrun policy
 	// (exec.MissSkip default; exec.MissAbort needs PeriodicActivation).
 	PeriodicMiss exec.MissPolicy
-	// Kernel, MaxGoroutines and PeriodicActivation configure the
-	// executive, exactly as in ExecModel.
-	Kernel             exec.Kernel
+	// MaxGoroutines and PeriodicActivation configure the executive,
+	// exactly as in ExecModel.
 	MaxGoroutines      int  // pooled-worker cap; 0 runs a goroutine per thread
 	PeriodicActivation bool // activation-driven periodic dispatch
 }
@@ -248,9 +247,7 @@ func RunOverload(p OverloadParams) (*OverloadResult, error) {
 // runOverloadOnce executes one workload on one server configuration,
 // folding counters, fingerprint and invariant violations into res.
 func runOverloadOnce(p OverloadParams, sys *overloadSystem, res *OverloadResult) error {
-	vm := rtsjvm.NewVMSink(trace.Nop{}, rtsjvm.Overheads{}, exec.Options{
-		Kernel: p.Kernel, MaxGoroutines: p.MaxGoroutines,
-	})
+	vm := rtsjvm.NewVMSink(trace.Nop{}, rtsjvm.Overheads{}, exec.Options{MaxGoroutines: p.MaxGoroutines})
 	params := core.NewTaskServerParameters(0, sys.capacity, sys.period)
 	var srv core.TaskServer
 	if sys.policy == sim.PollingServer {

@@ -7,21 +7,17 @@ import (
 	"rtsj/internal/faults"
 )
 
-// overloadConfigs is the full executive configuration matrix the overload
-// fingerprints are pinned across: {channel, direct} kernels x
-// {goroutine-per-thread, pooled, pooled+activation} dispatch modes.
+// overloadConfigs is the executive configuration matrix the overload
+// fingerprints are pinned across: the goroutine-per-thread, pooled and
+// pooled+activation dispatch modes.
 var overloadConfigs = []struct {
 	name       string
-	kernel     exec.Kernel
 	goroutines int
 	activation bool
 }{
-	{"direct/thread", exec.DirectKernel, 0, false},
-	{"direct/pooled", exec.DirectKernel, 8, false},
-	{"direct/activation", exec.DirectKernel, 8, true},
-	{"channel/thread", exec.ChannelKernel, 0, false},
-	{"channel/pooled", exec.ChannelKernel, 8, false},
-	{"channel/activation", exec.ChannelKernel, 8, true},
+	{"direct/thread", 0, false},
+	{"direct/pooled", 8, false},
+	{"direct/activation", 8, true},
 }
 
 // Pinned fingerprints of the canonical scenario configurations
@@ -41,7 +37,6 @@ func TestOverloadMatrix(t *testing.T) {
 		for _, cfg := range overloadConfigs {
 			t.Run(sc+"/"+cfg.name, func(t *testing.T) {
 				p := DefaultOverloadParams(sc)
-				p.Kernel = cfg.kernel
 				p.MaxGoroutines = cfg.goroutines
 				p.PeriodicActivation = cfg.activation
 				r, err := RunOverload(p)
@@ -103,7 +98,6 @@ func TestOverloadMissPolicies(t *testing.T) {
 				p := DefaultOverloadParams(OverloadMissStorm)
 				p.Events = 120
 				p.PeriodicMiss = tc.miss
-				p.Kernel = cfg.kernel
 				p.MaxGoroutines = cfg.goroutines
 				p.PeriodicActivation = cfg.activation
 				r, err := RunOverload(p)
@@ -151,7 +145,6 @@ func TestOverloadFaultPlanFuzz(t *testing.T) {
 			p := DefaultOverloadParams(OverloadTransient)
 			p.Events = 120
 			p.Faults = &plan
-			p.Kernel = overloadConfigs[cfg].kernel
 			p.MaxGoroutines = overloadConfigs[cfg].goroutines
 			p.PeriodicActivation = overloadConfigs[cfg].activation
 			r, err := RunOverload(p)

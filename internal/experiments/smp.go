@@ -15,8 +15,8 @@ import (
 // and a scheduler (fixed-priority rate-monotonic, or EDF via the
 // job-level dynamic-priority hook) and measures deadline misses, skipped
 // releases and cross-CPU migrations. Everything is a pure function of the
-// parameters, so fingerprints are pinned across the whole
-// {kernel} x {dispatch mode} matrix by the SMP tests.
+// parameters, so fingerprints are pinned across every dispatch mode by
+// the SMP tests.
 
 // SMP scenario names.
 const (
@@ -57,11 +57,10 @@ type SMPParams struct {
 	// thread resuming on a new CPU (the migration sweep overrides it per
 	// point).
 	MigrationCost rtime.Duration
-	// Kernel, MaxGoroutines and PeriodicActivation configure the
-	// executive, exactly as in ExecModel. PeriodicActivation runs the
-	// tasks as activation entities (exec.SpawnPeriodicOn); otherwise they
-	// are looping threads replicating the same kernel-call sequence.
-	Kernel             exec.Kernel
+	// MaxGoroutines and PeriodicActivation configure the executive,
+	// exactly as in ExecModel. PeriodicActivation runs the tasks as
+	// activation entities (exec.SpawnPeriodicOn); otherwise they are
+	// looping threads replicating the same kernel-call sequence.
 	MaxGoroutines      int  // pooled-worker cap; 0 runs a goroutine per thread
 	PeriodicActivation bool // activation-driven periodic dispatch
 }
@@ -268,7 +267,6 @@ func runSMPOnce(p SMPParams, res *SMPResult, point int, util float64, cost rtime
 	var pt SMPPoint
 	tasks := genSMPTasks(p, point, util)
 	ex := exec.NewWithOptions(nil, exec.Options{
-		Kernel:        p.Kernel,
 		MaxGoroutines: p.MaxGoroutines,
 		CPUs:          p.CPUs,
 		Migration:     p.Policy,

@@ -32,10 +32,9 @@ type SteadyStateParams struct {
 	Utilization float64
 	// Seed drives period classes and offsets.
 	Seed uint64
-	// Kernel and MaxGoroutines configure the executive (MaxGoroutines 0 =
-	// goroutine-per-thread).
-	Kernel        exec.Kernel
-	MaxGoroutines int // pooled-worker cap; 0 runs a goroutine per thread
+	// MaxGoroutines configures the executive: the pooled-worker cap, or 0
+	// for a goroutine per thread.
+	MaxGoroutines int
 	// Activation selects the activation dispatch path (SpawnPeriodic); the
 	// default false runs classic parked loops for comparison.
 	Activation bool
@@ -55,7 +54,6 @@ func DefaultSteadyStateParams() SteadyStateParams {
 		HorizonTU:     500,
 		Utilization:   0.75,
 		Seed:          2007,
-		Kernel:        exec.DirectKernel,
 		MaxGoroutines: 64,
 		Activation:    true,
 	}
@@ -95,7 +93,7 @@ func RunPeriodicSteadyState(p SteadyStateParams) (*SteadyStateResult, error) {
 		return nil, fmt.Errorf("steadystate: horizon must be positive (got %g)", p.HorizonTU)
 	}
 	rng := &stressRand{s: p.Seed ^ 0xa076_1d64_78bd_642f}
-	ex := exec.NewWithOptions(p.Sink, exec.Options{Kernel: p.Kernel, MaxGoroutines: p.MaxGoroutines, Stats: p.Stats})
+	ex := exec.NewWithOptions(p.Sink, exec.Options{MaxGoroutines: p.MaxGoroutines, Stats: p.Stats})
 	res := &SteadyStateResult{Entities: p.Entities, Fingerprint: 14695981039346656037}
 	res.Horizon = rtime.AtTU(p.HorizonTU)
 

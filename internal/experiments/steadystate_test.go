@@ -3,8 +3,6 @@ package experiments
 import (
 	"runtime"
 	"testing"
-
-	"rtsj/internal/exec"
 )
 
 // TestSteadyStateBoundedGoroutines is the acceptance test of the
@@ -41,19 +39,27 @@ func TestSteadyStateBoundedGoroutines(t *testing.T) {
 	}
 }
 
+// steadyStateFingerprints pins the activation fingerprint of the per-thread
+// looping reference run of TestSteadyStateSchedulesIdenticalAcrossConfigs,
+// by entity count (full and -short), captured like stressFingerprints.
+var steadyStateFingerprints = map[int]uint64{
+	400: 0xd8c94efcd9a1554b,
+	120: 0xf9a71b03595310f3,
+}
+
 // TestSteadyStateSchedulesIdenticalAcrossConfigs differential-tests the
-// steady-state scenario over the full executive matrix: loop and
-// activation formulations, both kernels, per-thread and pooled — the
-// activation fingerprint must match the looping reference exactly.
+// steady-state scenario over the executive matrix: loop and activation
+// formulations, per-thread and pooled — the activation fingerprint must
+// match the looping reference exactly, and the reference must match its
+// committed fingerprint.
 func TestSteadyStateSchedulesIdenticalAcrossConfigs(t *testing.T) {
 	p := DefaultSteadyStateParams()
-	p.Entities = 400 // keep the per-thread and channel runs fast
+	p.Entities = 400 // keep the per-thread runs fast
 	p.HorizonTU = 300
 	if testing.Short() {
 		p.Entities = 120
 	}
 	ref := p
-	ref.Kernel = exec.ChannelKernel
 	ref.MaxGoroutines = 0
 	ref.Activation = false
 	want, err := RunPeriodicSteadyState(ref)
@@ -63,20 +69,19 @@ func TestSteadyStateSchedulesIdenticalAcrossConfigs(t *testing.T) {
 	if want.Activations == 0 {
 		t.Fatal("reference run scheduled no activations")
 	}
+	if want.Fingerprint != steadyStateFingerprints[p.Entities] {
+		t.Errorf("reference fingerprint %#x, committed %#x", want.Fingerprint, steadyStateFingerprints[p.Entities])
+	}
 	for _, cfg := range []struct {
 		name          string
-		kernel        exec.Kernel
 		maxGoroutines int
 		activation    bool
 	}{
-		{"direct-loop", exec.DirectKernel, 0, false},
-		{"direct-loop-pooled", exec.DirectKernel, 8, false},
-		{"channel-activation", exec.ChannelKernel, 8, true},
-		{"direct-activation", exec.DirectKernel, 8, true},
-		{"direct-activation-perthread", exec.DirectKernel, 0, true},
+		{"direct-loop-pooled", 8, false},
+		{"direct-activation", 8, true},
+		{"direct-activation-perthread", 0, true},
 	} {
 		q := p
-		q.Kernel = cfg.kernel
 		q.MaxGoroutines = cfg.maxGoroutines
 		q.Activation = cfg.activation
 		got, err := RunPeriodicSteadyState(q)

@@ -32,10 +32,9 @@ type StressParams struct {
 	PriorityBands int
 	// Seed drives release times, costs and priorities.
 	Seed uint64
-	// Kernel and MaxGoroutines configure the executive (MaxGoroutines 0 =
-	// goroutine-per-thread).
-	Kernel        exec.Kernel
-	MaxGoroutines int // pooled-worker cap; 0 runs a goroutine per thread
+	// MaxGoroutines configures the executive: the pooled-worker cap, or 0
+	// for a goroutine per thread.
+	MaxGoroutines int
 	// PeriodicActivation runs the background threads on the activation
 	// dispatch path (exec.SpawnPeriodic) instead of parked loops: same
 	// schedule, no pinned worker per background thread.
@@ -68,7 +67,6 @@ func DefaultStressParams() StressParams {
 		Background:    4,
 		PriorityBands: 6,
 		Seed:          2007,
-		Kernel:        exec.DirectKernel,
 		MaxGoroutines: 64,
 	}
 }
@@ -110,7 +108,7 @@ func RunStress(p StressParams) (*StressResult, error) {
 		p.PriorityBands = 1
 	}
 	rng := &stressRand{s: p.Seed ^ 0x9e3779b97f4a7c15}
-	ex := exec.NewWithOptions(p.Sink, exec.Options{Kernel: p.Kernel, MaxGoroutines: p.MaxGoroutines, CPUs: p.CPUs, Stats: p.Stats})
+	ex := exec.NewWithOptions(p.Sink, exec.Options{MaxGoroutines: p.MaxGoroutines, CPUs: p.CPUs, Stats: p.Stats})
 	res := &StressResult{Jobs: p.Jobs, Fingerprint: 14695981039346656037}
 
 	// Release window: jobs at ~0.5tu average cost, spread to ~55% load,

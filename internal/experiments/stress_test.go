@@ -3,8 +3,6 @@ package experiments
 import (
 	"runtime"
 	"testing"
-
-	"rtsj/internal/exec"
 )
 
 // TestStressLargeNBoundedGoroutines is the acceptance test of the pooled
@@ -35,17 +33,27 @@ func TestStressLargeNBoundedGoroutines(t *testing.T) {
 	}
 }
 
+// stressFingerprints pins the completion-order fingerprint of the
+// per-thread reference run of TestStressSchedulesIdenticalAcrossConfigs,
+// by job count (full and -short). The values were captured from the
+// executive's former channel-rendezvous reference kernel, which every
+// configuration matched at the time.
+var stressFingerprints = map[int]uint64{
+	1500: 0x960db78d1a7bb6a2,
+	300:  0x37350953e6e056a6,
+}
+
 // TestStressSchedulesIdenticalAcrossConfigs differential-tests the stress
-// scenario itself over the full executive matrix: the completion-order
+// scenario itself over the executive matrix: the completion-order
 // fingerprint, total accounting and final instant must be identical in
-// per-thread and pooled mode, on both kernels.
+// per-thread, pooled and activation mode, and the per-thread reference
+// must match its committed fingerprint.
 func TestStressSchedulesIdenticalAcrossConfigs(t *testing.T) {
 	p := DefaultStressParams()
-	p.Jobs = 1500 // keep the channel-kernel runs fast
+	p.Jobs = 1500 // keep the per-thread runs fast
 	if testing.Short() {
 		p.Jobs = 300
 	}
-	p.Kernel = exec.ChannelKernel
 	p.MaxGoroutines = 0
 	ref, err := RunStress(p)
 	if err != nil {
@@ -54,20 +62,18 @@ func TestStressSchedulesIdenticalAcrossConfigs(t *testing.T) {
 	if ref.Completed != p.Jobs {
 		t.Fatalf("reference completed %d of %d jobs", ref.Completed, p.Jobs)
 	}
+	if ref.Fingerprint != stressFingerprints[p.Jobs] {
+		t.Errorf("reference fingerprint %#x, committed %#x", ref.Fingerprint, stressFingerprints[p.Jobs])
+	}
 	for _, cfg := range []struct {
 		name          string
-		kernel        exec.Kernel
 		maxGoroutines int
 		activation    bool
 	}{
-		{"direct", exec.DirectKernel, 0, false},
-		{"channel-pooled", exec.ChannelKernel, 8, false},
-		{"direct-pooled", exec.DirectKernel, 8, false},
-		{"channel-activation", exec.ChannelKernel, 8, true},
-		{"direct-activation", exec.DirectKernel, 8, true},
+		{"direct-pooled", 8, false},
+		{"direct-activation", 8, true},
 	} {
 		q := p
-		q.Kernel = cfg.kernel
 		q.MaxGoroutines = cfg.maxGoroutines
 		q.PeriodicActivation = cfg.activation
 		got, err := RunStress(q)

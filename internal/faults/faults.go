@@ -6,10 +6,10 @@
 // A Plan derives every fault from a hash of (seed, system index, job
 // index) — never from call order — so the fault schedule is a pure
 // function of the workload identity. The same plan applied to the same
-// system yields the same faults on every engine, kernel and worker mode:
-// {Channel, Direct} × {per-thread, pooled, activation} all see an
-// identical perturbed workload, which is what lets the overload scenarios
-// pin cross-configuration fingerprints.
+// system yields the same faults on every engine and executive
+// configuration: the simulator and the per-thread, pooled and activation
+// executives all see an identical perturbed workload, which is what lets
+// the overload scenarios pin cross-configuration fingerprints.
 package faults
 
 import (
@@ -44,6 +44,13 @@ type Plan struct {
 	// (the event never fires).
 	DropProb float64
 }
+
+// MaxOverrun is the largest OverrunMax ParseArgs accepts. An overrunning
+// job then costs at most 1+MaxOverrun times its declared cost, so
+// Fault.Apply stays representable for every cost below
+// math.MaxInt64/(1+MaxOverrun) nanoseconds — about 106 days of virtual
+// time.
+const MaxOverrun = 1000
 
 // Fault is the perturbation a plan assigns to one job or activation. The
 // zero fault plus CostFactor 1 means "unperturbed".
@@ -203,7 +210,9 @@ func Parse(s string) (*Plan, error) {
 }
 
 // ParseArgs decodes a plan from pre-split key=value fields (the spec
-// parser hands directive arguments in this form).
+// parser hands directive arguments in this form). It rejects a
+// probability that is NaN or outside [0, 1], an overrun max that is NaN
+// or outside [0, MaxOverrun], and a negative jitter max.
 func ParseArgs(fields []string) (*Plan, error) {
 	p := &Plan{}
 	for _, opt := range fields {
@@ -236,7 +245,30 @@ func ParseArgs(fields []string) (*Plan, error) {
 			return nil, fmt.Errorf("faults: option %q: %v", opt, err)
 		}
 	}
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	return p, nil
+}
+
+// validate rejects knob values no fault schedule can honour. The range
+// tests are written so that NaN fails them.
+func (p *Plan) validate() error {
+	for _, prob := range []struct {
+		name string
+		v    float64
+	}{{"overrun", p.OverrunProb}, {"jitter", p.JitterProb}, {"drop", p.DropProb}} {
+		if !(prob.v >= 0 && prob.v <= 1) {
+			return fmt.Errorf("faults: %s probability %v outside [0, 1]", prob.name, prob.v)
+		}
+	}
+	if !(p.OverrunMax >= 0 && p.OverrunMax <= MaxOverrun) {
+		return fmt.Errorf("faults: overrun max %v outside [0, %d]", p.OverrunMax, MaxOverrun)
+	}
+	if p.JitterMax < 0 {
+		return fmt.Errorf("faults: negative jitter max %v", p.JitterMax)
+	}
+	return nil
 }
 
 // parseProbPair splits "prob:arg" and parses the probability, handing the

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"strings"
 	"testing"
 
 	"rtsj/internal/rtime"
@@ -157,6 +158,50 @@ func TestParseStringRoundTrip(t *testing.T) {
 		if _, err := Parse(s); err == nil {
 			t.Fatalf("%q: want parse error", s)
 		}
+	}
+}
+
+// TestParseRejectsOutOfRangeKnobs pins ParseArgs' range checks: every
+// value that would make a fault schedule meaningless, or wrap
+// Fault.Apply's cost (overrun=1:Inf used to yield a negative consume), is
+// an error, and the boundary values are accepted.
+func TestParseRejectsOutOfRangeKnobs(t *testing.T) {
+	for _, tc := range []struct {
+		plan string
+		want string // substring of the error; "" means valid
+	}{
+		{"drop=NaN", "drop probability NaN"},
+		{"drop=-0.1", "drop probability -0.1"},
+		{"drop=1.5", "drop probability 1.5"},
+		{"overrun=NaN:0.5", "overrun probability NaN"},
+		{"overrun=2:0.5", "overrun probability 2"},
+		{"jitter=-1:1tu", "jitter probability -1"},
+		{"jitter=+Inf:1tu", "jitter probability +Inf"},
+		{"overrun=1:Inf", "overrun max +Inf"},
+		{"overrun=1:-Inf", "overrun max -Inf"},
+		{"overrun=1:NaN", "overrun max NaN"},
+		{"overrun=1:1e300", "overrun max 1e+300"},
+		{"overrun=1:-0.5", "overrun max -0.5"},
+		{"overrun=1:1000.5", "overrun max 1000.5"},
+		{"jitter=0.5:-2tu", "negative jitter max"},
+		{"seed=1 drop=0 overrun=1:1000 jitter=1:0tu", ""},
+		{"drop=1 overrun=0:0", ""},
+	} {
+		p, err := Parse(tc.plan)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%q: unexpected error %v", tc.plan, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: got plan %+v, error %v; want an error containing %q", tc.plan, p, err, tc.want)
+		}
+	}
+	// At the ceiling, an overrun still yields a positive, finite cost.
+	f := Fault{CostFactor: 1 + MaxOverrun}
+	if got := f.Apply(rtime.TUs(1e6)); got <= 0 {
+		t.Errorf("Apply at MaxOverrun wrapped to %v", got)
 	}
 }
 

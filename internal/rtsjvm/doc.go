@@ -13,9 +13,8 @@
 //
 // # Constructors and executive configuration
 //
-// NewVM is the convenience constructor (direct kernel, always-readable
-// trace); NewVMKernel picks the executive kernel explicitly; NewVMSink is
-// fully explicit — any trace.Sink (nil or trace.Nop for the metrics-only
+// NewVM is the convenience constructor (default executive options,
+// always-readable trace); NewVMSink is fully explicit — any trace.Sink (nil or trace.Nop for the metrics-only
 // fast path) and any exec.Options, including the pooled thread-body mode
 // (exec.Options.MaxGoroutines).
 //

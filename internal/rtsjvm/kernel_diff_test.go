@@ -8,10 +8,12 @@ import (
 	"rtsj/internal/trace"
 )
 
-// Kernel differential tests over the rtsjvm corpus: every VM scenario from
-// the package tests is built on both executive kernels and must produce
+// Differential tests over the rtsjvm corpus: every VM scenario from the
+// package tests is built on every executive configuration and must produce
 // trace-for-trace identical schedules — the timer daemon, event releases,
-// Timed/AIE interruption points and monitor hand-offs all included.
+// Timed/AIE interruption points and monitor hand-offs all included. The
+// goroutine-per-thread reference must also match the scenario's committed
+// trace fingerprint.
 
 type vmScenario struct {
 	name    string
@@ -135,20 +137,37 @@ var vmCorpus = []vmScenario{
 	}},
 }
 
+// vmFingerprints pins the reference trace of every vmCorpus scenario. The
+// values were captured from the executive's former channel-rendezvous
+// reference kernel in goroutine-per-thread mode (see exec's
+// fingerprint_test.go); a change means a VM schedule changed.
+var vmFingerprints = map[string]uint64{
+	"periodic-thread":           0xac3533352cfc566d,
+	"overrun-skips-activations": 0xc2548db2c3d2fff3,
+	"async-event-handlers":      0xe7a0c0a5e84ed2a5,
+	"fire-count-bursts":         0xb0ca9900ecbea008,
+	"multi-handler-priority":    0xb4025cd6f5907ec1,
+	"periodic-timer":            0xabe0744418b5a6e3,
+	"timer-fire-overhead":       0x8392e260eaec3643,
+	"release-overhead":          0x7e1ddcf0564872a2,
+	"timed-interrupt-action":    0x849c4f534090c544,
+	"timed-preempted-budget":    0x833ffc3af925357f,
+	"monitor-inversion-avoided": 0x6b62524ad212081c,
+	"pgp-enforced":              0xdebc17a2bdb2ae65,
+	"timer-stop-midway":         0x576f51696c54b1ad,
+}
+
 // vmDiffConfigs is the executive configuration matrix the corpus runs on:
-// both kernels, each in goroutine-per-thread and pooled mode. The channel
-// per-thread configuration is the reference.
+// goroutine-per-thread (the reference), pooled, and the M=1 SMP reduction,
+// which must be byte-identical to the uniprocessor schedule on the whole
+// VM corpus too.
 var vmDiffConfigs = []struct {
 	name string
 	opts exec.Options
 }{
-	{"channel", exec.Options{Kernel: exec.ChannelKernel}},
-	{"direct", exec.Options{Kernel: exec.DirectKernel}},
-	{"channel-pooled", exec.Options{Kernel: exec.ChannelKernel, MaxGoroutines: 2}},
-	{"direct-pooled", exec.Options{Kernel: exec.DirectKernel, MaxGoroutines: 2}},
-	// The M=1 SMP reduction must be byte-identical to the uniprocessor
-	// schedule on the whole VM corpus too.
-	{"direct-smp1", exec.Options{Kernel: exec.DirectKernel, CPUs: 1, Migration: exec.Partitioned}},
+	{"direct", exec.Options{}},
+	{"direct-pooled", exec.Options{MaxGoroutines: 2}},
+	{"direct-smp1", exec.Options{CPUs: 1, Migration: exec.Partitioned}},
 }
 
 func TestKernelDiffVMCorpus(t *testing.T) {
@@ -159,12 +178,13 @@ func TestKernelDiffVMCorpus(t *testing.T) {
 				vm := NewVMSink(trace.New(), sc.oh, opts)
 				sc.build(vm)
 				if err := vm.Run(sc.horizon); err != nil {
-					t.Fatalf("%s kernel: %v", opts.Kernel, err)
+					t.Fatalf("%+v: %v", opts, err)
 				}
 				vm.Shutdown()
 				return vm
 			}
 			ref := run(vmDiffConfigs[0].opts)
+			checkVMPinned(t, vmFingerprints, sc.name, ref)
 			for _, cfg := range vmDiffConfigs[1:] {
 				got := run(cfg.opts)
 				compareVMTraces(t, sc.name+"/"+cfg.name, ref.Trace(), got.Trace())
@@ -174,6 +194,19 @@ func TestKernelDiffVMCorpus(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkVMPinned fails t unless the reference VM's trace matches the
+// committed fingerprint for name in pinned.
+func checkVMPinned(t *testing.T, pinned map[string]uint64, name string, ref *VM) {
+	t.Helper()
+	want, ok := pinned[name]
+	if !ok {
+		t.Fatalf("%s: no committed fingerprint", name)
+	}
+	if fp := ref.Trace().Fingerprint(); fp != want {
+		t.Errorf("%s: reference schedule fingerprint %#x, committed %#x", name, fp, want)
 	}
 }
 

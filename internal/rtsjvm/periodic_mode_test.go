@@ -14,8 +14,8 @@ import (
 // (NewRealtimeThread) and the same thread written as a per-release
 // activation body (NewActivationThread) must produce trace-for-trace
 // identical schedules on every executive configuration — the
-// {Channel, Direct} × {per-thread, pooled} × {loop, activation} matrix,
-// with channel/per-thread/loop as the reference.
+// {per-thread, pooled} × {loop, activation} matrix, with the per-thread
+// loop as the reference, whose trace must match the committed fingerprint.
 
 // periodicScenario builds a VM workload from a per-release work function
 // for each periodic thread, so the same scenario can be expressed in
@@ -82,15 +82,23 @@ var periodicModeCorpus = []periodicScenario{
 	}},
 }
 
+// periodicModeFingerprints pins the reference trace of every
+// periodicModeCorpus scenario, captured like vmFingerprints.
+var periodicModeFingerprints = map[string]uint64{
+	"plain-periodics":       0xb9f83dc0ada06a53,
+	"overrun-skips":         0xbe00cbec8ec22f11,
+	"periodic-vs-events":    0x216d05e07d56d8ea,
+	"periodic-with-monitor": 0x31d8ed211a29d3b3,
+	"periodic-with-timed":   0xff5735f47497de27,
+}
+
 func TestPeriodicModeDiffCorpus(t *testing.T) {
 	configs := []struct {
 		name string
 		opts exec.Options
 	}{
-		{"channel", exec.Options{Kernel: exec.ChannelKernel}},
-		{"direct", exec.Options{Kernel: exec.DirectKernel}},
-		{"channel-pooled", exec.Options{Kernel: exec.ChannelKernel, MaxGoroutines: 2}},
-		{"direct-pooled", exec.Options{Kernel: exec.DirectKernel, MaxGoroutines: 2}},
+		{"direct", exec.Options{}},
+		{"direct-pooled", exec.Options{MaxGoroutines: 2}},
 	}
 	for _, sc := range periodicModeCorpus {
 		sc := sc
@@ -111,15 +119,16 @@ func TestPeriodicModeDiffCorpus(t *testing.T) {
 					})
 				})
 				if err := vm.Run(sc.horizon); err != nil {
-					t.Fatalf("%v/activation=%v: %v", opts.Kernel, activation, err)
+					t.Fatalf("%+v/activation=%v: %v", opts, activation, err)
 				}
 				vm.Shutdown()
 				return vm
 			}
 			ref := run(configs[0].opts, false)
-			for _, cfg := range configs {
+			checkVMPinned(t, periodicModeFingerprints, sc.name, ref)
+			for i, cfg := range configs {
 				for _, activation := range []bool{false, true} {
-					if cfg.name == "channel" && !activation {
+					if i == 0 && !activation {
 						continue // the reference itself
 					}
 					got := run(cfg.opts, activation)

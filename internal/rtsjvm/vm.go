@@ -61,24 +61,16 @@ type VM struct {
 	sched   *PriorityScheduler
 }
 
-// NewVM creates a VM tracing into tr with the given overhead model, on the
-// executive's default (direct, channel-free) kernel. A nil tr records into
-// a fresh trace (this convenience constructor always yields a readable
-// Trace); use NewVMSink with trace.Nop for the metrics-only fast path. The
-// timer daemon thread is created immediately.
+// NewVM creates a VM tracing into tr with the given overhead model, on an
+// executive with default options. A nil tr records into a fresh trace
+// (this convenience constructor always yields a readable Trace); use
+// NewVMSink with trace.Nop for the metrics-only fast path. The timer
+// daemon thread is created immediately.
 func NewVM(tr *trace.Trace, oh Overheads) *VM {
-	return NewVMKernel(tr, oh, exec.DirectKernel)
-}
-
-// NewVMKernel creates a VM on an explicitly chosen executive kernel. Both
-// kernels are contractually schedule-identical; the differential kernel
-// tests run the same workloads through each and compare traces. A nil tr
-// records into a fresh trace, as in NewVM.
-func NewVMKernel(tr *trace.Trace, oh Overheads, kind exec.Kernel) *VM {
 	if tr == nil {
 		tr = trace.New()
 	}
-	return NewVMSink(tr, oh, exec.Options{Kernel: kind})
+	return NewVMSink(tr, oh, exec.Options{})
 }
 
 // NewVMSink is the fully explicit constructor: the VM records into sink

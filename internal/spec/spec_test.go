@@ -84,6 +84,8 @@ func TestParseErrors(t *testing.T) {
 		"periodic t1 6 2 prio=abc",
 		"aperiodic j 0 2 value=abc",
 		"periodic t1 1 5", // cost > period fails validation
+		"faults seed=1 overrun=1:Inf",
+		"faults drop=NaN",
 	}
 	for _, in := range bad {
 		if _, err := Parse(strings.NewReader(in)); err == nil {

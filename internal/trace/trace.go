@@ -10,7 +10,10 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"sort"
 	"strings"
 
@@ -250,6 +253,38 @@ func (tr *Trace) End() rtime.Time {
 		end = rtime.Max(end, e.At)
 	}
 	return end
+}
+
+// Fingerprint returns a 64-bit FNV-1a hash of the recorded schedule: every
+// segment (entity, start, end, label, CPU), then every event (entity,
+// instant, kind, label), in recording order. Strings are length-prefixed
+// so field boundaries cannot alias. Equal schedules hash equally, so a
+// test can pin a reference schedule by this one value.
+func (tr *Trace) Fingerprint() uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	num := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	str := func(s string) {
+		num(int64(len(s)))
+		io.WriteString(h, s)
+	}
+	for _, s := range tr.Segments {
+		str(s.Entity)
+		num(int64(s.Start))
+		num(int64(s.End))
+		str(s.Label)
+		num(int64(s.CPU))
+	}
+	for _, e := range tr.Events {
+		str(e.Entity)
+		num(int64(e.At))
+		num(int64(e.Kind))
+		str(e.Label)
+	}
+	return h.Sum64()
 }
 
 // CheckSingleCPU verifies that no two segments overlap in time — the

@@ -21,6 +21,46 @@ func TestRunMergesAdjacent(t *testing.T) {
 	}
 }
 
+// TestFingerprint pins the hash of a small schedule (so the definition
+// cannot drift under the committed fingerprints that use it) and checks
+// that every recorded field, and the split of a string between adjacent
+// fields, changes it.
+func TestFingerprint(t *testing.T) {
+	build := func(edit func(tr *Trace)) uint64 {
+		tr := New()
+		tr.RunOn("A", 1, rtime.AtTU(0), rtime.AtTU(2), "x")
+		tr.Run("B", rtime.AtTU(2), rtime.AtTU(3), "")
+		tr.Mark("A", rtime.AtTU(2), Completion, "done")
+		if edit != nil {
+			edit(tr)
+		}
+		return tr.Fingerprint()
+	}
+	base := build(nil)
+	if base != 0x591d4b8fab55842a {
+		t.Errorf("fingerprint %#x, pinned 0x591d4b8fab55842a", base)
+	}
+	if New().Fingerprint() != 0xcbf29ce484222325 {
+		t.Error("an empty trace must hash to the FNV-1a offset basis")
+	}
+	for name, edit := range map[string]func(tr *Trace){
+		"entity":      func(tr *Trace) { tr.Segments[0].Entity = "C" },
+		"start":       func(tr *Trace) { tr.Segments[1].Start++ },
+		"end":         func(tr *Trace) { tr.Segments[0].End-- },
+		"label":       func(tr *Trace) { tr.Segments[0].Label = "y" },
+		"cpu":         func(tr *Trace) { tr.Segments[0].CPU = 0 },
+		"event at":    func(tr *Trace) { tr.Events[0].At++ },
+		"event kind":  func(tr *Trace) { tr.Events[0].Kind = Arrival },
+		"event label": func(tr *Trace) { tr.Events[0].Label = "" },
+		"field split": func(tr *Trace) { tr.Segments[0].Entity, tr.Segments[0].Label = "Ax", "" },
+		"extra event": func(tr *Trace) { tr.Mark("B", rtime.AtTU(3), Completion, "") },
+	} {
+		if build(edit) == base {
+			t.Errorf("changing the %s left the fingerprint unchanged", name)
+		}
+	}
+}
+
 func TestRunNoMergeAcrossLabels(t *testing.T) {
 	tr := New()
 	tr.Run("S", rtime.AtTU(0), rtime.AtTU(1), "h1")
