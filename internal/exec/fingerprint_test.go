@@ -35,6 +35,8 @@ var referenceFingerprints = map[string]uint64{
 	"miss/abort":         0xa74356974c07f899,
 	// TestWithBudgetUnderInjectedOverruns hashes its own completion order.
 	"miss/budget-overruns": 0x9cb1485df4f14fa1,
+	// TestWithBudgetZeroAndNegative's channel rows.
+	"budget/non-positive": 0xf9e08f544206cb71,
 }
 
 // smpCorpusFingerprints pins TestSMPDiffCorpus, keyed like its subtests.

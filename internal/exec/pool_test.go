@@ -17,65 +17,69 @@ import (
 // thread count.
 func TestPooledBoundedGoroutines(t *testing.T) {
 	const n = 2000
-	before := runtime.NumGoroutine()
-	ex := NewWithOptions(nil, Options{MaxGoroutines: 8})
-	rng := newDetRand(7)
-	done := 0
-	for i := 0; i < n; i++ {
-		prio := 1 + rng.next()%4
-		start := rtime.Time(rtime.Duration(rng.next()%5000) * rtime.TU / 10)
-		cost := rtime.Duration(1+rng.next()%10) * rtime.TU / 10
-		ex.Spawn(fmt.Sprintf("job%d", i), prio, start, func(tc *TC) {
-			tc.Consume(cost)
-			done++
-		})
-	}
-	if err := ex.Run(at(2000)); err != nil {
-		t.Fatal(err)
-	}
-	ex.Shutdown()
-	if done != n {
-		t.Fatalf("completed %d of %d jobs", done, n)
-	}
-	if peak := ex.PoolPeak(); peak > 8 {
-		t.Errorf("pool peaked at %d workers, want <= MaxGoroutines (8)", peak)
-	}
-	// The process never carried anything close to one goroutine
-	// per thread.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+8 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+16 {
-		t.Errorf("goroutines: before=%d after=%d (pool leaked)", before, after)
-	}
+	t.Run("direct", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		ex := NewWithOptions(nil, Options{MaxGoroutines: 8})
+		rng := newDetRand(7)
+		done := 0
+		for i := 0; i < n; i++ {
+			prio := 1 + rng.next()%4
+			start := rtime.Time(rtime.Duration(rng.next()%5000) * rtime.TU / 10)
+			cost := rtime.Duration(1+rng.next()%10) * rtime.TU / 10
+			ex.Spawn(fmt.Sprintf("job%d", i), prio, start, func(tc *TC) {
+				tc.Consume(cost)
+				done++
+			})
+		}
+		if err := ex.Run(at(2000)); err != nil {
+			t.Fatal(err)
+		}
+		ex.Shutdown()
+		if done != n {
+			t.Fatalf("completed %d of %d jobs", done, n)
+		}
+		if peak := ex.PoolPeak(); peak > 8 {
+			t.Errorf("pool peaked at %d workers, want <= MaxGoroutines (8)", peak)
+		}
+		// The process never carried anything close to one goroutine
+		// per thread.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before+8 && time.Now().Before(deadline) {
+			runtime.Gosched()
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before+16 {
+			t.Errorf("goroutines: before=%d after=%d (pool leaked)", before, after)
+		}
+	})
 }
 
 // TestPooledShutdownReleasesGoroutines mirrors the per-thread shutdown
 // test: killed mid-body threads, sleepers, and never-started threads (which
 // in pooled mode never got a goroutine at all) must all be reaped.
 func TestPooledShutdownReleasesGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		ex := NewWithOptions(nil, Options{MaxGoroutines: 4})
-		q := NewWaitQueue("never")
-		ex.Spawn("blocked", 1, 0, func(tc *TC) { tc.Wait(q) })
-		ex.Spawn("sleeper", 1, 0, func(tc *TC) { tc.SleepUntil(at(1e6)) })
-		ex.Spawn("never-started", 1, at(1e6), func(tc *TC) {})
-		if err := ex.Run(at(5)); err != nil {
-			t.Fatal(err)
+	t.Run("direct", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		for i := 0; i < 20; i++ {
+			ex := NewWithOptions(nil, Options{MaxGoroutines: 4})
+			q := NewWaitQueue("never")
+			ex.Spawn("blocked", 1, 0, func(tc *TC) { tc.Wait(q) })
+			ex.Spawn("sleeper", 1, 0, func(tc *TC) { tc.SleepUntil(at(1e6)) })
+			ex.Spawn("never-started", 1, at(1e6), func(tc *TC) {})
+			if err := ex.Run(at(5)); err != nil {
+				t.Fatal(err)
+			}
+			ex.Shutdown()
 		}
-		ex.Shutdown()
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+3 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+5 {
-		t.Fatalf("goroutines leaked: before=%d after=%d", before, after)
-	}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before+3 && time.Now().Before(deadline) {
+			runtime.Gosched()
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before+5 {
+			t.Fatalf("goroutines leaked: before=%d after=%d", before, after)
+		}
+	})
 }
 
 // TestPooledOverCapAndRetire pins the resident-size semantics: when more
@@ -106,32 +110,34 @@ func TestPooledOverCapAndRetire(t *testing.T) {
 // reuse the over-cap worker when it is the only one available, instead of
 // retiring it and respawning a fresh goroutine for every job.
 func TestPooledBurstNoChurn(t *testing.T) {
-	ex := NewWithOptions(nil, Options{MaxGoroutines: 1})
-	// Phase 1: a priority ladder forces the pool two over its cap.
-	for i := 0; i < 3; i++ {
-		ex.Spawn(fmt.Sprintf("rung%d", i), 5+i, at(float64(i)), func(tc *TC) {
-			tc.Consume(tu(5))
-		})
-	}
-	// Phase 2: a serial burst after the ladder has drained.
-	const burst = 50
-	done := 0
-	for i := 0; i < burst; i++ {
-		ex.Spawn(fmt.Sprintf("b%d", i), 1, at(float64(40+i)), func(tc *TC) {
-			tc.Consume(tu(0.5))
-			done++
-		})
-	}
-	if err := ex.Run(at(200)); err != nil {
-		t.Fatal(err)
-	}
-	ex.Shutdown()
-	if done != burst {
-		t.Fatalf("completed %d of %d burst jobs", done, burst)
-	}
-	if peak, spawned := ex.PoolPeak(), ex.PoolSpawned(); spawned != peak {
-		t.Errorf("spawned %d workers for peak %d: burst churned retire/respawn", spawned, peak)
-	}
+	t.Run("direct", func(t *testing.T) {
+		ex := NewWithOptions(nil, Options{MaxGoroutines: 1})
+		// Phase 1: a priority ladder forces the pool two over its cap.
+		for i := 0; i < 3; i++ {
+			ex.Spawn(fmt.Sprintf("rung%d", i), 5+i, at(float64(i)), func(tc *TC) {
+				tc.Consume(tu(5))
+			})
+		}
+		// Phase 2: a serial burst after the ladder has drained.
+		const burst = 50
+		done := 0
+		for i := 0; i < burst; i++ {
+			ex.Spawn(fmt.Sprintf("b%d", i), 1, at(float64(40+i)), func(tc *TC) {
+				tc.Consume(tu(0.5))
+				done++
+			})
+		}
+		if err := ex.Run(at(200)); err != nil {
+			t.Fatal(err)
+		}
+		ex.Shutdown()
+		if done != burst {
+			t.Fatalf("completed %d of %d burst jobs", done, burst)
+		}
+		if peak, spawned := ex.PoolPeak(), ex.PoolSpawned(); spawned != peak {
+			t.Errorf("spawned %d workers for peak %d: burst churned retire/respawn", spawned, peak)
+		}
+	})
 }
 
 // TestPooledRetireConvergesToCap: after a transient over-cap episode, the
@@ -209,10 +215,20 @@ func TestPooledErrorSurfaces(t *testing.T) {
 // TestWithBudgetZeroAndNegative pins the defined semantics of a
 // non-positive budget on every executive configuration: the section's
 // first Consume unwinds before any CPU is consumed; a section that never
-// consumes completes.
+// consumes completes. The channel rows rerun the configurations the
+// retired channel kernel was checked on here and also require the schedule
+// it produced, committed as "budget/non-positive".
 func TestWithBudgetZeroAndNegative(t *testing.T) {
-	for _, cfg := range diffConfigs {
-		cfg := cfg
+	channelRows := []struct {
+		name string
+		opts Options
+	}{
+		{"channel", Options{}},
+		{"channel-pooled", Options{MaxGoroutines: 2}},
+		{"channel-smp1", Options{CPUs: 1, Migration: Clustered}},
+	}
+	for i, cfg := range append(channelRows, diffConfigs...) {
+		cfg, pinned := cfg, i < len(channelRows)
 		t.Run(cfg.name, func(t *testing.T) {
 			type outcome struct {
 				interrupted bool
@@ -266,6 +282,9 @@ func TestWithBudgetZeroAndNegative(t *testing.T) {
 			}
 			if afterConsumed != tu(2) || th.Consumed() != tu(2) {
 				t.Errorf("consumed = %v, want 2tu (budgeted consumes must not charge)", th.Consumed())
+			}
+			if pinned {
+				checkPinned(t, "budget/non-positive", ex.Trace().Fingerprint())
 			}
 		})
 	}

@@ -199,30 +199,52 @@ func TestSMPDiffCorpus(t *testing.T) {
 // in the SMP corpus and every migration policy, an executive configured
 // with CPUs=1 is byte-identical — segments, events, final time, per-thread
 // accounting — to the plain uniprocessor executive (Options zero value).
+// The direct/<policy> subtests compare the two runs with each other; the
+// channel/<policy> subtests require both to reproduce the M=1 schedule the
+// retired channel kernel produced, as committed in smpCorpusFingerprints.
 // The smp1 entries of diffConfigs and vmDiffConfigs extend the same
 // property over the entire pre-SMP differential corpus.
 func TestSMPM1MatchesUniprocessor(t *testing.T) {
 	for _, sc := range smpCorpus {
 		for _, pol := range smpPolicies {
 			sc, pol := sc, pol
-			t.Run(fmt.Sprintf("%s/%v", sc.name, pol.policy), func(t *testing.T) {
-				t.Parallel()
-				run := func(opts Options) *Exec {
-					ex := NewWithOptions(trace.New(), opts)
-					sc.build(ex, 1, false)
-					if err := ex.Run(sc.horizon); err != nil {
-						t.Fatal(err)
-					}
-					return ex
+			run := func(t *testing.T, opts Options) *Exec {
+				ex := NewWithOptions(trace.New(), opts)
+				sc.build(ex, 1, false)
+				if err := ex.Run(sc.horizon); err != nil {
+					t.Fatal(err)
 				}
-				uni := run(Options{})
-				smp := run(Options{CPUs: 1, Migration: pol.policy, MigrationCost: tu(1)})
+				return ex
+			}
+			smpOpts := Options{CPUs: 1, Migration: pol.policy, MigrationCost: tu(1)}
+			t.Run(fmt.Sprintf("%s/direct/%v", sc.name, pol.policy), func(t *testing.T) {
+				t.Parallel()
+				uni := run(t, Options{})
+				smp := run(t, smpOpts)
 				compareExecs(t, "m1", uni, smp)
 				if smp.Migrations() != 0 {
 					t.Errorf("M=1 run migrated %d times", smp.Migrations())
 				}
 				uni.Shutdown()
 				smp.Shutdown()
+			})
+			t.Run(fmt.Sprintf("%s/channel/%v", sc.name, pol.policy), func(t *testing.T) {
+				t.Parallel()
+				key := fmt.Sprintf("%s/%v/m1", sc.name, pol.policy)
+				want, ok := smpCorpusFingerprints[key]
+				if !ok {
+					t.Fatalf("%s: no committed fingerprint", key)
+				}
+				for _, c := range []struct {
+					label string
+					opts  Options
+				}{{"uniprocessor", Options{}}, {"m1", smpOpts}} {
+					ex := run(t, c.opts)
+					if fp := ex.Trace().Fingerprint(); fp != want {
+						t.Errorf("%s run: schedule fingerprint %#x, committed %#x", c.label, fp, want)
+					}
+					ex.Shutdown()
+				}
 			})
 		}
 	}

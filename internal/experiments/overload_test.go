@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"rtsj/internal/exec"
 	"rtsj/internal/faults"
+	"rtsj/internal/rtime"
 )
 
 // overloadConfigs is the executive configuration matrix the overload
@@ -29,12 +31,56 @@ var overloadFingerprints = map[string]uint64{
 	OverloadSaturation: 0x4c411b6700b2d2fc,
 }
 
-// TestOverloadMatrix runs every scenario on every executive configuration
-// and requires the pinned fingerprint, a clean invariant net, and the
-// scenario-specific degradation properties on each.
+// overloadCounts is the counter record of one overload run.
+type overloadCounts struct {
+	Events, Released, Served, Interrupted, Rejected, Shed, Pending int
+	PeriodicReleases, PeriodicMisses                               int
+	CapacityFloor                                                  rtime.Duration
+	FinalTime                                                      rtime.Time
+	PeakWorkers                                                    int
+}
+
+// overloadChannelCounts holds the counters the retired channel kernel
+// produced on each canonical scenario in each dispatch mode. The modes
+// agree on everything but the pool high-water mark, so PeakWorkers is
+// listed per mode, indexed like overloadConfigs.
+var overloadChannelCounts = map[string]struct {
+	counts overloadCounts
+	peaks  [3]int
+}{
+	OverloadMissStorm: {overloadCounts{Events: 451, Released: 451, Served: 104, Shed: 283, Pending: 64,
+		PeriodicReleases: 13, FinalTime: rtime.AtTU(78)}, [3]int{0, 5, 4}},
+	OverloadTransient: {overloadCounts{Events: 205, Released: 205, Served: 137, Shed: 68,
+		PeriodicReleases: 29, FinalTime: rtime.AtTU(168)}, [3]int{0, 5, 4}},
+	OverloadSaturation: {overloadCounts{Events: 155, Released: 620, Served: 566, Shed: 33, Pending: 21,
+		PeriodicReleases: 240, FinalTime: rtime.AtTU(360)}, [3]int{0, 5, 3}},
+}
+
+// TestOverloadMatrix runs every scenario on every executive configuration.
+// The direct/<mode> subtests require the pinned fingerprint, a clean
+// invariant net, and the scenario-specific degradation properties; the
+// channel/<mode> subtests require every counter the retired channel kernel
+// produced in that mode (overloadChannelCounts).
 func TestOverloadMatrix(t *testing.T) {
 	for _, sc := range OverloadScenarios() {
-		for _, cfg := range overloadConfigs {
+		for i, cfg := range overloadConfigs {
+			t.Run(sc+"/channel/"+strings.TrimPrefix(cfg.name, "direct/"), func(t *testing.T) {
+				p := DefaultOverloadParams(sc)
+				p.MaxGoroutines = cfg.goroutines
+				p.PeriodicActivation = cfg.activation
+				r, err := RunOverload(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := overloadCounts{r.Events, r.Released, r.Served, r.Interrupted, r.Rejected, r.Shed, r.Pending,
+					r.PeriodicReleases, r.PeriodicMisses, r.CapacityFloor, r.FinalTime, r.PeakWorkers}
+				ref := overloadChannelCounts[sc]
+				want := ref.counts
+				want.PeakWorkers = ref.peaks[i]
+				if got != want {
+					t.Errorf("counters %+v, channel kernel produced %+v", got, want)
+				}
+			})
 			t.Run(sc+"/"+cfg.name, func(t *testing.T) {
 				p := DefaultOverloadParams(sc)
 				p.MaxGoroutines = cfg.goroutines
