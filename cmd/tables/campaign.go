@@ -3,8 +3,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
-	"os"
 	"os/exec"
 	"strconv"
 	"strings"
@@ -14,7 +14,7 @@ import (
 )
 
 // campaignFlags groups the -campaign mode's flags, registered alongside the
-// table flags in main.
+// table flags in run.
 type campaignFlags struct {
 	run       *bool
 	points    *string
@@ -29,19 +29,19 @@ type campaignFlags struct {
 	progress  *bool
 }
 
-func registerCampaignFlags() campaignFlags {
+func registerCampaignFlags(fs *flag.FlagSet) campaignFlags {
 	return campaignFlags{
-		run:       flag.Bool("campaign", false, "run a utilization-sweep campaign instead of the paper tables"),
-		points:    flag.String("points", "", "campaign: comma-separated task densities (default: the stock sweep)"),
-		systems:   flag.Int("systems", 0, "campaign: systems per sweep point (default 1000)"),
-		seed:      flag.Int64("seed", 0, "campaign: generation seed (default 1983)"),
-		policy:    flag.String("policy", "ds", "campaign: server policy (bg, ps, ds, ps-lim, ds-lim, ss, pe, slack)"),
-		shards:    flag.Int("shards", 0, "campaign: run this many shard subprocesses (0: in-process)"),
-		shardBin:  flag.String("shard-bin", "shard", "campaign: shard worker binary for -shards"),
-		shardAddr: flag.String("shard-addr", "", "campaign: comma-separated TCP shard addresses (overrides -shards)"),
-		batch:     flag.Int("batch", 0, "campaign: systems per shard request (0: auto)"),
-		format:    flag.String("format", "text", "campaign: output format (text, csv, json)"),
-		progress:  flag.Bool("progress", false, "campaign: report live progress (systems/s, ETA, shard health) on stderr"),
+		run:       fs.Bool("campaign", false, "run a utilization-sweep campaign instead of the paper tables"),
+		points:    fs.String("points", "", "campaign: comma-separated task densities (default: the stock sweep)"),
+		systems:   fs.Int("systems", 0, "campaign: systems per sweep point (default 1000)"),
+		seed:      fs.Int64("seed", 0, "campaign: generation seed (default 1983)"),
+		policy:    fs.String("policy", "ds", "campaign: server policy (bg, ps, ds, ps-lim, ds-lim, ss, pe, slack)"),
+		shards:    fs.Int("shards", 0, "campaign: run this many shard subprocesses (0: in-process)"),
+		shardBin:  fs.String("shard-bin", "shard", "campaign: shard worker binary for -shards"),
+		shardAddr: fs.String("shard-addr", "", "campaign: comma-separated TCP shard addresses (overrides -shards)"),
+		batch:     fs.Int("batch", 0, "campaign: systems per shard request (0: auto)"),
+		format:    fs.String("format", "text", "campaign: output format (text, csv, json)"),
+		progress:  fs.Bool("progress", false, "campaign: report live progress (systems/s, ETA, shard health) on stderr"),
 	}
 }
 
@@ -56,16 +56,18 @@ var campaignPolicies = map[string]sim.ServerPolicy{
 
 // runCampaign resolves the flags into a CampaignSpec, runs it in-process,
 // over subprocess shards or over TCP shards, and prints the curve. All
-// three paths print byte-identical output for the same spec.
-func runCampaign(cf campaignFlags, workers int) {
+// three paths print byte-identical output for the same spec. It returns
+// the command's exit status: 2 for a malformed spec or flag value, 1 for a
+// failed run.
+func runCampaign(cf campaignFlags, workers int, stdout, stderr io.Writer) int {
 	spec := experiments.DefaultCampaignSpec()
 	if *cf.points != "" {
 		var pts []float64
 		for _, s := range strings.Split(*cf.points, ",") {
 			d, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "tables: -points: %q is not a number\n", s)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "tables: -points: %q is not a number\n", s)
+				return 2
 			}
 			pts = append(pts, d)
 		}
@@ -79,54 +81,55 @@ func runCampaign(cf campaignFlags, workers int) {
 	}
 	pol, ok := campaignPolicies[*cf.policy]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "tables: -policy: unknown policy %q\n", *cf.policy)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tables: -policy: unknown policy %q\n", *cf.policy)
+		return 2
 	}
 	spec.Policy = pol
 	if err := spec.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tables: %v\n", err)
+		return 2
 	}
 
 	switch *cf.format {
 	case "text", "csv", "json":
 	default:
-		fmt.Fprintf(os.Stderr, "tables: -format: unknown format %q (want text, csv or json)\n", *cf.format)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tables: -format: unknown format %q (want text, csv or json)\n", *cf.format)
+		return 2
 	}
 
-	curve, err := dispatchCampaign(spec, cf, workers)
+	curve, err := dispatchCampaign(spec, cf, workers, stderr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "tables: %v\n", err)
+		return 1
 	}
 	switch *cf.format {
 	case "csv":
-		fmt.Print(curve.FormatCSV())
+		fmt.Fprint(stdout, curve.FormatCSV())
 	case "json":
 		out, err := curve.FormatJSON()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tables: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "tables: %v\n", err)
+			return 1
 		}
-		fmt.Print(out)
+		fmt.Fprint(stdout, out)
 	default:
-		fmt.Print(curve.Format())
+		fmt.Fprint(stdout, curve.Format())
 	}
+	return 0
 }
 
-func dispatchCampaign(spec experiments.CampaignSpec, cf campaignFlags, workers int) (*experiments.Curve, error) {
+func dispatchCampaign(spec experiments.CampaignSpec, cf campaignFlags, workers int, stderr io.Writer) (*experiments.Curve, error) {
 	// Progress goes to stderr so the curve output stays clean for
 	// redirection; the curve itself is byte-identical either way.
 	var opts experiments.CampaignOptions
 	if *cf.progress {
-		opts.Progress = os.Stderr
+		opts.Progress = stderr
 	}
 	switch {
 	case *cf.shardAddr != "":
 		return runCampaignTCP(spec, strings.Split(*cf.shardAddr, ","), *cf.batch, opts)
 	case *cf.shards > 0:
-		return runCampaignSubprocess(spec, *cf.shards, *cf.shardBin, *cf.batch, workers, opts)
+		return runCampaignSubprocess(spec, *cf.shards, *cf.shardBin, *cf.batch, workers, opts, stderr)
 	default:
 		return experiments.RunCampaignOpts(spec, opts)
 	}
@@ -136,7 +139,7 @@ func dispatchCampaign(spec experiments.CampaignSpec, cf campaignFlags, workers i
 // protocol over their stdin/stdout pipes. The coordinator's -workers value
 // is forwarded to every shard: the flag bounds each process's pool, so n
 // shards run up to n*workers simulation goroutines machine-wide.
-func runCampaignSubprocess(spec experiments.CampaignSpec, n int, bin string, batch, workers int, opts experiments.CampaignOptions) (*experiments.Curve, error) {
+func runCampaignSubprocess(spec experiments.CampaignSpec, n int, bin string, batch, workers int, opts experiments.CampaignOptions, stderr io.Writer) (*experiments.Curve, error) {
 	conns := make([]experiments.ShardConn, n)
 	cmds := make([]*exec.Cmd, n)
 	for i := 0; i < n; i++ {
@@ -145,7 +148,7 @@ func runCampaignSubprocess(spec experiments.CampaignSpec, n int, bin string, bat
 			args = append(args, "-workers", strconv.Itoa(workers))
 		}
 		cmd := exec.Command(bin, args...)
-		cmd.Stderr = os.Stderr
+		cmd.Stderr = stderr
 		in, err := cmd.StdinPipe()
 		if err != nil {
 			return nil, fmt.Errorf("campaign: shard %d: %w", i, err)

@@ -17,29 +17,43 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rtsj/internal/experiments"
 	"rtsj/internal/harness"
 )
 
-func main() {
-	table := flag.String("table", "all", "table to regenerate: 2, 3, 4, 5 or all")
-	matrix := flag.Bool("matrix", false, "also run the extension experiment: every policy on every set")
-	workers := flag.Int("workers", 0, "harness worker pool size (0: $RTSJ_WORKERS or GOMAXPROCS)")
-	cf := registerCampaignFlags()
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, prints the selected tables
+// (or the campaign curve) and returns the exit status — 0 on success, 2
+// for a malformed command line (unknown flag, bad flag value), 1 for every
+// other error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.String("table", "all", "table to regenerate: 2, 3, 4, 5 or all")
+	matrix := fs.Bool("matrix", false, "also run the extension experiment: every policy on every set")
+	workers := fs.Int("workers", 0, "harness worker pool size (0: $RTSJ_WORKERS or GOMAXPROCS)")
+	cf := registerCampaignFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "tables: -workers must be >= 0 (got %d)\n", *workers)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tables: -workers must be >= 0 (got %d)\n", *workers)
+		return 2
 	}
 	harness.SetWorkers(*workers)
 
 	if *cf.run {
-		runCampaign(cf, *workers)
-		return
+		return runCampaign(cf, *workers, stdout, stderr)
 	}
 
 	ids := experiments.TableIDs
@@ -48,18 +62,19 @@ func main() {
 	}
 	tabs, err := experiments.RunTables(ids)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "tables: %v\n", err)
+		return 1
 	}
 	for _, t := range tabs {
-		fmt.Println(t.Format())
+		fmt.Fprintln(stdout, t.Format())
 	}
 	if *matrix {
 		m, err := experiments.RunPolicyMatrix()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tables: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "tables: %v\n", err)
+			return 1
 		}
-		fmt.Println(m.Format())
+		fmt.Fprintln(stdout, m.Format())
 	}
+	return 0
 }
