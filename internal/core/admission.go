@@ -85,7 +85,7 @@ func (q *AdmissionQueue) Register(now rtime.Time, rel *release) rtime.Duration {
 // admission-control front-ends that probe the queue without a full handler.
 func (q *AdmissionQueue) RegisterCost(now rtime.Time, cost rtime.Duration) rtime.Duration {
 	h := &ServableAsyncEventHandler{name: "probe", cost: cost, actual: cost}
-	return q.Register(now, &release{h: h, rec: &EventRecord{Handler: h.name}})
+	return q.Register(now, &release{h: h, rec: EventRecord{Handler: h.name}})
 }
 
 // SyncInstance informs the queue that the server's activation number k

@@ -9,7 +9,7 @@ import (
 
 func mkRelease(cost float64) *release {
 	h := &ServableAsyncEventHandler{name: "h", cost: tu(cost), actual: tu(cost)}
-	return &release{h: h, rec: &EventRecord{Handler: "h"}}
+	return &release{h: h, rec: EventRecord{Handler: "h"}}
 }
 
 func TestAdmissionPlacement(t *testing.T) {

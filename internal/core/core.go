@@ -221,10 +221,12 @@ func (e *ServableAsyncEvent) Fire(tc *exec.TC) {
 	}
 }
 
-// release is one pending execution request for a handler.
+// release is one pending execution request for a handler. It carries its
+// event record by value, so one allocation holds both; the server's
+// records list points into it.
 type release struct {
 	h   *ServableAsyncEventHandler
-	rec *EventRecord
+	rec EventRecord
 }
 
 // serverCore is the state shared by the server policies.
@@ -314,19 +316,17 @@ func (s *serverCore) register(tc *exec.TC, h *ServableAsyncEventHandler) *releas
 	// charged below is part of the event's measured response time (the
 	// paper's simulations ignore "the costs of the events' release"; its
 	// executions pay them).
-	rec := &EventRecord{Handler: h.name, Released: tc.Now()}
+	rel := &release{h: h, rec: EventRecord{Handler: h.name, Released: tc.Now()}}
 	if oh := s.vm.Overheads().EventRelease; oh > 0 {
 		tc.Consume(oh)
 	}
+	s.records = append(s.records, &rel.rec)
 	if s.maxPending > 0 && len(s.pending) >= s.maxPending {
-		rec.Shed = true
+		rel.rec.Shed = true
 		s.shed++
-		s.records = append(s.records, rec)
 		s.vm.Exec().Sink().Mark(s.name, tc.Now(), trace.Shed, h.name)
 		return nil
 	}
-	rel := &release{h: h, rec: rec}
-	s.records = append(s.records, rec)
 	s.pending = append(s.pending, rel)
 	return rel
 }

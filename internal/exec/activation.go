@@ -118,10 +118,8 @@ func (th *Thread) Miss() MissPolicy { return th.missPolicy }
 // as a per-thread loop's WaitForNextPeriod would here — so timer sequence
 // numbers, ready-queue ranks and therefore whole schedules match the loop
 // formulation exactly (a past-due sleep re-queues the thread immediately
-// and deterministically; see sleepUntil). It also detaches the body
-// (started=false) so the next release dispatches a fresh one.
+// and deterministically; see sleepUntil).
 func (ex *Exec) rearm(th *Thread) {
-	th.started = false
 	th.nextRel = th.nextRel.Add(th.period)
 	if th.missPolicy == MissContinueLate {
 		if th.nextRel < ex.now {

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sync"
-
 	"rtsj/internal/rtime"
 	"rtsj/internal/trace"
 )
@@ -103,25 +101,16 @@ type Thread struct {
 	readySeq int64
 	wakeAt   rtime.Time
 
-	// Handoff: park/wake under ex.mu.
-	cond      sync.Cond
-	scheduled bool // wake flag of the park/wake protocol; guarded by mu
-	killed    bool // shutdown kill flag; guarded by mu
-	heapIdx   int  // position in the ready heap, -1 when not enqueued
-
-	// Pooled mode: whether the body has been handed to a worker yet (a
-	// thread that never starts never costs a goroutine), and the fate
-	// struct of the worker currently running the body (bound per dispatch
-	// by poolWorker, written by bodyFinished).
-	started bool
-	worker  *workerFate
+	heapIdx int     // position in the ready heap, -1 when not enqueued
+	co      *worker // the worker running the body, nil while none is in progress
+	killed  bool    // shutdown kill flag
 
 	// Activation-driven periodic state (SpawnPeriodic): the release period,
 	// the current/next release instant, the overrun miss policy and its
 	// skip/abort counts, the optional per-release dynamic priority hook
 	// (ActivationSpec.Priority), and the detach flag raised while a
-	// finished body's goroutine leaves the scheduling loop (its thread
-	// lives on, so handoff must not park it).
+	// finished body's worker leaves the scheduling loop (its thread lives
+	// on, so handoff must not park it).
 	periodic   bool
 	period     rtime.Duration
 	nextRel    rtime.Time
@@ -198,17 +187,17 @@ const (
 // Exec is the virtual-time executive. Create with New or NewWithOptions,
 // add threads with Spawn, then call Run.
 type Exec struct {
-	now     rtime.Time
-	threads []*Thread
-	sink    trace.Sink    // never nil; trace.Nop when nothing records
-	tr      *trace.Trace  // the sink when it is a *trace.Trace, else nil
-	cpuSink trace.CPUSink // sink when it also records CPU indices, else nil
-	stats   Stats         // instrument set; zero (all nil) when disabled
-	statsOn bool          // Options.Stats was non-nil; guards hook bodies
+	now         rtime.Time
+	threads     []*Thread
+	threadChunk []Thread      // unused tail of the chunk newThread carves threads from
+	sink        trace.Sink    // never nil; trace.Nop when nothing records
+	tr          *trace.Trace  // the sink when it is a *trace.Trace, else nil
+	cpuSink     trace.CPUSink // sink when it also records CPU indices, else nil
+	stats       Stats         // instrument set; zero (all nil) when disabled
+	statsOn     bool          // Options.Stats was non-nil; guards hook bodies
 
-	// Pooled mode (Options.MaxGoroutines > 0): the shared worker pool.
-	pooled bool
-	pool   workerPool
+	// The coroutine workers thread bodies run on (pool.go).
+	pool workerPool
 
 	// Timer nodes not currently queued (timer.go), and how many nodes the
 	// executive has allocated in all. Token-owned like the queues.
@@ -230,12 +219,10 @@ type Exec struct {
 	pickBuf     []*Thread
 	migrations  int
 
-	// The timer heap and the handoff protocol.
-	theap  timerHeap
-	mu     sync.Mutex
-	main   sync.Cond // parks the Run goroutine while threads hold the CPU
-	reap   sync.Cond // Shutdown waits here for killed threads to die
-	mainOn bool      // main has been scheduled (run is over); guarded by mu
+	// The timer heap, and the thread the Run trampoline resumes next
+	// (nil once the run is over).
+	theap timerHeap
+	next  *Thread
 
 	// Run-loop state shared with dispatch.
 	phase      runPhase
@@ -265,7 +252,7 @@ func NewWithOptions(sink trace.Sink, opts Options) *Exec {
 	if sink == nil {
 		sink = trace.Nop{}
 	}
-	ex := &Exec{sink: sink, pooled: opts.MaxGoroutines > 0}
+	ex := &Exec{sink: sink, pool: workerPool{cap: max(opts.MaxGoroutines, 0)}}
 	ex.tr, _ = sink.(*trace.Trace)
 	ex.cpuSink, _ = sink.(trace.CPUSink)
 	if opts.Stats != nil {
@@ -308,27 +295,22 @@ func NewWithOptions(sink trace.Sink, opts Options) *Exec {
 	}
 	ex.readyQ = make([]readyHeap, len(ex.domains))
 	ex.cpuRun = make([]*Thread, ex.ncpu)
-	ex.main.L = &ex.mu
-	ex.reap.L = &ex.mu
-	if ex.pooled {
-		ex.pool.init(opts.MaxGoroutines)
-	}
 	return ex
 }
 
-// Pooled reports whether thread bodies are multiplexed over the worker
-// pool (Options.MaxGoroutines > 0).
-func (ex *Exec) Pooled() bool { return ex.pooled }
+// Pooled reports whether the worker pool has a resident cap
+// (Options.MaxGoroutines > 0).
+func (ex *Exec) Pooled() bool { return ex.pool.cap > 0 }
 
-// PoolPeak returns the peak number of pool worker goroutines that have
-// existed simultaneously (0 in goroutine-per-thread mode).
-func (ex *Exec) PoolPeak() int { return ex.pool.peakWorkers() }
+// PoolPeak returns the peak number of workers that have existed
+// simultaneously in a capped pool (0 without a cap, where the pool keeps
+// no statistics).
+func (ex *Exec) PoolPeak() int { return ex.pool.peak }
 
-// PoolSpawned returns the total number of pool worker goroutines ever
-// created (0 in goroutine-per-thread mode). PoolSpawned equal to PoolPeak
-// means every worker was reused until the pool quiesced — no
-// retire-then-respawn churn.
-func (ex *Exec) PoolSpawned() int { return ex.pool.spawnedWorkers() }
+// PoolSpawned returns the total number of workers a capped pool ever made
+// (0 without a cap). PoolSpawned equal to PoolPeak means every worker was
+// reused until the pool quiesced — no retire-then-respawn churn.
+func (ex *Exec) PoolSpawned() int { return ex.pool.spawned }
 
 // Sink returns the sink this executive records into (never nil).
 func (ex *Exec) Sink() trace.Sink { return ex.sink }
@@ -357,7 +339,12 @@ func (ex *Exec) newThread(name string, prio, affinity int, body func(tc *TC)) *T
 	if affinity < -1 || affinity >= ex.ncpu {
 		ex.panicBadCPU(name, affinity)
 	}
-	th := &Thread{
+	if len(ex.threadChunk) == 0 {
+		ex.threadChunk = make([]Thread, chunkSize(len(ex.threads), 1))
+	}
+	th := &ex.threadChunk[0]
+	ex.threadChunk = ex.threadChunk[1:]
+	*th = Thread{
 		ex:       ex,
 		name:     name,
 		prio:     prio,
@@ -372,7 +359,6 @@ func (ex *Exec) newThread(name string, prio, affinity int, body func(tc *TC)) *T
 	th.domain = ex.domainFor(affinity, len(ex.threads)-1)
 	th.tc.th = th
 	ex.sink.DeclareEntity(name)
-	th.cond.L = &ex.mu
 	return th
 }
 

@@ -7,21 +7,21 @@ import (
 )
 
 // This file is the executive's kernel: the scheduling loop and the
-// goroutine handoff protocol.
+// coroutine handoff.
 //
-// Handoff protocol. At any instant exactly one goroutine owns the virtual
-// CPU (the "token"): either the Run goroutine or one thread goroutine. The
-// token owner runs the scheduling loop (dispatch) inline. When the loop
-// picks the owner's own thread, dispatch simply returns — consecutive
-// same-thread Consume/advance/sleep steps therefore never leave the
-// goroutine (batching; zero futex operations). Only when a *different*
-// thread must run does the owner wake that thread's condition variable and
-// park on its own: one parked-goroutine handoff per real context switch.
-//
-// All park/wake flags live under ex.mu; the mutex handoff also publishes
-// every kernel-state write of the old owner to the new one (the race
-// detector sees the happens-before edge through ex.mu). Kernel state itself
-// needs no lock: only the token owner touches it.
+// Handoff. At any instant exactly one context owns the virtual CPU (the
+// "token"): either the Run goroutine or one thread body, which runs on a
+// resident coroutine worker (pool.go). The token owner runs the
+// scheduling loop (dispatch) inline. When the loop picks the owner's own
+// thread, dispatch simply returns — consecutive same-thread
+// Consume/advance/sleep steps therefore never leave the coroutine
+// (batching; no switch at all). Only when a *different* thread must run
+// does the owner record it in ex.next and yield to the Run goroutine,
+// which is a trampoline: it resumes ex.next's worker (starting the body
+// on a free worker first, if it has none). A real context switch is thus
+// one coroutine yield plus one resume, and never passes through the Go
+// scheduler. Kernel state needs no lock: only the token owner touches it,
+// and each switch is a happens-before edge.
 //
 // Determinism contract. Each pass of dispatch fires the due timers in
 // (instant, seq) order, assigns ready threads to the virtual CPUs
@@ -36,21 +36,10 @@ import (
 // heaps (heap.go); with one CPU the assignment degenerates to "the heap
 // top runs".
 
-// run is the goroutine wrapper around a thread body in
-// goroutine-per-thread mode: it parks until the thread is first scheduled.
-func (th *Thread) run() {
-	if th.park() {
-		th.finish(nil)
-		return
-	}
-	th.runBody()
-}
-
 // runBody executes the body with the executive's panic discipline and
 // finishes the thread — or, for an activation entity that completed
-// normally, ends the activation instead. Pool workers and per-activation
-// goroutines call it directly: they receive a body only once the
-// scheduler has picked its thread, so there is no initial park.
+// normally, ends the activation instead. A worker runs it once the
+// scheduler has picked the thread, so there is no initial park.
 func (th *Thread) runBody() {
 	var err error
 	func() {
@@ -71,49 +60,29 @@ func (th *Thread) runBody() {
 }
 
 // endActivation ends one activation: the body just returned, so detach it
-// (this goroutine leaves, but the thread lives on to its next release),
+// (its worker is freed, but the thread lives on to its next release),
 // rearm the release bookkeeping and keep scheduling until the token is
 // handed off — the activation analogue of finish.
 func (th *Thread) endActivation() {
-	ex := th.ex
 	th.detached = true
-	ex.rearm(th)
-	if ex.pooled {
-		// Declare this worker free (or retire it) before the token is
-		// handed on, exactly as finish does for a terminating body.
-		ex.bodyFinished(th)
-	}
-	ex.dispatch(th)
+	th.ex.rearm(th)
+	th.ex.dispatch(th)
 }
 
 // finish terminates the thread: during a run it marks the thread done and
-// keeps scheduling in this goroutine until the token is handed off; during
-// shutdown it only reports the death to the reaper.
+// keeps scheduling until the token is handed off; during shutdown it only
+// marks the thread done.
 func (th *Thread) finish(err error) {
 	ex := th.ex
-	if ex.shutdown {
-		ex.mu.Lock()
-		th.state = stateDone
-		if err != nil {
-			th.err = err
-			ex.errs = append(ex.errs, err)
-		}
-		ex.reap.Broadcast()
-		ex.mu.Unlock()
-		return
-	}
 	th.state = stateDone
-	ex.readyRemove(th)
 	if err != nil {
 		th.err = err
 		ex.errs = append(ex.errs, err)
 	}
-	if ex.pooled {
-		// Declare this worker free (or retire it) before the token is
-		// handed on, so a successor thread starting right away reuses it
-		// instead of growing the pool.
-		ex.bodyFinished(th)
+	if ex.shutdown {
+		return
 	}
+	ex.readyRemove(th)
 	ex.dispatch(th)
 }
 
@@ -127,80 +96,36 @@ func (tc *TC) reschedule() {
 	}
 }
 
-// park blocks the calling thread goroutine until it is scheduled or
-// killed, and reports whether it was killed.
+// park suspends the calling thread's worker until the trampoline resumes
+// it, and reports whether it was killed meanwhile (or its worker stopped).
 func (th *Thread) park() (killed bool) {
-	ex := th.ex
-	ex.mu.Lock()
-	for !th.scheduled && !th.killed {
-		th.cond.Wait()
-	}
-	th.scheduled = false
-	killed = th.killed
-	ex.mu.Unlock()
-	return killed
+	return !th.co.yield(struct{}{}) || th.killed
 }
 
-// wake marks th scheduled and signals its goroutine.
-func (ex *Exec) wake(th *Thread) {
-	ex.mu.Lock()
-	th.scheduled = true
-	th.cond.Signal()
-	ex.mu.Unlock()
-}
-
-// parkMain blocks the Run goroutine until a thread ends the run.
-func (ex *Exec) parkMain() {
-	ex.mu.Lock()
-	for !ex.mainOn {
-		ex.main.Wait()
-	}
-	ex.mainOn = false
-	ex.mu.Unlock()
-}
-
-// wakeMain hands the token back to the Run goroutine.
-func (ex *Exec) wakeMain() {
-	ex.mu.Lock()
-	ex.mainOn = true
-	ex.main.Signal()
-	ex.mu.Unlock()
-}
-
-// handoff transfers the token from cur (nil for the Run goroutine) to next
-// and parks cur. A terminated or detached cur hands off without parking:
-// its goroutine is about to exit (or return to the pool). A thread whose
-// body has not started — a pooled thread before its first dispatch, or an
-// activation entity at a release — is handed to a pool worker (or a fresh
-// per-activation goroutine outside pooled mode) instead of woken: it has
-// no goroutine parked yet. It reports whether cur was killed while parked.
+// handoff makes next (nil when the run is over) the thread the trampoline
+// resumes, and suspends cur. cur is nil for the Run goroutine, which
+// returns to the trampoline instead. A terminated or detached cur does not
+// park: its body has returned, and its worker goes back to the pool. It
+// reports whether cur was killed while parked.
 func (ex *Exec) handoff(cur, next *Thread) (killed bool) {
-	ex.stats.ContextSwitches.Inc()
-	// Read our own state while we still hold the token: the instant next
-	// is woken (or handed to a pool worker) it may run kernel code that
-	// writes thread states concurrently with this goroutine's epilogue.
-	// (next may be cur itself — a detached activation re-released at the
-	// current instant — so capture before startThread clears the flag.)
-	curDone := cur != nil && (cur.state == stateDone || cur.detached)
-	if !next.started {
-		next.started = true
-		next.detached = false
-		if ex.pooled {
-			ex.startThread(next)
-		} else {
-			go next.runBody()
-		}
-	} else {
-		ex.wake(next)
-	}
-	if cur == nil {
-		ex.parkMain()
-		return false
-	}
-	if curDone {
+	ex.next = next
+	if cur == nil || cur.state == stateDone || cur.detached {
 		return false
 	}
 	return cur.park()
+}
+
+// resume runs th until it switches away: it continues th's suspended
+// body, or first binds th to a worker when its body has not started — a
+// thread's first dispatch, or an activation entity at a release. Only the
+// Run goroutine calls it.
+func (ex *Exec) resume(th *Thread) {
+	if th.co == nil {
+		th.detached = false
+		th.co = ex.getWorker()
+		th.co.th = th
+	}
+	th.co.resume()
 }
 
 // fireDueTimers pops and runs every timer due at or before now in
@@ -239,9 +164,8 @@ func (ex *Exec) pickReadyZeroCPU() *Thread {
 // Run advances virtual time until the horizon, or until the system
 // quiesces (no ready thread and no pending timer). It returns the first
 // thread body error, if any. Run seeds the scheduling loop in its own
-// goroutine; the loop then migrates between goroutines with the token, and
-// the Run goroutine parks until the horizon, quiescence or a livelock ends
-// the run.
+// goroutine and then trampolines: it resumes the thread the loop picked
+// until the horizon, quiescence or a livelock ends the run.
 func (ex *Exec) Run(until rtime.Time) error {
 	if ex.running {
 		return fmt.Errorf("exec: Run called re-entrantly")
@@ -254,6 +178,9 @@ func (ex *Exec) Run(until rtime.Time) error {
 	ex.lastNow = ex.now
 	ex.runErr = nil
 	ex.dispatch(nil)
+	for ex.next != nil {
+		ex.resume(ex.next)
+	}
 	ex.phase = phaseIdle
 	if ex.runErr != nil {
 		return ex.runErr
@@ -264,10 +191,10 @@ func (ex *Exec) Run(until rtime.Time) error {
 	return nil
 }
 
-// dispatch runs the scheduling loop inline in the calling goroutine (cur's
-// goroutine; cur == nil for the Run goroutine). It returns when cur's own
+// dispatch runs the scheduling loop inline in the calling context (cur's
+// body; cur == nil for the Run goroutine). It returns when cur's own
 // thread is picked to run user code, or — after handing the token off —
-// when cur is woken again. It reports whether cur was killed meanwhile.
+// when cur is resumed again. It reports whether cur was killed meanwhile.
 func (ex *Exec) dispatch(cur *Thread) (killed bool) {
 	for {
 		switch ex.phase {
@@ -317,6 +244,7 @@ func (ex *Exec) dispatch(cur *Thread) (killed bool) {
 			// A detached cur re-picked at the same instant is NOT a
 			// continuation: its body already returned, so the next
 			// activation needs a fresh dispatch via handoff.
+			ex.stats.ContextSwitches.Inc()
 			return ex.handoff(cur, th)
 		case phaseDraining:
 			// Zero-time work pending at the horizon instant: a consume that
@@ -334,51 +262,38 @@ func (ex *Exec) dispatch(cur *Thread) (killed bool) {
 			if th == cur && !cur.detached {
 				return false
 			}
+			ex.stats.ContextSwitches.Inc()
 			return ex.handoff(cur, th)
 		case phaseDone:
-			if cur == nil {
-				return false // Run goroutine: Run returns
-			}
-			// Read before the token moves; a detached cur must not park —
-			// its goroutine is leaving while the thread sleeps on.
-			curDone := cur.state == stateDone || cur.detached
-			ex.wakeMain()
-			if curDone {
-				return false // goroutine exits via finish
-			}
-			return cur.park() // resumes in a later Run (or unwinds on kill)
+			// The trampoline stops; a parked cur resumes in a later Run
+			// (or unwinds on kill).
+			return ex.handoff(cur, nil)
 		default:
 			panic("exec: kernel call outside Run")
 		}
 	}
 }
 
-// Shutdown unwinds every live thread goroutine. Call after Run to avoid
-// goroutine leaks when many executives are created (e.g. in benchmarks).
-// Each parked thread is killed and the reaper waits for its death before
-// moving on, so Shutdown returns with every goroutine gone.
+// Shutdown unwinds every thread body still in progress and stops every
+// worker. Call after Run to avoid goroutine leaks when many executives are
+// created (e.g. in benchmarks). Each suspended body is resumed with its
+// kill flag set and unwinds to its worker, so Shutdown returns with every
+// worker goroutine gone.
 func (ex *Exec) Shutdown() {
 	ex.shutdown = true
 	for _, th := range ex.threads {
 		if th.state == stateDone {
 			continue
 		}
-		if !th.started {
-			// No body in progress, so there is no goroutine to unwind: a
-			// pooled thread never dispatched, or an activation entity
-			// between releases.
+		if th.co == nil {
+			// No body in progress, so there is nothing to unwind: a
+			// thread never dispatched, or an activation entity between
+			// releases.
 			th.state = stateDone
 			continue
 		}
-		ex.mu.Lock()
 		th.killed = true
-		th.cond.Signal()
-		for th.state != stateDone {
-			ex.reap.Wait()
-		}
-		ex.mu.Unlock()
+		th.co.resume()
 	}
-	if ex.pooled {
-		ex.pool.close()
-	}
+	ex.pool.stopWorkers()
 }

@@ -1,204 +1,103 @@
 package exec
 
-import "sync"
+import "iter"
 
-// workerPool multiplexes thread bodies over a bounded set of goroutines
-// (Options.MaxGoroutines).
+// Workers: the coroutines thread bodies run on.
 //
-// Why a pool is possible at all: at any instant at most one thread
-// executes user code (even with several virtual CPUs, occupants take their
-// zero-time steps one at a time), and the scheduler hands a brand-new
-// thread to the pool only at that single point: the token owner's handoff.
-// A worker is therefore pinned only while "its" body is in progress
-// (running, or parked mid-body at a kernel call); when the body returns,
-// the worker is recycled for the next unstarted thread. For
-// run-to-completion workloads the number of bodies simultaneously in
-// progress — and hence the number of live workers — is bounded by the
-// preemption depth, not by the thread count.
+// A worker is a resident coroutine (iter.Pull) that runs thread bodies in
+// a loop. The Run goroutine is the trampoline that resumes workers (see
+// kernel_direct.go): the first time the scheduler picks a thread, Run
+// binds it to a free worker — or makes a new one when none is free — and
+// resumes it; when the body returns, the worker clears the binding, frees
+// itself and yields back to Run, ready for the next body. A worker is
+// therefore pinned only while "its" body is in progress (running, or
+// suspended mid-body at a kernel call). Since at any instant at most one
+// thread executes user code, the number of workers is bounded by the
+// peak number of bodies in progress at once — for run-to-completion
+// workloads the preemption depth, not the thread count. Creating a
+// coroutine costs about a dozen allocations, so workers are kept and
+// reused, never made per body.
 //
-// Worker accounting is race-free by construction: a finishing body calls
-// bodyFinished *before* the scheduling token moves on (before the
-// successor is woken or started), so when the scheduler next starts an
-// unstarted thread, the just-freed worker is already counted available and is reused
-// instead of spawning a fresh goroutine. The pool's peak size therefore
-// equals the true peak of concurrently in-progress bodies.
-//
-// Resident-size semantics: maxResident is the number of workers kept alive
-// once free. If a start arrives while every worker is pinned, a fresh
-// worker is spawned regardless of the cap (refusing would deadlock the
-// executive); a worker above the cap retires when its body finishes while
-// another worker is already available — if it is the only candidate to
-// serve an immediately following start, it is kept and reused instead
-// (burst workloads would otherwise retire a worker and respawn one a
-// moment later for every job). The pool therefore converges back to
-// maxResident as bodies finish, one retirement per finish, rather than
-// oscillating. All accounting happens at the two synchronous points
-// (startThread, bodyFinished) under the scheduling token, so pool sizes
-// are deterministic for a deterministic schedule.
-//
-// Fate plumbing: bodyFinished decides whether the finishing worker rejoins
-// the pool or retires, and records the verdict in the worker's own
-// workerFate struct (bound to the thread, under the pool mutex, for the
-// duration of one body). The fate cannot live on the Thread itself: an
-// activation entity's Thread is dispatched once per release, so a later
-// release's bodyFinished on another worker would race with this worker's
-// post-body read.
+// Resident-size semantics (Options.MaxGoroutines): with a positive cap,
+// cap is the number of workers kept once free. A start that finds no free
+// worker makes a new one regardless of the cap (refusing would deadlock
+// the executive). A worker above the cap retires when its body finishes
+// while another worker is already free; if it is the only free candidate
+// for an immediately following start, it is kept and reused instead
+// (burst workloads would otherwise retire a worker and make a new one a
+// moment later for every job). The pool therefore converges back to the
+// cap as bodies finish, one retirement per finish. Without a cap every
+// worker stays resident and the pool keeps no statistics. All of this
+// happens under the scheduling token, at the two points where a body
+// starts (getWorker) and ends (putWorker), so pool sizes are a pure
+// function of the schedule.
 type workerPool struct {
-	mu          sync.Mutex
-	cond        sync.Cond
-	queue       []*Thread // unstarted threads awaiting a worker; guarded by mu
-	avail       int       // workers free to take from the queue (idle or finishing up); guarded by mu
-	live        int       // all pool goroutines; guarded by mu
-	peak        int       // high-water mark of live; guarded by mu
-	spawned     int       // total goroutines ever created; guarded by mu
-	maxResident int       // set once by init, immutable afterwards
-	closed      bool      // guarded by mu
+	free    *worker // free workers, most recently freed first
+	cap     int     // Options.MaxGoroutines; 0 means no resident cap
+	live    int     // workers alive (capped pools only)
+	peak    int     // high-water mark of live
+	spawned int     // workers ever made (capped pools only)
 }
 
-func (p *workerPool) init(maxResident int) {
-	p.cond.L = &p.mu
-	p.maxResident = maxResident
+// worker is one resident coroutine. resume runs it until its body
+// suspends or ends; yield, captured inside the coroutine, suspends it.
+type worker struct {
+	th     *Thread // the body in progress, nil while free
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	next   *worker // free-list link
 }
 
-// peakWorkers returns the high-water mark of simultaneously live workers.
-func (p *workerPool) peakWorkers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peak
-}
-
-// spawnedWorkers returns the total number of worker goroutines ever
-// created.
-func (p *workerPool) spawnedWorkers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.spawned
-}
-
-// startThread hands th's body to a worker: an available one if any,
-// otherwise a freshly spawned goroutine.
-func (ex *Exec) startThread(th *Thread) {
+// getWorker returns a free worker, or makes one when none is free.
+func (ex *Exec) getWorker() *worker {
 	p := &ex.pool
-	p.mu.Lock()
-	p.queue = append(p.queue, th)
-	if ex.statsOn {
-		ex.stats.PoolQueueMax.Max(int64(len(p.queue)))
+	if w := p.free; w != nil {
+		p.free = w.next
+		w.next = nil
+		return w
 	}
-	if p.avail >= len(p.queue) {
-		p.cond.Signal()
-	} else {
+	if p.cap > 0 {
 		p.live++
-		p.avail++
 		p.spawned++
-		if p.live > p.peak {
-			p.peak = p.live
-		}
+		p.peak = max(p.peak, p.live)
 		ex.stats.PoolSpawns.Inc()
-		go ex.poolWorker()
 	}
-	p.mu.Unlock()
+	w := &worker{}
+	w.resume, w.stop = iter.Pull(func(yield func(struct{}) bool) {
+		w.yield = yield
+		for {
+			th := w.th
+			th.runBody()
+			th.co, w.th = nil, nil
+			if ex.putWorker(w) || !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return w
 }
 
-// workerFate is a pool worker's per-body verdict, written by bodyFinished
-// (on the worker's own goroutine) and read by the worker after the body
-// returns. Each dispatch gets a fresh zero value.
-type workerFate struct {
-	retire  bool // bodyFinished dropped this worker from live; exit now
-	counted bool // bodyFinished already counted this worker in avail
-}
-
-// bodyFinished records that th's body returned and its worker is about to
-// rejoin the pool — or retire, when the pool is over its resident size AND
-// another worker is already available to serve an immediately following
-// start. Keeping the only available worker (even over-cap) lets a burst's
-// next thread reuse it instead of spawning a replacement; the pool still
-// drains back to maxResident because each subsequent finish that does see
-// an available worker retires one. Must be called in the worker's
-// goroutine before the scheduling token is handed on (see the package
-// comment for why that makes reuse race-free).
-func (ex *Exec) bodyFinished(th *Thread) {
+// putWorker frees w after its body returned, or retires it when the pool
+// is over its cap and another worker is already free. It reports whether
+// w retired.
+func (ex *Exec) putWorker(w *worker) (retire bool) {
 	p := &ex.pool
-	p.mu.Lock()
-	w := th.worker
-	if p.live > p.maxResident && p.avail > 0 {
+	if p.cap > 0 && p.live > p.cap && p.free != nil {
 		p.live--
-		w.retire = true
 		ex.stats.PoolRetires.Inc()
-		p.cond.Broadcast() // close() waits on live==0
-	} else {
-		p.avail++
-		w.counted = true
+		return true
 	}
-	p.mu.Unlock()
+	w.next = p.free
+	p.free = w
+	return false
 }
 
-// close retires every worker and waits for them to exit, so Shutdown
-// leaves no goroutines behind. Must be called after Shutdown has unwound
-// all started thread bodies.
-func (p *workerPool) close() {
-	p.mu.Lock()
-	p.closed = true
-	p.cond.Broadcast()
-	for p.live > 0 {
-		p.cond.Wait()
+// stopWorkers ends every free worker's coroutine. Shutdown calls it once
+// every body has unwound, when every remaining worker is free.
+func (p *workerPool) stopWorkers() {
+	for w := p.free; w != nil; w = w.next {
+		w.stop()
 	}
-	p.mu.Unlock()
-}
-
-// poolWorker runs thread bodies until the pool closes or the worker is
-// retired as over-cap. counted tracks whether this worker is currently
-// included in p.avail. Each body dispatch binds a fresh fate struct to the
-// thread (under the pool mutex); a body that never reaches bodyFinished —
-// a thread killed during shutdown — leaves the zero fate, which makes the
-// worker re-count itself and then observe the closed pool.
-func (ex *Exec) poolWorker() {
-	p := &ex.pool
-	counted := true // startThread counted the spawn in avail
-	// One fate struct per worker, reset and re-bound per dispatch: only
-	// the worker currently running a body (and bodyFinished on its
-	// goroutine) touches it, so reuse is race-free and keeps the dispatch
-	// path allocation-free.
-	var fate workerFate
-	for {
-		p.mu.Lock()
-		if !counted {
-			p.avail++
-			counted = true
-		}
-		for len(p.queue) == 0 && !p.closed {
-			p.cond.Wait()
-		}
-		if len(p.queue) == 0 {
-			p.avail--
-			p.live--
-			p.cond.Broadcast()
-			p.mu.Unlock()
-			return
-		}
-		// Pop the front in place so startThread's append keeps reusing
-		// the backing array (the queue is rarely more than one deep).
-		th := p.queue[0]
-		n := copy(p.queue, p.queue[1:])
-		p.queue[n] = nil
-		p.queue = p.queue[:n]
-		p.avail--
-		if len(p.queue) > 0 && p.avail > 0 {
-			// Propagate the wakeup: with more queued starts and more
-			// available workers, one Signal per enqueue is not enough once
-			// the queue runs deeper than one (a woken worker may consume a
-			// signal meant for a start that arrived while it was waking).
-			p.cond.Signal()
-		}
-		fate = workerFate{}
-		th.worker = &fate
-		p.mu.Unlock()
-		counted = false
-
-		th.runBody()
-
-		if fate.retire {
-			return // bodyFinished already dropped it from live
-		}
-		counted = fate.counted
-	}
+	p.free = nil
 }

@@ -157,11 +157,8 @@ func TestPooledRetireConvergesToCap(t *testing.T) {
 		t.Errorf("pool peak = %d, want 6", peak)
 	}
 	// All bodies finished; the pool must have shed its over-cap workers.
-	p := &ex.pool
-	p.mu.Lock()
-	live := p.live
-	p.mu.Unlock()
-	if live > 2 {
+	// Run has returned, so the pool is quiescent and safe to read.
+	if live := ex.pool.live; live > 2 {
 		t.Errorf("pool kept %d live workers after quiescence, cap is 2", live)
 	}
 	ex.Shutdown()

@@ -105,14 +105,10 @@ func (th *Thread) Migrations() int { return th.migrations }
 // Clustered migration policies; the Global policy records it but
 // schedules from one shared queue regardless.
 func (ex *Exec) SpawnOn(name string, prio int, startAt rtime.Time, cpu int, body func(tc *TC)) *Thread {
+	// The body is bound to a worker lazily, the first time the scheduler
+	// actually runs the thread (see resume); threads that never run never
+	// cost a worker.
 	th := ex.newThread(name, prio, cpu, body)
-	// In pooled mode the body is handed to a pool worker lazily, the first
-	// time the scheduler actually runs the thread (see handoff); threads
-	// that never run never cost a goroutine.
-	if !ex.pooled {
-		th.started = true
-		go th.run()
-	}
 	ex.scheduleFirstRelease(th, startAt)
 	return th
 }

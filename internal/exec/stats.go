@@ -31,8 +31,6 @@ type Stats struct {
 	PoolSpawns *obs.Counter
 	// PoolRetires counts pool workers retired after a body finished.
 	PoolRetires *obs.Counter
-	// PoolQueueMax is the high-water mark of the pool's pending-start queue.
-	PoolQueueMax *obs.Gauge
 	// Dispatches counts periodic activation releases that reached a body.
 	Dispatches *obs.Counter
 	// Misses counts deadline overruns handled by the rearm path (skipped
@@ -52,7 +50,6 @@ func NewStats(r *obs.Registry) *Stats {
 		ReadyMax:        r.Gauge("exec.ready_max"),
 		PoolSpawns:      r.Counter("exec.pool_spawns"),
 		PoolRetires:     r.Counter("exec.pool_retires"),
-		PoolQueueMax:    r.Gauge("exec.pool_queue_max"),
 		Dispatches:      r.Counter("exec.dispatches"),
 		Misses:          r.Counter("exec.misses"),
 	}

@@ -80,9 +80,12 @@ func (t Timer) Cancel() {
 	}
 }
 
-// timerChunk caps the number of nodes allocated at once when the free
-// list runs dry.
-const timerChunk = 256
+// Node chunks: the first holds timerFirstChunk nodes; each later one as
+// many as are already allocated, at most timerChunk.
+const (
+	timerFirstChunk = 32
+	timerChunk      = 256
+)
 
 // At schedules fn to run in kernel context at instant at (clamped to now).
 // Kernel functions must be tiny (wake a thread, set a flag); anything that
@@ -113,18 +116,31 @@ func (ex *Exec) arm(at rtime.Time, kind timerKind, th *Thread, fn func()) Timer 
 	return Timer{node: n, seq: n.seq}
 }
 
-// growTimers refills the empty free list with a chunk of fresh nodes — as
-// many as are already allocated, at least one and at most timerChunk — so
-// a large executive allocates its nodes in a few blocks and a small one
-// stays small.
+// growTimers refills the empty free list with a chunk of fresh nodes (see
+// chunkSize), so a large executive allocates its nodes in a few blocks and
+// a small one in one. The first growth also sizes the timer heap to that
+// chunk, since the heap never holds more keys than there are nodes.
 func (ex *Exec) growTimers() {
-	size := min(max(ex.timerNodes, 1), timerChunk)
+	size := chunkSize(ex.timerNodes, timerFirstChunk)
+	if ex.timerNodes == 0 {
+		ex.theap.a = make([]timerKey, 0, size)
+	}
 	ex.timerNodes += size
 	chunk := make([]timerNode, size)
 	for i := range chunk[:size-1] {
 		chunk[i].next = &chunk[i+1]
 	}
 	ex.freeTimers = &chunk[0]
+}
+
+// chunkSize is the growth policy of the executive's chunked allocations:
+// first elements at first, then as many as are already allocated, at most
+// timerChunk.
+func chunkSize(allocated, first int) int {
+	if allocated == 0 {
+		return first
+	}
+	return min(allocated, timerChunk)
 }
 
 // freeTimer returns a node whose key has left the queue to the free list.
