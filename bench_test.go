@@ -287,7 +287,7 @@ func BenchmarkEngineExecThroughput(b *testing.B) {
 // no sim engine, no RTSJ emulation — on a mixed workload: eight periodic
 // consume/sleep threads at staggered priorities (mostly batched inline by
 // the direct kernel) plus a notify ping-pong pair that forces a real
-// parked-goroutine handoff per event. The events/s metric isolates the
+// coroutine switch per event. The events/s metric isolates the
 // kernel-loop win from the engine numbers.
 func BenchmarkExecThroughput(b *testing.B) {
 	b.ReportAllocs()
@@ -339,10 +339,10 @@ func BenchmarkExecThroughput(b *testing.B) {
 
 // BenchmarkExecLargeN runs the large-N stress scenario — 10k one-shot
 // sporadic job threads plus periodic background load — on the pooled
-// executive (MaxGoroutines bounds the OS-level goroutine count by the
-// preemption depth, not the thread count). This is the workload the pool
-// opens up: per-thread goroutine mode pays a spawn+park per job, the pool
-// recycles a handful of workers.
+// executive: each job's body starts on a free resident coroutine worker,
+// so the whole flood runs on a handful of workers (the preemption depth,
+// not the thread count), and threads are carved out of chunks rather than
+// allocated one by one.
 func BenchmarkExecLargeN(b *testing.B) {
 	p := experiments.DefaultStressParams()
 	b.ReportAllocs()
@@ -460,9 +460,9 @@ func BenchmarkExecSMPUniprocessor(b *testing.B) {
 // BenchmarkExecContextSwitch measures one batched same-thread step: a
 // single spinner consumes one unit per op, so the direct kernel's
 // scheduling loop picks the running thread again and returns inline, with
-// no park and no wake. Despite the name it never switches goroutines; it
-// is the floor under a scheduling decision. BenchmarkExecHandoff measures
-// a real context switch.
+// no coroutine yield and no resume. Despite the name it never switches
+// threads; it is the floor under a scheduling decision.
+// BenchmarkExecHandoff measures a real context switch.
 func BenchmarkExecContextSwitch(b *testing.B) {
 	b.ReportAllocs()
 	ex := exec.New(trace.New())
@@ -487,9 +487,10 @@ func BenchmarkExecContextSwitch(b *testing.B) {
 // BenchmarkExecHandoff measures one real context switch: two
 // equal-priority threads take turns, each consuming one unit and then
 // sleeping until its next turn two units later. Every op is one step
-// that ends in a SleepUntil, so the sleeping thread's goroutine parks and
-// the other thread's goroutine is woken — a park/wake handoff per op, plus
-// one sleep timer armed and fired.
+// that ends in a SleepUntil, so the sleeping thread's worker yields to the
+// Run trampoline and the trampoline resumes the other thread's worker —
+// one coroutine yield plus one resume per op, plus one sleep timer armed
+// and fired.
 func BenchmarkExecHandoff(b *testing.B) {
 	b.ReportAllocs()
 	ex := exec.New(nil)

@@ -26,8 +26,8 @@
 // the run executes. All three are observational: the summary lines and
 // the fingerprint are identical with or without them.
 //
-// With -maxgoroutines 0 the executive falls back to one goroutine per
-// thread (the default outside this command), which is useful to compare
+// With -maxgoroutines 0 the executive keeps every worker it makes resident
+// (no cap, the default outside this command), which is useful to compare
 // footprints; the schedule is identical either way. -activation runs the
 // periodic entities (steady scenario) or background threads (sporadic
 // scenario) on the activation path; -activation=false compares against
@@ -63,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	scenario := fs.String("scenario", "sporadic", "workload: sporadic (one-shot jobs) or steady (periodic entities)")
 	n := fs.Int("n", 0, "job count (sporadic) or entity count (steady); 0 = scenario default")
-	maxg := fs.Int("maxgoroutines", def.MaxGoroutines, "pool size; 0 = one goroutine per thread")
+	maxg := fs.Int("maxgoroutines", def.MaxGoroutines, "resident worker cap; 0 = no cap")
 	activation := fs.Bool("activation", true, "periodic entities use activation dispatch (no goroutine between releases)")
 	background := fs.Int("background", def.Background, "periodic background threads (sporadic scenario)")
 	bands := fs.Int("bands", def.PriorityBands, "priority bands for the sporadic jobs")

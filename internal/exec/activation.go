@@ -8,11 +8,10 @@ import (
 
 // This file is the activation-driven periodic dispatch path.
 //
-// A thread spawned with SpawnPeriodic has no long-lived body goroutine:
-// instead of a loop that parks on "work; WaitForNextPeriod()", the kernel
-// dispatches the body once per release — on a pool worker in pooled mode
-// (Options.MaxGoroutines > 0), or on a short-lived goroutine otherwise —
-// and the body RETURNING is the release boundary. The kernel then rearms
+// A thread spawned with SpawnPeriodic has no long-lived body: instead of a
+// loop that parks on "work; WaitForNextPeriod()", the kernel dispatches
+// the body once per release on a free worker (pool.go), and the body
+// RETURNING is the release boundary. The kernel then rearms
 // the entity: it advances the release instant by one period, skips (and
 // counts, see Thread.MissedActivations) any releases the body overran
 // past, and puts the entity to sleep exactly as a per-thread loop's
@@ -23,8 +22,9 @@ import (
 // activation entity is trace-for-trace identical to the equivalent looping
 // thread on every executive configuration (pinned by TestActivationDiff*).
 // What changes is the resource cost: between releases the entity owns no
-// goroutine at all, so a system of tens of thousands of periodic entities
-// holds its goroutine count at the pool size instead of one per entity.
+// worker at all, so a system of tens of thousands of periodic entities
+// holds its worker count at the peak number of releases in progress
+// instead of one per entity.
 
 // ActivationSpec describes an activation-driven periodic entity for
 // SpawnPeriodic: first release at Start (clamped to now), then one body
@@ -49,12 +49,11 @@ type ActivationSpec struct {
 }
 
 // SpawnPeriodic creates an activation-driven periodic entity: body runs
-// once per release, on a pool worker (Options.MaxGoroutines > 0) or a
-// per-activation goroutine otherwise, and returning from body ends the
+// once per release on a free worker, and returning from body ends the
 // activation — the kernel rearms the entity for its next release,
 // skipping (and counting) releases the body overran past. The schedule is
 // identical to a Spawn'ed thread looping "body; sleep-until-next-release",
-// but the entity pins no goroutine between releases.
+// but the entity pins no worker between releases.
 //
 // A body that panics terminates the entity (no further releases), exactly
 // as a panic would unwind a per-thread periodic loop.
@@ -83,8 +82,8 @@ func (ex *Exec) SpawnPeriodicOn(name string, prio, cpu int, spec ActivationSpec,
 		th.prio = th.dynPrio(startAt)
 		th.boost = th.prio
 	}
-	// Unlike Spawn, no goroutine is created even outside pooled mode: the
-	// body is dispatched lazily at each release (see handoff).
+	// As with Spawn, the body is bound to a worker lazily, here at each
+	// release (see resume).
 	ex.scheduleFirstRelease(th, startAt)
 	return th
 }

@@ -1,15 +1,17 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"rtsj/internal/rtime"
 )
 
 // The executive's steady state allocates nothing: once warm, a release,
-// a sleep/wake step or a budgeted section reuses the thread's embedded
-// context, the pool queue's array and recycled timer nodes. These tests
-// pin that with testing.AllocsPerRun, one Run step per measured call.
+// a sleep/wake step, a context switch or a budgeted section reuses the
+// thread's embedded context, resident workers and recycled timer nodes.
+// These tests pin that with testing.AllocsPerRun, one Run step per
+// measured call.
 
 // assertNoAllocs runs step until warm and then requires it to allocate
 // nothing on average. The race detector allocates on its own account, and
@@ -61,7 +63,53 @@ func TestAllocsPooledActivationRelease(t *testing.T) {
 	}
 }
 
-// TestAllocsThreadSleepWake: one step of a goroutine-per-thread loop —
+// TestAllocsPerThreadActivationRelease: one release of an activation
+// entity without a resident cap — the body runs on the worker the
+// previous release freed, not on a fresh goroutine.
+func TestAllocsPerThreadActivationRelease(t *testing.T) {
+	ex := NewWithOptions(nil, Options{MaxGoroutines: 0})
+	defer ex.Shutdown()
+	runs := 0
+	ex.SpawnPeriodic("p", 1, ActivationSpec{Period: tu(2)}, func(tc *TC) {
+		tc.Consume(tu(1))
+		runs++
+	})
+	run := runStepper(t, ex, tu(2))
+	steps := 0
+	assertNoAllocs(t, func() { run(); steps++ })
+	if runs != steps {
+		t.Fatalf("%d releases in %d steps, want one per step", runs, steps)
+	}
+}
+
+// TestAllocsTwoThreadSwitch: one real context switch per step — two
+// equal-priority threads take turns, each consuming one unit and then
+// sleeping until its next turn two units later, so every step suspends
+// one body and resumes the other.
+func TestAllocsTwoThreadSwitch(t *testing.T) {
+	ex := New(nil)
+	defer ex.Shutdown()
+	steps := 0
+	for i := 0; i < 2; i++ {
+		next := at(float64(i))
+		ex.Spawn(fmt.Sprintf("t%d", i), 1, next, func(tc *TC) {
+			for {
+				tc.Consume(tu(1))
+				steps++
+				next = next.Add(tu(2))
+				tc.SleepUntil(next)
+			}
+		})
+	}
+	run := runStepper(t, ex, tu(1))
+	calls := 0
+	assertNoAllocs(t, func() { run(); calls++ })
+	if steps != calls {
+		t.Fatalf("%d turns in %d steps, want one per step", steps, calls)
+	}
+}
+
+// TestAllocsThreadSleepWake: one step of an uncapped looping thread —
 // consume, then sleep until the next period through a wake timer.
 func TestAllocsThreadSleepWake(t *testing.T) {
 	ex := New(nil)

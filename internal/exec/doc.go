@@ -1,5 +1,5 @@
-// Package exec is a deterministic virtual-time executive: it runs goroutines
-// as preemptive fixed-priority threads over a simulated clock.
+// Package exec is a deterministic virtual-time executive: it runs thread
+// bodies as preemptive fixed-priority threads over a simulated clock.
 //
 // This is the substrate that replaces the paper's execution platform (the
 // RTSJ reference implementation on a real-time Linux kernel). Go's garbage
@@ -12,24 +12,28 @@
 // interruption of a budgeted section (Timed/AIE), wall-clock capacity
 // accounting — is reproduced exactly and deterministically.
 //
-// Mechanics: thread bodies are goroutines, but exactly one runs at a time;
-// code between kernel calls executes in zero virtual time, and virtual time
-// only advances while a thread is inside Consume or the processor is idle.
+// Mechanics: thread bodies run on coroutines, but exactly one runs at a
+// time; code between kernel calls executes in zero virtual time, and
+// virtual time only advances while a thread is inside Consume or the
+// processor is idle.
 //
 // # The kernel
 //
-// The scheduling loop runs inline in whichever goroutine currently holds
-// the virtual CPU (kernel_direct.go), so consecutive same-thread
-// Consume/advance/sleep steps never leave the goroutine, and a real
-// parked-goroutine handoff (mutex + condition variable, one futex wake per
-// switch) happens only when a *different* thread must run. The ready
-// queues and the timer queue are binary heaps. Use New for the defaults
-// and NewWithOptions for full configuration.
+// Every thread body runs on a resident coroutine worker (iter.Pull), and
+// the scheduling loop runs inline in whichever body currently holds the
+// virtual CPU (kernel_direct.go), so consecutive same-thread
+// Consume/advance/sleep steps never leave the body's coroutine. Only when
+// a *different* thread must run does the body yield to the goroutine that
+// called Run, a trampoline that resumes the chosen thread's worker: a
+// real context switch is one coroutine yield plus one resume, and never
+// passes through the Go scheduler. The ready queues and the timer queue
+// are binary heaps. Use New for the defaults and NewWithOptions for full
+// configuration.
 //
 // Determinism is checked two ways. The differential tests run every
-// scenario on every configuration (goroutine-per-thread, pooled,
-// activation, one-CPU SMP) and compare the schedules segment by segment
-// against the goroutine-per-thread run; and that reference run must match
+// scenario on every configuration (uncapped, pooled, activation, one-CPU
+// SMP) and compare the schedules segment by segment against the uncapped
+// run; and that reference run must match
 // a committed trace fingerprint (trace.Trace.Fingerprint), so a change to
 // any schedule fails a test even when every configuration changes alike.
 //
@@ -47,10 +51,10 @@
 // scheduling-token holder, and a node is recycled only after its key has
 // left the queue.
 //
-// With the thread context and the park condition variable embedded in
-// Thread, and the pool queue reusing its array, the warm executive
-// allocates nothing per release or per kernel call; the allocation tests
-// in alloc_test.go pin that contract.
+// With the thread context embedded in Thread and bodies started on
+// resident workers that are reused, never made per body, the warm
+// executive allocates nothing per release, per kernel call or per context
+// switch; the allocation tests in alloc_test.go pin that contract.
 //
 // # Trace recording
 //
@@ -61,11 +65,13 @@
 //
 // # Pooled workers
 //
-// Options.MaxGoroutines multiplexes
-// thread bodies over a bounded pool of worker goroutines (pool.go) instead
-// of dedicating one goroutine per thread, so a system with tens of
-// thousands of mostly run-to-completion threads needs only a handful of
-// OS-level goroutines. Scheduling decisions are identical in both modes.
+// Bodies start lazily on free workers (pool.go): a thread binds a worker
+// the first time it is scheduled and frees it when its body returns, so
+// the number of workers is the peak number of bodies in progress at once,
+// not the thread count. Options.MaxGoroutines caps how many free workers
+// stay resident: workers made above the cap retire as bodies finish. Zero
+// keeps every worker resident. Scheduling decisions are identical either
+// way.
 //
 // # Activation-driven periodic entities
 //
@@ -74,20 +80,20 @@
 // sleep between releases. The body returning is the release boundary:
 // overruns skip (and count) missed releases, exactly like the RTSJ's
 // WaitForNextPeriod without a miss handler. Between releases the entity
-// owns no goroutine at all, which matters for periodic-heavy workloads:
-// looping bodies pin one goroutine (or pool worker) per entity for the
-// whole run, while activations hold the goroutine count at the pool size.
-// Schedules are identical in both formulations.
+// owns no worker at all, which matters for periodic-heavy workloads:
+// looping bodies pin one worker per entity for the whole run, while
+// activations hold the worker count at the peak number of releases in
+// progress. Schedules are identical in both formulations.
 //
 // # Choosing a configuration
 //
-//   - Default (one goroutine per thread): small systems, simplest
-//     debugging — every thread is a parked goroutine with a full stack.
+//   - Default (no resident cap): small systems and short-lived
+//     executives — every worker made stays resident until Shutdown.
 //   - Pooled (Options.MaxGoroutines > 0): many mostly run-to-completion
-//     threads (sporadic job floods); goroutine count bounded by preemption
-//     depth.
-//   - Pooled + SpawnPeriodic for periodic load: many long-running periodic
-//     entities; removes the last per-entity goroutine.
+//     threads (sporadic job floods); workers beyond the cap retire once
+//     the preemption depth falls again.
+//   - SpawnPeriodic for periodic load: many long-running periodic
+//     entities; removes the last per-entity worker.
 //
 // Every configuration is differential-tested to produce identical
 // schedules, so the choice is purely a resource/performance trade.

@@ -7,21 +7,21 @@ import (
 
 // Options configures an executive beyond the sink it records into.
 type Options struct {
-	// MaxGoroutines, when positive, multiplexes thread bodies over a
-	// bounded pool of worker goroutines instead of one goroutine per
-	// thread: a thread's goroutine is materialized lazily the first time
-	// the scheduler runs it, and when its body returns the worker is
-	// recycled for other bodies. MaxGoroutines is the pool's resident
-	// size: workers beyond it retire as bodies finish, one per finish,
-	// unless the finishing worker is the only one available to serve an
-	// immediately following start (then it is reused instead). The
-	// pool can transiently exceed the cap when more than MaxGoroutines
+	// MaxGoroutines, when positive, caps how many coroutine workers the
+	// executive keeps resident. Thread bodies always run on workers: a
+	// thread binds a free worker lazily the first time the scheduler runs
+	// it, and when its body returns the worker is recycled for other
+	// bodies. With a cap, workers beyond it retire as bodies finish, one
+	// per finish, unless the finishing worker is the only one available to
+	// serve an immediately following start (then it is reused instead).
+	// The pool can transiently exceed the cap when more than MaxGoroutines
 	// bodies are suspended mid-execution at once (each suspended body pins
 	// its worker's stack) — the bound that holds is the peak number of
 	// concurrently in-progress bodies, which for run-to-completion
 	// workloads is tiny regardless of the thread count. Zero (the default)
-	// keeps the goroutine-per-thread mode. Scheduling is identical either
-	// way, enforced by the differential tests.
+	// means no resident cap: every worker made stays until Shutdown.
+	// Scheduling is identical either way, enforced by the differential
+	// tests.
 	MaxGoroutines int
 	// CPUs is the number of virtual CPUs the executive schedules (see
 	// smp.go). Zero and one are the uniprocessor: the same code path with
@@ -374,8 +374,8 @@ func (ex *Exec) scheduleFirstRelease(th *Thread, startAt rtime.Time) {
 	}
 }
 
-// Spawn creates a thread that becomes ready at startAt. The body runs in its
-// own goroutine but under the executive's scheduling discipline. SpawnOn is
+// Spawn creates a thread that becomes ready at startAt. The body runs on a
+// coroutine worker under the executive's scheduling discipline. SpawnOn is
 // the same with an explicit CPU affinity.
 func (ex *Exec) Spawn(name string, prio int, startAt rtime.Time, body func(tc *TC)) *Thread {
 	return ex.SpawnOn(name, prio, startAt, -1, body)

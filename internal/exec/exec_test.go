@@ -292,6 +292,76 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	}
 }
 
+// TestRunAndShutdownAcrossGoroutines pins the trampoline's calling
+// contract: Run and Shutdown may be called from different goroutines, one
+// call at a time. Three goroutines make one call each, each starting after
+// the previous one returned — Run to 5, Run to 10 with bodies suspended
+// mid-consume, then Shutdown — and the schedule must equal the
+// single-goroutine run, with every worker gone afterwards.
+func TestRunAndShutdownAcrossGoroutines(t *testing.T) {
+	build := func(opts Options) (*Exec, *Thread) {
+		ex := NewWithOptions(trace.New(), opts)
+		q := NewWaitQueue("q")
+		long := ex.Spawn("long", 1, 0, func(tc *TC) {
+			tc.Consume(tu(12))
+			tc.NotifyAll(q)
+		})
+		ex.Spawn("tick", 3, 0, func(tc *TC) {
+			for {
+				tc.Consume(tu(1))
+				tc.Sleep(tu(2))
+			}
+		})
+		ex.Spawn("waiter", 2, 0, func(tc *TC) {
+			tc.Wait(q)
+			tc.Consume(tu(1))
+		})
+		ex.SpawnPeriodic("act", 4, ActivationSpec{Period: tu(4)}, func(tc *TC) {
+			tc.Consume(tu(0.5))
+		})
+		return ex, long
+	}
+	for _, cfg := range diffConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			ref, _ := build(cfg.opts)
+			for _, h := range []float64{5, 10} {
+				if err := ref.Run(at(h)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ref.Shutdown()
+
+			before := runtime.NumGoroutine()
+			ex, long := build(cfg.opts)
+			call := func(f func() error) {
+				done := make(chan error)
+				go func() { done <- f() }()
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+			call(func() error { return ex.Run(at(5)) })
+			if long.co == nil || long.needCPU <= 0 {
+				t.Fatal("no body suspended mid-consume at the first horizon")
+			}
+			call(func() error { return ex.Run(at(10)) })
+			call(func() error { ex.Shutdown(); return nil })
+
+			if got, want := ex.Trace().Fingerprint(), ref.Trace().Fingerprint(); got != want {
+				t.Errorf("cross-goroutine schedule %#x, single-goroutine %#x", got, want)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before+3 && time.Now().Before(deadline) {
+				runtime.Gosched()
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before+5 {
+				t.Errorf("goroutines leaked: before=%d after=%d", before, after)
+			}
+		})
+	}
+}
+
 func TestDeterministicTraces(t *testing.T) {
 	build := func() *trace.Trace {
 		ex := New(trace.New())

@@ -31,8 +31,8 @@ import (
 // timer or the horizon, and drains zero-CPU threads at the horizon. Every
 // decision depends only on virtual time and the executive's sequence
 // counter, never on goroutine timing, so the schedule — segments,
-// timestamps, events — is the same in goroutine-per-thread and pooled mode
-// and from run to run. The ready queues and the timer queue are binary
+// timestamps, events — is the same with and without a resident cap and
+// from run to run. The ready queues and the timer queue are binary
 // heaps (heap.go); with one CPU the assignment degenerates to "the heap
 // top runs".
 

@@ -25,8 +25,8 @@ import (
 // Token and handoff. Virtual time is global, so zero-time steps (user code
 // between kernel calls) still serialize under the single scheduling token
 // — the per-CPU structure is the occupancy vector (cpuRun) plus each
-// occupant's own park/wake condition variable, which is the PR-2
-// mutex+cond protocol instantiated once per running thread. When several
+// occupant's own suspended worker, resumed by the same trampoline as on
+// the uniprocessor. When several
 // occupants are due a zero-time step at one instant they step in ascending
 // CPU index order, which makes the schedule a pure function of the spec:
 // the full tie-break order is (instant, CPU index, effective priority,

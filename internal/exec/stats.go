@@ -14,7 +14,7 @@ import "rtsj/internal/obs"
 // rtlint's nondeterm analyzer enforces that reads stay out of the
 // deterministic packages.
 type Stats struct {
-	// ContextSwitches counts real control transfers between goroutines
+	// ContextSwitches counts real control transfers between threads
 	// (handoffs of the scheduling token).
 	ContextSwitches *obs.Counter
 	// Preemptions counts threads displaced from a CPU while still ready
@@ -27,7 +27,7 @@ type Stats struct {
 	TimerHeapMax *obs.Gauge
 	// ReadyMax is the high-water mark across the per-domain ready queues.
 	ReadyMax *obs.Gauge
-	// PoolSpawns counts worker goroutines created by the pooled mode.
+	// PoolSpawns counts coroutine workers created by the pooled mode.
 	PoolSpawns *obs.Counter
 	// PoolRetires counts pool workers retired after a body finished.
 	PoolRetires *obs.Counter

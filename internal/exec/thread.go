@@ -7,7 +7,7 @@ import (
 )
 
 // TC is the thread context handed to a thread body. All methods must be
-// called from that thread's goroutine only; the executive serializes thread
+// called from that thread's body only; the executive serializes thread
 // execution, so no further synchronization is needed.
 type TC struct {
 	th *Thread

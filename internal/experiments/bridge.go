@@ -37,9 +37,8 @@ type ExecModel struct {
 	// NoiseSeed and SysIndex derive the deterministic per-event u.
 	NoiseSeed int64
 	SysIndex  int // system index within its set, for noise derivation
-	// MaxGoroutines > 0 multiplexes executive thread bodies over a bounded
-	// worker pool (exec.Options.MaxGoroutines) instead of one goroutine
-	// per thread. Zero keeps the default goroutine-per-thread mode.
+	// MaxGoroutines > 0 caps the executive's resident workers
+	// (exec.Options.MaxGoroutines). Zero keeps the default: no cap.
 	MaxGoroutines int
 	// PeriodicActivation lowers the workload's periodic threads onto the
 	// executive's activation-driven dispatch path

@@ -65,7 +65,7 @@ type OverloadParams struct {
 	PeriodicMiss exec.MissPolicy
 	// MaxGoroutines and PeriodicActivation configure the executive,
 	// exactly as in ExecModel.
-	MaxGoroutines      int  // pooled-worker cap; 0 runs a goroutine per thread
+	MaxGoroutines      int  // pooled-worker cap; 0 keeps every worker resident
 	PeriodicActivation bool // activation-driven periodic dispatch
 }
 

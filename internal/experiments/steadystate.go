@@ -33,7 +33,7 @@ type SteadyStateParams struct {
 	// Seed drives period classes and offsets.
 	Seed uint64
 	// MaxGoroutines configures the executive: the pooled-worker cap, or 0
-	// for a goroutine per thread.
+	// for no cap.
 	MaxGoroutines int
 	// Activation selects the activation dispatch path (SpawnPeriodic); the
 	// default false runs classic parked loops for comparison.

@@ -9,14 +9,14 @@ import (
 	"rtsj/internal/trace"
 )
 
-// Large-N stress scenario: the workload the pooled executive
-// (exec.Options.MaxGoroutines) opens up. Thousands to tens of thousands of
-// one-shot sporadic job threads — each released once, consuming a short
-// burst of CPU to completion — arrive on top of a small set of periodic
-// background threads. In goroutine-per-thread mode such a system costs one
-// OS-level goroutine per job; pooled, the goroutine count is bounded by the
-// preemption depth (roughly the number of priority bands) because each
-// worker is recycled as soon as its job completes.
+// Large-N stress scenario: the workload the executive's worker pool
+// (exec.Options.MaxGoroutines) is sized for. Thousands to tens of
+// thousands of one-shot sporadic job threads — each released once,
+// consuming a short burst of CPU to completion — arrive on top of a small
+// set of periodic background threads. The worker count is bounded by the
+// preemption depth (roughly the number of priority bands), not the job
+// count, because each worker is recycled as soon as its job completes;
+// the cap retires the workers a burst made beyond it.
 
 // StressParams configures the scenario generator. Everything is derived
 // deterministically from Seed, so two runs (on any executive
@@ -33,7 +33,7 @@ type StressParams struct {
 	// Seed drives release times, costs and priorities.
 	Seed uint64
 	// MaxGoroutines configures the executive: the pooled-worker cap, or 0
-	// for a goroutine per thread.
+	// for no cap.
 	MaxGoroutines int
 	// PeriodicActivation runs the background threads on the activation
 	// dispatch path (exec.SpawnPeriodic) instead of parked loops: same
