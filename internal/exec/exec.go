@@ -107,17 +107,14 @@ type Thread struct {
 
 	// Activation-driven periodic state (SpawnPeriodic): the release period,
 	// the current/next release instant, the overrun miss policy and its
-	// skip/abort counts, the optional per-release dynamic priority hook
-	// (ActivationSpec.Priority), and the detach flag raised while a
-	// finished body's worker leaves the scheduling loop (its thread lives
-	// on, so handoff must not park it).
+	// skip/abort counts, and the optional per-release dynamic priority
+	// hook (ActivationSpec.Priority).
 	periodic   bool
 	period     rtime.Duration
 	nextRel    rtime.Time
 	missPolicy MissPolicy
 	missed     int
 	aborted    int
-	detached   bool
 	dynPrio    func(release rtime.Time) int
 
 	// SMP state (kernel/token-owned, like the scheduling state above):

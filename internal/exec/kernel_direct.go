@@ -39,7 +39,10 @@ import (
 // runBody executes the body with the executive's panic discipline and
 // finishes the thread — or, for an activation entity that completed
 // normally, ends the activation instead. A worker runs it once the
-// scheduler has picked the thread, so there is no initial park.
+// scheduler has picked the thread, so there is no initial park. Once the
+// body has returned the thread has no worker (th.co is nil): the kernel
+// neither continues nor parks it, and its next dispatch — an activation
+// entity's next release — binds a worker afresh.
 func (th *Thread) runBody() {
 	var err error
 	func() {
@@ -52,6 +55,7 @@ func (th *Thread) runBody() {
 		}()
 		th.callBody()
 	}()
+	th.co = nil
 	if th.periodic && err == nil && !th.ex.shutdown {
 		th.endActivation()
 		return
@@ -59,12 +63,11 @@ func (th *Thread) runBody() {
 	th.finish(err)
 }
 
-// endActivation ends one activation: the body just returned, so detach it
-// (its worker is freed, but the thread lives on to its next release),
-// rearm the release bookkeeping and keep scheduling until the token is
-// handed off — the activation analogue of finish.
+// endActivation ends one activation: the body just returned (its worker is
+// freed, but the thread lives on to its next release), so rearm the
+// release bookkeeping and keep scheduling until the token is handed off —
+// the activation analogue of finish.
 func (th *Thread) endActivation() {
-	th.detached = true
 	th.ex.rearm(th)
 	th.ex.dispatch(th)
 }
@@ -104,12 +107,12 @@ func (th *Thread) park() (killed bool) {
 
 // handoff makes next (nil when the run is over) the thread the trampoline
 // resumes, and suspends cur. cur is nil for the Run goroutine, which
-// returns to the trampoline instead. A terminated or detached cur does not
-// park: its body has returned, and its worker goes back to the pool. It
-// reports whether cur was killed while parked.
+// returns to the trampoline instead. A cur whose body has returned does
+// not park: its worker goes back to the pool. It reports whether cur was
+// killed while parked.
 func (ex *Exec) handoff(cur, next *Thread) (killed bool) {
 	ex.next = next
-	if cur == nil || cur.state == stateDone || cur.detached {
+	if cur == nil || cur.co == nil {
 		return false
 	}
 	return cur.park()
@@ -121,7 +124,6 @@ func (ex *Exec) handoff(cur, next *Thread) (killed bool) {
 // Run goroutine calls it.
 func (ex *Exec) resume(th *Thread) {
 	if th.co == nil {
-		th.detached = false
 		th.co = ex.getWorker()
 		th.co.th = th
 	}
@@ -238,12 +240,12 @@ func (ex *Exec) dispatch(cur *Thread) (killed bool) {
 			if debugChecks {
 				ex.checkReadyHeap()
 			}
-			if th == cur && !cur.detached {
+			if th == cur && cur.co != nil {
 				return false // batched continuation: no handoff
 			}
-			// A detached cur re-picked at the same instant is NOT a
-			// continuation: its body already returned, so the next
-			// activation needs a fresh dispatch via handoff.
+			// A cur whose body returned, re-picked at the same instant
+			// (an activation re-released), is NOT a continuation: the
+			// next activation needs a fresh dispatch via handoff.
 			ex.stats.ContextSwitches.Inc()
 			return ex.handoff(cur, th)
 		case phaseDraining:
@@ -259,7 +261,7 @@ func (ex *Exec) dispatch(cur *Thread) (killed bool) {
 				continue
 			}
 			ex.drainSteps++
-			if th == cur && !cur.detached {
+			if th == cur && cur.co != nil {
 				return false
 			}
 			ex.stats.ContextSwitches.Inc()

@@ -42,7 +42,7 @@ type workerPool struct {
 // worker is one resident coroutine. resume runs it until its body
 // suspends or ends; yield, captured inside the coroutine, suspends it.
 type worker struct {
-	th     *Thread // the body in progress, nil while free
+	th     *Thread // the thread whose body the worker runs
 	resume func() (struct{}, bool)
 	stop   func()
 	yield  func(struct{}) bool
@@ -67,9 +67,7 @@ func (ex *Exec) getWorker() *worker {
 	w.resume, w.stop = iter.Pull(func(yield func(struct{}) bool) {
 		w.yield = yield
 		for {
-			th := w.th
-			th.runBody()
-			th.co, w.th = nil, nil
+			w.th.runBody()
 			if ex.putWorker(w) || !yield(struct{}{}) {
 				return
 			}
