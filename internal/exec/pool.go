@@ -8,8 +8,9 @@ import "iter"
 // a loop. The Run goroutine is the trampoline that resumes workers (see
 // kernel_direct.go): the first time the scheduler picks a thread, Run
 // binds it to a free worker — or makes a new one when none is free — and
-// resumes it; when the body returns, the worker clears the binding, frees
-// itself and yields back to Run, ready for the next body. A worker is
+// resumes it; when the body returns, the thread lets go of the worker
+// (runBody), which frees itself and yields back to Run, ready for the next
+// body. A worker is
 // therefore pinned only while "its" body is in progress (running, or
 // suspended mid-body at a kernel call). Since at any instant at most one
 // thread executes user code, the number of workers is bounded by the
