@@ -242,7 +242,14 @@ func BenchmarkEngineSimThroughput(b *testing.B) {
 // 2000-system sweep point generated index-addressably, simulated and folded
 // through the streaming reducer (systems per second of wall time). Memory
 // per op must stay O(worker pool) — the reducer retains nothing.
+//
+// Each reducer goroutine warms a state of its own, so allocs/op grows with
+// the pool size (about 20 allocations per worker). The pool is fixed at
+// two workers so that the exact allocs/op gate reads the same count on
+// every machine with two or more CPUs.
 func BenchmarkCampaignStreaming(b *testing.B) {
+	harness.SetWorkers(2)
+	defer harness.SetWorkers(0)
 	spec := experiments.DefaultCampaignSpec()
 	spec.Points = []float64{2}
 	spec.Systems = 2000

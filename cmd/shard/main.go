@@ -23,8 +23,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -34,14 +36,37 @@ import (
 	"rtsj/internal/obs"
 )
 
-func main() {
-	listen := flag.String("listen", "", "serve TCP connections on this address instead of stdin/stdout")
-	workers := flag.Int("workers", 0, "worker pool size for this shard (default $RTSJ_WORKERS, else GOMAXPROCS)")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args and serves shard sessions —
+// one on stdin/stdout, or one per TCP connection with -listen — and
+// returns the exit status: 0 when the stdin session ends cleanly, 2 for a
+// malformed command line (unknown flag, bad flag value), 1 for every
+// other error.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("shard", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listen := fs.String("listen", "", "serve TCP connections on this address instead of stdin/stdout")
+	workers := fs.Int("workers", 0, "worker pool size for this shard (default $RTSJ_WORKERS, else GOMAXPROCS)")
+	debugAddr := fs.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "shard: -workers must be >= 0 (got %d)\n", *workers)
+		return 2
+	}
 	if *workers > 0 {
 		harness.SetWorkers(*workers)
 	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "shard:", err)
+		return 1
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
 
 	// The obs registry exists regardless of -debug-addr (the per-request
 	// accounting is cheap); the flag only decides whether it is served.
@@ -52,36 +77,32 @@ func main() {
 	if *debugAddr != "" {
 		addr, err := obs.ServeDebug(*debugAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "shard: -debug-addr:", err)
-			os.Exit(1)
+			return fail(fmt.Errorf("-debug-addr: %w", err))
 		}
-		log.Printf("shard: debug endpoint on http://%s/debug/", addr)
+		logger.Printf("shard: debug endpoint on http://%s/debug/", addr)
 	}
 
 	if *listen == "" {
-		if err := experiments.ServeShardStats(os.Stdin, os.Stdout, stats); err != nil {
-			fmt.Fprintln(os.Stderr, "shard:", err)
-			os.Exit(1)
+		if err := experiments.ServeShardStats(stdin, stdout, stats); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "shard:", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	log.Printf("shard: listening on %s", ln.Addr())
+	logger.Printf("shard: listening on %s", ln.Addr())
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "shard:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		go func(c net.Conn) {
 			defer c.Close()
 			if err := experiments.ServeShardStats(c, c, stats); err != nil {
-				log.Printf("shard: %s: %v", c.RemoteAddr(), err)
+				logger.Printf("shard: %s: %v", c.RemoteAddr(), err)
 			}
 		}(conn)
 	}

@@ -49,6 +49,47 @@ func TestGoldenTables(t *testing.T) {
 	}
 }
 
+// TestGoldenCampaign pins the -campaign curve byte for byte: the stock
+// 8x1000 sweep in all three output formats, and a 300-system sweep under
+// every server policy the flag accepts. The campaign fabric reuses
+// per-worker generator, simulator and fold state, so a stale field that
+// leaks from one system into the next shows here. Regenerate after an
+// intentional change with
+//
+//	go run ./cmd/tables -campaign > cmd/tables/testdata/campaign.golden
+//	go run ./cmd/tables -campaign -format csv > cmd/tables/testdata/campaign-csv.golden
+//	go run ./cmd/tables -campaign -format json > cmd/tables/testdata/campaign-json.golden
+//	go run ./cmd/tables -campaign -systems 300 -policy P > cmd/tables/testdata/campaign-P.golden
+func TestGoldenCampaign(t *testing.T) {
+	type golden struct {
+		file string
+		args []string
+	}
+	gs := []golden{
+		{"testdata/campaign.golden", []string{"-campaign"}},
+		{"testdata/campaign-csv.golden", []string{"-campaign", "-format", "csv"}},
+		{"testdata/campaign-json.golden", []string{"-campaign", "-format", "json"}},
+	}
+	for _, p := range []string{"bg", "ps", "ds", "ps-lim", "ds-lim", "ss", "pe", "slack"} {
+		gs = append(gs, golden{"testdata/campaign-" + p + ".golden", []string{"-campaign", "-systems", "300", "-policy", p}})
+	}
+	for _, g := range gs {
+		t.Run(strings.Join(g.args, " "), func(t *testing.T) {
+			code, stdout, stderr := runCmd(g.args...)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			want, err := os.ReadFile(g.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stdout != string(want) {
+				t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", g.file, stdout, want)
+			}
+		})
+	}
+}
+
 func TestRejectsBadCommandLines(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -3,11 +3,13 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"rtsj/internal/gen"
 	"rtsj/internal/harness"
 	"rtsj/internal/metrics"
+	"rtsj/internal/rtime"
 	"rtsj/internal/sim"
 )
 
@@ -16,8 +18,9 @@ import (
 // Each sweep point is a task density; at every point, Systems systems are
 // generated index-addressably (gen.SystemAt), simulated metrics-only under
 // Policy, and folded into one mergeable metrics.Partial through the
-// streaming reducer — no per-system record outlives its fold, so campaign
-// memory is O(worker pool), not O(Systems).
+// streaming reducer — each reducer goroutine generates, simulates and
+// folds into storage it reuses for its next system, so campaign memory is
+// O(worker pool), not O(Systems).
 //
 // The spec is the wire unit of the shard protocol (it travels inside every
 // ShardRequest), so all fields are plain serializable values.
@@ -110,11 +113,36 @@ func (s CampaignSpec) Load(density float64) float64 {
 
 // RunCampaignRange computes the partial metrics of systems [lo, hi) of one
 // sweep point: the shard work unit. Systems stream through the harness
-// reducer — generated from their index, simulated metrics-only, folded
-// into the partial in index order, and recycled — so the range's memory
-// footprint is independent of hi-lo.
+// reducer — generated from their index, simulated metrics-only and folded
+// into the partial in index order — so the range's memory footprint is
+// independent of hi-lo.
 func RunCampaignRange(s CampaignSpec, point, lo, hi int) (metrics.Partial, error) {
 	return runCampaignRange(s, point, lo, hi, nil)
+}
+
+// campaignWorker is the state one reducer goroutine reuses for every
+// system it runs: the generator buffer, the simulator and the event
+// slice of the fold. After warm-up a system allocates nothing.
+type campaignWorker struct {
+	buf    gen.Buffer
+	runner sim.Runner
+	events []metrics.Event
+}
+
+func newCampaignWorker() *campaignWorker { return new(campaignWorker) }
+
+// system generates, simulates and folds system i of p into a partial of
+// its own. The partial is a plain value: nothing in it aliases w.
+func (w *campaignWorker) system(p gen.Params, policy sim.ServerPolicy, horizon rtime.Time, i int) (metrics.Partial, error) {
+	sys := w.buf.WithServer(w.buf.SystemAt(p, i), p, policy, 100)
+	r, err := w.runner.Run(sys, horizon)
+	if err != nil {
+		return metrics.Partial{}, err
+	}
+	w.events = metrics.AppendSimEvents(slices.Grow(w.events[:0], len(r.Jobs)), r)
+	var one metrics.Partial
+	one.AddSystem(w.events)
+	return one, nil
 }
 
 // runCampaignRange is RunCampaignRange with an optional per-system tick,
@@ -133,17 +161,9 @@ func runCampaignRange(s CampaignSpec, point, lo, hi int, tick func()) (metrics.P
 	}
 	p := s.pointParams(point)
 	horizon := p.Horizon()
-	return harness.ReduceN(0, hi-lo, metrics.Partial{},
-		func(k int) (metrics.Partial, error) {
-			sys := gen.WithServer(gen.SystemAt(p, lo+k), p, s.Policy, 100)
-			r, err := RunSimulationMetrics(sys, horizon)
-			if err != nil {
-				return metrics.Partial{}, err
-			}
-			var one metrics.Partial
-			one.AddSystem(SimEvents(r))
-			r.Recycle()
-			return one, nil
+	return harness.ReduceN(0, hi-lo, metrics.Partial{}, newCampaignWorker,
+		func(w *campaignWorker, k int) (metrics.Partial, error) {
+			return w.system(p, s.Policy, horizon, lo+k)
 		},
 		func(acc metrics.Partial, _ int, one metrics.Partial) metrics.Partial {
 			acc.Merge(one)

@@ -11,6 +11,7 @@ import (
 	"rtsj/internal/gen"
 	"rtsj/internal/harness"
 	"rtsj/internal/metrics"
+	"rtsj/internal/sim"
 )
 
 func testCampaignSpec() CampaignSpec {
@@ -22,28 +23,33 @@ func testCampaignSpec() CampaignSpec {
 
 // TestCampaignStreamingMatchesRetained pins the streaming reducer against
 // the obvious retained implementation: a serial loop that generates every
-// system, keeps its events and folds at the end. The curves must be
-// bit-identical — the reducer changes memory behaviour, never results.
+// system through the reference path (gen.SystemAt, sim.Run, SimEvents),
+// keeps its events and folds them. The curves must be bit-identical under
+// every server policy — the reducer and its per-worker reusable state
+// change memory behaviour, never results.
 func TestCampaignStreamingMatchesRetained(t *testing.T) {
-	s := testCampaignSpec()
-	for point := range s.Points {
-		var want metrics.Partial
-		p := s.pointParams(point)
-		horizon := p.Horizon()
-		for i := 0; i < s.Systems; i++ {
-			sys := gen.WithServer(gen.SystemAt(p, i), p, s.Policy, 100)
-			r, err := RunSimulationMetrics(sys, horizon)
+	for pol := sim.NoServer; pol <= sim.SlackStealer; pol++ {
+		s := testCampaignSpec()
+		s.Policy = pol
+		for point := range s.Points {
+			var want metrics.Partial
+			p := s.pointParams(point)
+			horizon := p.Horizon()
+			for i := 0; i < s.Systems; i++ {
+				sys := gen.WithServer(gen.SystemAt(p, i), p, s.Policy, 100)
+				r, err := RunSimulationMetrics(sys, horizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.AddSystem(SimEvents(r))
+			}
+			got, err := RunCampaignRange(s, point, 0, s.Systems)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.AddSystem(SimEvents(r))
-		}
-		got, err := RunCampaignRange(s, point, 0, s.Systems)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("point %d: streaming partial %+v, retained %+v", point, got, want)
+			if got != want {
+				t.Fatalf("%v point %d: streaming partial %+v, retained %+v", pol, point, got, want)
+			}
 		}
 	}
 }

@@ -11,6 +11,9 @@ package gen
 
 import (
 	"math"
+	"slices"
+	"strconv"
+	"strings"
 
 	"rtsj/internal/rtime"
 	"rtsj/internal/sim"
@@ -91,8 +94,12 @@ func Generate(p Params) []sim.System {
 	}
 	r := newRNG(uint64(p.Seed))
 	out := make([]sim.System, 0, p.NbGeneration)
+	// One buffer lends its arrival scratch and job names to the whole set;
+	// every system gets jobs of its own.
+	var b Buffer
 	for n := 0; n < p.NbGeneration; n++ {
-		out = append(out, genSystem(p, r))
+		b.jobs = nil
+		out = append(out, b.genSystem(p, r))
 	}
 	return out
 }
@@ -109,34 +116,68 @@ func Generate(p Params) []sim.System {
 // produce the same systems; campaigns are a distinct population from the
 // paper's NbGeneration sets.
 func SystemAt(p Params, i int) sim.System {
+	var b Buffer
+	return b.SystemAt(p, i)
+}
+
+// Buffer is reusable storage for generated systems: the arrival scratch,
+// the aperiodic job slice, the job names and a server specification. A
+// campaign worker generates every system it runs into one Buffer, so after
+// warm-up generation allocates nothing. The zero value is ready to use; a
+// Buffer must not be used by two goroutines at once.
+type Buffer struct {
+	arrivals []float64
+	jobs     []sim.AperiodicJob
+	// names[k] is the name of sorted slot k ("J<k+1>"), formatted the
+	// first time any system fills that slot.
+	names  []string
+	server sim.ServerSpec
+}
+
+// SystemAt returns a system equal (reflect.DeepEqual) to gen.SystemAt(p,
+// i), built in the buffer's storage: it stays valid until the buffer's
+// next SystemAt.
+func (b *Buffer) SystemAt(p Params, i int) sim.System {
 	if p.HorizonPeriods <= 0 {
 		p.HorizonPeriods = 10
 	}
 	// Per-index stream derivation mirrors Noise: the seed and the index mix
 	// through distinct odd constants so neighbouring indices land in
 	// unrelated splitmix states.
-	r := newRNG(uint64(p.Seed)*0x9E3779B97F4A7C15 ^ (uint64(i)+1)*0xA24BAED4963EE407)
-	return genSystem(p, r)
+	r := rng{s: uint64(p.Seed)*0x9E3779B97F4A7C15 ^ (uint64(i)+1)*0xA24BAED4963EE407}
+	return b.genSystem(p, &r)
 }
 
-// genSystem draws one system from r: the shared body of Generate (one
-// sequential stream across systems) and SystemAt (one stream per index).
-// The caller must have defaulted HorizonPeriods.
-func genSystem(p Params, r *rng) sim.System {
+// WithServer is gen.WithServer with the server specification stored in
+// the buffer: the returned system's Server points into b and stays valid
+// until b's next WithServer.
+func (b *Buffer) WithServer(sys sim.System, p Params, policy sim.ServerPolicy, prio int) sim.System {
+	b.server = ServerSpecOf(p, policy, prio)
+	sys.Server = &b.server
+	return sys
+}
+
+// genSystem draws one system from r into the buffer: the shared body of
+// Generate (one sequential stream across systems) and SystemAt (one
+// stream per index), for every arrival model. The system's jobs reuse
+// b.jobs when it has room, so callers that keep the system must clear it
+// first. The caller must have defaulted HorizonPeriods.
+func (b *Buffer) genSystem(p Params, r *rng) sim.System {
 	horizonTU := p.ServerPeriod * float64(p.HorizonPeriods)
-	var arrivals []float64
+	arrivals := b.arrivals[:0]
 	switch p.Arrivals {
 	case MMPPArrivals:
-		arrivals = mmppArrivals(p, r, horizonTU)
+		arrivals = mmppArrivals(p, r, horizonTU, arrivals)
 	case PoissonArrivals:
 		lambda := p.TaskDensity * float64(p.HorizonPeriods)
 		count := r.poisson(lambda)
-		arrivals = make([]float64, count)
-		for i := range arrivals {
-			arrivals[i] = r.float64() * horizonTU
+		arrivals = slices.Grow(arrivals, count)
+		for i := 0; i < count; i++ {
+			arrivals = append(arrivals, r.float64()*horizonTU)
 		}
 	default: // PerPeriodArrivals
 		perPeriod := int(p.TaskDensity + 0.5)
+		arrivals = slices.Grow(arrivals, perPeriod*p.HorizonPeriods)
 		for k := 0; k < p.HorizonPeriods; k++ {
 			for i := 0; i < perPeriod; i++ {
 				arrivals = append(arrivals,
@@ -144,26 +185,38 @@ func genSystem(p Params, r *rng) sim.System {
 			}
 		}
 	}
+	b.arrivals = arrivals
 	sortFloats(arrivals)
-	jobs := make([]sim.AperiodicJob, 0, len(arrivals))
+	n := len(arrivals)
+	// The job slice is never nil: a system without arrivals has an empty
+	// one.
+	if b.jobs == nil || cap(b.jobs) < n {
+		b.jobs = make([]sim.AperiodicJob, 0, n)
+	}
+	if n > len(b.names) {
+		b.growNames(n)
+	}
+	jobs := b.jobs[:0]
 	for i, a := range arrivals {
 		cost := p.AverageCost + p.StdDeviation*r.norm()
 		if cost < MinCost {
 			cost = MinCost
 		}
 		jobs = append(jobs, sim.AperiodicJob{
-			Name:    jobName(i),
+			Name:    b.names[i],
 			Release: rtime.AtTU(a),
 			Cost:    rtime.TUs(cost),
 		})
 	}
+	b.jobs = jobs
 	return sim.System{Aperiodics: jobs}
 }
 
-// mmppArrivals walks the two-state chain across the horizon: each sojourn
-// length is exponential with the state's mean, the arrivals inside it are
-// Poisson at the state's rate with uniform instants in the window.
-func mmppArrivals(p Params, r *rng, horizonTU float64) []float64 {
+// mmppArrivals walks the two-state chain across the horizon and appends
+// its arrivals to arrivals: each sojourn length is exponential with the
+// state's mean, the arrivals inside it are Poisson at the state's rate
+// with uniform instants in the window.
+func mmppArrivals(p Params, r *rng, horizonTU float64, arrivals []float64) []float64 {
 	burstFactor := p.BurstFactor
 	if burstFactor <= 0 {
 		burstFactor = 8
@@ -177,7 +230,6 @@ func mmppArrivals(p Params, r *rng, horizonTU float64) []float64 {
 		calmMean = 3
 	}
 	calmRate := p.TaskDensity / p.ServerPeriod // arrivals per tu
-	var arrivals []float64
 	t := 0.0
 	burst := false
 	for t < horizonTU {
@@ -220,17 +272,27 @@ func ServerSpecOf(p Params, policy sim.ServerPolicy, prio int) sim.ServerSpec {
 	}
 }
 
-func jobName(i int) string {
-	// J1, J2, ... without fmt to keep the hot path allocation-light.
-	digits := [20]byte{}
-	pos := len(digits)
-	n := i + 1
-	for n > 0 {
-		pos--
-		digits[pos] = byte('0' + n%10)
-		n /= 10
+// growNames names the slots [len(b.names), n): slot k is "J<k+1>", as
+// sim.AperiodicName would name it. The new names are formatted into one
+// string and sliced out of it, so a batch of slots costs one allocation,
+// not one per name.
+func (b *Buffer) growNames(n int) {
+	first := len(b.names)
+	var num [20]byte
+	digits := func(k int) []byte { return strconv.AppendInt(num[:0], int64(k+1), 10) }
+	var sb strings.Builder
+	sb.Grow((n - first) * (1 + len(digits(n))))
+	for k := first; k < n; k++ {
+		sb.WriteByte('J')
+		sb.Write(digits(k))
 	}
-	return "J" + string(digits[pos:])
+	all, off := sb.String(), 0
+	b.names = slices.Grow(b.names, n-first)
+	for k := first; k < n; k++ {
+		end := off + 1 + len(digits(k))
+		b.names = append(b.names, all[off:end])
+		off = end
+	}
 }
 
 func sortFloats(a []float64) {

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -220,11 +221,22 @@ func TestNoiseDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// TestJobNameHelper checks the buffer's slot names, grown in two batches
+// so a batch boundary falls inside a digit-count range: slot k is named
+// "J<k+1>", exactly as sim.AperiodicName names an unnamed arrival.
 func TestJobNameHelper(t *testing.T) {
-	cases := map[int]string{0: "J1", 8: "J9", 9: "J10", 99: "J100"}
+	var b Buffer
+	b.growNames(7)
+	b.growNames(1200)
+	cases := map[int]string{0: "J1", 8: "J9", 9: "J10", 99: "J100", 1199: "J1200"}
 	for i, want := range cases {
-		if got := jobName(i); got != want {
-			t.Errorf("jobName(%d) = %q, want %q", i, got, want)
+		if got := b.names[i]; got != want {
+			t.Errorf("slot %d named %q, want %q", i, got, want)
+		}
+	}
+	for i, got := range b.names {
+		if want := sim.AperiodicName(i); got != want {
+			t.Fatalf("slot %d named %q, want %q", i, got, want)
 		}
 	}
 }
@@ -245,5 +257,40 @@ func TestSortFloats(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBufferMatchesSystemAt is the stale-state differential of the
+// reusable generator: one Buffer, driven over interleaved indices, all
+// three arrival models and densities whose job counts rise and fall, must
+// return systems DeepEqual to gen.SystemAt's, with and without a server.
+func TestBufferMatchesSystemAt(t *testing.T) {
+	var b Buffer
+	models := []ArrivalModel{PerPeriodArrivals, PoissonArrivals, MMPPArrivals}
+	densities := []float64{0.5, 3, 1, 4.5, 0.2}
+	indices := []int{0, 37, 3, 1000, 3, 12, 0, 999999, 5}
+	n := 0
+	for _, i := range indices {
+		for _, m := range models {
+			for _, d := range densities {
+				p := Params{
+					TaskDensity: d, Arrivals: m, AverageCost: 3, StdDeviation: 2,
+					ServerCapacity: 4, ServerPeriod: 6, Seed: int64(7 + n%3),
+				}
+				if n%4 == 0 {
+					p.HorizonPeriods = 25
+				}
+				n++
+				want := SystemAt(p, i)
+				got := b.SystemAt(p, i)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("index %d, model %d, density %v: buffer system %+v, want %+v", i, m, d, got, want)
+				}
+				pol := sim.ServerPolicy(n % 8)
+				if gs, ws := b.WithServer(got, p, pol, 100), WithServer(want, p, pol, 100); !reflect.DeepEqual(gs, ws) {
+					t.Fatalf("index %d: buffer WithServer %+v, want %+v", i, gs.Server, ws.Server)
+				}
+			}
+		}
 	}
 }

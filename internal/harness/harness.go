@@ -10,12 +10,12 @@
 // bit-identical for any worker count.
 //
 // Map retains every result until the whole batch completes — fine for a
-// table's ten systems, prohibitive for a million-system campaign. Reduce
-// and ReduceN keep the same bounded pool and the same deterministic,
-// index-ordered aggregation contract, but fold each result into an
-// accumulator as soon as its turn comes and let the result be recycled:
-// steady-state memory is O(workers + reorder window), independent of the
-// item count.
+// table's ten systems, prohibitive for a million-system campaign. ReduceN
+// keeps the same bounded pool and the same deterministic, index-ordered
+// aggregation contract, but folds each result into an accumulator as soon
+// as its turn comes: steady-state memory is O(workers + reorder window),
+// independent of the item count. Each of its goroutines also owns one
+// reusable state, so a unit can run on storage warmed by the previous one.
 package harness
 
 import (
@@ -170,27 +170,29 @@ func MapN[R any](workers, n int, fn func(i int) (R, error)) ([]R, error) {
 	return Map(workers, idx, func(i, _ int) (R, error) { return fn(i) })
 }
 
-// Reduce applies fn to every item concurrently and folds each result into
-// the accumulator strictly in item order: the fold sequence is identical to
-// a serial loop, so any accumulator — even one built on float arithmetic —
-// is bit-identical for every worker count. Unlike Map, nothing is retained:
-// a result is folded (and can be recycled by the fold) as soon as all lower
-// indices have been folded, and at most a bounded reorder window of results
-// is ever held, so steady-state memory is O(workers), not O(len(items)).
+// ReduceN applies fn to every index in [0, n) concurrently and folds each
+// result into the accumulator strictly in index order: the fold sequence
+// is identical to a serial loop, so any accumulator — even one built on
+// float arithmetic — is bit-identical for every worker count. Unlike Map,
+// nothing is retained: a result is folded as soon as all lower indices
+// have been folded, and at most a bounded reorder window of results is
+// ever held, so steady-state memory is O(workers), not O(n). It is the
+// streaming unit of the campaign fabric, where systems are generated on
+// demand from their index and folded into mergeable partial metrics.
+//
+// Every participating goroutine — the caller and each helper — builds its
+// own state with newState, once, before its first unit, and passes it to
+// every fn call it makes. A state is never shared between goroutines, so
+// fn may keep reusable scratch in it (generator buffers, a simulator)
+// without locking; results fn returns must not alias that scratch, since
+// the same goroutine overwrites it on its next unit while the result may
+// still wait in the reorder window.
 //
 // fold runs serialized (never concurrently with itself) and must be cheap;
-// it must not call back into the harness. On error, Reduce waits for
+// it must not call back into the harness. On error, ReduceN waits for
 // in-flight work, discards the partial accumulator and returns the zero A
 // with the error of the lowest-indexed failure, like Map.
-func Reduce[T, R, A any](workers int, items []T, acc A, fn func(i int, item T) (R, error), fold func(acc A, i int, r R) A) (A, error) {
-	return ReduceN(workers, len(items), acc, func(i int) (R, error) { return fn(i, items[i]) }, fold)
-}
-
-// ReduceN is Reduce over the index range [0, n), without materializing an
-// item slice: the streaming unit of the campaign fabric, where systems are
-// generated on demand from their index (gen.SystemAt) and folded into
-// mergeable partial metrics as they complete.
-func ReduceN[R, A any](workers, n int, acc A, fn func(i int) (R, error), fold func(acc A, i int, r R) A) (A, error) {
+func ReduceN[S, R, A any](workers, n int, acc A, newState func() S, fn func(s S, i int) (R, error), fold func(acc A, i int, r R) A) (A, error) {
 	if workers <= 0 {
 		workers = Workers()
 	}
@@ -208,11 +210,11 @@ func ReduceN[R, A any](workers, n int, acc A, fn func(i int) (R, error), fold fu
 	if window < 16 {
 		window = 16
 	}
-	st := &reduceState[R, A]{
-		pending: make(map[int]R, window),
-		window:  window,
-		errIdx:  -1,
-		acc:     acc,
+	st := &reduceState[S, R, A]{
+		slots:  make([]R, window),
+		filled: make([]bool, window),
+		errIdx: -1,
+		acc:    acc,
 	}
 	st.cond = sync.NewCond(&st.mu)
 	var wg sync.WaitGroup
@@ -222,10 +224,10 @@ func ReduceN[R, A any](workers, n int, acc A, fn func(i int) (R, error), fold fu
 		go func() {
 			defer wg.Done()
 			defer extraWorkers.Add(-1)
-			st.run(n, fn, fold)
+			st.run(n, newState, fn, fold)
 		}()
 	}
-	st.run(n, fn, fold)
+	st.run(n, newState, fn, fold)
 	wg.Wait()
 	if st.errIdx != -1 {
 		var zero A
@@ -235,26 +237,34 @@ func ReduceN[R, A any](workers, n int, acc A, fn func(i int) (R, error), fold fu
 }
 
 // reduceState is the shared claim/fold machine of one ReduceN call.
-type reduceState[R, A any] struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	claim   int // next index to hand to a worker
-	done    int // next index to fold (all below are folded)
-	pending map[int]R
-	window  int
-	errIdx  int
-	err     error
-	acc     A
+//
+// Completed results wait in a ring of window slots: claims never run
+// window or more ahead of the fold cursor, so every held index i lies in
+// [done, done+window) and owns slot i%window alone.
+type reduceState[S, R, A any] struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	claim  int // next index to hand to a worker
+	done   int // next index to fold (all below are folded)
+	slots  []R
+	filled []bool
+	held   int // results parked in slots
+	errIdx int
+	err    error
+	acc    A
 }
 
-func (st *reduceState[R, A]) run(n int, fn func(i int) (R, error), fold func(acc A, i int, r R) A) {
+func (st *reduceState[S, R, A]) run(n int, newState func() S, fn func(s S, i int) (R, error), fold func(acc A, i int, r R) A) {
+	window := len(st.slots)
+	var s S
+	haveState := false
 	for {
 		st.mu.Lock()
 		// Claims are issued in increasing order (the lowest-index error
 		// guarantee relies on it) and gated by the reorder window. Blocking
 		// cannot deadlock: if every worker waits here, every claimed index
-		// is in pending, so the fold loop below has already advanced done.
-		for st.errIdx == -1 && st.claim < n && st.claim-st.done >= st.window {
+		// is parked, so the fold loop below has already advanced done.
+		for st.errIdx == -1 && st.claim < n && st.claim-st.done >= window {
 			st.cond.Wait()
 		}
 		if st.errIdx != -1 || st.claim >= n {
@@ -265,8 +275,11 @@ func (st *reduceState[R, A]) run(n int, fn func(i int) (R, error), fold func(acc
 		st.claim++
 		st.mu.Unlock()
 
+		if !haveState {
+			s, haveState = newState(), true
+		}
 		counted := unitStart()
-		r, err := fn(i)
+		r, err := fn(s, i)
 		if counted {
 			unitEnd()
 		}
@@ -280,14 +293,14 @@ func (st *reduceState[R, A]) run(n int, fn func(i int) (R, error), fold func(acc
 			st.mu.Unlock()
 			return
 		}
-		st.pending[i] = r
-		noteWindow(len(st.pending))
-		for {
-			next, ok := st.pending[st.done]
-			if !ok {
-				break
-			}
-			delete(st.pending, st.done)
+		st.slots[i%window], st.filled[i%window] = r, true
+		st.held++
+		noteWindow(st.held)
+		var zero R
+		for k := st.done % window; st.filled[k]; k = st.done % window {
+			next := st.slots[k]
+			st.slots[k], st.filled[k] = zero, false
+			st.held--
 			st.acc = fold(st.acc, st.done, next)
 			st.done++
 		}

@@ -4,12 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // TestReduceMatchesMap pins the streaming contract: for every worker count,
-// Reduce folds exactly the values Map would retain, in exactly item order.
+// ReduceN folds exactly the values Map would retain, in exactly item order.
 func TestReduceMatchesMap(t *testing.T) {
 	items := make([]int, 500)
 	for i := range items {
@@ -21,8 +22,8 @@ func TestReduceMatchesMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0), 0} {
-		got, err := Reduce(workers, items, []int(nil),
-			fn,
+		got, err := ReduceN(workers, len(items), []int(nil), noState,
+			func(_ struct{}, i int) (int, error) { return fn(i, items[i]) },
 			func(acc []int, i int, r int) []int {
 				if i != len(acc) {
 					t.Errorf("workers=%d: folded index %d at fold position %d", workers, i, len(acc))
@@ -43,9 +44,12 @@ func TestReduceMatchesMap(t *testing.T) {
 	}
 }
 
+// noState is the newState of reductions that keep no per-worker state.
+func noState() struct{} { return struct{}{} }
+
 // TestReduceNEmpty checks the n=0 fast path returns the seed accumulator.
 func TestReduceNEmpty(t *testing.T) {
-	acc, err := ReduceN(4, 0, 42, func(i int) (int, error) { return 0, nil },
+	acc, err := ReduceN(4, 0, 42, noState, func(_ struct{}, i int) (int, error) { return 0, nil },
 		func(acc, i, r int) int { return acc + r })
 	if err != nil || acc != 42 {
 		t.Fatalf("got (%d, %v), want (42, nil)", acc, err)
@@ -57,8 +61,8 @@ func TestReduceNEmpty(t *testing.T) {
 func TestReduceLowestIndexError(t *testing.T) {
 	boom := func(i int) error { return fmt.Errorf("unit %d failed", i) }
 	for _, workers := range []int{1, 4, 8} {
-		_, err := ReduceN(workers, 300, 0,
-			func(i int) (int, error) {
+		_, err := ReduceN(workers, 300, 0, noState,
+			func(_ struct{}, i int) (int, error) {
 				if i%7 == 3 {
 					return 0, boom(i)
 				}
@@ -83,8 +87,8 @@ func TestReduceWindowBound(t *testing.T) {
 	var folded atomic.Int64
 	var started atomic.Int64
 	var maxAhead atomic.Int64
-	_, err := ReduceN(workers, 5000, 0,
-		func(i int) (int, error) {
+	_, err := ReduceN(workers, 5000, 0, noState,
+		func(_ struct{}, i int) (int, error) {
 			ahead := started.Add(1) - folded.Load()
 			for {
 				m := maxAhead.Load()
@@ -113,8 +117,8 @@ func TestReduceWindowBound(t *testing.T) {
 // zero accumulator, not a partial fold.
 func TestReduceErrorDiscardsAccumulator(t *testing.T) {
 	sentinel := errors.New("stop")
-	acc, err := ReduceN(2, 100, 7,
-		func(i int) (int, error) {
+	acc, err := ReduceN(2, 100, 7, noState,
+		func(_ struct{}, i int) (int, error) {
 			if i == 50 {
 				return 0, sentinel
 			}
@@ -126,5 +130,59 @@ func TestReduceErrorDiscardsAccumulator(t *testing.T) {
 	}
 	if acc != 0 {
 		t.Fatalf("acc = %d, want zero value on error", acc)
+	}
+}
+
+// workerState is a per-goroutine state that detects sharing: a unit marks
+// it busy for its duration, so two goroutines running units on the same
+// state at once trip the check.
+type workerState struct {
+	busy  atomic.Bool
+	units int
+}
+
+// TestReduceNPerWorkerState pins the state contract: each participating
+// goroutine builds at most one state and no state is ever used by two
+// units at once, while results stay identical to a stateless serial fold.
+func TestReduceNPerWorkerState(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		var made atomic.Int64
+		var states []*workerState
+		var mu sync.Mutex
+		sum, err := ReduceN(workers, 2000, 0,
+			func() *workerState {
+				made.Add(1)
+				s := new(workerState)
+				mu.Lock()
+				states = append(states, s)
+				mu.Unlock()
+				return s
+			},
+			func(s *workerState, i int) (int, error) {
+				if !s.busy.CompareAndSwap(false, true) {
+					return 0, fmt.Errorf("unit %d: state shared with a concurrent unit", i)
+				}
+				s.units++
+				runtime.Gosched()
+				s.busy.Store(false)
+				return i, nil
+			},
+			func(acc, _ int, r int) int { return acc + r })
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if want := 2000 * 1999 / 2; sum != want {
+			t.Fatalf("workers=%d: sum %d, want %d", workers, sum, want)
+		}
+		if n := made.Load(); n < 1 || n > int64(workers) {
+			t.Fatalf("workers=%d: built %d states, want 1..%d", workers, n, workers)
+		}
+		units := 0
+		for _, s := range states {
+			units += s.units
+		}
+		if units != 2000 {
+			t.Fatalf("workers=%d: states ran %d units, want 2000", workers, units)
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // with SetStats. Fields may be nil; a nil *Stats disables the layer.
 type Stats struct {
 	// BusyMax is the high-water mark of work units executing at once
-	// across every concurrent Map/Reduce in the process.
+	// across every concurrent Map/ReduceN in the process.
 	BusyMax *obs.Gauge
 	// WindowMax is the high-water mark of ReduceN's reorder window —
 	// completed results parked waiting for a slow lower index.

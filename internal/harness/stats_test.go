@@ -13,7 +13,7 @@ func TestHarnessStats(t *testing.T) {
 	SetStats(NewStats(reg))
 	defer SetStats(nil)
 
-	got, err := ReduceN(4, 100, 0, func(i int) (int, error) { return i, nil },
+	got, err := ReduceN(4, 100, 0, noState, func(_ struct{}, i int) (int, error) { return i, nil },
 		func(acc, _ int, r int) int { return acc + r })
 	if err != nil {
 		t.Fatal(err)

@@ -36,10 +36,26 @@ func (e Event) Response() float64 {
 
 // FromSimResult extracts events from a simulator run.
 func FromSimResult(r *sim.Result) []Event {
-	jobs := r.Aperiodics()
-	out := make([]Event, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, Event{
+	n := 0
+	for _, j := range r.Jobs {
+		if !j.Periodic {
+			n++
+		}
+	}
+	return AppendSimEvents(make([]Event, 0, n), r)
+}
+
+// AppendSimEvents appends the events of a simulator run to dst and
+// returns the extended slice: one event per aperiodic job, in release
+// order (periodic jobs are skipped). A caller that folds one system at a
+// time passes the previous system's dst[:0] and allocates nothing once
+// dst has grown to the largest system.
+func AppendSimEvents(dst []Event, r *sim.Result) []Event {
+	for _, j := range r.Jobs {
+		if j.Periodic {
+			continue
+		}
+		dst = append(dst, Event{
 			Name:        j.Name(),
 			Released:    j.Release,
 			Finished:    j.Finish,
@@ -47,7 +63,7 @@ func FromSimResult(r *sim.Result) []Event {
 			Interrupted: j.Aborted,
 		})
 	}
-	return out
+	return dst
 }
 
 // FromRecords extracts events from a task server's records.

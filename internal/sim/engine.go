@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"rtsj/internal/rtime"
@@ -59,6 +60,8 @@ type Result struct {
 	split      bool
 	aperiodics []*Job
 	periodics  []*Job
+	// owned marks a Runner's result, whose storage the Runner reuses.
+	owned bool
 }
 
 func (r *Result) partition() {
@@ -95,8 +98,12 @@ var jobsSlicePool = sync.Pool{New: func() any { return new([]*Job) }}
 // touch the result again — including the slices returned by Aperiodics and
 // Periodics and the *Job pointers inside them (names and other values
 // copied out of jobs stay valid). Recycling is optional: results that are
-// never recycled are simply garbage collected.
+// never recycled are simply garbage collected. On a Runner's result it
+// does nothing: the Runner reuses that storage itself.
 func (r *Result) Recycle() {
+	if r.owned {
+		return
+	}
 	for _, j := range r.Jobs {
 		jobPool.Put(j)
 	}
@@ -156,6 +163,7 @@ func runWithCalendar(sys System, d Dispatcher, horizon rtime.Time, sink trace.Si
 		sink:    sink,
 		rec:     rec,
 		cal:     cal,
+		jobs:    *jobsSlicePool.Get().(*[]*Job),
 	}
 	e.init()
 	if err := e.run(); err != nil {
@@ -168,6 +176,10 @@ func runWithCalendar(sys System, d Dispatcher, horizon rtime.Time, sink trace.Si
 	return res, nil
 }
 
+// engine is one simulation run. sim.Run builds a fresh engine per run and
+// takes its job records from jobPool; a Runner keeps one engine and
+// reuses its calendar, index and job storage across runs, taking job
+// records from its slab. Both run the same event loop.
 type engine struct {
 	sys     System
 	d       Dispatcher
@@ -179,27 +191,43 @@ type engine struct {
 	cal    calendar
 	apSort []int // aperiodic indices sorted by release
 	jobs   []*Job
+	slab   *jobSlab // job record source; nil takes records from jobPool
 	misses int
 	seq    int64
 }
 
+// newJob returns a job record for the engine to overwrite in full.
+func (e *engine) newJob() *Job {
+	if e.slab != nil {
+		return e.slab.next()
+	}
+	return jobPool.Get().(*Job)
+}
+
 func (e *engine) init() {
-	e.jobs = *jobsSlicePool.Get().(*[]*Job)
 	for i, t := range e.sys.Periodics {
 		e.cal.push(release{at: t.Offset, idx: i})
 		if e.rec {
 			e.sink.DeclareEntity(t.Name)
 		}
 	}
-	e.apSort = make([]int, len(e.sys.Aperiodics))
+	aps := e.sys.Aperiodics
+	e.jobs = slices.Grow(e.jobs, len(aps))
+	if cap(e.apSort) < len(aps) {
+		e.apSort = make([]int, len(aps))
+	}
+	e.apSort = e.apSort[:len(aps)]
 	for i := range e.apSort {
 		e.apSort[i] = i
 	}
-	sort.SliceStable(e.apSort, func(a, b int) bool {
-		return e.sys.Aperiodics[e.apSort[a]].Release < e.sys.Aperiodics[e.apSort[b]].Release
-	})
+	// A stable sort keeps equal releases in declaration order. Generated
+	// arrivals come sorted already, which one pass confirms.
+	byRelease := func(a, b int) int { return cmp.Compare(aps[a].Release, aps[b].Release) }
+	if !slices.IsSortedFunc(e.apSort, byRelease) {
+		slices.SortStableFunc(e.apSort, byRelease)
+	}
 	if len(e.apSort) > 0 {
-		e.cal.push(release{at: e.sys.Aperiodics[e.apSort[0]].Release, ap: true, idx: 0})
+		e.cal.push(release{at: aps[e.apSort[0]].Release, ap: true, idx: 0})
 	}
 }
 
@@ -224,7 +252,7 @@ func (e *engine) deliverReleases() {
 func (e *engine) releasePeriodic(r release) {
 	t := &e.sys.Periodics[r.idx]
 	rel := r.at
-	j := jobPool.Get().(*Job)
+	j := e.newJob()
 	// The whole-record composite assignment clears every stale field of a
 	// recycled job.
 	*j = Job{
@@ -260,7 +288,7 @@ func (e *engine) releaseAperiodic(r release) {
 	if a.Deadline > 0 {
 		dl = a.Release.Add(a.Deadline)
 	}
-	j := jobPool.Get().(*Job)
+	j := e.newJob()
 	*j = Job{
 		name:      name,
 		Release:   a.Release,

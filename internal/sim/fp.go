@@ -92,6 +92,9 @@ func (h *jobHeap) len() int { return len(h.a) }
 // server is the interface between the FP dispatcher and an aperiodic
 // servicing policy.
 type server interface {
+	// reset returns the server to its initial state for spec, keeping its
+	// queue capacity.
+	reset(spec ServerSpec)
 	name() string
 	priority() int
 	// arrive enqueues an aperiodic job. The server may reattribute the
@@ -111,12 +114,38 @@ type server interface {
 	completed(now rtime.Time, j *Job)
 }
 
+// newServer returns an unconfigured server of the policy; reset
+// configures it.
+func newServer(p ServerPolicy) server {
+	switch p {
+	case NoServer:
+		return new(background)
+	case PollingServer:
+		return new(psIdeal)
+	case DeferrableServer:
+		return new(dsIdeal)
+	case LimitedPollingServer:
+		return new(psLimited)
+	case LimitedDeferrableServer:
+		return new(dsLimited)
+	case SporadicServer:
+		return new(ss)
+	case PriorityExchange:
+		return new(peServer)
+	case SlackStealer:
+		return new(slackStealer)
+	default:
+		panic(fmt.Sprintf("sim: unknown server policy %v", p))
+	}
+}
+
 // FP is the preemptive fixed-priority dispatcher, optionally extended with
 // an aperiodic task server, as in the paper's RTSS.
 type FP struct {
-	ready jobHeap
-	srv   server
-	tr    *trace.Trace
+	ready  jobHeap
+	srv    server
+	policy ServerPolicy // srv's policy
+	tr     *trace.Trace
 }
 
 // NewFP builds a fixed-priority dispatcher for sys. Aperiodic jobs are
@@ -124,37 +153,31 @@ type FP struct {
 // background (lowest priority), the baseline discussed in Section 2 of the
 // paper.
 func NewFP(sys System, tr *trace.Trace) *FP {
-	d := &FP{tr: tr}
-	spec := sys.Server
-	if spec == nil {
-		spec = &ServerSpec{Policy: NoServer}
+	d := new(FP)
+	d.reset(sys, tr)
+	return d
+}
+
+// reset prepares the dispatcher for a run of sys. It keeps the ready
+// heap's capacity and, when the policy is unchanged, the server itself:
+// a Runner resets one dispatcher per run instead of building a new one.
+func (d *FP) reset(sys System, tr *trace.Trace) {
+	spec := ServerSpec{Policy: NoServer}
+	if sys.Server != nil {
+		spec = *sys.Server
 	}
-	switch spec.Policy {
-	case NoServer:
-		d.srv = newBackground(spec.name())
-	case PollingServer:
-		d.srv = newPSIdeal(*spec)
-	case DeferrableServer:
-		d.srv = newDSIdeal(*spec)
-	case LimitedPollingServer:
-		d.srv = newPSLimited(*spec)
-	case LimitedDeferrableServer:
-		d.srv = newDSLimited(*spec)
-	case SporadicServer:
-		d.srv = newSS(*spec)
-	case PriorityExchange:
-		d.srv = newPE(*spec)
-	case SlackStealer:
-		st := newSlackStealer(*spec, sys)
-		st.fp = d
-		d.srv = st
-	default:
-		panic(fmt.Sprintf("sim: unknown server policy %v", spec.Policy))
+	if d.srv == nil || d.policy != spec.Policy {
+		d.srv, d.policy = newServer(spec.Policy), spec.Policy
 	}
+	d.srv.reset(spec)
+	if st, ok := d.srv.(*slackStealer); ok {
+		st.sys, st.fp = sys, d
+	}
+	d.ready.a = d.ready.a[:0]
+	d.tr = tr
 	if tr != nil && spec.Policy != NoServer {
 		tr.DeclareEntity(spec.name())
 	}
-	return d
 }
 
 // Name implements Dispatcher.
@@ -219,30 +242,22 @@ func (d *FP) Completed(now rtime.Time, j *Job) {
 }
 
 // background serves aperiodics FIFO at the lowest possible priority.
-type background struct {
-	nm    string
-	queue []*Job
-}
+type background struct{ queue fifoQueue }
 
-func newBackground(name string) *background {
-	if name == "" || name == "BG" {
-		name = "BG"
-	}
-	return &background{nm: name}
-}
+func (b *background) reset(ServerSpec) { b.queue = b.queue.reuse() }
 
 func (b *background) name() string  { return "BG" }
 func (b *background) priority() int { return math.MinInt }
 
-func (b *background) arrive(now rtime.Time, j *Job) { b.queue = append(b.queue, j) }
+func (b *background) arrive(now rtime.Time, j *Job) { b.queue.push(j) }
 
 func (b *background) tick(rtime.Time, *trace.Trace) {}
 
 func (b *background) pick(rtime.Time) (*Job, rtime.Duration) {
-	if len(b.queue) == 0 {
+	if b.queue.empty() {
 		return nil, 0
 	}
-	return b.queue[0], 0
+	return b.queue.head(), 0
 }
 
 func (b *background) nextEvent(rtime.Time) rtime.Time { return rtime.Never }
@@ -250,8 +265,8 @@ func (b *background) nextEvent(rtime.Time) rtime.Time { return rtime.Never }
 func (b *background) consumed(rtime.Time, *Job, rtime.Duration, *trace.Trace) {}
 
 func (b *background) completed(now rtime.Time, j *Job) {
-	if len(b.queue) == 0 || b.queue[0] != j {
+	if b.queue.empty() || b.queue.head() != j {
 		panic("sim: background completed job is not queue head")
 	}
-	b.queue = b.queue[1:]
+	b.queue.remove(j)
 }

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"sort"
+	"slices"
 
 	"rtsj/internal/rtime"
 	"rtsj/internal/trace"
@@ -46,8 +46,11 @@ type peServer struct {
 	serveAt  int         // account priority used by the slice being served
 }
 
-func newPE(spec ServerSpec) *peServer {
-	return &peServer{nm: spec.name(), topPrio: spec.Priority, cs: spec.Capacity, ts: spec.Period}
+func (s *peServer) reset(spec ServerSpec) {
+	*s = peServer{
+		nm: spec.name(), topPrio: spec.Priority, cs: spec.Capacity, ts: spec.Period,
+		queue: s.queue.reuse(), accts: s.accts[:0],
+	}
 }
 
 func (s *peServer) name() string { return "PE" }
@@ -76,8 +79,13 @@ func (s *peServer) credit(prio int, amount rtime.Duration) {
 			return
 		}
 	}
-	s.accts = append(s.accts, acctLevel{prio: prio, cap: amount})
-	sort.Slice(s.accts, func(a, b int) bool { return s.accts[a].prio > s.accts[b].prio })
+	// Account priorities are distinct, so inserting at the first lower
+	// level keeps the descending order a sort would produce.
+	i := 0
+	for i < len(s.accts) && s.accts[i].prio > prio {
+		i++
+	}
+	s.accts = slices.Insert(s.accts, i, acctLevel{prio: prio, cap: amount})
 }
 
 // drainTop removes up to delta from the highest account at or above

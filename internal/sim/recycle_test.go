@@ -28,6 +28,7 @@ type jobSnapshot struct {
 	finish   rtime.Time
 	finished bool
 	started  bool
+	aborted  bool
 	remain   rtime.Duration
 }
 
@@ -41,6 +42,7 @@ func snapshotJobs(r *Result) []jobSnapshot {
 			finish:   j.Finish,
 			finished: j.Finished,
 			started:  j.Started,
+			aborted:  j.Aborted,
 			remain:   j.Remaining,
 		})
 	}

@@ -10,6 +10,10 @@ import (
 // fifoQueue is the pending-events list shared by all server policies.
 type fifoQueue struct{ q []*Job }
 
+// reuse returns an empty queue on q's backing array: a server reset for
+// the next run keeps its queue capacity.
+func (f *fifoQueue) reuse() fifoQueue { return fifoQueue{q: f.q[:0]} }
+
 func (f *fifoQueue) push(j *Job) { f.q = append(f.q, j) }
 func (f *fifoQueue) empty() bool { return len(f.q) == 0 }
 func (f *fifoQueue) head() *Job  { return f.q[0] }
@@ -55,8 +59,8 @@ type psIdeal struct {
 	queue    fifoQueue
 }
 
-func newPSIdeal(spec ServerSpec) *psIdeal {
-	return &psIdeal{nm: spec.name(), prio: spec.Priority, cs: spec.Capacity, ts: spec.Period}
+func (s *psIdeal) reset(spec ServerSpec) {
+	*s = psIdeal{nm: spec.name(), prio: spec.Priority, cs: spec.Capacity, ts: spec.Period, queue: s.queue.reuse()}
 }
 
 func (s *psIdeal) name() string  { return s.nm }
@@ -120,8 +124,8 @@ type dsIdeal struct {
 	queue    fifoQueue
 }
 
-func newDSIdeal(spec ServerSpec) *dsIdeal {
-	return &dsIdeal{nm: spec.name(), prio: spec.Priority, cs: spec.Capacity, ts: spec.Period}
+func (s *dsIdeal) reset(spec ServerSpec) {
+	*s = dsIdeal{nm: spec.name(), prio: spec.Priority, cs: spec.Capacity, ts: spec.Period, queue: s.queue.reuse()}
 }
 
 func (s *dsIdeal) name() string  { return s.nm }
@@ -188,14 +192,15 @@ type psLimited struct {
 	queue    fifoQueue
 }
 
-func newPSLimited(spec ServerSpec) *psLimited {
-	return &psLimited{
+func (s *psLimited) reset(spec ServerSpec) {
+	*s = psLimited{
 		nm:       spec.name(),
 		prio:     spec.Priority,
 		cs:       spec.Capacity,
 		ts:       spec.Period,
 		sleeping: true,
 		nextAct:  0,
+		queue:    s.queue.reuse(),
 	}
 }
 
@@ -305,8 +310,8 @@ type dsLimited struct {
 	woken    bool
 }
 
-func newDSLimited(spec ServerSpec) *dsLimited {
-	return &dsLimited{nm: spec.name(), prio: spec.Priority, cs: spec.Capacity, ts: spec.Period}
+func (s *dsLimited) reset(spec ServerSpec) {
+	*s = dsLimited{nm: spec.name(), prio: spec.Priority, cs: spec.Capacity, ts: spec.Period, queue: s.queue.reuse()}
 }
 
 func (s *dsLimited) name() string  { return s.nm }
@@ -432,8 +437,11 @@ type ss struct {
 	burstUsed rtime.Duration
 }
 
-func newSS(spec ServerSpec) *ss {
-	return &ss{nm: spec.name(), prio: spec.Priority, cs: spec.Capacity, ts: spec.Period, rem: spec.Capacity}
+func (s *ss) reset(spec ServerSpec) {
+	*s = ss{
+		nm: spec.name(), prio: spec.Priority, cs: spec.Capacity, ts: spec.Period, rem: spec.Capacity,
+		queue: s.queue.reuse(), repls: s.repls[:0],
+	}
 }
 
 func (s *ss) name() string  { return s.nm }
@@ -453,7 +461,9 @@ func (s *ss) tick(now rtime.Time, tr *trace.Trace) {
 		if tr != nil {
 			tr.Mark(s.nm, s.repls[0].at, trace.Replenish, "")
 		}
-		s.repls = s.repls[1:]
+		// Shift rather than reslice, so the slice keeps its capacity
+		// across runs.
+		s.repls = s.repls[:copy(s.repls, s.repls[1:])]
 	}
 }
 

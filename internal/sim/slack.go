@@ -28,8 +28,10 @@ type slackStealer struct {
 	queue fifoQueue
 }
 
-func newSlackStealer(spec ServerSpec, sys System) *slackStealer {
-	return &slackStealer{nm: spec.name(), sys: sys}
+// reset prepares the stealer for a run; FP.reset then binds the run's
+// system and the dispatcher whose ready set the lookahead reads.
+func (s *slackStealer) reset(spec ServerSpec) {
+	*s = slackStealer{nm: spec.name(), queue: s.queue.reuse()}
 }
 
 func (s *slackStealer) name() string  { return "SLACK" }
