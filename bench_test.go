@@ -345,8 +345,8 @@ func BenchmarkExecThroughput(b *testing.B) {
 }
 
 // BenchmarkExecLargeN runs the large-N stress scenario — 10k one-shot
-// sporadic job threads plus periodic background load — on the pooled
-// executive: each job's body starts on a free resident coroutine worker,
+// sporadic job threads plus periodic background load — on the worker
+// pool: each job's body starts on a free resident coroutine worker,
 // so the whole flood runs on a handful of workers (the preemption depth,
 // not the thread count), and threads are carved out of chunks rather than
 // allocated one by one.
@@ -399,8 +399,8 @@ func BenchmarkExecObsOverhead(b *testing.B) {
 // (exec.SpawnPeriodic over the worker pool): every entity releases several
 // times over the horizon, and no entity owns a goroutine between releases,
 // so the whole system runs on a pool-sized worker set. This is the
-// workload where looping periodic bodies would degrade the pooled
-// executive back to one pinned worker per entity.
+// workload where looping periodic bodies would degrade the worker pool
+// back to one pinned worker per entity.
 func BenchmarkExecPeriodicSteadyState(b *testing.B) {
 	p := experiments.DefaultSteadyStateParams()
 	b.ReportAllocs()

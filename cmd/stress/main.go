@@ -2,9 +2,8 @@
 //
 // The sporadic scenario (default) releases thousands to tens of thousands
 // of one-shot sporadic job threads plus periodic background load,
-// exercising the pooled thread-body mode (exec.Options.MaxGoroutines) that
-// bounds the OS-level goroutine count by the preemption depth instead of
-// the thread count.
+// exercising the executive's worker pool, which bounds the OS-level
+// goroutine count by the preemption depth instead of the thread count.
 //
 // The steady scenario (-scenario steady) runs thousands to tens of
 // thousands of long-running periodic entities, exercising the
@@ -14,24 +13,22 @@
 //
 // Usage:
 //
-//	stress [-scenario sporadic|steady] [-n 10000] [-maxgoroutines 64]
-//	       [-activation] [-background 4] [-cpus 4] [-bands 6] [-seed 2007]
+//	stress [-scenario sporadic|steady] [-n 10000] [-activation]
+//	       [-background 4] [-cpus 4] [-bands 6] [-seed 2007]
 //	       [-faults 'seed=1 drop=0.05'] [-quiet] [-stats]
 //	       [-perfetto out.json] [-debug-addr 127.0.0.1:6060]
 //
 // -stats prints the executive's obs snapshot (context switches, heap
-// high-water marks, pool churn) after the run; -perfetto records the
+// high-water marks, worker creation) after the run; -perfetto records the
 // schedule and exports it as Chrome trace-event JSON; -debug-addr serves
 // /debug/pprof and /debug/vars (with the same snapshot under "obs") while
 // the run executes. All three are observational: the summary lines and
 // the fingerprint are identical with or without them.
 //
-// With -maxgoroutines 0 the executive keeps every worker it makes resident
-// (no cap, the default outside this command), which is useful to compare
-// footprints; the schedule is identical either way. -activation runs the
-// periodic entities (steady scenario) or background threads (sporadic
-// scenario) on the activation path; -activation=false compares against
-// parked periodic loops — again schedule-identical.
+// -activation runs the periodic entities (steady scenario) or background
+// threads (sporadic scenario) on the activation path; -activation=false
+// compares against parked periodic loops, which is useful to compare
+// footprints — the schedule is identical either way.
 package main
 
 import (
@@ -63,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	scenario := fs.String("scenario", "sporadic", "workload: sporadic (one-shot jobs) or steady (periodic entities)")
 	n := fs.Int("n", 0, "job count (sporadic) or entity count (steady); 0 = scenario default")
-	maxg := fs.Int("maxgoroutines", def.MaxGoroutines, "resident worker cap; 0 = no cap")
 	activation := fs.Bool("activation", true, "periodic entities use activation dispatch (no goroutine between releases)")
 	background := fs.Int("background", def.Background, "periodic background threads (sporadic scenario)")
 	bands := fs.Int("bands", def.PriorityBands, "priority bands for the sporadic jobs")
@@ -89,8 +85,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(fmt.Errorf("-faults: %v", err))
 	}
-	if *n < 0 || *background < 0 || *bands <= 0 || *maxg < 0 || *cpus < 0 {
-		return fail(fmt.Errorf("-n, -background, -maxgoroutines and -cpus must be >= 0; -bands must be positive"))
+	if *n < 0 || *background < 0 || *bands <= 0 || *cpus < 0 {
+		return fail(fmt.Errorf("-n, -background and -cpus must be >= 0; -bands must be positive"))
 	}
 	// Reject flags the selected scenario would silently ignore: a user
 	// comparing configurations must not believe a setting took effect when
@@ -140,7 +136,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Background:         *background,
 			PriorityBands:      *bands,
 			Seed:               *seed,
-			MaxGoroutines:      *maxg,
 			PeriodicActivation: *activation,
 			Faults:             plan,
 			CPUs:               *cpus,
@@ -155,13 +150,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = runSporadic(stdout, p, *quiet)
 	} else {
 		p := experiments.SteadyStateParams{
-			Entities:      steadyDef.Entities,
-			HorizonTU:     *horizon,
-			Utilization:   steadyDef.Utilization,
-			Seed:          *seed,
-			MaxGoroutines: *maxg,
-			Activation:    *activation,
-			Stats:         execStats,
+			Entities:    steadyDef.Entities,
+			HorizonTU:   *horizon,
+			Utilization: steadyDef.Utilization,
+			Seed:        *seed,
+			Activation:  *activation,
+			Stats:       execStats,
 		}
 		if tr != nil {
 			p.Sink = tr
@@ -214,7 +208,7 @@ func runSporadic(w io.Writer, p experiments.StressParams, quiet bool) error {
 		if cpus < 1 {
 			cpus = 1
 		}
-		fmt.Fprintf(w, "executive: maxgoroutines=%d, cpus=%d\n", p.MaxGoroutines, cpus)
+		fmt.Fprintf(w, "executive: cpus=%d\n", cpus)
 		fmt.Fprintf(w, "completed: %d/%d jobs (%d dropped by faults), %d background activations\n",
 			res.Completed, res.Jobs, res.Dropped, res.BackgroundRun)
 		fmt.Fprintf(w, "virtual  : consumed %v, finished at %v of %v horizon\n",
@@ -224,8 +218,8 @@ func runSporadic(w io.Writer, p experiments.StressParams, quiet bool) error {
 		fmt.Fprintf(w, "wall     : %v (%.0f jobs/s)\n", elapsed.Round(time.Millisecond),
 			float64(res.Completed)/elapsed.Seconds())
 	}
-	fmt.Fprintf(w, "stress: %d jobs, maxgoroutines=%d peak-workers=%d fingerprint=%016x wall=%v\n",
-		res.Completed, p.MaxGoroutines, res.PeakWorkers, res.Fingerprint,
+	fmt.Fprintf(w, "stress: %d jobs, peak-workers=%d fingerprint=%016x wall=%v\n",
+		res.Completed, res.PeakWorkers, res.Fingerprint,
 		elapsed.Round(time.Millisecond))
 	if res.Completed != res.Jobs-res.Dropped {
 		// The CI stress smoke relies on this: stranded jobs are a
@@ -246,7 +240,7 @@ func runSteady(w io.Writer, p experiments.SteadyStateParams, quiet bool) error {
 	if !quiet {
 		fmt.Fprintf(w, "scenario : %d periodic entities, horizon %gtu, utilization %g, seed %d\n",
 			res.Entities, p.HorizonTU, p.Utilization, p.Seed)
-		fmt.Fprintf(w, "executive: maxgoroutines=%d, activation=%v\n", p.MaxGoroutines, p.Activation)
+		fmt.Fprintf(w, "executive: activation=%v\n", p.Activation)
 		fmt.Fprintf(w, "released : %d activations (%d missed)\n", res.Activations, res.Missed)
 		fmt.Fprintf(w, "virtual  : consumed %v, finished at %v of %v horizon\n",
 			res.TotalConsumed, res.FinalTime, res.Horizon)
@@ -255,8 +249,8 @@ func runSteady(w io.Writer, p experiments.SteadyStateParams, quiet bool) error {
 		fmt.Fprintf(w, "wall     : %v (%.0f activations/s)\n", elapsed.Round(time.Millisecond),
 			float64(res.Activations)/elapsed.Seconds())
 	}
-	fmt.Fprintf(w, "steady: %d entities %d activations, maxgoroutines=%d activation=%v peak-workers=%d fingerprint=%016x wall=%v\n",
-		res.Entities, res.Activations, p.MaxGoroutines, p.Activation,
+	fmt.Fprintf(w, "steady: %d entities %d activations, activation=%v peak-workers=%d fingerprint=%016x wall=%v\n",
+		res.Entities, res.Activations, p.Activation,
 		res.PeakWorkers, res.Fingerprint, elapsed.Round(time.Millisecond))
 	if res.Activations < res.Entities {
 		// Every entity must release at least once within the horizon.

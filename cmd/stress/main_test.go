@@ -32,6 +32,7 @@ func TestRejectsBadCommandLines(t *testing.T) {
 		{"infinite overrun", []string{"-faults", "seed=1 overrun=1:Inf"}, 1, "overrun max +Inf outside [0, 1000]"},
 		{"NaN drop", []string{"-faults", "drop=NaN"}, 1, "drop probability NaN"},
 		{"kernel flag is gone", []string{"-kernel", "channel"}, 2, "flag provided but not defined: -kernel"},
+		{"maxgoroutines flag is gone", []string{"-maxgoroutines", "8"}, 2, "flag provided but not defined: -maxgoroutines"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := runCmd(tc.args...)
@@ -51,8 +52,8 @@ func TestRejectsBadCommandLines(t *testing.T) {
 var fingerprintRE = regexp.MustCompile(`fingerprint=([0-9a-f]{16})`)
 
 // TestSummaryFingerprintIsConfigIndependent runs each scenario small with
-// the pool on and off and with activation dispatch on and off: the
-// schedule, and so the summary line's fingerprint, must not change.
+// activation dispatch on and off: the schedule, and so the summary line's
+// fingerprint, must not change.
 func TestSummaryFingerprintIsConfigIndependent(t *testing.T) {
 	for _, sc := range []struct {
 		scenario, prefix string
@@ -63,10 +64,8 @@ func TestSummaryFingerprintIsConfigIndependent(t *testing.T) {
 		t.Run(sc.scenario, func(t *testing.T) {
 			var want string
 			for _, cfg := range [][]string{
-				{"-maxgoroutines", "8", "-activation=true"},
-				{"-maxgoroutines", "0", "-activation=true"},
-				{"-maxgoroutines", "8", "-activation=false"},
-				{"-maxgoroutines", "0", "-activation=false"},
+				{"-activation=true"},
+				{"-activation=false"},
 			} {
 				args := append([]string{"-scenario", sc.scenario, "-n", "200", "-quiet"}, cfg...)
 				code, stdout, stderr := runCmd(args...)
@@ -76,8 +75,8 @@ func TestSummaryFingerprintIsConfigIndependent(t *testing.T) {
 				if !strings.HasPrefix(stdout, sc.prefix) || strings.Count(stdout, "\n") != 1 {
 					t.Fatalf("%v: want one %q summary line, got %q", cfg, sc.prefix, stdout)
 				}
-				if strings.Contains(stdout, "kernel=") {
-					t.Errorf("%v: summary line still carries a kernel field: %q", cfg, stdout)
+				if strings.Contains(stdout, "kernel=") || strings.Contains(stdout, "maxgoroutines=") {
+					t.Errorf("%v: summary line still carries a removed field: %q", cfg, stdout)
 				}
 				m := fingerprintRE.FindStringSubmatch(stdout)
 				if m == nil {

@@ -103,6 +103,9 @@ func TestRejectsBadCommandLines(t *testing.T) {
 		{"unknown policy", []string{"-campaign", "-policy", "nope"}, 2, `-policy: unknown policy "nope"`},
 		{"unknown format", []string{"-campaign", "-format", "xml"}, 2, `-format: unknown format "xml"`},
 		{"unknown flag", []string{"-kernel", "channel"}, 2, "flag provided but not defined: -kernel"},
+		{"NaN point", []string{"-campaign", "-points", "NaN", "-systems", "3"}, 2, "density NaN must be positive and finite"},
+		{"infinite point", []string{"-campaign", "-points", "Inf", "-systems", "3"}, 2, "density +Inf must be positive and finite"},
+		{"oversized point", []string{"-campaign", "-points", "1e15", "-systems", "3"}, 2, "exceeds 100000 events per system"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := runCmd(tc.args...)

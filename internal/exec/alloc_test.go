@@ -46,28 +46,11 @@ func runStepper(t *testing.T, ex *Exec, d rtime.Duration) func() {
 }
 
 // TestAllocsPooledActivationRelease: one release of an activation entity
-// on the worker pool — timer fire, pool start, body dispatch, rearm.
+// on the worker pool — timer fire, pool start, body dispatch, rearm. The
+// body runs on the worker the previous release freed, not on a fresh
+// coroutine.
 func TestAllocsPooledActivationRelease(t *testing.T) {
-	ex := NewWithOptions(nil, Options{MaxGoroutines: 2})
-	defer ex.Shutdown()
-	runs := 0
-	ex.SpawnPeriodic("p", 1, ActivationSpec{Period: tu(2)}, func(tc *TC) {
-		tc.Consume(tu(1))
-		runs++
-	})
-	run := runStepper(t, ex, tu(2))
-	steps := 0
-	assertNoAllocs(t, func() { run(); steps++ })
-	if runs != steps {
-		t.Fatalf("%d releases in %d steps, want one per step", runs, steps)
-	}
-}
-
-// TestAllocsPerThreadActivationRelease: one release of an activation
-// entity without a resident cap — the body runs on the worker the
-// previous release freed, not on a fresh goroutine.
-func TestAllocsPerThreadActivationRelease(t *testing.T) {
-	ex := NewWithOptions(nil, Options{MaxGoroutines: 0})
+	ex := New(nil)
 	defer ex.Shutdown()
 	runs := 0
 	ex.SpawnPeriodic("p", 1, ActivationSpec{Period: tu(2)}, func(tc *TC) {

@@ -31,11 +31,12 @@
 // configuration.
 //
 // Determinism is checked two ways. The differential tests run every
-// scenario on every configuration (uncapped, pooled, activation, one-CPU
-// SMP) and compare the schedules segment by segment against the uncapped
-// run; and that reference run must match
-// a committed trace fingerprint (trace.Trace.Fingerprint), so a change to
-// any schedule fails a test even when every configuration changes alike.
+// scenario on every configuration (looping or activation periodics,
+// uniprocessor or one-CPU SMP) and compare the schedules segment by
+// segment against the looping uniprocessor run; and that reference run
+// must match a committed trace fingerprint (trace.Trace.Fingerprint), so
+// a change to any schedule fails a test even when every configuration
+// changes alike.
 //
 // # Timers and the allocation-free steady state
 //
@@ -68,10 +69,7 @@
 // Bodies start lazily on free workers (pool.go): a thread binds a worker
 // the first time it is scheduled and frees it when its body returns, so
 // the number of workers is the peak number of bodies in progress at once,
-// not the thread count. Options.MaxGoroutines caps how many free workers
-// stay resident: workers made above the cap retire as bodies finish. Zero
-// keeps every worker resident. Scheduling decisions are identical either
-// way.
+// not the thread count. Every worker made stays resident until Shutdown.
 //
 // # Activation-driven periodic entities
 //
@@ -87,14 +85,8 @@
 //
 // # Choosing a configuration
 //
-//   - Default (no resident cap): small systems and short-lived
-//     executives — every worker made stays resident until Shutdown.
-//   - Pooled (Options.MaxGoroutines > 0): many mostly run-to-completion
-//     threads (sporadic job floods); workers beyond the cap retire once
-//     the preemption depth falls again.
-//   - SpawnPeriodic for periodic load: many long-running periodic
-//     entities; removes the last per-entity worker.
-//
-// Every configuration is differential-tested to produce identical
+// Spawn suits one-shot and self-looping threads; SpawnPeriodic suits
+// many long-running periodic entities, and removes the last per-entity
+// worker. Both formulations are differential-tested to produce identical
 // schedules, so the choice is purely a resource/performance trade.
 package exec

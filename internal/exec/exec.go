@@ -7,22 +7,6 @@ import (
 
 // Options configures an executive beyond the sink it records into.
 type Options struct {
-	// MaxGoroutines, when positive, caps how many coroutine workers the
-	// executive keeps resident. Thread bodies always run on workers: a
-	// thread binds a free worker lazily the first time the scheduler runs
-	// it, and when its body returns the worker is recycled for other
-	// bodies. With a cap, workers beyond it retire as bodies finish, one
-	// per finish, unless the finishing worker is the only one available to
-	// serve an immediately following start (then it is reused instead).
-	// The pool can transiently exceed the cap when more than MaxGoroutines
-	// bodies are suspended mid-execution at once (each suspended body pins
-	// its worker's stack) — the bound that holds is the peak number of
-	// concurrently in-progress bodies, which for run-to-completion
-	// workloads is tiny regardless of the thread count. Zero (the default)
-	// means no resident cap: every worker made stays until Shutdown.
-	// Scheduling is identical either way, enforced by the differential
-	// tests.
-	MaxGoroutines int
 	// CPUs is the number of virtual CPUs the executive schedules (see
 	// smp.go). Zero and one are the uniprocessor: the same code path with
 	// one CPU, byte-identical to the pre-SMP executive.
@@ -38,7 +22,7 @@ type Options struct {
 	// one it last occupied — the cache-reload penalty of a migration.
 	MigrationCost rtime.Duration
 	// Stats, when non-nil, wires the executive's kernel counters (context
-	// switches, preemptions, heap high-water marks, pool churn) into the
+	// switches, preemptions, heap high-water marks, worker creation) into the
 	// given instrument set. Nil (the default) disables all accounting:
 	// every hook site collapses to one predictable branch. Stats never
 	// affect scheduling, traces or metrics — they are observational only.
@@ -48,7 +32,7 @@ type Options struct {
 // MissPolicy selects how a periodic entity (SpawnPeriodic) handles a
 // deadline overrun — a body still running when its next release comes due.
 // The policy is applied by the activation rearm path, so it is identical
-// across worker modes.
+// on every executive configuration.
 type MissPolicy int
 
 const (
@@ -249,7 +233,7 @@ func NewWithOptions(sink trace.Sink, opts Options) *Exec {
 	if sink == nil {
 		sink = trace.Nop{}
 	}
-	ex := &Exec{sink: sink, pool: workerPool{cap: max(opts.MaxGoroutines, 0)}}
+	ex := &Exec{sink: sink}
 	ex.tr, _ = sink.(*trace.Trace)
 	ex.cpuSink, _ = sink.(trace.CPUSink)
 	if opts.Stats != nil {
@@ -295,19 +279,10 @@ func NewWithOptions(sink trace.Sink, opts Options) *Exec {
 	return ex
 }
 
-// Pooled reports whether the worker pool has a resident cap
-// (Options.MaxGoroutines > 0).
-func (ex *Exec) Pooled() bool { return ex.pool.cap > 0 }
-
-// PoolPeak returns the peak number of workers that have existed
-// simultaneously in a capped pool (0 without a cap, where the pool keeps
-// no statistics).
-func (ex *Exec) PoolPeak() int { return ex.pool.peak }
-
-// PoolSpawned returns the total number of workers a capped pool ever made
-// (0 without a cap). PoolSpawned equal to PoolPeak means every worker was
-// reused until the pool quiesced — no retire-then-respawn churn.
-func (ex *Exec) PoolSpawned() int { return ex.pool.spawned }
+// PoolPeak returns the number of coroutine workers the executive has
+// made. Workers stay resident until Shutdown, so this is also the peak
+// number of thread bodies that were in progress at once.
+func (ex *Exec) PoolPeak() int { return ex.pool.made }
 
 // Sink returns the sink this executive records into (never nil).
 func (ex *Exec) Sink() trace.Sink { return ex.sink }

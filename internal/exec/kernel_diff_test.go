@@ -9,27 +9,26 @@ import (
 )
 
 // Differential tests: every scenario is built identically on every
-// executive configuration — one goroutine per thread, pooled workers, and
-// the one-CPU SMP reduction — and must produce trace-for-trace identical
-// schedules — same segments, same preemption points, same virtual
-// timestamps, same point events, same per-thread accounting. The
-// goroutine-per-thread run is the in-run reference, and its trace must
-// also match the committed fingerprint of the scenario (fingerprint_test.go),
-// so a schedule change fails even when every configuration changes alike.
+// executive configuration — the uniprocessor and the one-CPU SMP
+// reduction — and must produce trace-for-trace identical schedules — same
+// segments, same preemption points, same virtual timestamps, same point
+// events, same per-thread accounting. The uniprocessor run is the in-run
+// reference, and its trace must also match the committed fingerprint of
+// the scenario (fingerprint_test.go), so a schedule change fails even when
+// every configuration changes alike.
 
 // diffConfigs is the executive configuration matrix under differential
-// test; the first entry is the reference. The small MaxGoroutines forces
-// worker recycling (and transient over-cap growth) inside the scenarios
-// rather than hiding it. The smp1 entry runs the whole corpus through the
-// M=1 SMP reduction — an explicit CPU count and a non-trivial migration
-// policy — which must stay byte-identical to the uniprocessor schedules
+// test; the first entry is the reference. Both run on the resident worker
+// pool, which recycles freed workers inside the scenarios. The smp1 entry
+// runs the whole corpus through the M=1 SMP reduction — an explicit CPU
+// count and a non-trivial migration policy — which must stay
+// byte-identical to the uniprocessor schedules
 // (TestSMPM1MatchesUniprocessor pins the same property for every policy).
 var diffConfigs = []struct {
 	name string
 	opts Options
 }{
 	{"direct", Options{}},
-	{"direct-pooled", Options{MaxGoroutines: 2}},
 	{"direct-smp1", Options{CPUs: 1, Migration: Partitioned}},
 }
 

@@ -31,10 +31,9 @@ import (
 // timer or the horizon, and drains zero-CPU threads at the horizon. Every
 // decision depends only on virtual time and the executive's sequence
 // counter, never on goroutine timing, so the schedule — segments,
-// timestamps, events — is the same with and without a resident cap and
-// from run to run. The ready queues and the timer queue are binary
-// heaps (heap.go); with one CPU the assignment degenerates to "the heap
-// top runs".
+// timestamps, events — is the same from run to run. The ready queues and
+// the timer queue are binary heaps (heap.go); with one CPU the assignment
+// degenerates to "the heap top runs".
 
 // runBody executes the body with the executive's panic discipline and
 // finishes the thread — or, for an activation entity that completed

@@ -17,27 +17,14 @@ import "iter"
 // peak number of bodies in progress at once — for run-to-completion
 // workloads the preemption depth, not the thread count. Creating a
 // coroutine costs about a dozen allocations, so workers are kept and
-// reused, never made per body.
-//
-// Resident-size semantics (Options.MaxGoroutines): with a positive cap,
-// cap is the number of workers kept once free. A start that finds no free
-// worker makes a new one regardless of the cap (refusing would deadlock
-// the executive). A worker above the cap retires when its body finishes
-// while another worker is already free; if it is the only free candidate
-// for an immediately following start, it is kept and reused instead
-// (burst workloads would otherwise retire a worker and make a new one a
-// moment later for every job). The pool therefore converges back to the
-// cap as bodies finish, one retirement per finish. Without a cap every
-// worker stays resident and the pool keeps no statistics. All of this
-// happens under the scheduling token, at the two points where a body
+// reused, never made per body: every worker made stays resident until
+// Shutdown, so the number made is also the pool's high-water mark. All of
+// this happens under the scheduling token, at the two points where a body
 // starts (getWorker) and ends (putWorker), so pool sizes are a pure
 // function of the schedule.
 type workerPool struct {
-	free    *worker // free workers, most recently freed first
-	cap     int     // Options.MaxGoroutines; 0 means no resident cap
-	live    int     // workers alive (capped pools only)
-	peak    int     // high-water mark of live
-	spawned int     // workers ever made (capped pools only)
+	free *worker // free workers, most recently freed first
+	made int     // workers ever made; none retires, so also the peak
 }
 
 // worker is one resident coroutine. resume runs it until its body
@@ -58,18 +45,15 @@ func (ex *Exec) getWorker() *worker {
 		w.next = nil
 		return w
 	}
-	if p.cap > 0 {
-		p.live++
-		p.spawned++
-		p.peak = max(p.peak, p.live)
-		ex.stats.PoolSpawns.Inc()
-	}
+	p.made++
+	ex.stats.PoolSpawns.Inc()
 	w := &worker{}
 	w.resume, w.stop = iter.Pull(func(yield func(struct{}) bool) {
 		w.yield = yield
 		for {
 			w.th.runBody()
-			if ex.putWorker(w) || !yield(struct{}{}) {
+			ex.putWorker(w)
+			if !yield(struct{}{}) {
 				return
 			}
 		}
@@ -77,19 +61,11 @@ func (ex *Exec) getWorker() *worker {
 	return w
 }
 
-// putWorker frees w after its body returned, or retires it when the pool
-// is over its cap and another worker is already free. It reports whether
-// w retired.
-func (ex *Exec) putWorker(w *worker) (retire bool) {
+// putWorker frees w after its body returned.
+func (ex *Exec) putWorker(w *worker) {
 	p := &ex.pool
-	if p.cap > 0 && p.live > p.cap && p.free != nil {
-		p.live--
-		ex.stats.PoolRetires.Inc()
-		return true
-	}
 	w.next = p.free
 	p.free = w
-	return false
 }
 
 // stopWorkers ends every free worker's coroutine. Shutdown calls it once

@@ -10,16 +10,16 @@ import (
 	"rtsj/internal/trace"
 )
 
-// TestPooledBoundedGoroutines is the pooled executive's headline property:
+// TestPooledBoundedGoroutines is the worker pool's headline property:
 // thousands of run-to-completion threads execute on a handful of worker
-// goroutines. The peak worker count is bounded by the preemption depth
-// (how many bodies are suspended mid-execution at once), not by the
-// thread count.
+// goroutines. The peak worker count is the preemption depth (how many
+// bodies are suspended mid-execution at once), not the thread count; the
+// pinned value is this workload's depth.
 func TestPooledBoundedGoroutines(t *testing.T) {
-	const n = 2000
+	const n, wantPeak = 2000, 4
 	t.Run("direct", func(t *testing.T) {
 		before := runtime.NumGoroutine()
-		ex := NewWithOptions(nil, Options{MaxGoroutines: 8})
+		ex := New(nil)
 		rng := newDetRand(7)
 		done := 0
 		for i := 0; i < n; i++ {
@@ -38,8 +38,8 @@ func TestPooledBoundedGoroutines(t *testing.T) {
 		if done != n {
 			t.Fatalf("completed %d of %d jobs", done, n)
 		}
-		if peak := ex.PoolPeak(); peak > 8 {
-			t.Errorf("pool peaked at %d workers, want <= MaxGoroutines (8)", peak)
+		if peak := ex.PoolPeak(); peak != wantPeak {
+			t.Errorf("pool peaked at %d workers, want %d", peak, wantPeak)
 		}
 		// The process never carried anything close to one goroutine
 		// per thread.
@@ -54,40 +54,10 @@ func TestPooledBoundedGoroutines(t *testing.T) {
 	})
 }
 
-// TestPooledShutdownReleasesGoroutines mirrors the per-thread shutdown
-// test: killed mid-body threads, sleepers, and never-started threads (which
-// in pooled mode never got a goroutine at all) must all be reaped.
-func TestPooledShutdownReleasesGoroutines(t *testing.T) {
-	t.Run("direct", func(t *testing.T) {
-		before := runtime.NumGoroutine()
-		for i := 0; i < 20; i++ {
-			ex := NewWithOptions(nil, Options{MaxGoroutines: 4})
-			q := NewWaitQueue("never")
-			ex.Spawn("blocked", 1, 0, func(tc *TC) { tc.Wait(q) })
-			ex.Spawn("sleeper", 1, 0, func(tc *TC) { tc.SleepUntil(at(1e6)) })
-			ex.Spawn("never-started", 1, at(1e6), func(tc *TC) {})
-			if err := ex.Run(at(5)); err != nil {
-				t.Fatal(err)
-			}
-			ex.Shutdown()
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > before+3 && time.Now().Before(deadline) {
-			runtime.Gosched()
-			time.Sleep(time.Millisecond)
-		}
-		if after := runtime.NumGoroutine(); after > before+5 {
-			t.Fatalf("goroutines leaked: before=%d after=%d", before, after)
-		}
-	})
-}
-
-// TestPooledOverCapAndRetire pins the resident-size semantics: when more
-// bodies must be suspended mid-execution than MaxGoroutines, the pool grows
-// past the cap (refusing would deadlock the executive) and retires back
-// down as bodies finish.
-func TestPooledOverCapAndRetire(t *testing.T) {
-	ex := NewWithOptions(nil, Options{MaxGoroutines: 1})
+// TestPoolPeakIsLiveBodies pins the pool's size: it grows to one worker
+// per body suspended mid-execution at once, and no further.
+func TestPoolPeakIsLiveBodies(t *testing.T) {
+	ex := New(nil)
 	// A priority ladder: each thread is preempted mid-consume by the next,
 	// so at time 5 all five bodies are live at once.
 	for i := 0; i < 5; i++ {
@@ -104,73 +74,13 @@ func TestPooledOverCapAndRetire(t *testing.T) {
 	}
 }
 
-// TestPooledBurstNoChurn pins the relaxed availability accounting: a
-// serial burst of run-to-completion jobs (each finishing before the next
-// starts) on a pool whose transient depth exceeded MaxGoroutines must
-// reuse the over-cap worker when it is the only one available, instead of
-// retiring it and respawning a fresh goroutine for every job.
-func TestPooledBurstNoChurn(t *testing.T) {
-	t.Run("direct", func(t *testing.T) {
-		ex := NewWithOptions(nil, Options{MaxGoroutines: 1})
-		// Phase 1: a priority ladder forces the pool two over its cap.
-		for i := 0; i < 3; i++ {
-			ex.Spawn(fmt.Sprintf("rung%d", i), 5+i, at(float64(i)), func(tc *TC) {
-				tc.Consume(tu(5))
-			})
-		}
-		// Phase 2: a serial burst after the ladder has drained.
-		const burst = 50
-		done := 0
-		for i := 0; i < burst; i++ {
-			ex.Spawn(fmt.Sprintf("b%d", i), 1, at(float64(40+i)), func(tc *TC) {
-				tc.Consume(tu(0.5))
-				done++
-			})
-		}
-		if err := ex.Run(at(200)); err != nil {
-			t.Fatal(err)
-		}
-		ex.Shutdown()
-		if done != burst {
-			t.Fatalf("completed %d of %d burst jobs", done, burst)
-		}
-		if peak, spawned := ex.PoolPeak(), ex.PoolSpawned(); spawned != peak {
-			t.Errorf("spawned %d workers for peak %d: burst churned retire/respawn", spawned, peak)
-		}
-	})
-}
-
-// TestPooledRetireConvergesToCap: after a transient over-cap episode, the
-// pool drains back to MaxGoroutines (one retirement per finish) once
-// enough bodies finish with another worker already available.
-func TestPooledRetireConvergesToCap(t *testing.T) {
-	ex := NewWithOptions(nil, Options{MaxGoroutines: 2})
-	for i := 0; i < 6; i++ {
-		ex.Spawn(fmt.Sprintf("rung%d", i), 1+i, at(float64(i)), func(tc *TC) {
-			tc.Consume(tu(10))
-		})
-	}
-	if err := ex.Run(at(100)); err != nil {
-		t.Fatal(err)
-	}
-	if peak := ex.PoolPeak(); peak != 6 {
-		t.Errorf("pool peak = %d, want 6", peak)
-	}
-	// All bodies finished; the pool must have shed its over-cap workers.
-	// Run has returned, so the pool is quiescent and safe to read.
-	if live := ex.pool.live; live > 2 {
-		t.Errorf("pool kept %d live workers after quiescence, cap is 2", live)
-	}
-	ex.Shutdown()
-}
-
-// TestPooledAccountingDeterministic runs the same preemption-heavy
-// workload repeatedly and requires identical pool metrics every time: the
+// TestPoolAccountingDeterministic runs the same preemption-heavy
+// workload repeatedly and requires the same pool peak every time: the
 // accounting happens only at synchronous scheduling points, so pool sizes
 // are a pure function of the schedule.
-func TestPooledAccountingDeterministic(t *testing.T) {
-	run := func() (int, int) {
-		ex := NewWithOptions(nil, Options{MaxGoroutines: 2})
+func TestPoolAccountingDeterministic(t *testing.T) {
+	run := func() int {
+		ex := New(nil)
 		rng := newDetRand(11)
 		for i := 0; i < 300; i++ {
 			prio := 1 + rng.next()%5
@@ -182,21 +92,20 @@ func TestPooledAccountingDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		ex.Shutdown()
-		return ex.PoolPeak(), ex.PoolSpawned()
+		return ex.PoolPeak()
 	}
-	peak0, spawned0 := run()
+	peak0 := run()
 	for i := 0; i < 5; i++ {
-		if peak, spawned := run(); peak != peak0 || spawned != spawned0 {
-			t.Fatalf("run %d: pool metrics drifted: peak %d/%d spawned %d/%d",
-				i, peak, peak0, spawned, spawned0)
+		if peak := run(); peak != peak0 {
+			t.Fatalf("run %d: pool peak drifted: %d vs %d", i, peak, peak0)
 		}
 	}
 }
 
-// TestPooledErrorSurfaces: a panicking body on a pool worker reports its
+// TestWorkerPanicSurfaces: a panicking body on a pool worker reports its
 // error exactly like a dedicated goroutine would.
-func TestPooledErrorSurfaces(t *testing.T) {
-	ex := NewWithOptions(nil, Options{MaxGoroutines: 2})
+func TestWorkerPanicSurfaces(t *testing.T) {
+	ex := New(nil)
 	ex.Spawn("ok", 2, 0, func(tc *TC) { tc.Consume(tu(1)) })
 	ex.Spawn("bad", 1, 0, func(tc *TC) {
 		tc.Consume(tu(1))
@@ -205,7 +114,7 @@ func TestPooledErrorSurfaces(t *testing.T) {
 	err := ex.Run(at(10))
 	ex.Shutdown()
 	if err == nil {
-		t.Fatal("pooled: panic not surfaced")
+		t.Fatal("panic not surfaced")
 	}
 }
 
@@ -221,7 +130,6 @@ func TestWithBudgetZeroAndNegative(t *testing.T) {
 		opts Options
 	}{
 		{"channel", Options{}},
-		{"channel-pooled", Options{MaxGoroutines: 2}},
 		{"channel-smp1", Options{CPUs: 1, Migration: Clustered}},
 	}
 	for i, cfg := range append(channelRows, diffConfigs...) {

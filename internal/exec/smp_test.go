@@ -9,9 +9,9 @@ import (
 )
 
 // SMP differential tests: every multiprocessor scenario is built
-// identically on {goroutine-per-thread, pooled, pooled+activation} x M in
-// {1, 2, 4} and must produce trace-for-trace identical schedules, with the
-// per-thread configuration as the M-CPU reference, whose trace must match
+// identically on {per-thread, activation} x M in {1, 2, 4} and must
+// produce trace-for-trace identical schedules, with the per-thread
+// configuration as the M-CPU reference, whose trace must match
 // its committed fingerprint. The M=1 runs must additionally match the
 // plain uniprocessor executive byte for byte
 // (TestSMPM1MatchesUniprocessor).
@@ -129,12 +129,10 @@ var smpCorpus = []smpScenario{
 // first entry is the reference.
 var smpDiffConfigs = []struct {
 	name       string
-	goroutines int
 	activation bool
 }{
-	{"direct/thread", 0, false},
-	{"direct/pooled", 3, false},
-	{"direct/activation", 3, true},
+	{"direct/thread", false},
+	{"direct/activation", true},
 }
 
 // smpPolicies pairs each policy with the CPU counts it is exercised at.
@@ -162,11 +160,7 @@ func TestSMPDiffCorpus(t *testing.T) {
 					t.Parallel()
 					run := func(cfg int) *Exec {
 						c := smpDiffConfigs[cfg]
-						ex := NewWithOptions(trace.New(), Options{
-							MaxGoroutines: c.goroutines,
-							CPUs:          m,
-							Migration:     pol.policy,
-						})
+						ex := NewWithOptions(trace.New(), Options{CPUs: m, Migration: pol.policy})
 						sc.build(ex, m, c.activation)
 						if err := ex.Run(sc.horizon); err != nil {
 							t.Fatalf("%s: %v", c.name, err)
@@ -255,7 +249,7 @@ func TestSMPM1MatchesUniprocessor(t *testing.T) {
 // configuration matrix: every configuration must match the per-thread
 // reference trace-for-trace, the reference must match the trial's
 // committed fingerprint, and rerunning it must reproduce it exactly
-// (determinism across reruns and worker counts).
+// (determinism across reruns).
 func TestSMPDiffFuzz(t *testing.T) {
 	trials := 40
 	if testing.Short() {
@@ -300,9 +294,8 @@ func TestSMPDiffFuzz(t *testing.T) {
 					ex.SpawnOn(name, p.prio, p.start, p.cpu, func(tc *TC) { tc.Consume(c) })
 				}
 			}
-			run := func(workers int, activation bool) *Exec {
+			run := func(activation bool) *Exec {
 				ex := NewWithOptions(trace.New(), Options{
-					MaxGoroutines: workers,
 					CPUs:          m,
 					Migration:     policy,
 					MigrationCost: cost,
@@ -316,7 +309,7 @@ func TestSMPDiffFuzz(t *testing.T) {
 				}
 				return ex
 			}
-			ref := run(0, false)
+			ref := run(false)
 			defer ref.Shutdown()
 			if err := ref.Trace().CheckCPUs(m); err != nil {
 				t.Errorf("reference trace invalid: %v", err)
@@ -326,15 +319,12 @@ func TestSMPDiffFuzz(t *testing.T) {
 			}
 			for _, cmp := range []struct {
 				name       string
-				workers    int
 				activation bool
 			}{
-				{"rerun", 0, false},
-				{"direct-w2", 2, false},
-				{"direct-w8", 8, false},
-				{"direct-activation", 2, true},
+				{"rerun", false},
+				{"direct-activation", true},
 			} {
-				got := run(cmp.workers, cmp.activation)
+				got := run(cmp.activation)
 				compareExecsCPUs(t, cmp.name, ref, got, m)
 				got.Shutdown()
 			}

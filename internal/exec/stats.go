@@ -8,7 +8,7 @@ import "rtsj/internal/obs"
 // layer — the executive then pays one predictable branch per hook site.
 //
 // The counters are observational only: they count kernel-internal work
-// (context switches, heap growth, pool churn) whose exact values are
+// (context switches, heap growth, worker creation) whose exact values are
 // stable for a fixed configuration but are NOT part of the simulation
 // result. Nothing here may feed a fingerprint, trace or metrics output —
 // rtlint's nondeterm analyzer enforces that reads stay out of the
@@ -27,10 +27,8 @@ type Stats struct {
 	TimerHeapMax *obs.Gauge
 	// ReadyMax is the high-water mark across the per-domain ready queues.
 	ReadyMax *obs.Gauge
-	// PoolSpawns counts coroutine workers created by the pooled mode.
+	// PoolSpawns counts coroutine workers created (Exec.PoolPeak).
 	PoolSpawns *obs.Counter
-	// PoolRetires counts pool workers retired after a body finished.
-	PoolRetires *obs.Counter
 	// Dispatches counts periodic activation releases that reached a body.
 	Dispatches *obs.Counter
 	// Misses counts deadline overruns handled by the rearm path (skipped
@@ -49,7 +47,6 @@ func NewStats(r *obs.Registry) *Stats {
 		TimerHeapMax:    r.Gauge("exec.timer_heap_max"),
 		ReadyMax:        r.Gauge("exec.ready_max"),
 		PoolSpawns:      r.Counter("exec.pool_spawns"),
-		PoolRetires:     r.Counter("exec.pool_retires"),
 		Dispatches:      r.Counter("exec.dispatches"),
 		Misses:          r.Counter("exec.misses"),
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // statsScenario exercises every hook family: a preemption, periodic
-// dispatches with a timer queue, and (with MaxGoroutines set) pool churn.
+// dispatches with a timer queue, and worker creation.
 func statsScenario(ex *Exec) {
 	ex.Spawn("lo", 1, 0, func(tc *TC) { tc.Consume(rtime.TUs(6)) })
 	ex.Spawn("hi", 2, rtime.AtTU(2), func(tc *TC) { tc.Consume(rtime.TUs(2)) })
@@ -63,10 +63,10 @@ func TestStatsCountKernelWork(t *testing.T) {
 	}
 }
 
-// Pooled mode's spawn counter agrees with the executive's own accounting.
+// The pool's spawn counter agrees with the executive's own accounting.
 func TestStatsPoolCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	ex := NewWithOptions(nil, Options{MaxGoroutines: 1, Stats: NewStats(reg)})
+	ex := NewWithOptions(nil, Options{Stats: NewStats(reg)})
 	for i := 0; i < 4; i++ {
 		ex.Spawn("t", 1, 0, func(tc *TC) { tc.Consume(rtime.TUs(1)) })
 	}
@@ -75,8 +75,8 @@ func TestStatsPoolCounters(t *testing.T) {
 	}
 	ex.Shutdown()
 	m := reg.Map()
-	if got, want := m["exec.pool_spawns"], int64(ex.PoolSpawned()); got != want {
-		t.Errorf("pool_spawns = %d, PoolSpawned = %d", got, want)
+	if got, want := m["exec.pool_spawns"], int64(ex.PoolPeak()); got != want || got == 0 {
+		t.Errorf("pool_spawns = %d, PoolPeak = %d", got, want)
 	}
 }
 

@@ -37,9 +37,6 @@ type ExecModel struct {
 	// NoiseSeed and SysIndex derive the deterministic per-event u.
 	NoiseSeed int64
 	SysIndex  int // system index within its set, for noise derivation
-	// MaxGoroutines > 0 caps the executive's resident workers
-	// (exec.Options.MaxGoroutines). Zero keeps the default: no cap.
-	MaxGoroutines int
 	// PeriodicActivation lowers the workload's periodic threads onto the
 	// executive's activation-driven dispatch path
 	// (rtsjvm.VM.NewActivationThread): one body dispatch per release, no
@@ -50,7 +47,7 @@ type ExecModel struct {
 	// Faults is the optional deterministic fault-injection plan. Aperiodic
 	// faults (drops, jitter, cost overruns) are applied to the workload
 	// itself before either engine would see it, so they are identical
-	// across every pool/activation configuration; periodic
+	// in looping and activation mode; periodic
 	// per-release overruns are drawn order-independently inside each body
 	// (Plan.ActivationFault). Nil injects nothing and leaves every code
 	// path byte-identical to a fault-free run.
@@ -85,11 +82,12 @@ type ExecModel struct {
 
 // execOptions maps the model onto the executive configuration.
 func (m ExecModel) execOptions() exec.Options {
-	return exec.Options{MaxGoroutines: m.MaxGoroutines, CPUs: m.CPUs, Migration: m.Migration, Stats: m.Stats}
+	return exec.Options{CPUs: m.CPUs, Migration: m.Migration, Stats: m.Stats}
 }
 
-// DefaultExecModel is the calibrated execution platform used for Tables 3
-// and 5 (see EXPERIMENTS.md for the calibration rationale).
+// DefaultExecModel is the execution platform used for Tables 3 and 5. Its
+// four overheads and its CostNoise are hand-set, not yet fitted to the
+// paper's measurements.
 func DefaultExecModel() ExecModel {
 	return ExecModel{
 		Overheads: rtsjvm.Overheads{
@@ -157,7 +155,7 @@ func runExecutionSink(sys sim.System, m ExecModel, horizon rtime.Time, sink trac
 	}
 	// Workload-level faults rewrite the system up front, independent of the
 	// executive configuration: the same plan yields the same faulted
-	// workload on every pool/activation combination.
+	// workload in looping and activation mode.
 	sys = m.Faults.ApplySystem(sys, m.SysIndex)
 	vm := rtsjvm.NewVMSink(sink, m.Overheads, m.execOptions())
 	spec := *sys.Server

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -63,31 +64,53 @@ func DefaultCampaignSpec() CampaignSpec {
 	}
 }
 
+// MaxEventsPerSystem bounds the aperiodic events one campaign system may
+// draw: each sweep point's density times HorizonPeriods, and the horizon
+// itself, which the generator walks period by period. The stock sweep
+// peaks at 40 events per system; the bound sits far above any useful
+// sweep, and keeps a mistyped or hostile spec from sizing a generator
+// buffer beyond memory or walking an endless horizon.
+const MaxEventsPerSystem = 100_000
+
 // Validate reports structural problems in the spec, including values that
-// arrived over the shard protocol from an untrusted coordinator.
+// arrived over the shard protocol from an untrusted coordinator. Every
+// float field must be finite.
 func (s CampaignSpec) Validate() error {
 	if len(s.Points) == 0 {
 		return fmt.Errorf("campaign: no sweep points")
 	}
-	for i, d := range s.Points {
-		if d <= 0 {
-			return fmt.Errorf("campaign: point %d: density %v must be positive", i, d)
-		}
-	}
 	if s.Systems <= 0 {
 		return fmt.Errorf("campaign: systems per point must be positive (got %d)", s.Systems)
 	}
-	if s.ServerCapacity <= 0 || s.ServerPeriod <= 0 {
-		return fmt.Errorf("campaign: server capacity and period must be positive")
+	if !finite(s.AverageCost) || !finite(s.StdDeviation) {
+		return fmt.Errorf("campaign: event cost mean %v and deviation %v must be finite", s.AverageCost, s.StdDeviation)
 	}
-	if s.HorizonPeriods <= 0 {
-		return fmt.Errorf("campaign: horizon must be positive (got %d periods)", s.HorizonPeriods)
+	if !positive(s.ServerCapacity) || !positive(s.ServerPeriod) {
+		return fmt.Errorf("campaign: server capacity and period must be positive and finite")
+	}
+	if s.HorizonPeriods <= 0 || s.HorizonPeriods > MaxEventsPerSystem {
+		return fmt.Errorf("campaign: horizon must be 1 to %d periods (got %d)", MaxEventsPerSystem, s.HorizonPeriods)
+	}
+	for i, d := range s.Points {
+		if !positive(d) {
+			return fmt.Errorf("campaign: point %d: density %v must be positive and finite", i, d)
+		}
+		if d*float64(s.HorizonPeriods) > MaxEventsPerSystem {
+			return fmt.Errorf("campaign: point %d: density %v over %d periods exceeds %d events per system",
+				i, d, s.HorizonPeriods, MaxEventsPerSystem)
+		}
 	}
 	if s.Policy < sim.NoServer || s.Policy > sim.SlackStealer {
 		return fmt.Errorf("campaign: unknown server policy %d", int(s.Policy))
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// positive reports whether v is positive and finite.
+func positive(v float64) bool { return v > 0 && finite(v) }
 
 // pointParams maps one sweep point onto generation parameters. The seed is
 // offset by the point index so every sweep point draws an independent

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -167,6 +168,27 @@ func TestServeShardInvalidSpec(t *testing.T) {
 	err := ServeShard(bytes.NewReader(append(req, '\n')), &out)
 	if err == nil || !strings.Contains(err.Error(), "systems per point must be positive") {
 		t.Fatalf("err = %v, want spec validation error", err)
+	}
+}
+
+// TestServeShardOversizedSpec sends a well-formed request whose one sweep
+// point asks for 1e15 events per system: the worker must answer with an
+// error response, not size a generator buffer for it and crash.
+func TestServeShardOversizedSpec(t *testing.T) {
+	s := testCampaignSpec()
+	s.Points = []float64{1e15}
+	req, _ := json.Marshal(ShardRequest{V: ShardProtocolVersion, Spec: s, Lo: 0, Hi: 1})
+	var out bytes.Buffer
+	err := ServeShard(bytes.NewReader(append(req, '\n')), &out)
+	if err == nil || !strings.Contains(err.Error(), "events per system") {
+		t.Fatalf("err = %v, want the events-per-system bound", err)
+	}
+	var resp ShardResponse
+	if derr := json.NewDecoder(&out).Decode(&resp); derr != nil {
+		t.Fatalf("no error response emitted: %v", derr)
+	}
+	if resp.Error == "" || resp.Partial != nil {
+		t.Fatalf("response %+v, want an error and no partial", resp)
 	}
 }
 
@@ -397,6 +419,14 @@ func TestCampaignSpecValidate(t *testing.T) {
 		func(s *CampaignSpec) { s.ServerPeriod = 0 },
 		func(s *CampaignSpec) { s.HorizonPeriods = -1 },
 		func(s *CampaignSpec) { s.Policy = 99 },
+		func(s *CampaignSpec) { s.Points = []float64{math.NaN()} },
+		func(s *CampaignSpec) { s.Points = []float64{math.Inf(1)} },
+		func(s *CampaignSpec) { s.Points = []float64{1e15} },
+		func(s *CampaignSpec) { s.HorizonPeriods = MaxEventsPerSystem + 1 },
+		func(s *CampaignSpec) { s.AverageCost = math.NaN() },
+		func(s *CampaignSpec) { s.StdDeviation = math.Inf(-1) },
+		func(s *CampaignSpec) { s.ServerCapacity = math.NaN() },
+		func(s *CampaignSpec) { s.ServerPeriod = math.Inf(1) },
 	}
 	for i, mutate := range bad {
 		s := testCampaignSpec()
@@ -404,5 +434,10 @@ func TestCampaignSpecValidate(t *testing.T) {
 		if s.Validate() == nil {
 			t.Errorf("case %d: invalid spec passed validation", i)
 		}
+	}
+	edge := testCampaignSpec()
+	edge.Points = []float64{float64(MaxEventsPerSystem) / float64(edge.HorizonPeriods)}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("a point at the events-per-system bound: %v", err)
 	}
 }

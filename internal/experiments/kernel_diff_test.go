@@ -43,10 +43,10 @@ func recordsFingerprint(records []*core.EventRecord) uint64 {
 }
 
 // The execution tables (3 and 5) must not depend on how the executive is
-// configured: per-thread, pooled and activation dispatch must produce
-// identical per-event records — and therefore byte-identical table output
-// — over the paper's generated system sets, and the reference records
-// must match their committed fingerprints.
+// configured: looping and activation dispatch of the periodic threads must
+// produce identical per-event records — and therefore byte-identical table
+// output — over the paper's generated system sets, and the reference
+// records must match their committed fingerprints.
 func TestExecutionTablesKernelIndependent(t *testing.T) {
 	for _, cfg := range []struct {
 		key    string
@@ -64,18 +64,6 @@ func TestExecutionTablesKernelIndependent(t *testing.T) {
 				systems = systems[:3] // three systems per set keep the test fast
 			}
 			model := DefaultExecModel()
-			// The executive configuration matrix: goroutine-per-thread (the
-			// reference), pooled and activation mode (the latter lowering
-			// periodic threads onto the activation dispatch path).
-			variants := []struct {
-				name          string
-				maxGoroutines int
-				activation    bool
-			}{
-				{"direct-pooled", 4, false},
-				{"direct-activation", 4, true},
-				{"direct-activation-perthread", 0, true},
-			}
 			for i, base := range systems {
 				sys := gen.WithServer(base, p, cfg.policy, 100)
 				model.SysIndex = i
@@ -90,34 +78,33 @@ func TestExecutionTablesKernelIndependent(t *testing.T) {
 				if fp, want := recordsFingerprint(co.Records), tablesFingerprints[name][i]; fp != want {
 					t.Errorf("system %d: reference records fingerprint %#x, committed %#x", i, fp, want)
 				}
-				for _, v := range variants {
-					m := model
-					m.MaxGoroutines = v.maxGoroutines
-					m.PeriodicActivation = v.activation
-					do, err := RunExecution(sys, m, p.Horizon())
-					if err != nil {
-						t.Fatal(err)
+				// The reference loops its periodic threads; the variant
+				// lowers them onto the activation dispatch path.
+				act := model
+				act.PeriodicActivation = true
+				do, err := RunExecution(sys, act, p.Horizon())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(do.Records) != len(co.Records) {
+					t.Fatalf("system %d: record counts differ: activation=%d reference=%d",
+						i, len(do.Records), len(co.Records))
+				}
+				for k := range do.Records {
+					d, c := do.Records[k], co.Records[k]
+					if *d != *c {
+						t.Fatalf("system %d record %d differs:\nactivation: %+v\nreference: %+v", i, k, *d, *c)
 					}
-					if len(do.Records) != len(co.Records) {
-						t.Fatalf("system %d: record counts differ: %s=%d reference=%d",
-							i, v.name, len(do.Records), len(co.Records))
-					}
-					for k := range do.Records {
-						d, c := do.Records[k], co.Records[k]
-						if *d != *c {
-							t.Fatalf("system %d record %d differs:\n%s: %+v\nreference: %+v", i, k, v.name, *d, *c)
-						}
-					}
-					a, b := co.Trace, do.Trace
-					if len(a.Segments) != len(b.Segments) {
-						t.Fatalf("system %d: segment counts differ: reference=%d %s=%d",
-							i, len(a.Segments), v.name, len(b.Segments))
-					}
-					for k := range a.Segments {
-						if a.Segments[k] != b.Segments[k] {
-							t.Fatalf("system %d segment %d differs: reference=%+v %s=%+v",
-								i, k, a.Segments[k], v.name, b.Segments[k])
-						}
+				}
+				a, b := co.Trace, do.Trace
+				if len(a.Segments) != len(b.Segments) {
+					t.Fatalf("system %d: segment counts differ: reference=%d activation=%d",
+						i, len(a.Segments), len(b.Segments))
+				}
+				for k := range a.Segments {
+					if a.Segments[k] != b.Segments[k] {
+						t.Fatalf("system %d segment %d differs: reference=%+v activation=%+v",
+							i, k, a.Segments[k], b.Segments[k])
 					}
 				}
 

@@ -20,8 +20,8 @@ import (
 // sheds. Each run threads a faults.Checker through the execution
 // (conservation of released vs. completed vs. shed work, monotone
 // counters, non-negative capacity) and checks the executive's scheduler
-// invariants afterwards; the per-run fingerprint is pinned across the full
-// pool/activation configuration matrix by the overload tests.
+// invariants afterwards; the per-run fingerprint is pinned in looping and
+// activation mode by the overload tests.
 
 // Overload scenario names.
 const (
@@ -63,9 +63,8 @@ type OverloadParams struct {
 	// PeriodicMiss selects the hard periodics' overrun policy
 	// (exec.MissSkip default; exec.MissAbort needs PeriodicActivation).
 	PeriodicMiss exec.MissPolicy
-	// MaxGoroutines and PeriodicActivation configure the executive,
-	// exactly as in ExecModel.
-	MaxGoroutines      int  // pooled-worker cap; 0 keeps every worker resident
+	// PeriodicActivation configures the executive, exactly as in
+	// ExecModel.
 	PeriodicActivation bool // activation-driven periodic dispatch
 }
 
@@ -108,7 +107,7 @@ type OverloadResult struct {
 	PeriodicMisses   int // hard periodic deadline misses
 	// CapacityFloor is the deepest pre-clamp capacity excursion observed.
 	CapacityFloor rtime.Duration
-	// PeakWorkers is the pool high-water mark (0 in per-thread mode).
+	// PeakWorkers is the pool high-water mark (exec.Exec.PoolPeak).
 	PeakWorkers int
 	// FinalTime is the virtual clock when the run stopped.
 	FinalTime rtime.Time
@@ -172,7 +171,7 @@ func buildOverloadSystem(p OverloadParams) (*overloadSystem, error) {
 		g.Arrivals = gen.MMPPArrivals
 		g.TaskDensity = 8
 		g.BurstFactor = 12
-		g.HorizonPeriods = maxInt(4, p.Events/30) // avg ~30 events/period
+		g.HorizonPeriods = max(4, p.Events/30) // avg ~30 events/period
 	case OverloadTransient:
 		// Calmer base load (~47% of the server) with strong but short
 		// pulses: the backlog must drain inside the 10-period margin
@@ -182,13 +181,13 @@ func buildOverloadSystem(p OverloadParams) (*overloadSystem, error) {
 		g.BurstFactor = 14
 		g.BurstMeanPeriods = 1
 		g.CalmMeanPeriods = 4
-		g.HorizonPeriods = maxInt(4, p.Events*5/54) // avg ~10.8 events/period
+		g.HorizonPeriods = max(4, p.Events*5/54) // avg ~10.8 events/period
 	case OverloadSaturation:
 		// Poisson load on a polling server; the capacity sweep happens in
 		// RunOverload.
 		g.Arrivals = gen.PoissonArrivals
 		g.TaskDensity = 2.5
-		g.HorizonPeriods = maxInt(4, p.Events*2/5)
+		g.HorizonPeriods = max(4, p.Events*2/5)
 		sys.policy = sim.PollingServer
 	default:
 		return nil, fmt.Errorf("overload: unknown scenario %q", p.Scenario)
@@ -247,7 +246,7 @@ func RunOverload(p OverloadParams) (*OverloadResult, error) {
 // runOverloadOnce executes one workload on one server configuration,
 // folding counters, fingerprint and invariant violations into res.
 func runOverloadOnce(p OverloadParams, sys *overloadSystem, res *OverloadResult) error {
-	vm := rtsjvm.NewVMSink(trace.Nop{}, rtsjvm.Overheads{}, exec.Options{MaxGoroutines: p.MaxGoroutines})
+	vm := rtsjvm.NewVMSink(trace.Nop{}, rtsjvm.Overheads{}, exec.Options{})
 	params := core.NewTaskServerParameters(0, sys.capacity, sys.period)
 	var srv core.TaskServer
 	if sys.policy == sim.PollingServer {
@@ -321,7 +320,7 @@ func runOverloadOnce(p OverloadParams, sys *overloadSystem, res *OverloadResult)
 	}
 
 	err := vm.Run(sys.horizon)
-	res.PeakWorkers = maxInt(res.PeakWorkers, ex.PoolPeak())
+	res.PeakWorkers = max(res.PeakWorkers, ex.PoolPeak())
 	res.FinalTime = ex.Now()
 	if ierr := ex.CheckInvariants(); ierr != nil {
 		check.Checkf(false, "executive invariants: %v", ierr)
@@ -400,11 +399,4 @@ func runOverloadOnce(p OverloadParams, sys *overloadSystem, res *OverloadResult)
 	res.Fingerprint = fp
 	res.Violations = append(res.Violations, check.Violations()...)
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

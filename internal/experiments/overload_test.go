@@ -10,16 +10,14 @@ import (
 )
 
 // overloadConfigs is the executive configuration matrix the overload
-// fingerprints are pinned across: the goroutine-per-thread, pooled and
-// pooled+activation dispatch modes.
+// fingerprints are pinned across: looping and activation-driven periodic
+// dispatch.
 var overloadConfigs = []struct {
 	name       string
-	goroutines int
 	activation bool
 }{
-	{"direct/thread", 0, false},
-	{"direct/pooled", 8, false},
-	{"direct/activation", 8, true},
+	{"direct/thread", false},
+	{"direct/activation", true},
 }
 
 // Pinned fingerprints of the canonical scenario configurations
@@ -43,17 +41,19 @@ type overloadCounts struct {
 // overloadChannelCounts holds the counters the retired channel kernel
 // produced on each canonical scenario in each dispatch mode. The modes
 // agree on everything but the pool high-water mark, so PeakWorkers is
-// listed per mode, indexed like overloadConfigs.
+// listed per mode, indexed like overloadConfigs. The looping peak is the
+// one the channel kernel counted with its pool capped at 8 workers, a cap
+// no scenario reached, so it is also the peak of the uncapped pool.
 var overloadChannelCounts = map[string]struct {
 	counts overloadCounts
-	peaks  [3]int
+	peaks  [2]int
 }{
 	OverloadMissStorm: {overloadCounts{Events: 451, Released: 451, Served: 104, Shed: 283, Pending: 64,
-		PeriodicReleases: 13, FinalTime: rtime.AtTU(78)}, [3]int{0, 5, 4}},
+		PeriodicReleases: 13, FinalTime: rtime.AtTU(78)}, [2]int{5, 4}},
 	OverloadTransient: {overloadCounts{Events: 205, Released: 205, Served: 137, Shed: 68,
-		PeriodicReleases: 29, FinalTime: rtime.AtTU(168)}, [3]int{0, 5, 4}},
+		PeriodicReleases: 29, FinalTime: rtime.AtTU(168)}, [2]int{5, 4}},
 	OverloadSaturation: {overloadCounts{Events: 155, Released: 620, Served: 566, Shed: 33, Pending: 21,
-		PeriodicReleases: 240, FinalTime: rtime.AtTU(360)}, [3]int{0, 5, 3}},
+		PeriodicReleases: 240, FinalTime: rtime.AtTU(360)}, [2]int{5, 3}},
 }
 
 // TestOverloadMatrix runs every scenario on every executive configuration.
@@ -66,7 +66,6 @@ func TestOverloadMatrix(t *testing.T) {
 		for i, cfg := range overloadConfigs {
 			t.Run(sc+"/channel/"+strings.TrimPrefix(cfg.name, "direct/"), func(t *testing.T) {
 				p := DefaultOverloadParams(sc)
-				p.MaxGoroutines = cfg.goroutines
 				p.PeriodicActivation = cfg.activation
 				r, err := RunOverload(p)
 				if err != nil {
@@ -83,7 +82,6 @@ func TestOverloadMatrix(t *testing.T) {
 			})
 			t.Run(sc+"/"+cfg.name, func(t *testing.T) {
 				p := DefaultOverloadParams(sc)
-				p.MaxGoroutines = cfg.goroutines
 				p.PeriodicActivation = cfg.activation
 				r, err := RunOverload(p)
 				if err != nil {
@@ -144,7 +142,6 @@ func TestOverloadMissPolicies(t *testing.T) {
 				p := DefaultOverloadParams(OverloadMissStorm)
 				p.Events = 120
 				p.PeriodicMiss = tc.miss
-				p.MaxGoroutines = cfg.goroutines
 				p.PeriodicActivation = cfg.activation
 				r, err := RunOverload(p)
 				if err != nil {
@@ -191,7 +188,6 @@ func TestOverloadFaultPlanFuzz(t *testing.T) {
 			p := DefaultOverloadParams(OverloadTransient)
 			p.Events = 120
 			p.Faults = &plan
-			p.MaxGoroutines = overloadConfigs[cfg].goroutines
 			p.PeriodicActivation = overloadConfigs[cfg].activation
 			r, err := RunOverload(p)
 			if err != nil {

@@ -57,12 +57,11 @@ type SMPParams struct {
 	// thread resuming on a new CPU (the migration sweep overrides it per
 	// point).
 	MigrationCost rtime.Duration
-	// MaxGoroutines and PeriodicActivation configure the executive,
-	// exactly as in ExecModel. PeriodicActivation runs the tasks as
-	// activation entities (exec.SpawnPeriodicOn); otherwise they are
-	// looping threads replicating the same kernel-call sequence.
-	MaxGoroutines      int  // pooled-worker cap; 0 runs a goroutine per thread
-	PeriodicActivation bool // activation-driven periodic dispatch
+	// PeriodicActivation configures the executive, exactly as in
+	// ExecModel: it runs the tasks as activation entities
+	// (exec.SpawnPeriodicOn); otherwise they are looping threads
+	// replicating the same kernel-call sequence.
+	PeriodicActivation bool
 }
 
 // DefaultSMPParams returns the canonical configuration of a scenario (the
@@ -103,9 +102,6 @@ type SMPResult struct {
 	Skips int
 	// Migrations totals the cross-CPU thread migrations.
 	Migrations int
-	// PeakWorkers is the pool high-water mark across the sweep (0 in
-	// per-thread mode).
-	PeakWorkers int
 	// FinalTime is the virtual clock of the last point's run.
 	FinalTime rtime.Time
 	// Fingerprint hashes every completion (task, instant) in schedule
@@ -267,7 +263,6 @@ func runSMPOnce(p SMPParams, res *SMPResult, point int, util float64, cost rtime
 	var pt SMPPoint
 	tasks := genSMPTasks(p, point, util)
 	ex := exec.NewWithOptions(nil, exec.Options{
-		MaxGoroutines: p.MaxGoroutines,
 		CPUs:          p.CPUs,
 		Migration:     p.Policy,
 		MigrationCost: cost,
@@ -335,9 +330,6 @@ func runSMPOnce(p SMPParams, res *SMPResult, point int, util float64, cost rtime
 		pt.Skips += th.MissedActivations()
 	}
 	pt.Migrations = ex.Migrations()
-	if pw := ex.PoolPeak(); pw > res.PeakWorkers {
-		res.PeakWorkers = pw
-	}
 	res.FinalTime = ex.Now()
 	ex.Shutdown()
 	if err != nil {

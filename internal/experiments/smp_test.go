@@ -17,8 +17,8 @@ type smpKey struct {
 }
 
 // smpFingerprints pins every canonical SMP sweep at M in {2, 4} across the
-// whole executive matrix (overloadConfigs: per-thread, pooled,
-// pooled+activation). A change here means the
+// whole executive matrix (overloadConfigs: looping and activation
+// dispatch). A change here means the
 // multiprocessor schedules changed — intentional changes must update the
 // whole table together. Note clustered at M=2 equals global at M=2: one
 // cluster of two CPUs is a single global domain.
@@ -48,7 +48,7 @@ var smpFingerprints = map[smpKey]uint64{
 // TestSMPMatrix runs every pinned SMP configuration on every executive
 // configuration and requires the pinned fingerprint plus a clean invariant
 // net on each — the fingerprint is a pure function of the parameters, not
-// of the dispatch mode or worker count.
+// of the dispatch mode.
 func TestSMPMatrix(t *testing.T) {
 	for key, want := range smpFingerprints {
 		for _, cfg := range overloadConfigs {
@@ -59,7 +59,6 @@ func TestSMPMatrix(t *testing.T) {
 				p.CPUs = key.cpus
 				p.Policy = key.policy
 				p.Sched = key.sched
-				p.MaxGoroutines = cfg.goroutines
 				p.PeriodicActivation = cfg.activation
 				r, err := RunSMP(p)
 				if err != nil {
@@ -208,8 +207,8 @@ func TestExecutionTablesSMPM1(t *testing.T) {
 
 // TestStressSMPM1 pins the stress scenario's M=1 reduction and the
 // multi-CPU smoke: CPUs=1 matches the uniprocessor fingerprint exactly,
-// and CPUs=4 completes every job with the same schedule pooled and
-// per-thread.
+// and CPUs=4 completes every job with the same schedule whether the
+// background threads loop or run as activations.
 func TestStressSMPM1(t *testing.T) {
 	p := DefaultStressParams()
 	p.Jobs = 2000
@@ -228,17 +227,17 @@ func TestStressSMPM1(t *testing.T) {
 	}
 	p.CPUs = 4
 	var last uint64
-	for _, workers := range []int{p.MaxGoroutines, 0} {
-		p.MaxGoroutines = workers
+	for _, activation := range []bool{false, true} {
+		p.PeriodicActivation = activation
 		smp, err := RunStress(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if smp.Completed != smp.Jobs {
-			t.Fatalf("maxgoroutines=%d: 4-CPU stress completed %d of %d jobs", workers, smp.Completed, smp.Jobs)
+			t.Fatalf("activation=%v: 4-CPU stress completed %d of %d jobs", activation, smp.Completed, smp.Jobs)
 		}
 		if last != 0 && smp.Fingerprint != last {
-			t.Fatalf("4-CPU stress fingerprints differ pooled vs per-thread: %#x vs %#x",
+			t.Fatalf("4-CPU stress fingerprints differ looping vs activation: %#x vs %#x",
 				smp.Fingerprint, last)
 		}
 		last = smp.Fingerprint

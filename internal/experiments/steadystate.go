@@ -13,10 +13,9 @@ import (
 // of long-running periodic entities — the shape of the paper's periodic
 // background load and its polling/deferrable/sporadic servers — run
 // forever at a modest total utilization. In looping mode every entity pins
-// a goroutine (or pool worker) for the whole run, so the pooled
-// executive's goroutine bound degrades back to one per entity; in
-// activation mode an entity owns no goroutine between releases and the
-// whole system runs on a pool-sized worker set.
+// a pool worker for the whole run, so the pool degrades back to one
+// worker per entity; in activation mode an entity owns no worker between
+// releases and the whole system runs on a handful of workers.
 
 // SteadyStateParams configures the scenario generator. Everything derives
 // deterministically from Seed, so two runs on any executive configuration
@@ -32,9 +31,6 @@ type SteadyStateParams struct {
 	Utilization float64
 	// Seed drives period classes and offsets.
 	Seed uint64
-	// MaxGoroutines configures the executive: the pooled-worker cap, or 0
-	// for no cap.
-	MaxGoroutines int
 	// Activation selects the activation dispatch path (SpawnPeriodic); the
 	// default false runs classic parked loops for comparison.
 	Activation bool
@@ -50,12 +46,11 @@ type SteadyStateParams struct {
 // BenchmarkExecPeriodicSteadyState and cmd/stress -scenario steady.
 func DefaultSteadyStateParams() SteadyStateParams {
 	return SteadyStateParams{
-		Entities:      10_000,
-		HorizonTU:     500,
-		Utilization:   0.75,
-		Seed:          2007,
-		MaxGoroutines: 64,
-		Activation:    true,
+		Entities:    10_000,
+		HorizonTU:   500,
+		Utilization: 0.75,
+		Seed:        2007,
+		Activation:  true,
 	}
 }
 
@@ -73,8 +68,8 @@ type SteadyStateResult struct {
 	// Horizon and FinalTime delimit the run.
 	Horizon   rtime.Time
 	FinalTime rtime.Time // virtual clock when the run stopped
-	// PeakWorkers is the pool goroutine high-water mark (0 in
-	// goroutine-per-thread mode).
+	// PeakWorkers is the pool goroutine high-water mark
+	// (exec.Exec.PoolPeak).
 	PeakWorkers int
 	// Fingerprint hashes every activation completion (entity, instant) in
 	// schedule order: two runs are schedule-identical iff it matches.
@@ -93,7 +88,7 @@ func RunPeriodicSteadyState(p SteadyStateParams) (*SteadyStateResult, error) {
 		return nil, fmt.Errorf("steadystate: horizon must be positive (got %g)", p.HorizonTU)
 	}
 	rng := &stressRand{s: p.Seed ^ 0xa076_1d64_78bd_642f}
-	ex := exec.NewWithOptions(p.Sink, exec.Options{MaxGoroutines: p.MaxGoroutines, Stats: p.Stats})
+	ex := exec.NewWithOptions(p.Sink, exec.Options{Stats: p.Stats})
 	res := &SteadyStateResult{Entities: p.Entities, Fingerprint: 14695981039346656037}
 	res.Horizon = rtime.AtTU(p.HorizonTU)
 

@@ -7,11 +7,12 @@ import (
 
 // TestSteadyStateBoundedGoroutines is the acceptance test of the
 // activation-driven executive: a 10k-periodic-entity steady-state workload
-// runs with the goroutine count bounded by the pool size, never
-// approaching one goroutine per entity (which is exactly what looping mode
-// would cost).
+// runs on a handful of workers, never approaching one goroutine per entity
+// (which is exactly what looping mode would cost). The pinned peak is the
+// scenario's preemption depth, the same at both sizes.
 func TestSteadyStateBoundedGoroutines(t *testing.T) {
 	p := DefaultSteadyStateParams()
+	const wantPeak = 6
 	if testing.Short() {
 		p.Entities = 2000
 	}
@@ -24,11 +25,10 @@ func TestSteadyStateBoundedGoroutines(t *testing.T) {
 		t.Fatalf("only %d activations for %d entities (each should release at least once)",
 			res.Activations, p.Entities)
 	}
-	if res.PeakWorkers == 0 || res.PeakWorkers > p.MaxGoroutines {
-		t.Errorf("pool peaked at %d workers, want 1..%d (O(pool size), not O(entities))",
-			res.PeakWorkers, p.MaxGoroutines)
+	if res.PeakWorkers != wantPeak {
+		t.Errorf("pool peaked at %d workers, want %d (not O(entities))", res.PeakWorkers, wantPeak)
 	}
-	if after := runtime.NumGoroutine(); after > before+p.MaxGoroutines+16 {
+	if after := runtime.NumGoroutine(); after > before+wantPeak+16 {
 		t.Errorf("goroutines after run: before=%d after=%d (not bounded by the pool)", before, after)
 	}
 	if res.Missed != 0 {
@@ -48,10 +48,10 @@ var steadyStateFingerprints = map[int]uint64{
 }
 
 // TestSteadyStateSchedulesIdenticalAcrossConfigs differential-tests the
-// steady-state scenario over the executive matrix: loop and activation
-// formulations, per-thread and pooled — the activation fingerprint must
-// match the looping reference exactly, and the reference must match its
-// committed fingerprint.
+// steady-state scenario over the executive matrix, the loop and activation
+// formulations: the activation fingerprint must match the looping
+// reference exactly, and the reference must match its committed
+// fingerprint.
 func TestSteadyStateSchedulesIdenticalAcrossConfigs(t *testing.T) {
 	p := DefaultSteadyStateParams()
 	p.Entities = 400 // keep the per-thread runs fast
@@ -60,7 +60,6 @@ func TestSteadyStateSchedulesIdenticalAcrossConfigs(t *testing.T) {
 		p.Entities = 120
 	}
 	ref := p
-	ref.MaxGoroutines = 0
 	ref.Activation = false
 	want, err := RunPeriodicSteadyState(ref)
 	if err != nil {
@@ -72,28 +71,16 @@ func TestSteadyStateSchedulesIdenticalAcrossConfigs(t *testing.T) {
 	if want.Fingerprint != steadyStateFingerprints[p.Entities] {
 		t.Errorf("reference fingerprint %#x, committed %#x", want.Fingerprint, steadyStateFingerprints[p.Entities])
 	}
-	for _, cfg := range []struct {
-		name          string
-		maxGoroutines int
-		activation    bool
-	}{
-		{"direct-loop-pooled", 8, false},
-		{"direct-activation", 8, true},
-		{"direct-activation-perthread", 0, true},
-	} {
-		q := p
-		q.MaxGoroutines = cfg.maxGoroutines
-		q.Activation = cfg.activation
-		got, err := RunPeriodicSteadyState(q)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.name, err)
-		}
-		if got.Fingerprint != want.Fingerprint || got.Activations != want.Activations ||
-			got.TotalConsumed != want.TotalConsumed || got.Missed != want.Missed {
-			t.Errorf("%s diverged from loop reference: fingerprint %x vs %x, activations %d vs %d, consumed %v vs %v, missed %d vs %d",
-				cfg.name, got.Fingerprint, want.Fingerprint, got.Activations, want.Activations,
-				got.TotalConsumed, want.TotalConsumed, got.Missed, want.Missed)
-		}
+	p.Activation = true
+	got, err := RunPeriodicSteadyState(p)
+	if err != nil {
+		t.Fatalf("activation: %v", err)
+	}
+	if got.Fingerprint != want.Fingerprint || got.Activations != want.Activations ||
+		got.TotalConsumed != want.TotalConsumed || got.Missed != want.Missed {
+		t.Errorf("activation diverged from loop reference: fingerprint %x vs %x, activations %d vs %d, consumed %v vs %v, missed %d vs %d",
+			got.Fingerprint, want.Fingerprint, got.Activations, want.Activations,
+			got.TotalConsumed, want.TotalConsumed, got.Missed, want.Missed)
 	}
 }
 

@@ -9,14 +9,13 @@ import (
 	"rtsj/internal/trace"
 )
 
-// Large-N stress scenario: the workload the executive's worker pool
-// (exec.Options.MaxGoroutines) is sized for. Thousands to tens of
-// thousands of one-shot sporadic job threads — each released once,
-// consuming a short burst of CPU to completion — arrive on top of a small
-// set of periodic background threads. The worker count is bounded by the
-// preemption depth (roughly the number of priority bands), not the job
-// count, because each worker is recycled as soon as its job completes;
-// the cap retires the workers a burst made beyond it.
+// Large-N stress scenario: the workload the executive's worker pool is
+// sized for. Thousands to tens of thousands of one-shot sporadic job
+// threads — each released once, consuming a short burst of CPU to
+// completion — arrive on top of a small set of periodic background
+// threads. The worker count is bounded by the preemption depth (roughly
+// the number of priority bands), not the job count, because each worker
+// is recycled as soon as its job completes.
 
 // StressParams configures the scenario generator. Everything is derived
 // deterministically from Seed, so two runs (on any executive
@@ -32,9 +31,6 @@ type StressParams struct {
 	PriorityBands int
 	// Seed drives release times, costs and priorities.
 	Seed uint64
-	// MaxGoroutines configures the executive: the pooled-worker cap, or 0
-	// for no cap.
-	MaxGoroutines int
 	// PeriodicActivation runs the background threads on the activation
 	// dispatch path (exec.SpawnPeriodic) instead of parked loops: same
 	// schedule, no pinned worker per background thread.
@@ -67,7 +63,6 @@ func DefaultStressParams() StressParams {
 		Background:    4,
 		PriorityBands: 6,
 		Seed:          2007,
-		MaxGoroutines: 64,
 	}
 }
 
@@ -80,7 +75,7 @@ type StressResult struct {
 	TotalConsumed rtime.Duration // virtual time consumed by sporadic jobs
 	Horizon       rtime.Time     // configured stop instant
 	FinalTime     rtime.Time     // virtual clock when the run stopped
-	PeakWorkers   int            // pool goroutine high-water mark (0 in per-thread mode)
+	PeakWorkers   int            // pool goroutine high-water mark (exec.Exec.PoolPeak)
 	Migrations    int            // cross-CPU migrations (0 unless CPUs > 1)
 	// Fingerprint hashes every job completion (index, instant) in
 	// schedule order: two runs are schedule-identical iff it matches.
@@ -108,7 +103,7 @@ func RunStress(p StressParams) (*StressResult, error) {
 		p.PriorityBands = 1
 	}
 	rng := &stressRand{s: p.Seed ^ 0x9e3779b97f4a7c15}
-	ex := exec.NewWithOptions(p.Sink, exec.Options{MaxGoroutines: p.MaxGoroutines, CPUs: p.CPUs, Stats: p.Stats})
+	ex := exec.NewWithOptions(p.Sink, exec.Options{CPUs: p.CPUs, Stats: p.Stats})
 	res := &StressResult{Jobs: p.Jobs, Fingerprint: 14695981039346656037}
 
 	// Release window: jobs at ~0.5tu average cost, spread to ~55% load,

@@ -5,14 +5,15 @@ import (
 	"testing"
 )
 
-// TestStressLargeNBoundedGoroutines is the acceptance test of the pooled
-// executive's headroom: a >=10k-thread scenario completes with the pool
-// goroutine count bounded by MaxGoroutines, never approaching one
-// goroutine per thread.
+// TestStressLargeNBoundedGoroutines is the acceptance test of the worker
+// pool's headroom: a >=10k-thread scenario completes on a handful of
+// workers, never approaching one goroutine per thread. The pinned peak is
+// the scenario's preemption depth at each size.
 func TestStressLargeNBoundedGoroutines(t *testing.T) {
 	p := DefaultStressParams()
+	wantPeak := 9
 	if testing.Short() {
-		p.Jobs = 2000
+		p.Jobs, wantPeak = 2000, 8
 	}
 	before := runtime.NumGoroutine()
 	res, err := RunStress(p)
@@ -22,10 +23,10 @@ func TestStressLargeNBoundedGoroutines(t *testing.T) {
 	if res.Completed != p.Jobs {
 		t.Fatalf("completed %d of %d jobs", res.Completed, p.Jobs)
 	}
-	if res.PeakWorkers == 0 || res.PeakWorkers > p.MaxGoroutines {
-		t.Errorf("pool peaked at %d workers, want 1..%d", res.PeakWorkers, p.MaxGoroutines)
+	if res.PeakWorkers != wantPeak {
+		t.Errorf("pool peaked at %d workers, want %d", res.PeakWorkers, wantPeak)
 	}
-	if after := runtime.NumGoroutine(); after > before+p.MaxGoroutines+8 {
+	if after := runtime.NumGoroutine(); after > before+wantPeak+8 {
 		t.Errorf("goroutines after run: before=%d after=%d (not bounded by the pool)", before, after)
 	}
 	if res.BackgroundRun == 0 {
@@ -45,16 +46,15 @@ var stressFingerprints = map[int]uint64{
 
 // TestStressSchedulesIdenticalAcrossConfigs differential-tests the stress
 // scenario itself over the executive matrix: the completion-order
-// fingerprint, total accounting and final instant must be identical in
-// per-thread, pooled and activation mode, and the per-thread reference
-// must match its committed fingerprint.
+// fingerprint, total accounting and final instant must be identical with
+// looping and with activation background threads, and the looping
+// reference must match its committed fingerprint.
 func TestStressSchedulesIdenticalAcrossConfigs(t *testing.T) {
 	p := DefaultStressParams()
 	p.Jobs = 1500 // keep the per-thread runs fast
 	if testing.Short() {
 		p.Jobs = 300
 	}
-	p.MaxGoroutines = 0
 	ref, err := RunStress(p)
 	if err != nil {
 		t.Fatal(err)
@@ -65,26 +65,15 @@ func TestStressSchedulesIdenticalAcrossConfigs(t *testing.T) {
 	if ref.Fingerprint != stressFingerprints[p.Jobs] {
 		t.Errorf("reference fingerprint %#x, committed %#x", ref.Fingerprint, stressFingerprints[p.Jobs])
 	}
-	for _, cfg := range []struct {
-		name          string
-		maxGoroutines int
-		activation    bool
-	}{
-		{"direct-pooled", 8, false},
-		{"direct-activation", 8, true},
-	} {
-		q := p
-		q.MaxGoroutines = cfg.maxGoroutines
-		q.PeriodicActivation = cfg.activation
-		got, err := RunStress(q)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.name, err)
-		}
-		if got.Fingerprint != ref.Fingerprint || got.Completed != ref.Completed ||
-			got.TotalConsumed != ref.TotalConsumed || got.FinalTime != ref.FinalTime {
-			t.Errorf("%s diverged from reference: fingerprint %x vs %x, completed %d vs %d, consumed %v vs %v, final %v vs %v",
-				cfg.name, got.Fingerprint, ref.Fingerprint, got.Completed, ref.Completed,
-				got.TotalConsumed, ref.TotalConsumed, got.FinalTime.TUs(), ref.FinalTime.TUs())
-		}
+	p.PeriodicActivation = true
+	got, err := RunStress(p)
+	if err != nil {
+		t.Fatalf("activation: %v", err)
+	}
+	if got.Fingerprint != ref.Fingerprint || got.Completed != ref.Completed ||
+		got.TotalConsumed != ref.TotalConsumed || got.FinalTime != ref.FinalTime {
+		t.Errorf("activation diverged from reference: fingerprint %x vs %x, completed %d vs %d, consumed %v vs %v, final %v vs %v",
+			got.Fingerprint, ref.Fingerprint, got.Completed, ref.Completed,
+			got.TotalConsumed, ref.TotalConsumed, got.FinalTime.TUs(), ref.FinalTime.TUs())
 	}
 }

@@ -7,7 +7,7 @@
 // index) — never from call order — so the fault schedule is a pure
 // function of the workload identity. The same plan applied to the same
 // system yields the same faults on every engine and executive
-// configuration: the simulator and the per-thread, pooled and activation
+// configuration: the simulator and the per-thread and activation
 // executives all see an identical perturbed workload, which is what lets
 // the overload scenarios pin cross-configuration fingerprints.
 package faults

@@ -14,9 +14,9 @@
 // # Constructors and executive configuration
 //
 // NewVM is the convenience constructor (default executive options,
-// always-readable trace); NewVMSink is fully explicit — any trace.Sink (nil or trace.Nop for the metrics-only
-// fast path) and any exec.Options, including the pooled thread-body mode
-// (exec.Options.MaxGoroutines).
+// always-readable trace); NewVMSink is fully explicit — any trace.Sink
+// (nil or trace.Nop for the metrics-only fast path) and any exec.Options,
+// such as a virtual CPU count.
 //
 // # Periodic emulation modes
 //
@@ -31,9 +31,9 @@
 //     and returning from the body is the release boundary; the thread owns
 //     no goroutine between releases.
 //
-// Prefer activation mode when a workload carries many periodic entities on
-// a pooled executive: looping bodies pin one pool worker each for the whole
-// run, while activations keep the goroutine count at the pool size.
+// Prefer activation mode when a workload carries many periodic entities:
+// looping bodies pin one pool worker each for the whole run, while
+// activations keep the goroutine count at the preemption depth.
 // Overrun semantics match exactly: releases the body overran past are
 // skipped and counted (RTC.Missed / exec.Thread.MissedActivations), the
 // RTSJ's deadline-miss handling for the default no-miss-handler

@@ -158,15 +158,14 @@ var vmFingerprints = map[string]uint64{
 }
 
 // vmDiffConfigs is the executive configuration matrix the corpus runs on:
-// goroutine-per-thread (the reference), pooled, and the M=1 SMP reduction,
-// which must be byte-identical to the uniprocessor schedule on the whole
-// VM corpus too.
+// the uniprocessor (the reference) and the M=1 SMP reduction, which must
+// be byte-identical to the uniprocessor schedule on the whole VM corpus
+// too.
 var vmDiffConfigs = []struct {
 	name string
 	opts exec.Options
 }{
 	{"direct", exec.Options{}},
-	{"direct-pooled", exec.Options{MaxGoroutines: 2}},
 	{"direct-smp1", exec.Options{CPUs: 1, Migration: exec.Partitioned}},
 }
 

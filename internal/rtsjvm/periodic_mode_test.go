@@ -1,7 +1,6 @@
 package rtsjvm
 
 import (
-	"fmt"
 	"testing"
 
 	"rtsj/internal/exec"
@@ -13,9 +12,8 @@ import (
 // a periodic realtime thread written as a WaitForNextPeriod loop
 // (NewRealtimeThread) and the same thread written as a per-release
 // activation body (NewActivationThread) must produce trace-for-trace
-// identical schedules on every executive configuration — the
-// {per-thread, pooled} × {loop, activation} matrix, with the per-thread
-// loop as the reference, whose trace must match the committed fingerprint.
+// identical schedules, with the loop as the reference, whose trace must
+// match the committed fingerprint.
 
 // periodicScenario builds a VM workload from a per-release work function
 // for each periodic thread, so the same scenario can be expressed in
@@ -93,19 +91,12 @@ var periodicModeFingerprints = map[string]uint64{
 }
 
 func TestPeriodicModeDiffCorpus(t *testing.T) {
-	configs := []struct {
-		name string
-		opts exec.Options
-	}{
-		{"direct", exec.Options{}},
-		{"direct-pooled", exec.Options{MaxGoroutines: 2}},
-	}
 	for _, sc := range periodicModeCorpus {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			run := func(opts exec.Options, activation bool) *VM {
+			run := func(activation bool) *VM {
 				t.Helper()
-				vm := NewVMSink(trace.New(), sc.oh, opts)
+				vm := NewVMSink(trace.New(), sc.oh, exec.Options{})
 				sc.build(vm, func(name string, prio int, pp *PeriodicParameters, work func(*RTC)) {
 					if activation {
 						vm.NewActivationThread(name, prio, pp, work)
@@ -119,26 +110,19 @@ func TestPeriodicModeDiffCorpus(t *testing.T) {
 					})
 				})
 				if err := vm.Run(sc.horizon); err != nil {
-					t.Fatalf("%+v/activation=%v: %v", opts, activation, err)
+					t.Fatalf("activation=%v: %v", activation, err)
 				}
 				vm.Shutdown()
 				return vm
 			}
-			ref := run(configs[0].opts, false)
+			ref := run(false)
 			checkVMPinned(t, periodicModeFingerprints, sc.name, ref)
-			for i, cfg := range configs {
-				for _, activation := range []bool{false, true} {
-					if i == 0 && !activation {
-						continue // the reference itself
-					}
-					got := run(cfg.opts, activation)
-					label := fmt.Sprintf("%s/%s-act=%v", sc.name, cfg.name, activation)
-					compareVMTraces(t, label, ref.Trace(), got.Trace())
-					if ref.Now() != got.Now() {
-						t.Errorf("%s: final time differs: ref=%v got=%v",
-							label, ref.Now().TUs(), got.Now().TUs())
-					}
-				}
+			got := run(true)
+			label := sc.name + "/activation"
+			compareVMTraces(t, label, ref.Trace(), got.Trace())
+			if ref.Now() != got.Now() {
+				t.Errorf("%s: final time differs: ref=%v got=%v",
+					label, ref.Now().TUs(), got.Now().TUs())
 			}
 		})
 	}

@@ -75,8 +75,7 @@ func NewVM(tr *trace.Trace, oh Overheads) *VM {
 
 // NewVMSink is the fully explicit constructor: the VM records into sink
 // (nil or trace.Nop records nothing — the metrics-only fast path used by
-// the execution tables) on an executive configured by opts, including the
-// pooled thread-body mode (opts.MaxGoroutines).
+// the execution tables) on an executive configured by opts.
 func NewVMSink(sink trace.Sink, oh Overheads, opts exec.Options) *VM {
 	vm := &VM{
 		ex:      exec.NewWithOptions(sink, opts),
