@@ -214,7 +214,10 @@ func BenchmarkAblationLimitedVsIdeal(b *testing.B) {
 // --- Engine throughput ----------------------------------------------------
 
 // BenchmarkEngineSimThroughput measures the discrete-event simulator on a
-// dense workload (jobs per second of wall time).
+// dense workload (jobs per second of wall time). It runs on one reused
+// sim.Runner, as campaign and table workers do: the Runner keeps its job
+// records from one run to the next, so the heap stays flat and allocs/op
+// does not drift with b.N.
 func BenchmarkEngineSimThroughput(b *testing.B) {
 	p := gen.Params{
 		TaskDensity: 3, AverageCost: 3, StdDeviation: 2,
@@ -224,16 +227,16 @@ func BenchmarkEngineSimThroughput(b *testing.B) {
 	base := gen.Generate(p)[0]
 	sys := gen.WithServer(base, p, sim.DeferrableServer, 100)
 	jobs := len(sys.Aperiodics)
+	var r sim.Runner
+	if _, err := r.Run(sys, p.Horizon()); err != nil { // warm-up
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := sim.Run(sys, sim.NewFP(sys, nil), p.Horizon(), nil)
-		if err != nil {
+		if _, err := r.Run(sys, p.Horizon()); err != nil {
 			b.Fatal(err)
 		}
-		// Recycling per iteration keeps the job heap flat: allocs/op stays
-		// constant instead of drifting with b.N as retained results pile up.
-		r.Recycle()
 	}
 	b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
 }

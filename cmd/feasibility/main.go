@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,22 +20,40 @@ import (
 	"rtsj/internal/spec"
 )
 
-func main() {
-	file := flag.String("f", "", "system description file (default: stdin)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
-	var in io.Reader = os.Stdin
+// run is the whole command: it parses args, analyzes the system read from
+// -f or stdin and returns the exit status — 0 when the exact analysis
+// finds the system feasible, 2 when it finds it infeasible or the command
+// line is malformed, 1 for every other error (unreadable file, bad spec,
+// no periodic task to analyze).
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("feasibility", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	file := fs.String("f", "", "system description file (default: stdin)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "feasibility: %v\n", err)
+		return 1
+	}
+
+	in := stdin
 	if *file != "" {
 		f, err := os.Open(*file)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		in = f
 	}
 	parsed, err := spec.Parse(in)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	var tasks []analysis.Task
@@ -47,42 +66,38 @@ func main() {
 		switch s.Policy {
 		case sim.DeferrableServer, sim.LimitedDeferrableServer:
 			tasks = analysis.WithDeferrableServer(tasks, s.Capacity, s.Period, s.Priority)
-			fmt.Printf("server: DS C=%v T=%v (modified analysis: release jitter %v)\n",
+			fmt.Fprintf(stdout, "server: DS C=%v T=%v (modified analysis: release jitter %v)\n",
 				s.Capacity, s.Period, s.Period-s.Capacity)
 		case sim.PollingServer, sim.LimitedPollingServer, sim.SporadicServer, sim.PriorityExchange:
 			tasks = analysis.WithPollingServer(tasks, s.Capacity, s.Period, s.Priority)
-			fmt.Printf("server: %s C=%v T=%v (analyzed as a periodic task)\n",
+			fmt.Fprintf(stdout, "server: %s C=%v T=%v (analyzed as a periodic task)\n",
 				s.Policy, s.Capacity, s.Period)
 		case sim.SlackStealer:
-			fmt.Println("server: slack stealer (steals only provable slack; periodic analysis unchanged)")
+			fmt.Fprintln(stdout, "server: slack stealer (steals only provable slack; periodic analysis unchanged)")
 		default:
-			fmt.Println("server: background servicing (no interference)")
+			fmt.Fprintln(stdout, "server: background servicing (no interference)")
 		}
 	}
 	if len(tasks) == 0 {
-		fatal(fmt.Errorf("nothing to analyze: no periodic tasks"))
+		return fail(fmt.Errorf("nothing to analyze: no periodic tasks"))
 	}
 
-	fmt.Println("\nFixed-priority response-time analysis:")
+	fmt.Fprintln(stdout, "\nFixed-priority response-time analysis:")
 	feasible := true
 	for _, r := range analysis.ResponseTimes(tasks) {
-		fmt.Println("  " + r.String())
+		fmt.Fprintln(stdout, "  "+r.String())
 		if !r.Feasible {
 			feasible = false
 		}
 	}
-	fmt.Printf("\nutilization         : %.3f\n", analysis.Utilization(tasks))
-	fmt.Printf("Liu-Layland bound   : %.3f  pass=%v\n",
+	fmt.Fprintf(stdout, "\nutilization         : %.3f\n", analysis.Utilization(tasks))
+	fmt.Fprintf(stdout, "Liu-Layland bound   : %.3f  pass=%v\n",
 		analysis.LiuLaylandBound(len(tasks)), analysis.FeasibleLiuLayland(tasks))
-	fmt.Printf("hyperbolic bound    : pass=%v\n", analysis.FeasibleHyperbolic(tasks))
-	fmt.Printf("EDF demand analysis : pass=%v\n", analysis.EDFFeasible(tasks))
-	fmt.Printf("exact RTA verdict   : feasible=%v\n", feasible)
+	fmt.Fprintf(stdout, "hyperbolic bound    : pass=%v\n", analysis.FeasibleHyperbolic(tasks))
+	fmt.Fprintf(stdout, "EDF demand analysis : pass=%v\n", analysis.EDFFeasible(tasks))
+	fmt.Fprintf(stdout, "exact RTA verdict   : feasible=%v\n", feasible)
 	if !feasible {
-		os.Exit(2)
+		return 2
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "feasibility: %v\n", err)
-	os.Exit(1)
+	return 0
 }

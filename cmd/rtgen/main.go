@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rtsj/internal/gen"
@@ -22,20 +24,38 @@ import (
 	"rtsj/internal/spec"
 )
 
-func main() {
-	density := flag.Float64("density", 2, "average aperiodic events per server period")
-	cost := flag.Float64("cost", 3, "average event cost (tu)")
-	sd := flag.Float64("sd", 0, "cost standard deviation (tu)")
-	capacity := flag.Float64("capacity", 4, "server capacity (tu)")
-	period := flag.Float64("period", 6, "server period (tu)")
-	n := flag.Int("n", 10, "number of systems to generate")
-	seed := flag.Int64("seed", 1983, "random seed")
-	periods := flag.Int("periods", 10, "observation horizon in server periods")
-	server := flag.String("server", "ps-lim", "server policy: ps, ds, ps-lim, ds-lim, ss, bg")
-	poisson := flag.Bool("poisson", false, "use Poisson arrivals instead of per-period")
-	index := flag.Int("index", 0, "which generated system to print")
-	all := flag.Bool("all", false, "print every generated system")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, generates the systems and
+// prints the selected ones, returning the exit status — 0 on success, 2
+// for a malformed command line (unknown flag, bad flag value). The
+// generation parameters must pass gen.Params.Validate, the check every
+// campaign sweep point passes too.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rtgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	density := fs.Float64("density", 2, "average aperiodic events per server period")
+	cost := fs.Float64("cost", 3, "average event cost (tu)")
+	sd := fs.Float64("sd", 0, "cost standard deviation (tu)")
+	capacity := fs.Float64("capacity", 4, "server capacity (tu)")
+	period := fs.Float64("period", 6, "server period (tu)")
+	n := fs.Int("n", 10, "number of systems to generate")
+	seed := fs.Int64("seed", 1983, "random seed")
+	periods := fs.Int("periods", 10, "observation horizon in server periods")
+	server := fs.String("server", "ps-lim", "server policy: ps, ds, ps-lim, ds-lim, ss, bg")
+	poisson := fs.Bool("poisson", false, "use Poisson arrivals instead of per-period")
+	index := fs.Int("index", 0, "which generated system to print")
+	all := fs.Bool("all", false, "print every generated system")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "rtgen: "+format+"\n", a...)
+		return 2
+	}
 
 	p := gen.Params{
 		TaskDensity:    *density,
@@ -50,6 +70,9 @@ func main() {
 	if *poisson {
 		p.Arrivals = gen.PoissonArrivals
 	}
+	if err := p.Validate(); err != nil {
+		return usage("%v", err)
+	}
 	policies := map[string]sim.ServerPolicy{
 		"bg": sim.NoServer, "ps": sim.PollingServer, "ds": sim.DeferrableServer,
 		"ps-lim": sim.LimitedPollingServer, "ds-lim": sim.LimitedDeferrableServer,
@@ -57,32 +80,30 @@ func main() {
 	}
 	pol, ok := policies[*server]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "rtgen: unknown server policy %q\n", *server)
-		os.Exit(1)
+		return usage("unknown server policy %q", *server)
+	}
+	if *n <= 0 {
+		return usage("-n must be positive (got %d)", *n)
+	}
+	if !*all && (*index < 0 || *index >= *n) {
+		return usage("index %d out of range (0..%d)", *index, *n-1)
 	}
 
 	systems := gen.Generate(p)
-	if len(systems) == 0 {
-		fmt.Fprintln(os.Stderr, "rtgen: nothing generated")
-		os.Exit(1)
-	}
 	emit := func(i int) {
 		sys := gen.WithServer(systems[i], p, pol, 100)
 		f := &spec.File{System: sys, Horizon: p.Horizon()}
-		fmt.Printf("# rtgen system %d/%d: density=%g cost=%g sd=%g seed=%d\n",
+		fmt.Fprintf(stdout, "# rtgen system %d/%d: density=%g cost=%g sd=%g seed=%d\n",
 			i+1, len(systems), *density, *cost, *sd, *seed)
-		fmt.Print(spec.Format(f))
+		fmt.Fprint(stdout, spec.Format(f))
 	}
 	if *all {
 		for i := range systems {
 			emit(i)
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		return
-	}
-	if *index < 0 || *index >= len(systems) {
-		fmt.Fprintf(os.Stderr, "rtgen: index %d out of range (0..%d)\n", *index, len(systems)-1)
-		os.Exit(1)
+		return 0
 	}
 	emit(*index)
+	return 0
 }

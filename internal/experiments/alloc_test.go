@@ -60,3 +60,49 @@ func TestAllocsCampaignSystem(t *testing.T) {
 		})
 	}
 }
+
+// TestAllocsTablesSimulationSystem pins the simulation side of Tables 2
+// and 4 at zero allocations: on a warmed campaignWorker, one system of a
+// table set — its server attached in the worker's gen.Buffer, run on its
+// sim.Runner and summarized through its event slice — allocates nothing,
+// for PS and DS over all six sets. The systems are generated before the
+// measured cycles, as RunSet generates a set once before fanning it out.
+func TestAllocsTablesSimulationSystem(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; allocation counts are meaningless under -race")
+	}
+	for _, pol := range []sim.ServerPolicy{sim.PollingServer, sim.DeferrableServer} {
+		t.Run(pol.String(), func(t *testing.T) {
+			type set struct {
+				p       gen.Params
+				systems []sim.System
+			}
+			var sets []set
+			for _, key := range SetKeys {
+				p := GenParams(key)
+				sets = append(sets, set{p, gen.Generate(p)})
+			}
+			w := newCampaignWorker()
+			served := 0
+			cycle := func() {
+				for _, s := range sets {
+					for i, base := range s.systems {
+						sum, err := w.setSystem(s.p, base, i, pol, Simulation, ExecModel{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						served += sum.Served
+					}
+				}
+			}
+			cycle() // warm-up: the worker's storage grows to the largest system
+			runtime.GC()
+			if n := testing.AllocsPerRun(5, cycle); n != 0 {
+				t.Errorf("%v allocations per %d-set cycle, want 0", n, len(sets))
+			}
+			if served == 0 {
+				t.Fatal("no event served across the six sets")
+			}
+		})
+	}
+}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 
@@ -64,17 +63,15 @@ func DefaultCampaignSpec() CampaignSpec {
 	}
 }
 
-// MaxEventsPerSystem bounds the aperiodic events one campaign system may
-// draw: each sweep point's density times HorizonPeriods, and the horizon
-// itself, which the generator walks period by period. The stock sweep
-// peaks at 40 events per system; the bound sits far above any useful
-// sweep, and keeps a mistyped or hostile spec from sizing a generator
-// buffer beyond memory or walking an endless horizon.
-const MaxEventsPerSystem = 100_000
+// MaxEventsPerSystem is gen.MaxEventsPerSystem, the bound Validate
+// applies to each sweep point. The stock sweep peaks at 40 events per
+// system; the bound sits far above any useful sweep.
+const MaxEventsPerSystem = gen.MaxEventsPerSystem
 
 // Validate reports structural problems in the spec, including values that
-// arrived over the shard protocol from an untrusted coordinator. Every
-// float field must be finite.
+// arrived over the shard protocol from an untrusted coordinator. Each
+// sweep point's generation parameters must pass gen.Params.Validate, so
+// every float field must be finite.
 func (s CampaignSpec) Validate() error {
 	if len(s.Points) == 0 {
 		return fmt.Errorf("campaign: no sweep points")
@@ -82,22 +79,9 @@ func (s CampaignSpec) Validate() error {
 	if s.Systems <= 0 {
 		return fmt.Errorf("campaign: systems per point must be positive (got %d)", s.Systems)
 	}
-	if !finite(s.AverageCost) || !finite(s.StdDeviation) {
-		return fmt.Errorf("campaign: event cost mean %v and deviation %v must be finite", s.AverageCost, s.StdDeviation)
-	}
-	if !positive(s.ServerCapacity) || !positive(s.ServerPeriod) {
-		return fmt.Errorf("campaign: server capacity and period must be positive and finite")
-	}
-	if s.HorizonPeriods <= 0 || s.HorizonPeriods > MaxEventsPerSystem {
-		return fmt.Errorf("campaign: horizon must be 1 to %d periods (got %d)", MaxEventsPerSystem, s.HorizonPeriods)
-	}
-	for i, d := range s.Points {
-		if !positive(d) {
-			return fmt.Errorf("campaign: point %d: density %v must be positive and finite", i, d)
-		}
-		if d*float64(s.HorizonPeriods) > MaxEventsPerSystem {
-			return fmt.Errorf("campaign: point %d: density %v over %d periods exceeds %d events per system",
-				i, d, s.HorizonPeriods, MaxEventsPerSystem)
+	for i := range s.Points {
+		if err := s.pointParams(i).Validate(); err != nil {
+			return fmt.Errorf("campaign: point %d: %v", i, err)
 		}
 	}
 	if s.Policy < sim.NoServer || s.Policy > sim.SlackStealer {
@@ -105,12 +89,6 @@ func (s CampaignSpec) Validate() error {
 	}
 	return nil
 }
-
-// finite reports whether v is neither NaN nor infinite.
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// positive reports whether v is positive and finite.
-func positive(v float64) bool { return v > 0 && finite(v) }
 
 // pointParams maps one sweep point onto generation parameters. The seed is
 // offset by the point index so every sweep point draws an independent
@@ -144,8 +122,9 @@ func RunCampaignRange(s CampaignSpec, point, lo, hi int) (metrics.Partial, error
 }
 
 // campaignWorker is the state one reducer goroutine reuses for every
-// system it runs: the generator buffer, the simulator and the event
-// slice of the fold. After warm-up a system allocates nothing.
+// system it runs, in a campaign range or a table set: the generator
+// buffer, the simulator and the event slice of the fold. After warm-up a
+// simulated system allocates nothing.
 type campaignWorker struct {
 	buf    gen.Buffer
 	runner sim.Runner
@@ -154,17 +133,26 @@ type campaignWorker struct {
 
 func newCampaignWorker() *campaignWorker { return new(campaignWorker) }
 
+// simulate runs sys on the worker's Runner and returns its metric events
+// in the worker's event slice, which the next simulate overwrites.
+func (w *campaignWorker) simulate(sys sim.System, horizon rtime.Time) ([]metrics.Event, error) {
+	r, err := w.runner.Run(sys, horizon)
+	if err != nil {
+		return nil, err
+	}
+	w.events = metrics.AppendSimEvents(slices.Grow(w.events[:0], len(r.Jobs)), r)
+	return w.events, nil
+}
+
 // system generates, simulates and folds system i of p into a partial of
 // its own. The partial is a plain value: nothing in it aliases w.
 func (w *campaignWorker) system(p gen.Params, policy sim.ServerPolicy, horizon rtime.Time, i int) (metrics.Partial, error) {
-	sys := w.buf.WithServer(w.buf.SystemAt(p, i), p, policy, 100)
-	r, err := w.runner.Run(sys, horizon)
+	evs, err := w.simulate(w.buf.WithServer(w.buf.SystemAt(p, i), p, policy, 100), horizon)
 	if err != nil {
 		return metrics.Partial{}, err
 	}
-	w.events = metrics.AppendSimEvents(slices.Grow(w.events[:0], len(r.Jobs)), r)
 	var one metrics.Partial
-	one.AddSystem(w.events)
+	one.AddSystem(evs)
 	return one, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"rtsj/internal/gen"
 	"rtsj/internal/harness"
 	"rtsj/internal/metrics"
 	"rtsj/internal/sim"
@@ -32,8 +31,8 @@ var MatrixPolicies = []sim.ServerPolicy{
 // while background acts as a FIFO baseline.
 //
 // The policy x set grid is flattened into independent cells and fanned
-// across the harness worker pool; each cell additionally parallelizes its
-// ten generated systems. Cell placement is by index, so the resulting
+// across the harness worker pool; each cell is a RunSet simulation, which
+// additionally parallelizes its ten generated systems. Cell placement is by index, so the resulting
 // matrix is bit-identical for any worker count.
 func RunPolicyMatrix() (*PolicyMatrix, error) {
 	m := &PolicyMatrix{
@@ -43,21 +42,11 @@ func RunPolicyMatrix() (*PolicyMatrix, error) {
 	nSets := len(SetKeys)
 	cells, err := harness.MapN(0, len(m.Policies)*nSets, func(i int) (metrics.SetSummary, error) {
 		pol, key := m.Policies[i/nSets], SetKeys[i%nSets]
-		p := GenParams(key)
-		systems := gen.Generate(p)
-		horizon := p.Horizon()
-		summaries, err := harness.Map(0, systems, func(_ int, base sim.System) (metrics.Summary, error) {
-			sys := gen.WithServer(base, p, pol, 100)
-			r, err := RunSimulationMetrics(sys, horizon)
-			if err != nil {
-				return metrics.Summary{}, fmt.Errorf("matrix %v %s: %v", pol, key, err)
-			}
-			return metrics.Summarize(SimEvents(r)), nil
-		})
+		s, err := RunSet(key, pol, Simulation, ExecModel{})
 		if err != nil {
-			return metrics.SetSummary{}, err
+			return metrics.SetSummary{}, fmt.Errorf("matrix %v %s: %v", pol, key, err)
 		}
-		return metrics.Aggregate(summaries), nil
+		return s, nil
 	})
 	if err != nil {
 		return nil, err

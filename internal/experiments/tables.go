@@ -86,39 +86,45 @@ const (
 
 // RunSet measures one generated set under a policy and mode, returning the
 // per-set averages. The generated systems are independent work units: they
-// are fanned across the harness worker pool, and the order-preserving
-// aggregation keeps the result bit-identical to a serial run for any worker
-// count.
+// are fanned across the harness worker pool, each worker simulating on
+// its own reused campaignWorker, and the summaries are folded in system
+// order, which keeps the result bit-identical to a serial run for any
+// worker count.
 func RunSet(key string, policy sim.ServerPolicy, mode Mode, model ExecModel) (metrics.SetSummary, error) {
 	p := GenParams(key)
 	systems := gen.Generate(p)
-	horizon := p.Horizon()
-	summaries, err := harness.Map(0, systems, func(i int, base sim.System) (metrics.Summary, error) {
-		sys := gen.WithServer(base, p, policy, 100)
-		var evs []metrics.Event
-		switch mode {
-		case Simulation:
-			r, err := RunSimulationMetrics(sys, horizon)
-			if err != nil {
-				return metrics.Summary{}, err
-			}
-			evs = SimEvents(r)
-			r.Recycle() // events copy everything the summary needs
-		case Execution:
-			m := model
-			m.SysIndex = i
-			o, err := RunExecutionMetrics(sys, m, horizon)
-			if err != nil {
-				return metrics.Summary{}, err
-			}
-			evs = ExecEvents(o)
-		}
-		return metrics.Summarize(evs), nil
-	})
+	summaries, err := harness.ReduceN(0, len(systems), make([]metrics.Summary, len(systems)), newCampaignWorker,
+		func(w *campaignWorker, i int) (metrics.Summary, error) {
+			return w.setSystem(p, systems[i], i, policy, mode, model)
+		},
+		func(out []metrics.Summary, i int, s metrics.Summary) []metrics.Summary { out[i] = s; return out })
 	if err != nil {
 		return metrics.SetSummary{}, err
 	}
 	return metrics.Aggregate(summaries), nil
+}
+
+// setSystem measures system i of a set generated from p: base with the
+// policy's server attached, simulated on the worker's Runner or executed
+// on a fresh VM. The summary is a plain value: nothing in it aliases w.
+func (w *campaignWorker) setSystem(p gen.Params, base sim.System, i int, policy sim.ServerPolicy, mode Mode, model ExecModel) (metrics.Summary, error) {
+	sys := w.buf.WithServer(base, p, policy, 100)
+	var evs []metrics.Event
+	switch mode {
+	case Simulation:
+		var err error
+		if evs, err = w.simulate(sys, p.Horizon()); err != nil {
+			return metrics.Summary{}, err
+		}
+	case Execution:
+		model.SysIndex = i
+		o, err := RunExecutionMetrics(sys, model, p.Horizon())
+		if err != nil {
+			return metrics.Summary{}, err
+		}
+		evs = ExecEvents(o)
+	}
+	return metrics.Summarize(evs), nil
 }
 
 // tableSpec wires each table number to its policy, mode and references.

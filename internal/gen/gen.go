@@ -10,6 +10,7 @@
 package gen
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strconv"
@@ -79,6 +80,44 @@ type Params struct {
 func (p Params) Horizon() rtime.Time {
 	return rtime.Time(rtime.TUs(p.ServerPeriod)) * rtime.Time(p.HorizonPeriods)
 }
+
+// MaxEventsPerSystem bounds the aperiodic events one system may draw:
+// density times HorizonPeriods, and the horizon itself, which the
+// generator walks period by period. It keeps a mistyped or hostile
+// parameter from sizing a buffer beyond memory or walking an endless
+// horizon.
+const MaxEventsPerSystem = 100_000
+
+// Validate reports parameters no system can be drawn from: every float
+// must be finite, the density and the server's capacity and period
+// positive, and the horizon 1 to MaxEventsPerSystem periods holding at
+// most MaxEventsPerSystem expected events. NbGeneration, Seed, Arrivals
+// and the MMPP fields are not checked.
+func (p Params) Validate() error {
+	if !finite(p.AverageCost) || !finite(p.StdDeviation) {
+		return fmt.Errorf("event cost mean %v and deviation %v must be finite", p.AverageCost, p.StdDeviation)
+	}
+	if !positive(p.ServerCapacity) || !positive(p.ServerPeriod) {
+		return fmt.Errorf("server capacity and period must be positive and finite")
+	}
+	if p.HorizonPeriods <= 0 || p.HorizonPeriods > MaxEventsPerSystem {
+		return fmt.Errorf("horizon must be 1 to %d periods (got %d)", MaxEventsPerSystem, p.HorizonPeriods)
+	}
+	if !positive(p.TaskDensity) {
+		return fmt.Errorf("density %v must be positive and finite", p.TaskDensity)
+	}
+	if p.TaskDensity*float64(p.HorizonPeriods) > MaxEventsPerSystem {
+		return fmt.Errorf("density %v over %d periods exceeds %d events per system",
+			p.TaskDensity, p.HorizonPeriods, MaxEventsPerSystem)
+	}
+	return nil
+}
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// positive reports whether v is positive and finite.
+func positive(v float64) bool { return v > 0 && finite(v) }
 
 // MinCost is the clamp the paper applies to generated costs.
 const MinCost = 0.1

@@ -4,18 +4,16 @@
 //
 // The paper's evaluation is embarrassingly parallel (6 policies x 6 sets x
 // 10 generated systems, every unit seeded deterministically), so the only
-// requirement beyond a pool is that aggregation stays deterministic: Map
-// preserves item order in its result slice regardless of completion order,
-// which makes every downstream reduction (metrics.Aggregate, table cells)
-// bit-identical for any worker count.
-//
-// Map retains every result until the whole batch completes — fine for a
-// table's ten systems, prohibitive for a million-system campaign. ReduceN
-// keeps the same bounded pool and the same deterministic, index-ordered
-// aggregation contract, but folds each result into an accumulator as soon
-// as its turn comes: steady-state memory is O(workers + reorder window),
-// independent of the item count. Each of its goroutines also owns one
-// reusable state, so a unit can run on storage warmed by the previous one.
+// requirement beyond a pool is that aggregation stays deterministic.
+// ReduceN is the one claim/fold machine: it folds each result into an
+// accumulator strictly in index order, whatever the completion order, so
+// every downstream reduction (metrics.Aggregate, table cells, campaign
+// partials) is bit-identical for any worker count. Its steady-state memory
+// is O(workers + reorder window), independent of the item count, and each
+// of its goroutines owns one reusable state, so a unit can run on storage
+// warmed by the previous one. Map and MapN are ReduceN callers whose fold
+// stores every result in an item-ordered slice — fine for a table's ten
+// systems, prohibitive for a million-system campaign.
 package harness
 
 import (
@@ -40,7 +38,8 @@ func SetWorkers(n int) { override.Store(int64(n)) }
 
 var envWarnOnce sync.Once
 
-// Workers returns the worker count used when Map is called with workers<=0.
+// Workers returns the worker count used when Map, MapN or ReduceN is called
+// with workers<=0.
 // Precedence: the SetWorkers override (the cmd front-ends' -workers flag),
 // else $RTSJ_WORKERS, else GOMAXPROCS. An invalid $RTSJ_WORKERS value
 // (non-numeric, zero, or negative) is ignored with a single warning on
@@ -63,8 +62,8 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// extraWorkers counts the helper goroutines live across every Map in the
-// process. Map calls nest (tables -> sets -> systems); the process-wide
+// extraWorkers counts the helper goroutines live across every ReduceN call
+// in the process. Calls nest (tables -> sets -> systems); the process-wide
 // budget keeps total concurrency bounded by Workers() no matter how deep.
 var extraWorkers atomic.Int64
 
@@ -86,99 +85,37 @@ func acquireWorker(limit int64) bool {
 // returns the error of the lowest-indexed failure — deterministic no
 // matter which worker hit it first.
 //
-// The calling goroutine always processes items itself; up to workers-1
-// helper goroutines (workers<=0 selects Workers()) join it, gated by a
-// process-wide budget of Workers()-1 helpers. Nested Map calls therefore
-// share one bounded pool: when the budget is exhausted an inner Map simply
-// runs inline in its caller, which also makes nesting deadlock-free.
+// Map runs on ReduceN's pool: the calling goroutine always processes items
+// itself, and up to workers-1 helper goroutines (workers<=0 selects
+// Workers()) join it, gated by a process-wide budget of Workers()-1
+// helpers. Nested calls therefore share one bounded pool: when the budget
+// is exhausted an inner call simply runs inline in its caller, which also
+// makes nesting deadlock-free.
 func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
-	if workers <= 0 {
-		workers = Workers()
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-	out := make([]R, len(items))
-	if len(items) == 0 {
-		return out, nil
-	}
-
-	var (
-		next   atomic.Int64
-		mu     sync.Mutex
-		errIdx = -1
-		first  error
-		wg     sync.WaitGroup
-	)
-	run := func() {
-		for {
-			// Check for failure before claiming, and always run a claimed
-			// index: indices are claimed in increasing order, so every item
-			// below a failing index has been claimed and will report its
-			// own error — which keeps the lowest-index guarantee exact.
-			mu.Lock()
-			abort := errIdx != -1
-			mu.Unlock()
-			if abort {
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= len(items) {
-				return
-			}
-			counted := unitStart()
-			r, err := fn(i, items[i])
-			if counted {
-				unitEnd()
-			}
-			if err != nil {
-				mu.Lock()
-				if errIdx == -1 || i < errIdx {
-					errIdx, first = i, err
-				}
-				mu.Unlock()
-				return
-			}
-			out[i] = r
-		}
-	}
-	budget := int64(Workers() - 1)
-	for w := 1; w < workers && acquireWorker(budget); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer extraWorkers.Add(-1)
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
-	if errIdx != -1 {
-		return nil, first
-	}
-	return out, nil
+	return MapN(workers, len(items), func(i int) (R, error) { return fn(i, items[i]) })
 }
 
 // MapN is Map over the index range [0, n): for work units that are cheaper
 // to describe by index (table cells, sweep points) than to materialize as a
-// slice.
+// slice. It is ReduceN with a stateless fn and a fold that stores each
+// result at its index.
 func MapN[R any](workers, n int, fn func(i int) (R, error)) ([]R, error) {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return Map(workers, idx, func(i, _ int) (R, error) { return fn(i) })
+	return ReduceN(workers, n, make([]R, n),
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) (R, error) { return fn(i) },
+		func(out []R, i int, r R) []R { out[i] = r; return out })
 }
 
 // ReduceN applies fn to every index in [0, n) concurrently and folds each
 // result into the accumulator strictly in index order: the fold sequence
 // is identical to a serial loop, so any accumulator — even one built on
-// float arithmetic — is bit-identical for every worker count. Unlike Map,
-// nothing is retained: a result is folded as soon as all lower indices
-// have been folded, and at most a bounded reorder window of results is
-// ever held, so steady-state memory is O(workers), not O(n). It is the
-// streaming unit of the campaign fabric, where systems are generated on
-// demand from their index and folded into mergeable partial metrics.
+// float arithmetic — is bit-identical for every worker count. Nothing is
+// retained beyond what fold keeps: a result is folded as soon as all lower
+// indices have been folded, and at most a bounded reorder window of
+// results is ever held, so steady-state memory is O(workers), not O(n).
+// It is the streaming unit of the campaign fabric, where systems are
+// generated on demand from their index and folded into mergeable partial
+// metrics.
 //
 // Every participating goroutine — the caller and each helper — builds its
 // own state with newState, once, before its first unit, and passes it to
@@ -191,7 +128,7 @@ func MapN[R any](workers, n int, fn func(i int) (R, error)) ([]R, error) {
 // fold runs serialized (never concurrently with itself) and must be cheap;
 // it must not call back into the harness. On error, ReduceN waits for
 // in-flight work, discards the partial accumulator and returns the zero A
-// with the error of the lowest-indexed failure, like Map.
+// with the error of the lowest-indexed failure.
 func ReduceN[S, R, A any](workers, n int, acc A, newState func() S, fn func(s S, i int) (R, error), fold func(acc A, i int, r R) A) (A, error) {
 	if workers <= 0 {
 		workers = Workers()

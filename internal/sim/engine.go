@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"rtsj/internal/rtime"
 	"rtsj/internal/trace"
@@ -60,8 +59,6 @@ type Result struct {
 	split      bool
 	aperiodics []*Job
 	periodics  []*Job
-	// owned marks a Runner's result, whose storage the Runner reuses.
-	owned bool
 }
 
 func (r *Result) partition() {
@@ -83,34 +80,11 @@ func (r *Result) partition() {
 	r.split = true
 }
 
-// jobPool recycles Job records across runs: the engine allocates every job
-// from it (fully overwriting the record on reuse), and Result.Recycle
-// returns a run's jobs to it. A campaign that recycles each result as soon
-// as its metrics are folded keeps a bounded working set of Job records no
-// matter how many systems it simulates.
-var jobPool = sync.Pool{New: func() any { return new(Job) }}
-
-// jobsSlicePool recycles the Result.Jobs backing arrays alongside the jobs.
-var jobsSlicePool = sync.Pool{New: func() any { return new([]*Job) }}
-
-// Recycle returns the result's Job records and their backing slice to the
-// engine's allocation pools. Call it only once, and only when nothing will
-// touch the result again — including the slices returned by Aperiodics and
-// Periodics and the *Job pointers inside them (names and other values
-// copied out of jobs stay valid). Recycling is optional: results that are
-// never recycled are simply garbage collected. On a Runner's result it
-// does nothing: the Runner reuses that storage itself.
-func (r *Result) Recycle() {
-	if r.owned {
-		return
-	}
-	for _, j := range r.Jobs {
-		jobPool.Put(j)
-	}
-	jobs := r.Jobs[:0]
-	jobsSlicePool.Put(&jobs)
-	r.Jobs, r.aperiodics, r.periodics, r.split = nil, nil, nil, false
-}
+// Recycle does nothing. Job records come from storage that belongs to the
+// run: a sim.Run result's storage is garbage collected with it, and a
+// Runner reuses its own on the next Run. Code that simulates many systems
+// and wants a flat heap should run them on one Runner.
+func (r *Result) Recycle() {}
 
 // Aperiodics returns the aperiodic job records, in release order.
 func (r *Result) Aperiodics() []*Job {
@@ -147,39 +121,16 @@ func runWithCalendar(sys System, d Dispatcher, horizon rtime.Time, sink trace.Si
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	if t, ok := sink.(*trace.Trace); ok && t == nil {
-		sink = nil // typed-nil *Trace means "no recording", like untyped nil
-	}
-	rec := true
-	if sink == nil {
-		sink, rec = trace.Nop{}, false
-	} else if _, nop := sink.(trace.Nop); nop {
-		rec = false
-	}
-	e := &engine{
-		sys:     sys,
-		d:       d,
-		horizon: horizon,
-		sink:    sink,
-		rec:     rec,
-		cal:     cal,
-		jobs:    *jobsSlicePool.Get().(*[]*Job),
-	}
-	e.init()
-	if err := e.run(); err != nil {
+	res, err := new(engine).simulate(sys, d, horizon, sink, cal)
+	if err != nil {
 		return nil, err
 	}
-	res := &Result{Jobs: e.jobs, PeriodicMisses: e.misses, Horizon: horizon}
-	if tr, ok := sink.(*trace.Trace); ok {
-		res.Trace = tr
-	}
-	return res, nil
+	return &res, nil
 }
 
-// engine is one simulation run. sim.Run builds a fresh engine per run and
-// takes its job records from jobPool; a Runner keeps one engine and
-// reuses its calendar, index and job storage across runs, taking job
-// records from its slab. Both run the same event loop.
+// engine is one simulation run. sim.Run simulates on a fresh engine; a
+// Runner keeps one engine and so reuses its index, job slice and slab of
+// job records across runs. Both run the same setup and event loop.
 type engine struct {
 	sys     System
 	d       Dispatcher
@@ -191,17 +142,45 @@ type engine struct {
 	cal    calendar
 	apSort []int // aperiodic indices sorted by release
 	jobs   []*Job
-	slab   *jobSlab // job record source; nil takes records from jobPool
+	slab   jobSlab // job record source
 	misses int
 	seq    int64
 }
 
-// newJob returns a job record for the engine to overwrite in full.
-func (e *engine) newJob() *Job {
-	if e.slab != nil {
-		return e.slab.next()
+// simulate runs the validated system sys under d until horizon, with
+// releases pending in cal (which must be empty), and returns the result.
+// It keeps the storage of the previous run's index, job slice and slab, so
+// the records of that run's Result are overwritten.
+func (e *engine) simulate(sys System, d Dispatcher, horizon rtime.Time, sink trace.Sink, cal calendar) (Result, error) {
+	if t, ok := sink.(*trace.Trace); ok && t == nil {
+		sink = nil // typed-nil *Trace means "no recording", like untyped nil
 	}
-	return jobPool.Get().(*Job)
+	rec := true
+	if sink == nil {
+		sink, rec = trace.Nop{}, false
+	} else if _, nop := sink.(trace.Nop); nop {
+		rec = false
+	}
+	*e = engine{
+		sys:     sys,
+		d:       d,
+		horizon: horizon,
+		sink:    sink,
+		rec:     rec,
+		cal:     cal,
+		apSort:  e.apSort,
+		jobs:    e.jobs[:0],
+		slab:    jobSlab{chunks: e.slab.chunks},
+	}
+	e.init()
+	if err := e.run(); err != nil {
+		return Result{}, err
+	}
+	res := Result{Jobs: e.jobs, PeriodicMisses: e.misses, Horizon: horizon}
+	if tr, ok := sink.(*trace.Trace); ok {
+		res.Trace = tr
+	}
+	return res, nil
 }
 
 func (e *engine) init() {
@@ -252,9 +231,9 @@ func (e *engine) deliverReleases() {
 func (e *engine) releasePeriodic(r release) {
 	t := &e.sys.Periodics[r.idx]
 	rel := r.at
-	j := e.newJob()
+	j := e.slab.next()
 	// The whole-record composite assignment clears every stale field of a
-	// recycled job.
+	// reused job record.
 	*j = Job{
 		Periodic:  true,
 		Release:   rel,
@@ -288,7 +267,7 @@ func (e *engine) releaseAperiodic(r release) {
 	if a.Deadline > 0 {
 		dl = a.Release.Add(a.Deadline)
 	}
-	j := e.newJob()
+	j := e.slab.next()
 	*j = Job{
 		name:      name,
 		Release:   a.Release,

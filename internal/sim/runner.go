@@ -1,54 +1,38 @@
 package sim
 
-import (
-	"rtsj/internal/rtime"
-	"rtsj/internal/trace"
-)
+import "rtsj/internal/rtime"
 
 // Runner runs metrics-only fixed-priority simulations on storage it keeps
 // from one run to the next: the release calendar, the aperiodic release
 // index, the Jobs slice, a slab of Job records and the FP dispatcher with
 // its server. After warm-up a run allocates nothing, which is what a
-// campaign worker simulating thousands of systems needs. The schedule is
-// the one sim.Run computes with NewFP and no trace: both drive the same
-// engine and differ only in where job records come from.
+// worker simulating thousands of systems needs. The schedule is the one
+// sim.Run computes with NewFP and no trace: both run the same engine, on
+// fresh storage there and on kept storage here.
 //
 // The zero value is ready to use. A Runner must not be used by two
 // goroutines at once.
 type Runner struct {
-	e    engine
-	cal  heapCalendar
-	fp   FP
-	slab jobSlab
-	res  Result
+	e   engine
+	cal heapCalendar
+	fp  FP
+	res Result
 }
 
 // Run simulates sys under FP scheduling with its server until horizon.
 // The returned Result, its Jobs and every *Job in it belong to the Runner:
-// they stay valid until the next Run, which overwrites them. Result.Recycle
-// is a no-op on them.
+// they stay valid until the next Run, which overwrites them.
 func (r *Runner) Run(sys System, horizon rtime.Time) (*Result, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
 	r.fp.reset(sys, nil)
 	r.cal.a = r.cal.a[:0]
-	r.slab.reset()
-	r.e = engine{
-		sys:     sys,
-		d:       &r.fp,
-		horizon: horizon,
-		sink:    trace.Nop{},
-		cal:     &r.cal,
-		apSort:  r.e.apSort,
-		jobs:    r.e.jobs[:0],
-		slab:    &r.slab,
-	}
-	r.e.init()
-	if err := r.e.run(); err != nil {
+	res, err := r.e.simulate(sys, &r.fp, horizon, nil, &r.cal)
+	if err != nil {
 		return nil, err
 	}
-	r.res = Result{Jobs: r.e.jobs, PeriodicMisses: r.e.misses, Horizon: horizon, owned: true}
+	r.res = res
 	return &r.res, nil
 }
 
@@ -66,9 +50,6 @@ type jobSlab struct {
 // Runner made for a short range of systems pays little for it; a stock
 // campaign system needs a few dozen records.
 const firstSlabChunk = 16
-
-// reset makes every record available again for the next run.
-func (s *jobSlab) reset() { s.chunk, s.used = 0, 0 }
 
 // next returns a record for the engine to overwrite in full.
 func (s *jobSlab) next() *Job {
