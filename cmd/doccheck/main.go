@@ -14,65 +14,71 @@
 //
 //	doccheck [-pkgs dir,dir,...] [-md file-or-dir,...]
 //
-// Exit status is non-zero if any check fails; each finding is printed as
-// file:line: message.
+// Exit status is 1 if any check finds something, each finding printed as
+// file:line: message, and 2 for a malformed command line or an unreadable
+// input.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 )
 
-func main() {
-	pkgs := flag.String("pkgs", "internal/core,internal/exec,internal/rtsjvm,internal/trace,internal/harness,internal/sim,internal/experiments,internal/gen,internal/metrics,internal/analysis,internal/spec,internal/faults,internal/lint,internal/obs",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, runs both checks and returns
+// the exit status — 0 when clean, 1 when there are findings, 2 for a
+// malformed command line or an input it cannot read.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("doccheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	pkgs := fs.String("pkgs", "internal/core,internal/exec,internal/rtsjvm,internal/trace,internal/harness,internal/sim,internal/experiments,internal/gen,internal/metrics,internal/analysis,internal/spec,internal/faults,internal/lint,internal/obs",
 		"comma-separated package directories to check for missing doc comments")
-	md := flag.String("md", "README.md,docs",
+	md := fs.String("md", "README.md,docs",
 		"comma-separated markdown files or directories to link-check")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var findings []string
-	for _, dir := range strings.Split(*pkgs, ",") {
-		dir = strings.TrimSpace(dir)
-		if dir == "" {
-			continue
+	for _, check := range []struct {
+		list string
+		fn   func(string) ([]string, error)
+	}{{*pkgs, checkPackageDocs}, {*md, checkMarkdownLinks}} {
+		for _, target := range strings.Split(check.list, ",") {
+			target = strings.TrimSpace(target)
+			if target == "" {
+				continue
+			}
+			found, err := check.fn(target)
+			if err != nil {
+				fmt.Fprintf(stderr, "doccheck: %v\n", err)
+				return 2
+			}
+			findings = append(findings, found...)
 		}
-		fs, err := checkPackageDocs(dir)
-		if err != nil {
-			fatal(err)
-		}
-		findings = append(findings, fs...)
-	}
-	for _, root := range strings.Split(*md, ",") {
-		root = strings.TrimSpace(root)
-		if root == "" {
-			continue
-		}
-		fs, err := checkMarkdownLinks(root)
-		if err != nil {
-			fatal(err)
-		}
-		findings = append(findings, fs...)
 	}
 	for _, f := range findings {
-		fmt.Println(f)
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "doccheck: %d finding(s)\n", len(findings))
+		return 1
 	}
-	fmt.Println("doccheck: ok")
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-	os.Exit(2)
+	fmt.Fprintln(stdout, "doccheck: ok")
+	return 0
 }
 
 // checkPackageDocs parses every non-test Go file in dir and reports

@@ -89,21 +89,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("index %d out of range (0..%d)", *index, *n-1)
 	}
 
-	systems := gen.Generate(p)
-	emit := func(i int) {
-		sys := gen.WithServer(systems[i], p, pol, 100)
+	// Systems are drawn one at a time from the set's sequential stream, so
+	// -index stops after the system it prints and -all holds one system at
+	// a time: -n costs memory only as large as one system.
+	for i, base := range gen.Systems(p) {
+		if !*all && i != *index {
+			continue
+		}
+		sys := gen.WithServer(base, p, pol, 100)
 		f := &spec.File{System: sys, Horizon: p.Horizon()}
 		fmt.Fprintf(stdout, "# rtgen system %d/%d: density=%g cost=%g sd=%g seed=%d\n",
-			i+1, len(systems), *density, *cost, *sd, *seed)
+			i+1, *n, *density, *cost, *sd, *seed)
 		fmt.Fprint(stdout, spec.Format(f))
-	}
-	if *all {
-		for i := range systems {
-			emit(i)
-			fmt.Fprintln(stdout)
+		if !*all {
+			break
 		}
-		return 0
+		fmt.Fprintln(stdout)
 	}
-	emit(*index)
 	return 0
 }

@@ -76,3 +76,23 @@ func TestExitCodes(t *testing.T) {
 		})
 	}
 }
+
+// TestHugeCountStreams checks rtgen draws its systems one at a time: -n
+// 1000000000 -index 3 exits 0 at once and prints the same system as -n 10
+// -index 3, whose header differs only in the set size.
+func TestHugeCountStreams(t *testing.T) {
+	code, huge, stderr := runCmd("-n", "1000000000", "-index", "3")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	code, small, stderr := runCmd("-n", "10", "-index", "3")
+	if code != 0 {
+		t.Fatalf("-n 10: exit %d: %s", code, stderr)
+	}
+	if !strings.HasPrefix(huge, "# rtgen system 4/1000000000:") {
+		t.Errorf("header of %q does not count 1000000000 systems", huge)
+	}
+	if want := strings.Replace(small, "4/10:", "4/1000000000:", 1); huge != want {
+		t.Errorf("-n 1000000000 printed\n%s\nwant\n%s", huge, want)
+	}
+}

@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	events := fs.Int("n", 0, "overload: approximate event count; campaign: systems per point (0: default)")
 	seed := fs.Int64("seed", 0, "overload/campaign: workload seed (0: default)")
 	faultsFlag := fs.String("faults", "", "overload: extra fault plan (e.g. 'seed=1 overrun=0.3:0.5'); 'off' or empty for none")
-	activation := fs.Bool("activation", false, "overload/smp: activation-driven periodic dispatch")
 	quiet := fs.Bool("quiet", false, "overload/smp: one summary line per scenario")
 	progress := fs.Bool("progress", false, "campaign: report live progress (systems/s, ETA) on stderr")
 	cpus := fs.Int("cpus", 4, "smp: virtual CPU count")
@@ -79,11 +78,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return runFigures(stdout, stderr, n, *ideal)
 	case "overload":
-		return runOverload(stdout, stderr, *scenario, *events, *seed, *faultsFlag, *activation, *quiet)
+		return runOverload(stdout, stderr, *scenario, *events, *seed, *faultsFlag, *quiet)
 	case "campaign":
 		return runCampaign(stdout, stderr, *events, *seed, *progress)
 	case "smp":
-		return runSMP(stdout, stderr, *scenario, *cpus, *activation, *quiet)
+		return runSMP(stdout, stderr, *scenario, *cpus, *quiet)
 	default:
 		fmt.Fprintf(stderr, "scenarios: unknown family %q (want figures, overload, campaign or smp)\n", *family)
 		return 2
@@ -144,7 +143,7 @@ func runCampaign(stdout, stderr io.Writer, systems int, seed int64, progress boo
 	return 0
 }
 
-func runOverload(stdout, stderr io.Writer, scenario string, events int, seed int64, faultsFlag string, activation, quiet bool) int {
+func runOverload(stdout, stderr io.Writer, scenario string, events int, seed int64, faultsFlag string, quiet bool) int {
 	plan, err := faults.Parse(faultsFlag)
 	if err != nil {
 		fmt.Fprintf(stderr, "scenarios: -faults: %v\n", err)
@@ -160,7 +159,6 @@ func runOverload(stdout, stderr io.Writer, scenario string, events int, seed int
 		p.Events = events
 		p.Seed = seed
 		p.Faults = plan
-		p.PeriodicActivation = activation
 		r, err := experiments.RunOverload(p)
 		if err != nil {
 			fmt.Fprintf(stderr, "scenarios: %s: %v\n", name, err)
@@ -202,7 +200,7 @@ func runOverload(stdout, stderr io.Writer, scenario string, events int, seed int
 // runSMP sweeps the multiprocessor scenarios over every migration policy
 // and scheduler, printing the per-point miss/migration curves (or one
 // fingerprinted summary line per configuration with -quiet).
-func runSMP(stdout, stderr io.Writer, scenario string, cpus int, activation, quiet bool) int {
+func runSMP(stdout, stderr io.Writer, scenario string, cpus int, quiet bool) int {
 	names := experiments.SMPScenarios()
 	if scenario != "" {
 		names = []string{scenario}
@@ -219,7 +217,6 @@ func runSMP(stdout, stderr io.Writer, scenario string, cpus int, activation, qui
 				p.CPUs = cpus
 				p.Policy = pol
 				p.Sched = sched
-				p.PeriodicActivation = activation
 				r, err := experiments.RunSMP(p)
 				if err != nil {
 					fmt.Fprintf(stderr, "scenarios: %s: %v\n", name, err)

@@ -4,6 +4,7 @@
 // of one-shot sporadic job threads plus periodic background load,
 // exercising the executive's worker pool, which bounds the OS-level
 // goroutine count by the preemption depth instead of the thread count.
+// The background threads are activation entities.
 //
 // The steady scenario (-scenario steady) runs thousands to tens of
 // thousands of long-running periodic entities, exercising the
@@ -13,7 +14,7 @@
 //
 // Usage:
 //
-//	stress [-scenario sporadic|steady] [-n 10000] [-activation]
+//	stress [-scenario sporadic|steady] [-n 10000]
 //	       [-background 4] [-cpus 4] [-bands 6] [-seed 2007]
 //	       [-faults 'seed=1 drop=0.05'] [-quiet] [-stats]
 //	       [-perfetto out.json] [-debug-addr 127.0.0.1:6060]
@@ -24,11 +25,6 @@
 // /debug/pprof and /debug/vars (with the same snapshot under "obs") while
 // the run executes. All three are observational: the summary lines and
 // the fingerprint are identical with or without them.
-//
-// -activation runs the periodic entities (steady scenario) or background
-// threads (sporadic scenario) on the activation path; -activation=false
-// compares against parked periodic loops, which is useful to compare
-// footprints — the schedule is identical either way.
 package main
 
 import (
@@ -60,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	scenario := fs.String("scenario", "sporadic", "workload: sporadic (one-shot jobs) or steady (periodic entities)")
 	n := fs.Int("n", 0, "job count (sporadic) or entity count (steady); 0 = scenario default")
-	activation := fs.Bool("activation", true, "periodic entities use activation dispatch (no goroutine between releases)")
 	background := fs.Int("background", def.Background, "periodic background threads (sporadic scenario)")
 	bands := fs.Int("bands", def.PriorityBands, "priority bands for the sporadic jobs")
 	horizon := fs.Float64("horizon", steadyDef.HorizonTU, "steady-scenario horizon in time units")
@@ -132,14 +127,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *scenario == "sporadic" {
 		p := experiments.StressParams{
-			Jobs:               def.Jobs,
-			Background:         *background,
-			PriorityBands:      *bands,
-			Seed:               *seed,
-			PeriodicActivation: *activation,
-			Faults:             plan,
-			CPUs:               *cpus,
-			Stats:              execStats,
+			Jobs:          def.Jobs,
+			Background:    *background,
+			PriorityBands: *bands,
+			Seed:          *seed,
+			Faults:        plan,
+			CPUs:          *cpus,
+			Stats:         execStats,
 		}
 		if tr != nil {
 			p.Sink = tr
@@ -154,7 +148,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			HorizonTU:   *horizon,
 			Utilization: steadyDef.Utilization,
 			Seed:        *seed,
-			Activation:  *activation,
 			Stats:       execStats,
 		}
 		if tr != nil {
@@ -202,8 +195,8 @@ func runSporadic(w io.Writer, p experiments.StressParams, quiet bool) error {
 		return err
 	}
 	if !quiet {
-		fmt.Fprintf(w, "scenario : %d jobs over %d bands, %d background threads (activation=%v), seed %d\n",
-			res.Jobs, p.PriorityBands, p.Background, p.PeriodicActivation, p.Seed)
+		fmt.Fprintf(w, "scenario : %d jobs over %d bands, %d background threads, seed %d\n",
+			res.Jobs, p.PriorityBands, p.Background, p.Seed)
 		cpus := p.CPUs
 		if cpus < 1 {
 			cpus = 1
@@ -240,7 +233,6 @@ func runSteady(w io.Writer, p experiments.SteadyStateParams, quiet bool) error {
 	if !quiet {
 		fmt.Fprintf(w, "scenario : %d periodic entities, horizon %gtu, utilization %g, seed %d\n",
 			res.Entities, p.HorizonTU, p.Utilization, p.Seed)
-		fmt.Fprintf(w, "executive: activation=%v\n", p.Activation)
 		fmt.Fprintf(w, "released : %d activations (%d missed)\n", res.Activations, res.Missed)
 		fmt.Fprintf(w, "virtual  : consumed %v, finished at %v of %v horizon\n",
 			res.TotalConsumed, res.FinalTime, res.Horizon)
@@ -249,9 +241,8 @@ func runSteady(w io.Writer, p experiments.SteadyStateParams, quiet bool) error {
 		fmt.Fprintf(w, "wall     : %v (%.0f activations/s)\n", elapsed.Round(time.Millisecond),
 			float64(res.Activations)/elapsed.Seconds())
 	}
-	fmt.Fprintf(w, "steady: %d entities %d activations, activation=%v peak-workers=%d fingerprint=%016x wall=%v\n",
-		res.Entities, res.Activations, p.Activation,
-		res.PeakWorkers, res.Fingerprint, elapsed.Round(time.Millisecond))
+	fmt.Fprintf(w, "steady: %d entities %d activations, peak-workers=%d fingerprint=%016x wall=%v\n",
+		res.Entities, res.Activations, res.PeakWorkers, res.Fingerprint, elapsed.Round(time.Millisecond))
 	if res.Activations < res.Entities {
 		// Every entity must release at least once within the horizon.
 		return fmt.Errorf("only %d activations for %d entities", res.Activations, res.Entities)

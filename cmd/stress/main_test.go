@@ -33,6 +33,7 @@ func TestRejectsBadCommandLines(t *testing.T) {
 		{"NaN drop", []string{"-faults", "drop=NaN"}, 1, "drop probability NaN"},
 		{"kernel flag is gone", []string{"-kernel", "channel"}, 2, "flag provided but not defined: -kernel"},
 		{"maxgoroutines flag is gone", []string{"-maxgoroutines", "8"}, 2, "flag provided but not defined: -maxgoroutines"},
+		{"activation flag is gone", []string{"-activation=false"}, 2, "flag provided but not defined: -activation"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := runCmd(tc.args...)
@@ -51,42 +52,36 @@ func TestRejectsBadCommandLines(t *testing.T) {
 
 var fingerprintRE = regexp.MustCompile(`fingerprint=([0-9a-f]{16})`)
 
-// TestSummaryFingerprintIsConfigIndependent runs each scenario small with
-// activation dispatch on and off: the schedule, and so the summary line's
-// fingerprint, must not change.
+// TestSummaryFingerprintIsConfigIndependent runs each scenario small and
+// requires its summary line to carry the pinned fingerprint. The pins were
+// captured with activation dispatch on and off, which printed the same
+// fingerprint; the periodic work now always runs as activations.
 func TestSummaryFingerprintIsConfigIndependent(t *testing.T) {
 	for _, sc := range []struct {
-		scenario, prefix string
+		scenario, prefix, fingerprint string
 	}{
-		{"sporadic", "stress: "},
-		{"steady", "steady: "},
+		{"sporadic", "stress: ", "1c528d02dd03afec"},
+		{"steady", "steady: ", "e2f13055a88990fb"},
 	} {
 		t.Run(sc.scenario, func(t *testing.T) {
-			var want string
-			for _, cfg := range [][]string{
-				{"-activation=true"},
-				{"-activation=false"},
-			} {
-				args := append([]string{"-scenario", sc.scenario, "-n", "200", "-quiet"}, cfg...)
-				code, stdout, stderr := runCmd(args...)
-				if code != 0 {
-					t.Fatalf("%v: exit %d: %s", cfg, code, stderr)
+			code, stdout, stderr := runCmd("-scenario", sc.scenario, "-n", "200", "-quiet")
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			if !strings.HasPrefix(stdout, sc.prefix) || strings.Count(stdout, "\n") != 1 {
+				t.Fatalf("want one %q summary line, got %q", sc.prefix, stdout)
+			}
+			for _, gone := range []string{"kernel=", "maxgoroutines=", "activation="} {
+				if strings.Contains(stdout, gone) {
+					t.Errorf("summary line still carries a removed field: %q", stdout)
 				}
-				if !strings.HasPrefix(stdout, sc.prefix) || strings.Count(stdout, "\n") != 1 {
-					t.Fatalf("%v: want one %q summary line, got %q", cfg, sc.prefix, stdout)
-				}
-				if strings.Contains(stdout, "kernel=") || strings.Contains(stdout, "maxgoroutines=") {
-					t.Errorf("%v: summary line still carries a removed field: %q", cfg, stdout)
-				}
-				m := fingerprintRE.FindStringSubmatch(stdout)
-				if m == nil {
-					t.Fatalf("%v: no fingerprint in %q", cfg, stdout)
-				}
-				if want == "" {
-					want = m[1]
-				} else if m[1] != want {
-					t.Errorf("%v: fingerprint %s, want %s", cfg, m[1], want)
-				}
+			}
+			m := fingerprintRE.FindStringSubmatch(stdout)
+			if m == nil {
+				t.Fatalf("no fingerprint in %q", stdout)
+			}
+			if m[1] != sc.fingerprint {
+				t.Errorf("fingerprint %s, pinned %s", m[1], sc.fingerprint)
 			}
 		})
 	}

@@ -7,6 +7,12 @@
 // "simulation" columns — and RunExecution realizes the same workload on the
 // Task Server Framework over the RTSJ emulation — the paper's "execution"
 // columns, including overheads and WCET noise.
+//
+// Every experiment family lowers its periodic work onto the executive's
+// activation path (rtsjvm.VM.NewActivationThread, exec.SpawnPeriodic): one
+// body dispatch per release, the body return standing in for the RTSJ's
+// WaitForNextPeriod. The looping form stays in the executive, where its
+// differential tests pin the two forms to identical schedules.
 package experiments
 
 import (
@@ -14,7 +20,6 @@ import (
 
 	"rtsj/internal/core"
 	"rtsj/internal/exec"
-	"rtsj/internal/faults"
 	"rtsj/internal/gen"
 	"rtsj/internal/metrics"
 	"rtsj/internal/rtime"
@@ -37,42 +42,11 @@ type ExecModel struct {
 	// NoiseSeed and SysIndex derive the deterministic per-event u.
 	NoiseSeed int64
 	SysIndex  int // system index within its set, for noise derivation
-	// PeriodicActivation lowers the workload's periodic threads onto the
-	// executive's activation-driven dispatch path
-	// (rtsjvm.VM.NewActivationThread): one body dispatch per release, no
-	// goroutine between releases. Schedules are identical to the default
-	// looping mode (pinned by TestExecutionTablesKernelIndependent); the
-	// difference is goroutine footprint on periodic-heavy workloads.
-	PeriodicActivation bool
-	// Faults is the optional deterministic fault-injection plan. Aperiodic
-	// faults (drops, jitter, cost overruns) are applied to the workload
-	// itself before either engine would see it, so they are identical
-	// in looping and activation mode; periodic
-	// per-release overruns are drawn order-independently inside each body
-	// (Plan.ActivationFault). Nil injects nothing and leaves every code
-	// path byte-identical to a fault-free run.
-	Faults *faults.Plan
-	// PeriodicMiss selects the overrun policy of the workload's periodic
-	// threads (exec.MissSkip default). exec.MissAbort requires
-	// PeriodicActivation.
-	PeriodicMiss exec.MissPolicy
-	// ServerMaxPending bounds the server's pending queue: releases beyond
-	// it are shed at registration (graceful degradation under overload).
-	// Zero keeps the unbounded queue.
-	ServerMaxPending int
-	// ClampServerCapacity pins the server capacity at zero after an
-	// over-budget service instead of letting it go transiently negative
-	// (core.TaskServer.SetClampCapacity); the excursion stays observable
-	// through CapacityFloor.
-	ClampServerCapacity bool
 	// CPUs sets the executive's virtual CPU count (exec.Options.CPUs; 0
-	// means 1). The paper's experiments are uniprocessor; M=1 runs the same
-	// code path byte-identically (TestExecutionTablesSMPM1), and M>1 opens
-	// the SMP scenario family (RunSMP).
+	// means 1) under the Global migration policy. The paper's experiments
+	// are uniprocessor; M=1 runs the same code path byte-identically
+	// (TestExecutionTablesSMPM1).
 	CPUs int
-	// Migration selects the migration policy when CPUs > 1
-	// (exec.Options.Migration).
-	Migration exec.MigrationPolicy
 	// Stats optionally wires the executive's kernel counters
 	// (exec.Options.Stats). Observational only: table and matrix outputs
 	// are byte-identical with or without it (pinned by the obs
@@ -82,7 +56,7 @@ type ExecModel struct {
 
 // execOptions maps the model onto the executive configuration.
 func (m ExecModel) execOptions() exec.Options {
-	return exec.Options{CPUs: m.CPUs, Migration: m.Migration, Stats: m.Stats}
+	return exec.Options{CPUs: m.CPUs, Stats: m.Stats}
 }
 
 // DefaultExecModel is the execution platform used for Tables 3 and 5. Its
@@ -150,13 +124,6 @@ func runExecutionSink(sys sim.System, m ExecModel, horizon rtime.Time, sink trac
 	if sys.Server == nil {
 		return nil, fmt.Errorf("experiments: execution needs a task server")
 	}
-	if m.PeriodicMiss == exec.MissAbort && !m.PeriodicActivation {
-		return nil, fmt.Errorf("experiments: the abort miss policy requires PeriodicActivation")
-	}
-	// Workload-level faults rewrite the system up front, independent of the
-	// executive configuration: the same plan yields the same faulted
-	// workload in looping and activation mode.
-	sys = m.Faults.ApplySystem(sys, m.SysIndex)
 	vm := rtsjvm.NewVMSink(sink, m.Overheads, m.execOptions())
 	spec := *sys.Server
 	name := spec.Name
@@ -181,42 +148,10 @@ func runExecutionSink(sys sim.System, m ExecModel, horizon rtime.Time, sink trac
 	default:
 		return nil, fmt.Errorf("experiments: policy %v has no framework implementation", spec.Policy)
 	}
-	if m.ServerMaxPending > 0 {
-		srv.SetMaxPending(m.ServerMaxPending)
-	}
-	if m.ClampServerCapacity {
-		srv.SetClampCapacity(true)
-	}
 
-	for i := range sys.Periodics {
-		taskIdx := i
-		pt := sys.Periodics[i]
-		pp := &rtsjvm.PeriodicParameters{Start: pt.Offset, Period: pt.Period, Cost: pt.Cost, Deadline: pt.Deadline, Miss: m.PeriodicMiss}
-		// periodicCost draws the per-release demand: the declared cost,
-		// inflated by the fault plan's order-independent per-release overrun
-		// when one is active. CurrentRelease identifies the release in both
-		// emulation modes, so the same plan produces the same demand
-		// sequence everywhere.
-		periodicCost := func(r *rtsjvm.RTC) rtime.Duration {
-			if !m.Faults.Enabled() {
-				return pt.Cost
-			}
-			rel := int(rtime.DivFloor(r.CurrentRelease().Sub(pt.Offset), pt.Period))
-			f := m.Faults.ActivationFault(m.SysIndex, taskIdx, rel)
-			return f.Apply(pt.Cost)
-		}
-		if m.PeriodicActivation {
-			vm.NewActivationThread(pt.Name, pt.Priority, pp, func(r *rtsjvm.RTC) {
-				r.Consume(periodicCost(r))
-			})
-		} else {
-			vm.NewRealtimeThread(pt.Name, pt.Priority, pp, func(r *rtsjvm.RTC) {
-				for {
-					r.Consume(periodicCost(r))
-					r.WaitForNextPeriod()
-				}
-			})
-		}
+	for _, pt := range sys.Periodics {
+		pp := &rtsjvm.PeriodicParameters{Start: pt.Offset, Period: pt.Period, Cost: pt.Cost, Deadline: pt.Deadline}
+		vm.NewActivationThread(pt.Name, pt.Priority, pp, func(r *rtsjvm.RTC) { r.Consume(pt.Cost) })
 	}
 
 	for i := range sys.Aperiodics {

@@ -147,6 +147,33 @@ func TestServeShardMalformedRequest(t *testing.T) {
 	}
 }
 
+// TestServeShardOverlongLine sends a well-formed request, then a 4 MiB
+// line holding a JSON string that never ends: the worker must answer the
+// first request, answer the long line with an error response, and end the
+// session without buffering the whole line.
+func TestServeShardOverlongLine(t *testing.T) {
+	req, _ := json.Marshal(ShardRequest{V: ShardProtocolVersion, Spec: testCampaignSpec(), Hi: 1})
+	in := append(append(req, '\n'), `{"spec":"`...)
+	in = append(in, bytes.Repeat([]byte{'a'}, 4<<20)...)
+	rd := bytes.NewReader(in)
+	var out bytes.Buffer
+	err := ServeShard(rd, &out)
+	if err == nil || !strings.Contains(err.Error(), "longer than") {
+		t.Fatalf("err = %v, want an over-long request error", err)
+	}
+	if read := len(in) - rd.Len(); read > maxShardRequestBytes+64<<10 {
+		t.Errorf("worker read %d bytes of the long line, cap %d", read, maxShardRequestBytes)
+	}
+	dec := json.NewDecoder(&out)
+	var first, second ShardResponse
+	if derr := dec.Decode(&first); derr != nil || first.Error != "" || first.Partial == nil {
+		t.Fatalf("first response %+v (%v), want a partial", first, derr)
+	}
+	if derr := dec.Decode(&second); derr != nil || !strings.Contains(second.Error, "longer than") {
+		t.Fatalf("second response %+v (%v), want an over-long request error", second, derr)
+	}
+}
+
 // TestServeShardVersionMismatch checks an unknown protocol version is
 // refused rather than guessed around.
 func TestServeShardVersionMismatch(t *testing.T) {

@@ -42,11 +42,13 @@ func recordsFingerprint(records []*core.EventRecord) uint64 {
 	return h
 }
 
-// The execution tables (3 and 5) must not depend on how the executive is
-// configured: looping and activation dispatch of the periodic threads must
-// produce identical per-event records — and therefore byte-identical table
-// output — over the paper's generated system sets, and the reference
-// records must match their committed fingerprints.
+// TestExecutionTablesKernelIndependent pins the execution tables (3 and
+// 5) over the paper's generated system sets: the event records of each
+// traced execution must match their committed fingerprints, and the
+// metrics-only fast path must reproduce them exactly. The test once also
+// compared looping against activation periodic threads, but that half
+// compared nothing: the generated sets carry no periodic tasks (gen never
+// sets Periodics), so both runs executed the same aperiodic handlers.
 func TestExecutionTablesKernelIndependent(t *testing.T) {
 	for _, cfg := range []struct {
 		key    string
@@ -78,36 +80,6 @@ func TestExecutionTablesKernelIndependent(t *testing.T) {
 				if fp, want := recordsFingerprint(co.Records), tablesFingerprints[name][i]; fp != want {
 					t.Errorf("system %d: reference records fingerprint %#x, committed %#x", i, fp, want)
 				}
-				// The reference loops its periodic threads; the variant
-				// lowers them onto the activation dispatch path.
-				act := model
-				act.PeriodicActivation = true
-				do, err := RunExecution(sys, act, p.Horizon())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(do.Records) != len(co.Records) {
-					t.Fatalf("system %d: record counts differ: activation=%d reference=%d",
-						i, len(do.Records), len(co.Records))
-				}
-				for k := range do.Records {
-					d, c := do.Records[k], co.Records[k]
-					if *d != *c {
-						t.Fatalf("system %d record %d differs:\nactivation: %+v\nreference: %+v", i, k, *d, *c)
-					}
-				}
-				a, b := co.Trace, do.Trace
-				if len(a.Segments) != len(b.Segments) {
-					t.Fatalf("system %d: segment counts differ: reference=%d activation=%d",
-						i, len(a.Segments), len(b.Segments))
-				}
-				for k := range a.Segments {
-					if a.Segments[k] != b.Segments[k] {
-						t.Fatalf("system %d segment %d differs: reference=%+v activation=%+v",
-							i, k, a.Segments[k], b.Segments[k])
-					}
-				}
-
 				// The metrics-only fast path (trace.Nop through the whole
 				// executive) must not perturb the schedule: identical event
 				// records, no trace.

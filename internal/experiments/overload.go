@@ -20,8 +20,9 @@ import (
 // sheds. Each run threads a faults.Checker through the execution
 // (conservation of released vs. completed vs. shed work, monotone
 // counters, non-negative capacity) and checks the executive's scheduler
-// invariants afterwards; the per-run fingerprint is pinned in looping and
-// activation mode by the overload tests.
+// invariants afterwards; the overload tests pin the per-run fingerprint.
+// The hard periodics run as activation-mode realtime threads
+// (rtsjvm.VM.NewActivationThread).
 
 // Overload scenario names.
 const (
@@ -44,8 +45,7 @@ func OverloadScenarios() []string {
 }
 
 // OverloadParams configures one overload run. Everything is derived
-// deterministically from Seed, so two runs on any executive configuration
-// schedule identically.
+// deterministically from Seed, so two runs schedule identically.
 type OverloadParams struct {
 	// Scenario is one of the Overload* names.
 	Scenario string
@@ -61,11 +61,8 @@ type OverloadParams struct {
 	// default. Releases beyond the bound are shed.
 	MaxPending int
 	// PeriodicMiss selects the hard periodics' overrun policy
-	// (exec.MissSkip default; exec.MissAbort needs PeriodicActivation).
+	// (exec.MissSkip default).
 	PeriodicMiss exec.MissPolicy
-	// PeriodicActivation configures the executive, exactly as in
-	// ExecModel.
-	PeriodicActivation bool // activation-driven periodic dispatch
 }
 
 // DefaultOverloadParams returns the canonical configuration of a scenario
@@ -221,9 +218,6 @@ func RunOverload(p OverloadParams) (*OverloadResult, error) {
 	if p.MaxPending <= 0 {
 		p.MaxPending = def.MaxPending
 	}
-	if p.PeriodicMiss == exec.MissAbort && !p.PeriodicActivation {
-		return nil, fmt.Errorf("overload: the abort miss policy requires PeriodicActivation")
-	}
 	sys, err := buildOverloadSystem(p)
 	if err != nil {
 		return nil, err
@@ -264,10 +258,10 @@ func runOverloadOnce(p OverloadParams, sys *overloadSystem, res *OverloadResult)
 		pt := sys.periodics[ti]
 		taskIdx := uint64(ti)
 		pp := &rtsjvm.PeriodicParameters{Period: pt.Period, Cost: pt.Cost, Miss: p.PeriodicMiss}
-		// work is one hard periodic release: exact declared cost, deadline
+		// Each release is one activation: exact declared cost, deadline
 		// checked at completion, completion folded into the fingerprint in
 		// schedule order.
-		work := func(r *rtsjvm.RTC) {
+		vm.NewActivationThread(pt.Name, pt.Priority, pp, func(r *rtsjvm.RTC) {
 			rel := r.CurrentRelease()
 			r.Consume(pt.Cost)
 			periodicReleases++
@@ -276,17 +270,7 @@ func runOverloadOnce(p OverloadParams, sys *overloadSystem, res *OverloadResult)
 			}
 			fp = (fp ^ taskIdx) * 1099511628211
 			fp = (fp ^ uint64(r.Now())) * 1099511628211
-		}
-		if p.PeriodicActivation {
-			vm.NewActivationThread(pt.Name, pt.Priority, pp, work)
-		} else {
-			vm.NewRealtimeThread(pt.Name, pt.Priority, pp, func(r *rtsjvm.RTC) {
-				for {
-					work(r)
-					r.WaitForNextPeriod()
-				}
-			})
-		}
+		})
 	}
 
 	released := 0

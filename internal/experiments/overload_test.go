@@ -1,24 +1,12 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"rtsj/internal/exec"
 	"rtsj/internal/faults"
 	"rtsj/internal/rtime"
 )
-
-// overloadConfigs is the executive configuration matrix the overload
-// fingerprints are pinned across: looping and activation-driven periodic
-// dispatch.
-var overloadConfigs = []struct {
-	name       string
-	activation bool
-}{
-	{"direct/thread", false},
-	{"direct/activation", true},
-}
 
 // Pinned fingerprints of the canonical scenario configurations
 // (DefaultOverloadParams). A change here means the overload schedules
@@ -39,171 +27,153 @@ type overloadCounts struct {
 }
 
 // overloadChannelCounts holds the counters the retired channel kernel
-// produced on each canonical scenario in each dispatch mode. The modes
-// agree on everything but the pool high-water mark, so PeakWorkers is
-// listed per mode, indexed like overloadConfigs. The looping peak is the
-// one the channel kernel counted with its pool capped at 8 workers, a cap
-// no scenario reached, so it is also the peak of the uncapped pool.
-var overloadChannelCounts = map[string]struct {
-	counts overloadCounts
-	peaks  [2]int
-}{
-	OverloadMissStorm: {overloadCounts{Events: 451, Released: 451, Served: 104, Shed: 283, Pending: 64,
-		PeriodicReleases: 13, FinalTime: rtime.AtTU(78)}, [2]int{5, 4}},
-	OverloadTransient: {overloadCounts{Events: 205, Released: 205, Served: 137, Shed: 68,
-		PeriodicReleases: 29, FinalTime: rtime.AtTU(168)}, [2]int{5, 4}},
-	OverloadSaturation: {overloadCounts{Events: 155, Released: 620, Served: 566, Shed: 33, Pending: 21,
-		PeriodicReleases: 240, FinalTime: rtime.AtTU(360)}, [2]int{5, 3}},
+// produced on each canonical scenario, in looping and in activation mode
+// alike, except for the pool high-water mark: PeakWorkers is the
+// activation-mode peak, the form every scenario runs on now.
+var overloadChannelCounts = map[string]overloadCounts{
+	OverloadMissStorm: {Events: 451, Released: 451, Served: 104, Shed: 283, Pending: 64,
+		PeriodicReleases: 13, FinalTime: rtime.AtTU(78), PeakWorkers: 4},
+	OverloadTransient: {Events: 205, Released: 205, Served: 137, Shed: 68,
+		PeriodicReleases: 29, FinalTime: rtime.AtTU(168), PeakWorkers: 4},
+	OverloadSaturation: {Events: 155, Released: 620, Served: 566, Shed: 33, Pending: 21,
+		PeriodicReleases: 240, FinalTime: rtime.AtTU(360), PeakWorkers: 3},
 }
 
-// TestOverloadMatrix runs every scenario on every executive configuration.
-// The direct/<mode> subtests require the pinned fingerprint, a clean
-// invariant net, and the scenario-specific degradation properties; the
-// channel/<mode> subtests require every counter the retired channel kernel
-// produced in that mode (overloadChannelCounts).
+// TestOverloadMatrix runs every scenario once and checks it against the
+// pins of the retired {channel, direct} x {thread, activation} executive
+// matrix, one subtest per cell of that matrix:
+//   - channel/thread: every counter but the pool peak equals what the
+//     channel kernel produced with looping periodics;
+//   - channel/activation: the pool peak equals the channel kernel's
+//     activation-mode peak;
+//   - direct/thread: the fingerprint equals the one the looping periodics
+//     produced (overloadFingerprints, which both forms matched);
+//   - direct/activation: a clean invariant net and the scenario-specific
+//     degradation properties.
 func TestOverloadMatrix(t *testing.T) {
 	for _, sc := range OverloadScenarios() {
-		for i, cfg := range overloadConfigs {
-			t.Run(sc+"/channel/"+strings.TrimPrefix(cfg.name, "direct/"), func(t *testing.T) {
-				p := DefaultOverloadParams(sc)
-				p.PeriodicActivation = cfg.activation
-				r, err := RunOverload(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := overloadCounts{r.Events, r.Released, r.Served, r.Interrupted, r.Rejected, r.Shed, r.Pending,
-					r.PeriodicReleases, r.PeriodicMisses, r.CapacityFloor, r.FinalTime, r.PeakWorkers}
-				ref := overloadChannelCounts[sc]
-				want := ref.counts
-				want.PeakWorkers = ref.peaks[i]
-				if got != want {
-					t.Errorf("counters %+v, channel kernel produced %+v", got, want)
-				}
-			})
-			t.Run(sc+"/"+cfg.name, func(t *testing.T) {
-				p := DefaultOverloadParams(sc)
-				p.PeriodicActivation = cfg.activation
-				r, err := RunOverload(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(r.Violations) != 0 {
-					t.Errorf("invariant violations: %v", r.Violations)
-				}
-				if r.Fingerprint != overloadFingerprints[sc] {
-					t.Errorf("fingerprint %#x, pinned %#x", r.Fingerprint, overloadFingerprints[sc])
-				}
-				if r.PeriodicMisses != 0 {
-					t.Errorf("hard periodics missed %d deadlines", r.PeriodicMisses)
-				}
-				if r.PeriodicReleases == 0 {
-					t.Error("no periodic releases completed")
-				}
-				switch sc {
-				case OverloadMissStorm:
-					if r.Shed == 0 {
-						t.Error("miss-storm shed nothing: not an overload")
-					}
-				case OverloadTransient:
-					if r.Pending != 0 {
-						t.Errorf("transient backlog did not drain: %d pending", r.Pending)
-					}
-					if r.Shed == 0 {
-						t.Error("transient pulse shed nothing: not an overload")
-					}
-				case OverloadSaturation:
-					if r.Served >= r.Released {
-						t.Error("saturation sweep served everything: not saturated")
-					}
-				}
-			})
+		r, err := RunOverload(DefaultOverloadParams(sc))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestOverloadMissPolicies pins that each miss policy yields one behavior
-// across the configurations that support it: the policy changes the
-// schedule, the executive configuration must not.
-func TestOverloadMissPolicies(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		miss       exec.MissPolicy
-		activation bool // MissAbort requires activation mode
-	}{
-		{"continue-late", exec.MissContinueLate, false},
-		{"abort", exec.MissAbort, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var want uint64
-			for i, cfg := range overloadConfigs {
-				if tc.activation && !cfg.activation {
-					continue
+		got := overloadCounts{r.Events, r.Released, r.Served, r.Interrupted, r.Rejected, r.Shed, r.Pending,
+			r.PeriodicReleases, r.PeriodicMisses, r.CapacityFloor, r.FinalTime, r.PeakWorkers}
+		want := overloadChannelCounts[sc]
+		t.Run(sc+"/channel/thread", func(t *testing.T) {
+			got, want := got, want
+			got.PeakWorkers, want.PeakWorkers = 0, 0
+			if got != want {
+				t.Errorf("counters %+v, channel kernel produced %+v", got, want)
+			}
+		})
+		t.Run(sc+"/channel/activation", func(t *testing.T) {
+			if got.PeakWorkers != want.PeakWorkers {
+				t.Errorf("pool peaked at %d workers, channel kernel at %d", got.PeakWorkers, want.PeakWorkers)
+			}
+		})
+		t.Run(sc+"/direct/thread", func(t *testing.T) {
+			if r.Fingerprint != overloadFingerprints[sc] {
+				t.Errorf("fingerprint %#x, pinned %#x", r.Fingerprint, overloadFingerprints[sc])
+			}
+		})
+		t.Run(sc+"/direct/activation", func(t *testing.T) {
+			if len(r.Violations) != 0 {
+				t.Errorf("invariant violations: %v", r.Violations)
+			}
+			if r.PeriodicMisses != 0 {
+				t.Errorf("hard periodics missed %d deadlines", r.PeriodicMisses)
+			}
+			if r.PeriodicReleases == 0 {
+				t.Error("no periodic releases completed")
+			}
+			switch sc {
+			case OverloadMissStorm:
+				if r.Shed == 0 {
+					t.Error("miss-storm shed nothing: not an overload")
 				}
-				p := DefaultOverloadParams(OverloadMissStorm)
-				p.Events = 120
-				p.PeriodicMiss = tc.miss
-				p.PeriodicActivation = cfg.activation
-				r, err := RunOverload(p)
-				if err != nil {
-					t.Fatal(err)
+			case OverloadTransient:
+				if r.Pending != 0 {
+					t.Errorf("transient backlog did not drain: %d pending", r.Pending)
 				}
-				if len(r.Violations) != 0 {
-					t.Errorf("%s: invariant violations: %v", cfg.name, r.Violations)
+				if r.Shed == 0 {
+					t.Error("transient pulse shed nothing: not an overload")
 				}
-				if i == 0 || want == 0 {
-					want = r.Fingerprint
-					continue
-				}
-				if r.Fingerprint != want {
-					t.Errorf("%s: fingerprint %#x, want %#x", cfg.name, r.Fingerprint, want)
+			case OverloadSaturation:
+				if r.Served >= r.Released {
+					t.Error("saturation sweep served everything: not saturated")
 				}
 			}
 		})
 	}
 }
 
-// TestOverloadMissAbortNeedsActivation pins the configuration error.
-func TestOverloadMissAbortNeedsActivation(t *testing.T) {
-	p := DefaultOverloadParams(OverloadMissStorm)
-	p.PeriodicMiss = exec.MissAbort
-	if _, err := RunOverload(p); err == nil {
-		t.Fatal("MissAbort without PeriodicActivation should be rejected")
+// TestOverloadMissPolicies pins the miss-storm fingerprint under each
+// non-default miss policy. The continue-late pin was captured from
+// looping periodics and the abort pin from activation ones; activation
+// periodics matched the looping pin too.
+func TestOverloadMissPolicies(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		miss exec.MissPolicy
+		want uint64
+	}{
+		{"continue-late", exec.MissContinueLate, 0x880273e5fda40b58},
+		{"abort", exec.MissAbort, 0x880273e5fda40b58},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := DefaultOverloadParams(OverloadMissStorm)
+			p.Events = 120
+			p.PeriodicMiss = tc.miss
+			r, err := RunOverload(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.Violations) != 0 {
+				t.Errorf("invariant violations: %v", r.Violations)
+			}
+			if r.Fingerprint != tc.want {
+				t.Errorf("fingerprint %#x, pinned %#x", r.Fingerprint, tc.want)
+			}
+		})
 	}
 }
 
+// overloadFaultFingerprints pins the transient scenario's fingerprint
+// under the fault plan of TestOverloadFaultPlanFuzz, by plan seed 1..8.
+// The values were captured from looping periodics, which activation
+// periodics matched.
+var overloadFaultFingerprints = [8]uint64{
+	0xff050121cca53112, 0x643ef6941fef40a, 0xc21a8c8566e26fef, 0x1e0744e91f3aedcf,
+	0xd1f34f2fc0a0eac2, 0xdc0f29d5c75235b6, 0x5b313840f7ba2960, 0x3b231f31d7af76d2,
+}
+
 // TestOverloadFaultPlanFuzz layers seeded fault plans (drops, jitter,
-// cost overruns) on the transient scenario and requires, for every seed:
-// a clean invariant net, and a fingerprint independent of the executive
-// configuration (the two extremes of the matrix are compared).
+// cost overruns) on the transient scenario and requires, for every seed,
+// a clean invariant net and the pinned fingerprint.
 func TestOverloadFaultPlanFuzz(t *testing.T) {
 	jitterMax, err := faults.Parse("seed=1 jitter=0.3:2.5 overrun=0.4:1.5 drop=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sawInterrupted := false
-	for seed := int64(1); seed <= 8; seed++ {
+	for i, want := range overloadFaultFingerprints {
+		seed := int64(i + 1)
 		plan := *jitterMax
 		plan.Seed = seed
-		run := func(cfg int) *OverloadResult {
-			p := DefaultOverloadParams(OverloadTransient)
-			p.Events = 120
-			p.Faults = &plan
-			p.PeriodicActivation = overloadConfigs[cfg].activation
-			r, err := RunOverload(p)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if len(r.Violations) != 0 {
-				t.Errorf("seed %d: invariant violations: %v", seed, r.Violations)
-			}
-			return r
+		p := DefaultOverloadParams(OverloadTransient)
+		p.Events = 120
+		p.Faults = &plan
+		r, err := RunOverload(p)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		a, b := run(0), run(len(overloadConfigs)-1)
-		if a.Fingerprint != b.Fingerprint {
-			t.Errorf("seed %d: fault schedule differs across configs: %#x vs %#x",
-				seed, a.Fingerprint, b.Fingerprint)
+		if len(r.Violations) != 0 {
+			t.Errorf("seed %d: invariant violations: %v", seed, r.Violations)
 		}
-		if a.Interrupted > 0 {
+		if r.Fingerprint != want {
+			t.Errorf("seed %d: fingerprint %#x, pinned %#x", seed, r.Fingerprint, want)
+		}
+		if r.Interrupted > 0 {
 			sawInterrupted = true
 		}
 	}

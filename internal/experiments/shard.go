@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -54,10 +55,11 @@ type ShardResponse struct {
 // ServeShard runs one shard-worker session: it decodes range requests from
 // r line by line, computes each through the streaming reducer
 // (RunCampaignRange) and encodes one response line per request to w, until
-// EOF. A malformed or version-mismatched request, or a failing range, is
-// answered with an error response (when the stream still permits one) and
-// terminates the session with a non-nil error — a confused coordinator
-// must not be half-served.
+// EOF. A malformed, over-long (beyond maxShardRequestBytes) or
+// version-mismatched request, or a failing range, is answered with an
+// error response (when the stream still permits one) and terminates the
+// session with a non-nil error — a confused coordinator must not be
+// half-served.
 //
 // cmd/shard wires this to stdin/stdout or to accepted TCP connections.
 func ServeShard(r io.Reader, w io.Writer) error {
@@ -102,7 +104,7 @@ func ServeShardStats(r io.Reader, w io.Writer, st *ShardStats) error {
 	if st == nil {
 		st = &ShardStats{}
 	}
-	dec := json.NewDecoder(bufio.NewReader(r))
+	dec := json.NewDecoder(bufio.NewReader(&lineLimit{r: r, max: maxShardRequestBytes}))
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	respond := func(resp ShardResponse) error {
@@ -145,6 +147,44 @@ func ServeShardStats(r io.Reader, w io.Writer, st *ShardStats) error {
 			return err
 		}
 	}
+}
+
+// maxShardRequestBytes bounds one request line, so a peer that never ends
+// its line cannot grow the worker's read buffer without limit. A stock
+// request is a few hundred bytes; the cap leaves room for campaigns with
+// thousands of sweep points.
+const maxShardRequestBytes = 1 << 20
+
+// lineLimit passes r through until a line runs past max bytes; from then
+// on every Read fails. A read never takes more than one byte past the
+// limit of the line in progress, and the bytes of the failing read are
+// still returned, so complete requests before the long line are answered
+// first.
+type lineLimit struct {
+	r   io.Reader
+	max int
+	n   int // bytes since the last newline
+}
+
+func (l *lineLimit) Read(p []byte) (int, error) {
+	if l.n > l.max {
+		return 0, fmt.Errorf("request line longer than %d bytes", l.max)
+	}
+	if rest := l.max - l.n + 1; len(p) > rest {
+		p = p[:rest]
+	}
+	n, err := l.r.Read(p)
+	// With the read capped, every line the chunk completes fits; only the
+	// run after its last newline can pass the limit.
+	if i := bytes.LastIndexByte(p[:n], '\n'); i >= 0 {
+		l.n = n - 1 - i
+	} else {
+		l.n += n
+	}
+	if l.n > l.max {
+		return n, fmt.Errorf("request line longer than %d bytes", l.max)
+	}
+	return n, err
 }
 
 // ShardConn is one connected shard worker from the coordinator's side: a

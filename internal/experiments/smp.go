@@ -14,9 +14,9 @@ import (
 // virtual CPUs under a migration policy (global / partitioned / clustered)
 // and a scheduler (fixed-priority rate-monotonic, or EDF via the
 // job-level dynamic-priority hook) and measures deadline misses, skipped
-// releases and cross-CPU migrations. Everything is a pure function of the
-// parameters, so fingerprints are pinned across every dispatch mode by
-// the SMP tests.
+// releases and cross-CPU migrations. The tasks run as activation entities
+// (exec.SpawnPeriodicOn). Everything is a pure function of the parameters,
+// so the SMP tests pin each configuration's fingerprint.
 
 // SMP scenario names.
 const (
@@ -34,8 +34,7 @@ const (
 func SMPScenarios() []string { return []string{SMPMissCurve, SMPMigration} }
 
 // SMPParams configures one SMP run. Everything is derived
-// deterministically from Seed, so two runs on any executive configuration
-// schedule identically.
+// deterministically from Seed, so two runs schedule identically.
 type SMPParams struct {
 	// Scenario is one of the SMP* names.
 	Scenario string
@@ -57,15 +56,10 @@ type SMPParams struct {
 	// thread resuming on a new CPU (the migration sweep overrides it per
 	// point).
 	MigrationCost rtime.Duration
-	// PeriodicActivation configures the executive, exactly as in
-	// ExecModel: it runs the tasks as activation entities
-	// (exec.SpawnPeriodicOn); otherwise they are looping threads
-	// replicating the same kernel-call sequence.
-	PeriodicActivation bool
 }
 
 // DefaultSMPParams returns the canonical configuration of a scenario (the
-// one whose fingerprint the SMP tests pin across the executive matrix).
+// one whose fingerprint the SMP tests pin).
 func DefaultSMPParams(scenario string) SMPParams {
 	return SMPParams{
 		Scenario:  scenario,
@@ -268,56 +262,21 @@ func runSMPOnce(p SMPParams, res *SMPResult, point int, util float64, cost rtime
 		MigrationCost: cost,
 	})
 	horizon := rtime.AtTU(p.HorizonTU)
-	var ths []*exec.Thread
 	for i, t := range tasks {
-		i, t := i, t
 		deadline := t.period // implicit deadline
-		edfPrio := func(rel rtime.Time) int { return -int(int64(rel.Add(deadline))) }
-		complete := func(tc *exec.TC, rel rtime.Time) {
+		spec := exec.ActivationSpec{Period: t.period}
+		if p.Sched == "edf" {
+			spec.Priority = func(rel rtime.Time) int { return -int(int64(rel.Add(deadline))) }
+		}
+		ex.SpawnPeriodicOn(fmt.Sprintf("tau%d", i), t.prio, t.cpu, spec, func(tc *exec.TC) {
+			tc.Consume(t.cost)
 			now := tc.Now()
 			pt.Releases++
-			if now > rel.Add(deadline) {
+			if now > tc.Thread().CurrentRelease().Add(deadline) {
 				pt.Misses++
 			}
 			res.Fingerprint = (res.Fingerprint ^ uint64(i)) * 1099511628211
 			res.Fingerprint = (res.Fingerprint ^ uint64(now)) * 1099511628211
-		}
-		name := fmt.Sprintf("tau%d", i)
-		if p.PeriodicActivation {
-			spec := exec.ActivationSpec{Period: t.period}
-			if p.Sched == "edf" {
-				spec.Priority = edfPrio
-			}
-			th := ex.SpawnPeriodicOn(name, t.prio, t.cpu, spec, func(tc *exec.TC) {
-				tc.Consume(t.cost)
-				complete(tc, tc.Thread().CurrentRelease())
-			})
-			ths = append(ths, th)
-			continue
-		}
-		prio := t.prio
-		if p.Sched == "edf" {
-			prio = edfPrio(0)
-		}
-		ex.SpawnOn(name, prio, 0, t.cpu, func(tc *exec.TC) {
-			next := rtime.Time(0)
-			for {
-				tc.Consume(t.cost)
-				complete(tc, next)
-				// Advance the release exactly as the activation rearm
-				// would: skip (and count) overrun releases, rebase the EDF
-				// priority, then sleep — same kernel-call sequence, so the
-				// two dispatch modes schedule identically.
-				next = next.Add(t.period)
-				for next < tc.Now() {
-					next = next.Add(t.period)
-					pt.Skips++
-				}
-				if p.Sched == "edf" {
-					tc.SetPriority(edfPrio(next))
-				}
-				tc.SleepUntil(next)
-			}
 		})
 	}
 	err := ex.Run(horizon)
@@ -326,14 +285,11 @@ func runSMPOnce(p SMPParams, res *SMPResult, point int, util float64, cost rtime
 			res.Violations = append(res.Violations, ierr.Error())
 		}
 	}
-	for _, th := range ths {
+	for _, th := range ex.Threads() {
 		pt.Skips += th.MissedActivations()
 	}
 	pt.Migrations = ex.Migrations()
 	res.FinalTime = ex.Now()
 	ex.Shutdown()
-	if err != nil {
-		return pt, err
-	}
-	return pt, nil
+	return pt, err
 }

@@ -16,12 +16,12 @@ type smpKey struct {
 	sched    string
 }
 
-// smpFingerprints pins every canonical SMP sweep at M in {2, 4} across the
-// whole executive matrix (overloadConfigs: looping and activation
-// dispatch). A change here means the
-// multiprocessor schedules changed — intentional changes must update the
-// whole table together. Note clustered at M=2 equals global at M=2: one
-// cluster of two CPUs is a single global domain.
+// smpFingerprints pins every canonical SMP sweep at M in {2, 4}. The
+// values were captured when the tasks could also run as looping threads,
+// which matched them exactly. A change here means the multiprocessor
+// schedules changed — intentional changes must update the whole table
+// together. Note clustered at M=2 equals global at M=2: one cluster of two
+// CPUs is a single global domain.
 var smpFingerprints = map[smpKey]uint64{
 	{SMPMissCurve, 2, exec.Global, "fp"}:       0x1db12f35969e0720,
 	{SMPMissCurve, 4, exec.Global, "fp"}:       0xb8f6d2f346271747,
@@ -45,30 +45,31 @@ var smpFingerprints = map[smpKey]uint64{
 	{SMPMigration, 4, exec.Clustered, "edf"}:   0x82131a557f29831,
 }
 
-// TestSMPMatrix runs every pinned SMP configuration on every executive
-// configuration and requires the pinned fingerprint plus a clean invariant
-// net on each — the fingerprint is a pure function of the parameters, not
-// of the dispatch mode.
+// TestSMPMatrix runs every pinned SMP configuration once. Its subtests
+// keep the names of the retired looping/activation matrix: direct/thread
+// requires the fingerprint the looping tasks produced (smpFingerprints),
+// direct/activation a clean invariant net, completed releases and, when
+// partitioned, no migrations.
 func TestSMPMatrix(t *testing.T) {
 	for key, want := range smpFingerprints {
-		for _, cfg := range overloadConfigs {
-			key, want := key, want
-			t.Run(testName(key, cfg.name), func(t *testing.T) {
-				t.Parallel()
-				p := DefaultSMPParams(key.scenario)
-				p.CPUs = key.cpus
-				p.Policy = key.policy
-				p.Sched = key.sched
-				p.PeriodicActivation = cfg.activation
-				r, err := RunSMP(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(r.Violations) != 0 {
-					t.Errorf("invariant violations: %v", r.Violations)
-				}
+		t.Run(testName(key), func(t *testing.T) {
+			t.Parallel()
+			p := DefaultSMPParams(key.scenario)
+			p.CPUs = key.cpus
+			p.Policy = key.policy
+			p.Sched = key.sched
+			r, err := RunSMP(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run("direct/thread", func(t *testing.T) {
 				if r.Fingerprint != want {
 					t.Errorf("fingerprint %#x, pinned %#x", r.Fingerprint, want)
+				}
+			})
+			t.Run("direct/activation", func(t *testing.T) {
+				if len(r.Violations) != 0 {
+					t.Errorf("invariant violations: %v", r.Violations)
 				}
 				if r.Releases == 0 {
 					t.Error("no releases completed")
@@ -77,13 +78,12 @@ func TestSMPMatrix(t *testing.T) {
 					t.Errorf("partitioned run migrated %d times", r.Migrations)
 				}
 			})
-		}
+		})
 	}
 }
 
-func testName(key smpKey, cfg string) string {
-	return key.scenario + "/" + key.policy.String() + "/" + key.sched + "/m" +
-		string(rune('0'+key.cpus)) + "/" + cfg
+func testName(key smpKey) string {
+	return key.scenario + "/" + key.policy.String() + "/" + key.sched + "/m" + string(rune('0'+key.cpus))
 }
 
 // TestSMPSchedulingProperties pins the qualitative scheduling results on
@@ -160,10 +160,9 @@ func TestSMPParamValidation(t *testing.T) {
 }
 
 // TestExecutionTablesSMPM1 pins the tables' M=1 reduction: the calibrated
-// execution platform run with an explicit CPUs=1 and a non-trivial
-// migration policy produces byte-identical event records and trace
-// segments to the plain uniprocessor model, so the paper's cmd/tables
-// output cannot change under the SMP executive.
+// execution platform run with an explicit CPUs=1 produces byte-identical
+// event records and trace segments to the plain uniprocessor model, so the
+// paper's cmd/tables output cannot change under the SMP executive.
 func TestExecutionTablesSMPM1(t *testing.T) {
 	p := GenParams("(2, 2)")
 	systems := gen.Generate(p)[:2]
@@ -175,31 +174,27 @@ func TestExecutionTablesSMPM1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pol := range []exec.MigrationPolicy{exec.Global, exec.Partitioned, exec.Clustered} {
-			m1 := model
-			m1.CPUs = 1
-			m1.Migration = pol
-			got, err := RunExecution(sys, m1, p.Horizon())
-			if err != nil {
-				t.Fatal(err)
+		m1 := model
+		m1.CPUs = 1
+		got, err := RunExecution(sys, m1, p.Horizon())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Records) != len(ref.Records) {
+			t.Fatalf("system %d: record counts differ: %d vs %d", i, len(got.Records), len(ref.Records))
+		}
+		for k := range got.Records {
+			if *got.Records[k] != *ref.Records[k] {
+				t.Fatalf("system %d record %d differs:\nm1: %+v\nuni: %+v",
+					i, k, *got.Records[k], *ref.Records[k])
 			}
-			if len(got.Records) != len(ref.Records) {
-				t.Fatalf("system %d/%v: record counts differ: %d vs %d",
-					i, pol, len(got.Records), len(ref.Records))
-			}
-			for k := range got.Records {
-				if *got.Records[k] != *ref.Records[k] {
-					t.Fatalf("system %d/%v record %d differs:\nm1: %+v\nuni: %+v",
-						i, pol, k, *got.Records[k], *ref.Records[k])
-				}
-			}
-			if len(got.Trace.Segments) != len(ref.Trace.Segments) {
-				t.Fatalf("system %d/%v: segment counts differ", i, pol)
-			}
-			for k := range got.Trace.Segments {
-				if got.Trace.Segments[k] != ref.Trace.Segments[k] {
-					t.Fatalf("system %d/%v segment %d differs", i, pol, k)
-				}
+		}
+		if len(got.Trace.Segments) != len(ref.Trace.Segments) {
+			t.Fatalf("system %d: segment counts differ", i)
+		}
+		for k := range got.Trace.Segments {
+			if got.Trace.Segments[k] != ref.Trace.Segments[k] {
+				t.Fatalf("system %d segment %d differs", i, k)
 			}
 		}
 	}
@@ -207,8 +202,8 @@ func TestExecutionTablesSMPM1(t *testing.T) {
 
 // TestStressSMPM1 pins the stress scenario's M=1 reduction and the
 // multi-CPU smoke: CPUs=1 matches the uniprocessor fingerprint exactly,
-// and CPUs=4 completes every job with the same schedule whether the
-// background threads loop or run as activations.
+// and CPUs=4 completes every job with the pinned schedule, captured from
+// looping background threads (which activation ones matched).
 func TestStressSMPM1(t *testing.T) {
 	p := DefaultStressParams()
 	p.Jobs = 2000
@@ -226,23 +221,17 @@ func TestStressSMPM1(t *testing.T) {
 			m1.Fingerprint, uni.Fingerprint)
 	}
 	p.CPUs = 4
-	var last uint64
-	for _, activation := range []bool{false, true} {
-		p.PeriodicActivation = activation
-		smp, err := RunStress(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if smp.Completed != smp.Jobs {
-			t.Fatalf("activation=%v: 4-CPU stress completed %d of %d jobs", activation, smp.Completed, smp.Jobs)
-		}
-		if last != 0 && smp.Fingerprint != last {
-			t.Fatalf("4-CPU stress fingerprints differ looping vs activation: %#x vs %#x",
-				smp.Fingerprint, last)
-		}
-		last = smp.Fingerprint
+	smp, err := RunStress(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if last == uni.Fingerprint {
+	if smp.Completed != smp.Jobs {
+		t.Fatalf("4-CPU stress completed %d of %d jobs", smp.Completed, smp.Jobs)
+	}
+	if want := uint64(0x3bd688efd75df539); smp.Fingerprint != want {
+		t.Fatalf("4-CPU stress fingerprint %#x, pinned %#x", smp.Fingerprint, want)
+	}
+	if smp.Fingerprint == uni.Fingerprint {
 		t.Fatal("4-CPU stress schedule identical to uniprocessor: CPUs not taking effect")
 	}
 }

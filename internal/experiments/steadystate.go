@@ -12,14 +12,11 @@ import (
 // executive (exec.SpawnPeriodic) opens up. Thousands to tens of thousands
 // of long-running periodic entities — the shape of the paper's periodic
 // background load and its polling/deferrable/sporadic servers — run
-// forever at a modest total utilization. In looping mode every entity pins
-// a pool worker for the whole run, so the pool degrades back to one
-// worker per entity; in activation mode an entity owns no worker between
-// releases and the whole system runs on a handful of workers.
+// forever at a modest total utilization. An entity owns no worker between
+// releases, so the whole system runs on a handful of workers.
 
 // SteadyStateParams configures the scenario generator. Everything derives
-// deterministically from Seed, so two runs on any executive configuration
-// schedule identically.
+// deterministically from Seed, so two runs schedule identically.
 type SteadyStateParams struct {
 	// Entities is the number of periodic entities.
 	Entities int
@@ -31,9 +28,6 @@ type SteadyStateParams struct {
 	Utilization float64
 	// Seed drives period classes and offsets.
 	Seed uint64
-	// Activation selects the activation dispatch path (SpawnPeriodic); the
-	// default false runs classic parked loops for comparison.
-	Activation bool
 	// Sink optionally records the run's schedule (nil keeps the
 	// metrics-only fast path); cmd/stress -perfetto uses it.
 	Sink trace.Sink
@@ -50,7 +44,6 @@ func DefaultSteadyStateParams() SteadyStateParams {
 		HorizonTU:   500,
 		Utilization: 0.75,
 		Seed:        2007,
-		Activation:  true,
 	}
 }
 
@@ -92,10 +85,7 @@ func RunPeriodicSteadyState(p SteadyStateParams) (*SteadyStateResult, error) {
 	res := &SteadyStateResult{Entities: p.Entities, Fingerprint: 14695981039346656037}
 	res.Horizon = rtime.AtTU(p.HorizonTU)
 
-	loopMissed := 0
-	var periodic []*exec.Thread
 	for i := 0; i < p.Entities; i++ {
-		i := i
 		// Eight period classes, 50..225 tu; shorter periods run at higher
 		// priority (rate-monotonic), deterministic offsets within the
 		// first period.
@@ -107,30 +97,12 @@ func RunPeriodicSteadyState(p SteadyStateParams) (*SteadyStateResult, error) {
 			cost = 1
 		}
 		prio := 2 + int(7-class)
-		name := fmt.Sprintf("ss%d", i)
-		work := func(tc *exec.TC) {
+		ex.SpawnPeriodic(fmt.Sprintf("ss%d", i), prio, exec.ActivationSpec{Start: offset, Period: period}, func(tc *exec.TC) {
 			tc.Consume(cost)
 			res.Activations++
 			res.Fingerprint = (res.Fingerprint ^ uint64(i)) * 1099511628211
 			res.Fingerprint = (res.Fingerprint ^ uint64(tc.Now())) * 1099511628211
-		}
-		if p.Activation {
-			th := ex.SpawnPeriodic(name, prio, exec.ActivationSpec{Start: offset, Period: period}, work)
-			periodic = append(periodic, th)
-		} else {
-			ex.Spawn(name, prio, offset, func(tc *exec.TC) {
-				next := offset
-				for {
-					work(tc)
-					next = next.Add(period)
-					for next < tc.Now() {
-						next = next.Add(period)
-						loopMissed++
-					}
-					tc.SleepUntil(next)
-				}
-			})
-		}
+		})
 	}
 
 	err := ex.Run(res.Horizon)
@@ -138,9 +110,6 @@ func RunPeriodicSteadyState(p SteadyStateParams) (*SteadyStateResult, error) {
 	res.PeakWorkers = ex.PoolPeak()
 	for _, th := range ex.Threads() {
 		res.TotalConsumed += th.Consumed()
-	}
-	res.Missed = loopMissed
-	for _, th := range periodic {
 		res.Missed += th.MissedActivations()
 	}
 	ex.Shutdown()

@@ -3,12 +3,14 @@ package experiments
 import (
 	"runtime"
 	"testing"
+
+	"rtsj/internal/rtime"
 )
 
 // TestSteadyStateBoundedGoroutines is the acceptance test of the
 // activation-driven executive: a 10k-periodic-entity steady-state workload
 // runs on a handful of workers, never approaching one goroutine per entity
-// (which is exactly what looping mode would cost). The pinned peak is the
+// (which is exactly what looping threads would cost). The pinned peak is the
 // scenario's preemption depth, the same at both sizes.
 func TestSteadyStateBoundedGoroutines(t *testing.T) {
 	p := DefaultSteadyStateParams()
@@ -39,48 +41,46 @@ func TestSteadyStateBoundedGoroutines(t *testing.T) {
 	}
 }
 
-// steadyStateFingerprints pins the activation fingerprint of the per-thread
-// looping reference run of TestSteadyStateSchedulesIdenticalAcrossConfigs,
-// by entity count (full and -short), captured like stressFingerprints.
+// steadyStateFingerprints pins the fingerprint of the run of
+// TestSteadyStateSchedulesIdenticalAcrossConfigs by entity count (full and
+// -short), captured like stressFingerprints from the looping reference.
 var steadyStateFingerprints = map[int]uint64{
 	400: 0xd8c94efcd9a1554b,
 	120: 0xf9a71b03595310f3,
 }
 
-// TestSteadyStateSchedulesIdenticalAcrossConfigs differential-tests the
-// steady-state scenario over the executive matrix, the loop and activation
-// formulations: the activation fingerprint must match the looping
-// reference exactly, and the reference must match its committed
-// fingerprint.
+// steadyStatePins pins the rest of that run, by entity count, as the
+// looping reference produced it; the activation entities matched it.
+var steadyStatePins = map[int]struct {
+	activations   int
+	totalConsumed rtime.Duration
+}{
+	400: {1102, 225502842},
+	120: {328, 228281250},
+}
+
+// TestSteadyStateSchedulesIdenticalAcrossConfigs checks the steady-state
+// scenario against the pins its looping reference produced: fingerprint,
+// activation count, consumed time, final instant and no missed release.
 func TestSteadyStateSchedulesIdenticalAcrossConfigs(t *testing.T) {
 	p := DefaultSteadyStateParams()
-	p.Entities = 400 // keep the per-thread runs fast
+	p.Entities = 400
 	p.HorizonTU = 300
 	if testing.Short() {
 		p.Entities = 120
 	}
-	ref := p
-	ref.Activation = false
-	want, err := RunPeriodicSteadyState(ref)
+	got, err := RunPeriodicSteadyState(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Activations == 0 {
-		t.Fatal("reference run scheduled no activations")
+	want := steadyStatePins[p.Entities]
+	if got.Fingerprint != steadyStateFingerprints[p.Entities] {
+		t.Errorf("fingerprint %#x, committed %#x", got.Fingerprint, steadyStateFingerprints[p.Entities])
 	}
-	if want.Fingerprint != steadyStateFingerprints[p.Entities] {
-		t.Errorf("reference fingerprint %#x, committed %#x", want.Fingerprint, steadyStateFingerprints[p.Entities])
-	}
-	p.Activation = true
-	got, err := RunPeriodicSteadyState(p)
-	if err != nil {
-		t.Fatalf("activation: %v", err)
-	}
-	if got.Fingerprint != want.Fingerprint || got.Activations != want.Activations ||
-		got.TotalConsumed != want.TotalConsumed || got.Missed != want.Missed {
-		t.Errorf("activation diverged from loop reference: fingerprint %x vs %x, activations %d vs %d, consumed %v vs %v, missed %d vs %d",
-			got.Fingerprint, want.Fingerprint, got.Activations, want.Activations,
-			got.TotalConsumed, want.TotalConsumed, got.Missed, want.Missed)
+	if got.Activations != want.activations || got.TotalConsumed != want.totalConsumed ||
+		got.FinalTime != rtime.AtTU(300) || got.Missed != 0 {
+		t.Errorf("activations %d, consumed %d, final %v, missed %d; pinned %d, %d, t=300tu, 0",
+			got.Activations, got.TotalConsumed, got.FinalTime, got.Missed, want.activations, want.totalConsumed)
 	}
 }
 

@@ -18,28 +18,22 @@ import (
 // is recycled as soon as its job completes.
 
 // StressParams configures the scenario generator. Everything is derived
-// deterministically from Seed, so two runs (on any executive
-// configuration) schedule identically.
+// deterministically from Seed, so two runs schedule identically.
 type StressParams struct {
 	// Jobs is the number of one-shot sporadic job threads.
 	Jobs int
-	// Background is the number of periodic background threads. Each one
-	// loops forever and therefore pins a pool worker; keep it small.
+	// Background is the number of periodic background threads, run as
+	// activation entities (exec.SpawnPeriodic).
 	Background int
 	// PriorityBands spreads the sporadic jobs over this many priority
 	// levels above the background load.
 	PriorityBands int
 	// Seed drives release times, costs and priorities.
 	Seed uint64
-	// PeriodicActivation runs the background threads on the activation
-	// dispatch path (exec.SpawnPeriodic) instead of parked loops: same
-	// schedule, no pinned worker per background thread.
-	PeriodicActivation bool
 	// Faults optionally perturbs the sporadic jobs with a deterministic
 	// fault plan: dropped jobs are never spawned, jittered jobs release
 	// late, overrunning jobs consume more than their generated cost. The
-	// fault schedule is a pure function of (plan seed, job index), so it
-	// is identical on every executive configuration.
+	// fault schedule is a pure function of (plan seed, job index).
 	Faults *faults.Plan
 	// CPUs sets the executive's virtual CPU count (exec.Options.CPUs; 0
 	// means 1) under the Global migration policy — the multi-CPU stress
@@ -114,29 +108,11 @@ func RunStress(p StressParams) (*StressResult, error) {
 	for i := 0; i < p.Background; i++ {
 		period := rtime.Duration(8+2*i) * rtime.TU
 		cost := rtime.Duration(4+i) * rtime.TU / 8
-		if p.PeriodicActivation {
-			ex.SpawnPeriodic(fmt.Sprintf("bg%d", i), 1,
-				exec.ActivationSpec{Period: period}, func(tc *exec.TC) {
-					tc.Consume(cost)
-					res.BackgroundRun++
-				})
-			continue
-		}
-		ex.Spawn(fmt.Sprintf("bg%d", i), 1, 0, func(tc *exec.TC) {
-			next := rtime.Time(0)
-			for {
+		ex.SpawnPeriodic(fmt.Sprintf("bg%d", i), 1,
+			exec.ActivationSpec{Period: period}, func(tc *exec.TC) {
 				tc.Consume(cost)
 				res.BackgroundRun++
-				// Skip releases the slice overran past, mirroring the
-				// activation path's (and WaitForNextPeriod's) overrun
-				// semantics so both modes schedule identically.
-				next = next.Add(period)
-				for next < tc.Now() {
-					next = next.Add(period)
-				}
-				tc.SleepUntil(next)
-			}
-		})
+			})
 	}
 
 	for i := 0; i < p.Jobs; i++ {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"runtime"
 	"testing"
+
+	"rtsj/internal/rtime"
 )
 
 // TestStressLargeNBoundedGoroutines is the acceptance test of the worker
@@ -11,9 +13,9 @@ import (
 // the scenario's preemption depth at each size.
 func TestStressLargeNBoundedGoroutines(t *testing.T) {
 	p := DefaultStressParams()
-	wantPeak := 9
+	wantPeak := 6
 	if testing.Short() {
-		p.Jobs, wantPeak = 2000, 8
+		p.Jobs, wantPeak = 2000, 4
 	}
 	before := runtime.NumGoroutine()
 	res, err := RunStress(p)
@@ -34,46 +36,48 @@ func TestStressLargeNBoundedGoroutines(t *testing.T) {
 	}
 }
 
-// stressFingerprints pins the completion-order fingerprint of the
-// per-thread reference run of TestStressSchedulesIdenticalAcrossConfigs,
-// by job count (full and -short). The values were captured from the
-// executive's former channel-rendezvous reference kernel, which every
-// configuration matched at the time.
+// stressFingerprints pins the completion-order fingerprint of the run of
+// TestStressSchedulesIdenticalAcrossConfigs, by job count (full and
+// -short). The values were captured from the executive's former
+// channel-rendezvous reference kernel, which every configuration matched
+// at the time.
 var stressFingerprints = map[int]uint64{
 	1500: 0x960db78d1a7bb6a2,
 	300:  0x37350953e6e056a6,
 }
 
-// TestStressSchedulesIdenticalAcrossConfigs differential-tests the stress
-// scenario itself over the executive matrix: the completion-order
-// fingerprint, total accounting and final instant must be identical with
-// looping and with activation background threads, and the looping
-// reference must match its committed fingerprint.
+// stressTotals pins the consumed time and final instant of the same run,
+// as the looping background threads produced them; activation background
+// threads matched them.
+var stressTotals = map[int]struct {
+	totalConsumed rtime.Duration
+	finalTime     rtime.Time
+}{
+	1500: {1198850000, 1600000000},
+	300:  {258150000, 400000000},
+}
+
+// TestStressSchedulesIdenticalAcrossConfigs checks the stress scenario
+// against the pins its looping reference produced: completion-order
+// fingerprint, total accounting and final instant.
 func TestStressSchedulesIdenticalAcrossConfigs(t *testing.T) {
 	p := DefaultStressParams()
-	p.Jobs = 1500 // keep the per-thread runs fast
+	p.Jobs = 1500
 	if testing.Short() {
 		p.Jobs = 300
 	}
-	ref, err := RunStress(p)
+	got, err := RunStress(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Completed != p.Jobs {
-		t.Fatalf("reference completed %d of %d jobs", ref.Completed, p.Jobs)
+	if got.Completed != p.Jobs {
+		t.Errorf("completed %d of %d jobs", got.Completed, p.Jobs)
 	}
-	if ref.Fingerprint != stressFingerprints[p.Jobs] {
-		t.Errorf("reference fingerprint %#x, committed %#x", ref.Fingerprint, stressFingerprints[p.Jobs])
+	if got.Fingerprint != stressFingerprints[p.Jobs] {
+		t.Errorf("fingerprint %#x, committed %#x", got.Fingerprint, stressFingerprints[p.Jobs])
 	}
-	p.PeriodicActivation = true
-	got, err := RunStress(p)
-	if err != nil {
-		t.Fatalf("activation: %v", err)
-	}
-	if got.Fingerprint != ref.Fingerprint || got.Completed != ref.Completed ||
-		got.TotalConsumed != ref.TotalConsumed || got.FinalTime != ref.FinalTime {
-		t.Errorf("activation diverged from reference: fingerprint %x vs %x, completed %d vs %d, consumed %v vs %v, final %v vs %v",
-			got.Fingerprint, ref.Fingerprint, got.Completed, ref.Completed,
-			got.TotalConsumed, ref.TotalConsumed, got.FinalTime.TUs(), ref.FinalTime.TUs())
+	if want := stressTotals[p.Jobs]; got.TotalConsumed != want.totalConsumed || got.FinalTime != want.finalTime {
+		t.Errorf("consumed %d, final %d; pinned %d, %d",
+			got.TotalConsumed, got.FinalTime, want.totalConsumed, want.finalTime)
 	}
 }

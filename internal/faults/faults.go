@@ -6,10 +6,9 @@
 // A Plan derives every fault from a hash of (seed, system index, job
 // index) — never from call order — so the fault schedule is a pure
 // function of the workload identity. The same plan applied to the same
-// system yields the same faults on every engine and executive
-// configuration: the simulator and the per-thread and activation
-// executives all see an identical perturbed workload, which is what lets
-// the overload scenarios pin cross-configuration fingerprints.
+// system yields the same perturbed workload on every engine, which is
+// what lets the overload and stress scenarios pin their fingerprints.
+// Faults perturb aperiodic jobs only; periodic tasks run unperturbed.
 package faults
 
 import (
@@ -52,7 +51,7 @@ type Plan struct {
 // time.
 const MaxOverrun = 1000
 
-// Fault is the perturbation a plan assigns to one job or activation. The
+// Fault is the perturbation a plan assigns to one job. The
 // zero fault plus CostFactor 1 means "unperturbed".
 type Fault struct {
 	// Dropped marks a release that never happens.
@@ -74,10 +73,9 @@ func (f Fault) Apply(cost rtime.Duration) rtime.Duration {
 // Fault kind salts: each knob draws from its own stream so enabling one
 // kind never shifts another kind's schedule.
 const (
-	kindDrop       = 0x71AB3C5D17E94F01
-	kindOverrun    = 0x3C79AC492BA7B653
-	kindJitter     = 0x1C69B3F74AC4CB2D
-	kindActivation = 0x9E6D62D06F151FD3
+	kindDrop    = 0x71AB3C5D17E94F01
+	kindOverrun = 0x3C79AC492BA7B653
+	kindJitter  = 0x1C69B3F74AC4CB2D
 )
 
 // rng is a splitmix64 stream, the same generator family used by
@@ -144,23 +142,6 @@ func (p *Plan) JobFault(sysIndex, jobIndex int) Fault {
 		if r.float64() < p.JitterProb {
 			f.Jitter = rtime.Duration(float64(p.JitterMax) * (1 - r.float64()))
 		}
-	}
-	return f
-}
-
-// ActivationFault derives the cost-overrun fault for release number
-// release of periodic task taskIndex in system sysIndex. Periodic
-// activations only overrun (they are never dropped or jittered: the
-// release clock is the executive's own). A nil plan returns the
-// unperturbed fault.
-func (p *Plan) ActivationFault(sysIndex, taskIndex, release int) Fault {
-	f := Fault{CostFactor: 1}
-	if p == nil || p.OverrunProb <= 0 || p.OverrunMax <= 0 {
-		return f
-	}
-	r := p.stream(kindActivation, sysIndex, taskIndex*0x10001+release)
-	if r.float64() < p.OverrunProb {
-		f.CostFactor = 1 + p.OverrunMax*(1-r.float64())
 	}
 	return f
 }

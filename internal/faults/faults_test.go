@@ -62,10 +62,6 @@ func TestFaultBounds(t *testing.T) {
 		if f.Jitter <= 0 || f.Jitter > rtime.TUs(2) {
 			t.Fatalf("job %d: jitter %v outside (0, 2tu]", i, f.Jitter)
 		}
-		af := p.ActivationFault(0, 1, i)
-		if af.CostFactor <= 1 || af.CostFactor > 1.5 {
-			t.Fatalf("release %d: activation factor %v outside (1, 1.5]", i, af.CostFactor)
-		}
 	}
 }
 
@@ -76,9 +72,6 @@ func TestNilAndDisabledPlans(t *testing.T) {
 	}
 	if f := nilPlan.JobFault(0, 0); f.Dropped || f.Jitter != 0 || f.CostFactor != 1 {
 		t.Errorf("nil plan injects: %+v", f)
-	}
-	if f := nilPlan.ActivationFault(0, 0, 0); f.CostFactor != 1 {
-		t.Errorf("nil plan injects activation fault: %+v", f)
 	}
 	sys := sim.System{Aperiodics: []sim.AperiodicJob{{Name: "J1", Cost: rtime.TU}}}
 	if out := nilPlan.ApplySystem(sys, 0); len(out.Aperiodics) != 1 || out.Aperiodics[0] != sys.Aperiodics[0] {

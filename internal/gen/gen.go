@@ -11,6 +11,7 @@ package gen
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 	"strconv"
@@ -128,19 +129,34 @@ func Generate(p Params) []sim.System {
 	if p.NbGeneration <= 0 {
 		return nil
 	}
-	if p.HorizonPeriods <= 0 {
-		p.HorizonPeriods = 10
-	}
-	r := newRNG(uint64(p.Seed))
 	out := make([]sim.System, 0, p.NbGeneration)
-	// One buffer lends its arrival scratch and job names to the whole set;
-	// every system gets jobs of its own.
-	var b Buffer
-	for n := 0; n < p.NbGeneration; n++ {
-		b.jobs = nil
-		out = append(out, b.genSystem(p, r))
+	for _, sys := range Systems(p) {
+		out = append(out, sys)
 	}
 	return out
+}
+
+// Systems yields the systems of Generate one at a time, with their
+// indices, drawing each from the set's sequential random stream only when
+// the caller asks for it: a consumer that stops early never pays for the
+// rest of the set, and one that prints as it goes holds a single system.
+// Each yielded system owns its jobs.
+func Systems(p Params) iter.Seq2[int, sim.System] {
+	return func(yield func(int, sim.System) bool) {
+		if p.HorizonPeriods <= 0 {
+			p.HorizonPeriods = 10
+		}
+		r := newRNG(uint64(p.Seed))
+		// One buffer lends its arrival scratch and job names to the whole
+		// set; every system gets jobs of its own.
+		var b Buffer
+		for n := 0; n < p.NbGeneration; n++ {
+			b.jobs = nil
+			if !yield(n, b.genSystem(p, r)) {
+				return
+			}
+		}
+	}
 }
 
 // SystemAt returns system i of the unbounded, index-addressable campaign
