@@ -119,7 +119,7 @@ func benchmarkPSServer(b *testing.B, admission bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		base := systems[i%len(systems)]
-		vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+		vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
 		srv := core.NewPollingTaskServer(vm, "PS", 100,
 			core.NewTaskServerParameters(0, rtime.TUs(4), rtime.TUs(6)))
 		if admission {
@@ -301,7 +301,7 @@ func BenchmarkEngineExecThroughput(b *testing.B) {
 // kernel-loop win from the engine numbers.
 func BenchmarkExecThroughput(b *testing.B) {
 	b.ReportAllocs()
-	ex := exec.New(trace.New())
+	ex := exec.NewWithOptions(trace.New(), exec.Options{})
 	events := 0
 	for i := 0; i < 8; i++ {
 		period := rtime.TUs(float64(4 + i))
@@ -475,7 +475,7 @@ func BenchmarkExecSMPUniprocessor(b *testing.B) {
 // BenchmarkExecHandoff measures a real context switch.
 func BenchmarkExecContextSwitch(b *testing.B) {
 	b.ReportAllocs()
-	ex := exec.New(trace.New())
+	ex := exec.NewWithOptions(trace.New(), exec.Options{})
 	steps := 0
 	ex.Spawn("spinner", 1, 0, func(tc *exec.TC) {
 		for {
@@ -503,7 +503,7 @@ func BenchmarkExecContextSwitch(b *testing.B) {
 // and fired.
 func BenchmarkExecHandoff(b *testing.B) {
 	b.ReportAllocs()
-	ex := exec.New(nil)
+	ex := exec.NewWithOptions(nil, exec.Options{})
 	steps := 0
 	for i := 0; i < 2; i++ {
 		next := rtime.Time(rtime.TUs(float64(i)))

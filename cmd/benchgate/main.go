@@ -45,10 +45,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -180,7 +182,8 @@ func main() {
 			fmt.Printf("benchgate: re-measure found nothing to run (%v)\n", err)
 			break
 		}
-		for name, ns := range again.NsPerOp {
+		for _, name := range slices.Sorted(maps.Keys(again.NsPerOp)) {
+			ns := again.NsPerOp[name]
 			if old, ok := snap.NsPerOp[name]; !ok || ns < old {
 				snap.NsPerOp[name] = ns
 			}
@@ -347,7 +350,8 @@ func collect(bench, benchtime string, count int, pkg, input, dir string) (*Snaps
 		NsPerOp:   map[string]float64{},
 		Raw:       string(raw),
 	}
-	for name, s := range samples {
+	for _, name := range slices.Sorted(maps.Keys(samples)) {
+		s := samples[name]
 		sort.Float64s(s)
 		snap.NsPerOp[name] = s[0] // minimum: robust to one-sided interference noise
 	}

@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	n := fs.Int("n", 10, "number of systems to generate")
 	seed := fs.Int64("seed", 1983, "random seed")
 	periods := fs.Int("periods", 10, "observation horizon in server periods")
-	server := fs.String("server", "ps-lim", "server policy: ps, ds, ps-lim, ds-lim, ss, bg")
+	server := fs.String("server", "ps-lim", "server policy: bg, ps, ds, ps-lim, ds-lim, ss, pe, slack")
 	poisson := fs.Bool("poisson", false, "use Poisson arrivals instead of per-period")
 	index := fs.Int("index", 0, "which generated system to print")
 	all := fs.Bool("all", false, "print every generated system")
@@ -73,12 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := p.Validate(); err != nil {
 		return usage("%v", err)
 	}
-	policies := map[string]sim.ServerPolicy{
-		"bg": sim.NoServer, "ps": sim.PollingServer, "ds": sim.DeferrableServer,
-		"ps-lim": sim.LimitedPollingServer, "ds-lim": sim.LimitedDeferrableServer,
-		"ss": sim.SporadicServer,
-	}
-	pol, ok := policies[*server]
+	pol, ok := sim.ParseServerPolicy(*server)
 	if !ok {
 		return usage("unknown server policy %q", *server)
 	}

@@ -41,6 +41,42 @@ func TestDefaultOutputParses(t *testing.T) {
 	}
 }
 
+// TestServerPolicies checks that rtgen prints, under every server policy
+// name, a system that reads back with spec.Parse under that policy: the
+// two commands share one vocabulary.
+func TestServerPolicies(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want sim.ServerPolicy
+	}{
+		{"bg", sim.NoServer},
+		{"ps", sim.PollingServer},
+		{"ds", sim.DeferrableServer},
+		{"ps-lim", sim.LimitedPollingServer},
+		{"ds-lim", sim.LimitedDeferrableServer},
+		{"ss", sim.SporadicServer},
+		{"pe", sim.PriorityExchange},
+		{"slack", sim.SlackStealer},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			code, stdout, stderr := runCmd("-server", c.name)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			if !strings.Contains(stdout, "\nserver "+c.name+" ") {
+				t.Errorf("output has no %q server line:\n%s", c.name, stdout)
+			}
+			f, err := spec.Parse(strings.NewReader(stdout))
+			if err != nil {
+				t.Fatalf("output does not parse: %v\n%s", err, stdout)
+			}
+			if s := f.System.Server; s == nil || s.Policy != c.want {
+				t.Errorf("server %+v, want %v", s, c.want)
+			}
+		})
+	}
+}
+
 // TestExitCodes checks every hostile or malformed flag value exits 2 with
 // a message on stderr and prints no system.
 func TestExitCodes(t *testing.T) {

@@ -8,13 +8,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rtsj/internal/spec"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files from this run")
 
 // TestGoldenTraceExport pins the rtss command's observable output — stdout
 // (Gantt + metrics) and the CSV/JSON trace exports — byte for byte, so
-// refactors of the trace sink plumbing cannot silently change serialized
+// refactors of the trace recording plumbing cannot silently change serialized
 // output. Refresh after an intentional format change:
 //
 //	go test ./cmd/rtss -run TestGoldenTraceExport -update
@@ -181,4 +183,33 @@ func mustRead(t *testing.T, path string) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestHostileSpecsFailAtParse checks that rtss exits non-zero at once on a
+// file asking for 10⁹ periodic jobs and on one declaring 10⁹ CPUs. Both are
+// checked with spec.Parse first, so a parser that accepted them fails the
+// test instead of starting the run.
+func TestHostileSpecsFailAtParse(t *testing.T) {
+	for _, c := range []struct {
+		name, src, msg string
+	}{
+		{"1e9 jobs", "policy fp\nperiodic tau1 0.001 0.0005 prio=2\nhorizon 1000000\n", "more than 100000 jobs"},
+		{"1e9 CPUs", "policy fp\ncpus 1000000000\nperiodic tau1 6 2 prio=2\naperiodic J1 0 1\n", "cpus wants a CPU count"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := spec.Parse(strings.NewReader(c.src)); err == nil {
+				t.Fatal("spec.Parse accepted the file")
+			}
+			for _, args := range [][]string{{"-quiet"}, {"-quiet", "-exec"}} {
+				var stdout bytes.Buffer
+				err := run(args, strings.NewReader(c.src), &stdout)
+				if err == nil || !strings.Contains(err.Error(), c.msg) {
+					t.Errorf("%v: error %v, want one containing %q", args, err, c.msg)
+				}
+				if stdout.Len() != 0 {
+					t.Errorf("%v: printed output for a rejected file:\n%s", args, stdout.String())
+				}
+			}
+		})
+	}
 }

@@ -134,9 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Faults:        plan,
 			CPUs:          *cpus,
 			Stats:         execStats,
-		}
-		if tr != nil {
-			p.Sink = tr
+			Trace:         tr,
 		}
 		if *n > 0 {
 			p.Jobs = *n
@@ -149,9 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Utilization: steadyDef.Utilization,
 			Seed:        *seed,
 			Stats:       execStats,
-		}
-		if tr != nil {
-			p.Sink = tr
+			Trace:       tr,
 		}
 		if *n > 0 {
 			p.Entities = *n

@@ -45,15 +45,6 @@ func registerCampaignFlags(fs *flag.FlagSet) campaignFlags {
 	}
 }
 
-// campaignPolicies names the simulated server policies on the command line,
-// matching the spec-file vocabulary.
-var campaignPolicies = map[string]sim.ServerPolicy{
-	"bg": sim.NoServer,
-	"ps": sim.PollingServer, "ds": sim.DeferrableServer,
-	"ps-lim": sim.LimitedPollingServer, "ds-lim": sim.LimitedDeferrableServer,
-	"ss": sim.SporadicServer, "pe": sim.PriorityExchange, "slack": sim.SlackStealer,
-}
-
 // runCampaign resolves the flags into a CampaignSpec, runs it in-process,
 // over subprocess shards or over TCP shards, and prints the curve. All
 // three paths print byte-identical output for the same spec. It returns
@@ -79,7 +70,7 @@ func runCampaign(cf campaignFlags, workers int, stdout, stderr io.Writer) int {
 	if *cf.seed != 0 {
 		spec.Seed = *cf.seed
 	}
-	pol, ok := campaignPolicies[*cf.policy]
+	pol, ok := sim.ParseServerPolicy(*cf.policy)
 	if !ok {
 		fmt.Fprintf(stderr, "tables: -policy: unknown policy %q\n", *cf.policy)
 		return 2

@@ -13,13 +13,14 @@ package main
 import (
 	"fmt"
 
+	"rtsj/internal/exec"
 	"rtsj/internal/rtime"
 	"rtsj/internal/rtsjvm"
 	"rtsj/internal/trace"
 )
 
 func run(inherit bool) {
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(trace.New(), rtsjvm.Overheads{}, exec.Options{})
 	var bus *rtsjvm.Monitor
 	if inherit {
 		bus = vm.NewMonitor("bus")

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"rtsj/internal/core"
+	"rtsj/internal/exec"
 	"rtsj/internal/rtime"
 	"rtsj/internal/rtsjvm"
 	"rtsj/internal/trace"
@@ -16,7 +17,7 @@ import (
 func main() {
 	// A virtual RTSJ machine. The zero Overheads value gives a cost-free
 	// platform; see examples/telemetry for a realistic one.
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(trace.New(), rtsjvm.Overheads{}, exec.Options{})
 
 	// A Polling Server at the highest application priority: capacity 3
 	// every 6 time units.

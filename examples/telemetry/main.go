@@ -23,10 +23,10 @@ import (
 func main() {
 	// A platform with explicit overheads: timer firings cost 20us at the
 	// top priority, releases 10us.
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{
+	vm := rtsjvm.NewVM(trace.New(), rtsjvm.Overheads{
 		TimerFire:    20 * rtime.Microsecond,
 		EventRelease: 10 * rtime.Microsecond,
-	})
+	}, exec.Options{})
 
 	// Deferrable Server: 2ms of alarm service every 10ms.
 	params := core.NewTaskServerParameters(0, rtime.TUs(2), rtime.TUs(10))

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"rtsj/internal/exec"
 	"rtsj/internal/rtime"
 	"rtsj/internal/rtsjvm"
 )
@@ -110,7 +111,7 @@ func TestAdmissionSyncPopsServedLists(t *testing.T) {
 // registration match the measured response times exactly (the Section 7
 // design goal).
 func TestAdmissionPredictionsExact(t *testing.T) {
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
 	srv := NewPollingTaskServer(vm, "PS", 10, NewTaskServerParameters(0, tu(4), tu(6))).
 		UseAdmissionQueue()
 	costs := []float64{2, 1.5, 3, 0.5, 2.5, 4, 1}
@@ -139,7 +140,7 @@ func TestAdmissionPredictionsExact(t *testing.T) {
 // On-line admission control: events whose predicted response time exceeds
 // their deadline are cancelled at release (Section 7's anticipated use).
 func TestAdmissionControlRejects(t *testing.T) {
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
 	srv := NewPollingTaskServer(vm, "PS", 10, NewTaskServerParameters(0, tu(4), tu(6))).
 		UseAdmissionQueue()
 	mk := func(name string, cost, deadline, fire float64) {
@@ -212,7 +213,7 @@ func TestAdmissionCancelMidListIsConservative(t *testing.T) {
 // The admission-queue server still behaves like a polling server on the
 // paper's scenario 1.
 func TestAdmissionQueueScenario1(t *testing.T) {
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
 	srv := NewPollingTaskServer(vm, "PS", 10, NewTaskServerParameters(0, tu(3), tu(6))).
 		UseAdmissionQueue()
 	for i, fire := range []float64{0, 6} {

@@ -324,7 +324,9 @@ func (s *serverCore) register(tc *exec.TC, h *ServableAsyncEventHandler) *releas
 	if s.maxPending > 0 && len(s.pending) >= s.maxPending {
 		rel.rec.Shed = true
 		s.shed++
-		s.vm.Exec().Sink().Mark(s.name, tc.Now(), trace.Shed, h.name)
+		if tr := s.vm.Trace(); tr != nil {
+			tr.Mark(s.name, tc.Now(), trace.Shed, h.name)
+		}
 		return nil
 	}
 	s.pending = append(s.pending, rel)

@@ -23,7 +23,7 @@ type scenario struct {
 }
 
 func buildScenario(deferrable bool, oh rtsjvm.Overheads, h2Declared, h2Actual, fire1, fire2 float64) *scenario {
-	vm := rtsjvm.NewVM(nil, oh)
+	vm := rtsjvm.NewVM(trace.New(), oh, exec.Options{})
 	params := NewTaskServerParameters(0, tu(3), tu(6))
 	var srv TaskServer
 	if deferrable {
@@ -163,7 +163,7 @@ func TestFrameworkScenario2Deferrable(t *testing.T) {
 // 5+2 > 6 (the next replenishment), so the granted budget is 1+3 and the
 // event is served [5,7) across the boundary.
 func TestDeferrableBudgetExtension(t *testing.T) {
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(trace.New(), rtsjvm.Overheads{}, exec.Options{})
 	srv := NewDeferrableTaskServer(vm, "DS", 10, NewTaskServerParameters(0, tu(3), tu(6)))
 	a := NewServableAsyncEventHandler(srv, "a", tu(2))
 	b := NewServableAsyncEventHandler(srv, "b", tu(2))
@@ -188,7 +188,7 @@ func TestDeferrableBudgetExtension(t *testing.T) {
 // A handler whose declared cost exceeds the full capacity can never be
 // served by the limited polling server; it must not wedge the queue.
 func TestOversizedHandlerSkipped(t *testing.T) {
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
 	srv := NewPollingTaskServer(vm, "PS", 10, NewTaskServerParameters(0, tu(3), tu(6)))
 	big := NewServableAsyncEventHandler(srv, "big", tu(5))
 	small := NewServableAsyncEventHandler(srv, "small", tu(1))
@@ -213,7 +213,7 @@ func TestOversizedHandlerSkipped(t *testing.T) {
 // if the first does not fit the remaining capacity and the second does, the
 // event released last is served first.
 func TestFIFOFirstFitReordering(t *testing.T) {
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(trace.New(), rtsjvm.Overheads{}, exec.Options{})
 	srv := NewPollingTaskServer(vm, "PS", 10, NewTaskServerParameters(0, tu(4), tu(6)))
 	first := NewServableAsyncEventHandler(srv, "first", tu(3))
 	second := NewServableAsyncEventHandler(srv, "second", tu(1))
@@ -243,7 +243,7 @@ func TestFIFOFirstFitReordering(t *testing.T) {
 // priority and event release costs are charged to the firing context.
 func TestOverheadsDelayService(t *testing.T) {
 	oh := rtsjvm.Overheads{TimerFire: tu(0.25), EventRelease: tu(0.25)}
-	vm := rtsjvm.NewVM(nil, oh)
+	vm := rtsjvm.NewVM(trace.New(), oh, exec.Options{})
 	srv := NewPollingTaskServer(vm, "PS", 10, NewTaskServerParameters(0, tu(3), tu(6)))
 	h := NewServableAsyncEventHandler(srv, "h", tu(2))
 	e := NewServableAsyncEvent(vm, "e")
@@ -272,7 +272,7 @@ func TestOverheadsDelayService(t *testing.T) {
 // interrupted — the exact mechanism behind Table 3's interrupted ratios.
 func TestOverheadInducedInterruption(t *testing.T) {
 	oh := rtsjvm.Overheads{TimerFire: tu(0.5)}
-	vm := rtsjvm.NewVM(nil, oh)
+	vm := rtsjvm.NewVM(nil, oh, exec.Options{})
 	srv := NewPollingTaskServer(vm, "PS", 10, NewTaskServerParameters(0, tu(4), tu(8)))
 	h := NewServableAsyncEventHandler(srv, "h", tu(4)) // exactly the capacity
 	e := NewServableAsyncEvent(vm, "e")
@@ -294,7 +294,7 @@ func TestOverheadInducedInterruption(t *testing.T) {
 // Without any perturbation, a handler whose cost equals the capacity
 // completes exactly at the budget boundary.
 func TestExactCapacityCompletes(t *testing.T) {
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
 	srv := NewPollingTaskServer(vm, "PS", 10, NewTaskServerParameters(0, tu(4), tu(8)))
 	h := NewServableAsyncEventHandler(srv, "h", tu(4))
 	e := NewServableAsyncEvent(vm, "e")
@@ -313,7 +313,7 @@ func TestExactCapacityCompletes(t *testing.T) {
 // Both servers implement Schedulable and the Section 3 interference hook;
 // feasibility analysis accounts for the DS double hit.
 func TestServersInFeasibilityAnalysis(t *testing.T) {
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
 	ps := NewPollingTaskServer(vm, "PS", 10, NewTaskServerParameters(0, tu(2), tu(5)))
 	low := vm.NewRealtimeThread("low", 1, &rtsjvm.PeriodicParameters{Period: tu(10), Cost: tu(2)},
 		func(r *rtsjvm.RTC) {})
@@ -330,7 +330,7 @@ func TestServersInFeasibilityAnalysis(t *testing.T) {
 	}
 	vm.Shutdown()
 
-	vm2 := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm2 := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
 	ds := NewDeferrableTaskServer(vm2, "DS", 10, NewTaskServerParameters(0, tu(2), tu(5)))
 	low2 := vm2.NewRealtimeThread("low", 1, &rtsjvm.PeriodicParameters{Period: tu(10), Cost: tu(2)},
 		func(r *rtsjvm.RTC) {})
@@ -347,7 +347,7 @@ func TestServersInFeasibilityAnalysis(t *testing.T) {
 
 // One handler bound to several events, and several handlers on one event.
 func TestHandlerEventFanInFanOut(t *testing.T) {
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
 	srv := NewPollingTaskServer(vm, "PS", 10, NewTaskServerParameters(0, tu(4), tu(6)))
 	shared := NewServableAsyncEventHandler(srv, "shared", tu(1))
 	e1 := NewServableAsyncEvent(vm, "e1")
@@ -375,7 +375,7 @@ func TestHandlerEventFanInFanOut(t *testing.T) {
 
 // A servable event also releases its standard (inherited) handlers.
 func TestServableEventStandardHandlers(t *testing.T) {
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
 	srv := NewPollingTaskServer(vm, "PS", 10, NewTaskServerParameters(0, tu(4), tu(6)))
 	servable := NewServableAsyncEventHandler(srv, "servable", tu(1))
 	standardRan := false
@@ -402,7 +402,7 @@ func TestServableEventStandardHandlers(t *testing.T) {
 // Failure injection: a panicking handler body surfaces as a VM error and
 // does not corrupt the rest of the run.
 func TestHandlerPanicSurfaces(t *testing.T) {
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
 	srv := NewPollingTaskServer(vm, "PS", 10, NewTaskServerParameters(0, tu(3), tu(6)))
 	bad := NewServableAsyncEventHandler(srv, "bad", tu(1)).SetLogic(func(tc *exec.TC) {
 		tc.Consume(tu(0.5))
@@ -421,7 +421,7 @@ func TestHandlerPanicSurfaces(t *testing.T) {
 // Failure injection: events fired while the system is saturated stay
 // pending and are reported unserved, never lost or double-counted.
 func TestSaturationAccounting(t *testing.T) {
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
 	srv := NewPollingTaskServer(vm, "PS", 10, NewTaskServerParameters(0, tu(1), tu(10)))
 	const n = 8
 	for i := 0; i < n; i++ {

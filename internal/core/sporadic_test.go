@@ -3,12 +3,14 @@ package core
 import (
 	"testing"
 
+	"rtsj/internal/exec"
 	"rtsj/internal/rtsjvm"
+	"rtsj/internal/trace"
 )
 
 func buildSS(t *testing.T, capTU, periodTU float64) (*rtsjvm.VM, *SporadicTaskServer, func(name string, cost, fire float64)) {
 	t.Helper()
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(trace.New(), rtsjvm.Overheads{}, exec.Options{})
 	srv := NewSporadicTaskServer(vm, "SS", 10,
 		NewTaskServerParameters(0, tu(capTU), tu(periodTU)))
 	fire := func(name string, cost, fire float64) {
@@ -87,7 +89,7 @@ func TestSporadicServerTwoBursts(t *testing.T) {
 // The SS analyzes like a plain periodic task: its interference matches the
 // polling server's, not the DS double hit.
 func TestSporadicServerInterference(t *testing.T) {
-	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{})
+	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
 	srv := NewSporadicTaskServer(vm, "SS", 10, NewTaskServerParameters(0, tu(2), tu(5)))
 	if got := srv.Interference(tu(10)); got != tu(4) {
 		t.Errorf("interference over 10tu = %v, want 4tu", got)

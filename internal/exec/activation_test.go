@@ -168,7 +168,7 @@ func TestActivationMissedCountMatchesLoop(t *testing.T) {
 		}
 	}}
 	loopMissed := 0
-	exL := New(nil)
+	exL := NewWithOptions(nil, Options{})
 	e.buildLoop(exL, &loopMissed)
 	if err := exL.Run(at(100)); err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestActivationRunContinuation(t *testing.T) {
 			}
 		}
 	}
-	ref := New(trace.New())
+	ref := NewWithOptions(trace.New(), Options{})
 	build(ref, false)
 	type variant struct {
 		label string
@@ -273,7 +273,7 @@ func TestActivationGoroutineFootprint(t *testing.T) {
 	// not the entity count — the whole point of the activation path.
 	const n = 400
 	before := runtime.NumGoroutine()
-	ex := New(nil)
+	ex := NewWithOptions(nil, Options{})
 	done := 0
 	for i := 0; i < n; i++ {
 		prio := 2 + i%5
@@ -298,7 +298,7 @@ func TestActivationGoroutineFootprint(t *testing.T) {
 }
 
 func TestSpawnPeriodicValidation(t *testing.T) {
-	ex := New(nil)
+	ex := NewWithOptions(nil, Options{})
 	defer ex.Shutdown()
 	defer func() {
 		if recover() == nil {

@@ -50,7 +50,7 @@ func runStepper(t *testing.T, ex *Exec, d rtime.Duration) func() {
 // body runs on the worker the previous release freed, not on a fresh
 // coroutine.
 func TestAllocsPooledActivationRelease(t *testing.T) {
-	ex := New(nil)
+	ex := NewWithOptions(nil, Options{})
 	defer ex.Shutdown()
 	runs := 0
 	ex.SpawnPeriodic("p", 1, ActivationSpec{Period: tu(2)}, func(tc *TC) {
@@ -70,7 +70,7 @@ func TestAllocsPooledActivationRelease(t *testing.T) {
 // sleeping until its next turn two units later, so every step suspends
 // one body and resumes the other.
 func TestAllocsTwoThreadSwitch(t *testing.T) {
-	ex := New(nil)
+	ex := NewWithOptions(nil, Options{})
 	defer ex.Shutdown()
 	steps := 0
 	for i := 0; i < 2; i++ {
@@ -95,7 +95,7 @@ func TestAllocsTwoThreadSwitch(t *testing.T) {
 // TestAllocsThreadSleepWake: one step of an uncapped looping thread —
 // consume, then sleep until the next period through a wake timer.
 func TestAllocsThreadSleepWake(t *testing.T) {
-	ex := New(nil)
+	ex := NewWithOptions(nil, Options{})
 	defer ex.Shutdown()
 	steps := 0
 	ex.Spawn("loop", 1, 0, func(tc *TC) {
@@ -118,7 +118,7 @@ func TestAllocsThreadSleepWake(t *testing.T) {
 // finishes inside the budget, so its expiry timer is armed and then
 // cancelled (and its node recycled when the dead key surfaces).
 func TestAllocsBudgetArmedThenCancelled(t *testing.T) {
-	ex := New(nil)
+	ex := NewWithOptions(nil, Options{})
 	defer ex.Shutdown()
 	completed := 0
 	ex.Spawn("budgeted", 1, 0, func(tc *TC) {

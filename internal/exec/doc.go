@@ -59,10 +59,11 @@
 //
 // # Trace recording
 //
-// The executive records into a trace.Sink. Passing *trace.Trace accumulates
-// a full schedule recording; passing nil (or trace.Nop) records nothing —
-// the metrics-only fast path used by the table experiments, which skips the
-// per-slice segment append entirely.
+// The executive records into a *trace.Trace, and only when it is non-nil.
+// Passing trace.New() accumulates a full schedule recording; passing nil
+// records nothing — the metrics-only fast path used by the table
+// experiments, which pays one pointer test per slice instead of a segment
+// append.
 //
 // # Pooled workers
 //

@@ -5,7 +5,7 @@ import (
 	"rtsj/internal/trace"
 )
 
-// Options configures an executive beyond the sink it records into.
+// Options configures an executive beyond the trace it records into.
 type Options struct {
 	// CPUs is the number of virtual CPUs the executive schedules (see
 	// smp.go). Zero and one are the uniprocessor: the same code path with
@@ -165,17 +165,15 @@ const (
 	phaseDone
 )
 
-// Exec is the virtual-time executive. Create with New or NewWithOptions,
+// Exec is the virtual-time executive. Create with NewWithOptions,
 // add threads with Spawn, then call Run.
 type Exec struct {
 	now         rtime.Time
 	threads     []*Thread
-	threadChunk []Thread      // unused tail of the chunk newThread carves threads from
-	sink        trace.Sink    // never nil; trace.Nop when nothing records
-	tr          *trace.Trace  // the sink when it is a *trace.Trace, else nil
-	cpuSink     trace.CPUSink // sink when it also records CPU indices, else nil
-	stats       Stats         // instrument set; zero (all nil) when disabled
-	statsOn     bool          // Options.Stats was non-nil; guards hook bodies
+	threadChunk []Thread     // unused tail of the chunk newThread carves threads from
+	tr          *trace.Trace // the recording; nil records nothing
+	stats       Stats        // instrument set; zero (all nil) when disabled
+	statsOn     bool         // Options.Stats was non-nil; guards hook bodies
 
 	// The coroutine workers thread bodies run on (pool.go).
 	pool workerPool
@@ -219,23 +217,11 @@ type Exec struct {
 	errs     []error
 }
 
-// New returns an executive recording into sink with default options. A nil
-// sink records nothing — the metrics-only fast path (same contract as the
-// sim engine); pass trace.New() to keep a full schedule recording.
-func New(sink trace.Sink) *Exec { return NewWithOptions(sink, Options{}) }
-
-// NewWithOptions returns a fully configured executive. A nil sink (or a nil
-// *trace.Trace inside the interface) is normalized to trace.Nop.
-func NewWithOptions(sink trace.Sink, opts Options) *Exec {
-	if tr, ok := sink.(*trace.Trace); ok && tr == nil {
-		sink = nil
-	}
-	if sink == nil {
-		sink = trace.Nop{}
-	}
-	ex := &Exec{sink: sink}
-	ex.tr, _ = sink.(*trace.Trace)
-	ex.cpuSink, _ = sink.(trace.CPUSink)
+// NewWithOptions returns an executive recording into tr. A nil tr records
+// nothing — the metrics-only fast path, the same convention as the sim
+// engine; pass trace.New() to keep a full schedule recording.
+func NewWithOptions(tr *trace.Trace, opts Options) *Exec {
+	ex := &Exec{tr: tr}
 	if opts.Stats != nil {
 		ex.stats = *opts.Stats
 		ex.statsOn = true
@@ -284,11 +270,8 @@ func NewWithOptions(sink trace.Sink, opts Options) *Exec {
 // number of thread bodies that were in progress at once.
 func (ex *Exec) PoolPeak() int { return ex.pool.made }
 
-// Sink returns the sink this executive records into (never nil).
-func (ex *Exec) Sink() trace.Sink { return ex.sink }
-
-// Trace returns the execution trace when the executive records into a
-// *trace.Trace, and nil on the metrics-only fast path.
+// Trace returns the execution trace, and nil on the metrics-only fast
+// path.
 func (ex *Exec) Trace() *trace.Trace { return ex.tr }
 
 // Now returns the current virtual time. Safe to call from thread bodies.
@@ -330,7 +313,9 @@ func (ex *Exec) newThread(name string, prio, affinity int, body func(tc *TC)) *T
 	ex.threads = append(ex.threads, th)
 	th.domain = ex.domainFor(affinity, len(ex.threads)-1)
 	th.tc.th = th
-	ex.sink.DeclareEntity(name)
+	if ex.tr != nil {
+		ex.tr.DeclareEntity(name)
+	}
 	return th
 }
 

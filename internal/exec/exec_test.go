@@ -2,6 +2,7 @@ package exec
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ func at(v float64) rtime.Time     { return rtime.AtTU(v) }
 
 func runExec(t *testing.T, horizon float64, setup func(ex *Exec)) *trace.Trace {
 	t.Helper()
-	ex := New(trace.New())
+	ex := NewWithOptions(trace.New(), Options{})
 	setup(ex)
 	if err := ex.Run(at(horizon)); err != nil {
 		t.Fatal(err)
@@ -244,7 +245,7 @@ func TestBudgetIsWallClock(t *testing.T) {
 }
 
 func TestThreadErrorSurfaces(t *testing.T) {
-	ex := New(nil)
+	ex := NewWithOptions(nil, Options{})
 	ex.Spawn("bad", 1, 0, func(tc *TC) {
 		tc.Consume(tu(1))
 		panic("boom")
@@ -257,7 +258,7 @@ func TestThreadErrorSurfaces(t *testing.T) {
 }
 
 func TestQuiescenceStopsEarly(t *testing.T) {
-	ex := New(nil)
+	ex := NewWithOptions(nil, Options{})
 	ex.Spawn("a", 1, 0, func(tc *TC) { tc.Consume(tu(2)) })
 	if err := ex.Run(at(1000)); err != nil {
 		t.Fatal(err)
@@ -271,7 +272,7 @@ func TestQuiescenceStopsEarly(t *testing.T) {
 func TestShutdownReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		ex := New(nil)
+		ex := NewWithOptions(nil, Options{})
 		q := NewWaitQueue("never")
 		ex.Spawn("blocked", 1, 0, func(tc *TC) { tc.Wait(q) })
 		ex.Spawn("sleeper", 1, 0, func(tc *TC) { tc.SleepUntil(at(1e6)) })
@@ -364,7 +365,7 @@ func TestRunAndShutdownAcrossGoroutines(t *testing.T) {
 
 func TestDeterministicTraces(t *testing.T) {
 	build := func() *trace.Trace {
-		ex := New(trace.New())
+		ex := NewWithOptions(trace.New(), Options{})
 		q := NewWaitQueue("q")
 		ex.Spawn("t1", 3, 0, func(tc *TC) {
 			for i := 0; i < 3; i++ {
@@ -394,9 +395,76 @@ func TestDeterministicTraces(t *testing.T) {
 	}
 }
 
+// TestExecNilTraceMatchesRecorded checks that recording does not perturb
+// the schedule: the same workload run with a nil trace (the metrics-only
+// path, which skips every recording site) and with a recording trace ends
+// at the same instant with the same per-thread accounting, on one CPU and
+// on two.
+func TestExecNilTraceMatchesRecorded(t *testing.T) {
+	type outcome struct {
+		name               string
+		consumed           rtime.Duration
+		done               bool
+		missed, migrations int
+	}
+	// run returns the final instant, each thread's accounting, and the
+	// waiter's wake-up and budget-interruption counts.
+	run := func(tr *trace.Trace, cpus int) (rtime.Time, []outcome, [2]int) {
+		ex := NewWithOptions(tr, Options{CPUs: cpus})
+		q := NewWaitQueue("q")
+		var waiter [2]int
+		ex.Spawn("sleeper", 4, 0, func(tc *TC) {
+			for i := 0; i < 4; i++ {
+				tc.Consume(tu(1))
+				tc.Sleep(tu(2))
+			}
+		})
+		ex.Spawn("notifier", 3, at(1), func(tc *TC) {
+			tc.Consume(tu(4))
+			tc.NotifyAll(q)
+		})
+		ex.Spawn("waiter", 2, 0, func(tc *TC) {
+			tc.Wait(q)
+			waiter[0]++
+			if tc.WithBudget(tu(2), func() { tc.Consume(tu(3)) }) {
+				waiter[1]++
+			}
+		})
+		// Overruns its period, so releases are skipped and counted.
+		ex.SpawnPeriodic("overrun", 1, ActivationSpec{Period: tu(3)}, func(tc *TC) {
+			tc.Consume(tu(4))
+		})
+		ex.At(at(12), func() { ex.NotifyOne(q) })
+		if err := ex.Run(at(30)); err != nil {
+			t.Fatal(err)
+		}
+		ex.Shutdown()
+		var out []outcome
+		for _, th := range ex.Threads() {
+			out = append(out, outcome{th.Name(), th.Consumed(), th.Done(), th.MissedActivations(), th.Migrations()})
+		}
+		return ex.Now(), out, waiter
+	}
+	for _, cpus := range []int{1, 2} {
+		tr := trace.New()
+		endRec, rec, waitRec := run(tr, cpus)
+		endNil, plain, waitNil := run(nil, cpus)
+		if len(tr.Segments) == 0 || waitRec != [2]int{1, 1} {
+			t.Fatalf("cpus=%d: the workload kept %d segments and woke/interrupted the waiter %v times, want some and [1 1]",
+				cpus, len(tr.Segments), waitRec)
+		}
+		if endNil != endRec || waitNil != waitRec {
+			t.Errorf("cpus=%d: ends at %v, waiter %v without a trace; %v, %v recorded", cpus, endNil, waitNil, endRec, waitRec)
+		}
+		if !slices.Equal(plain, rec) {
+			t.Errorf("cpus=%d: threads differ\nnil trace: %+v\nrecorded:  %+v", cpus, plain, rec)
+		}
+	}
+}
+
 func TestKernelTimerAt(t *testing.T) {
 	var fired []float64
-	ex := New(nil)
+	ex := NewWithOptions(nil, Options{})
 	ex.At(at(3), func() { fired = append(fired, ex.Now().TUs()) })
 	ex.At(at(4), func() { fired = append(fired, -1) }).Cancel()
 	ex.At(at(5), func() { fired = append(fired, ex.Now().TUs()) })
@@ -409,7 +477,7 @@ func TestKernelTimerAt(t *testing.T) {
 }
 
 func TestConsumedAccounting(t *testing.T) {
-	ex := New(nil)
+	ex := NewWithOptions(nil, Options{})
 	th := ex.Spawn("a", 1, 0, func(tc *TC) {
 		tc.Consume(tu(2))
 		tc.Sleep(tu(1))
@@ -448,7 +516,7 @@ func TestSetLabelAppearsInTrace(t *testing.T) {
 func TestExecConservationProperty(t *testing.T) {
 	rng := newDetRand(99)
 	for trial := 0; trial < 50; trial++ {
-		ex := New(trace.New())
+		ex := NewWithOptions(trace.New(), Options{})
 		type spec struct {
 			th    *Thread
 			total rtime.Duration

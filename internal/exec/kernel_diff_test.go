@@ -190,7 +190,7 @@ func TestKernelDiffRunContinuation(t *testing.T) {
 		})
 		ex.Spawn("b", 1, 0, func(tc *TC) { tc.Consume(tu(9)) })
 	}
-	ref := New(trace.New())
+	ref := NewWithOptions(trace.New(), Options{})
 	build(ref)
 	others := make([]*Exec, 0, len(diffConfigs)-1)
 	for _, cfg := range diffConfigs[1:] {
@@ -290,7 +290,7 @@ func TestKernelDiffFuzz(t *testing.T) {
 // another timer due at the same instant: a cancelled timer never fires,
 // even when it was already due when the firing pass began.
 func TestKernelDiffSameInstantCancel(t *testing.T) {
-	ex := New(nil)
+	ex := NewWithOptions(nil, Options{})
 	fired := false
 	var victim Timer
 	ex.At(at(5), func() { victim.Cancel() })

@@ -185,7 +185,7 @@ func TestWithBudgetUnderInjectedOverruns(t *testing.T) {
 	declared := tu(1.2)
 	run := func(opts Options) (fp uint64, interrupted int) {
 		t.Helper()
-		ex := NewWithOptions(trace.Nop{}, opts)
+		ex := NewWithOptions(nil, opts)
 		fp = 14695981039346656037
 		// Releases spaced so jobs never overlap: the budget clock is
 		// wall-clock, so isolation makes "interrupted" a pure function of

@@ -71,7 +71,7 @@ func TestMutexPriorityInheritanceBoundsInversion(t *testing.T) {
 		} else {
 			m = NewMutexNoInherit("m")
 		}
-		ex := New(trace.New())
+		ex := NewWithOptions(trace.New(), Options{})
 		ex.Spawn("lo", 1, 0, func(tc *TC) {
 			tc.WithLock(m, func() { tc.Consume(tu(4)) })
 		})
@@ -175,7 +175,7 @@ func TestMutexBoostDropsAfterUnlock(t *testing.T) {
 
 func TestMutexErrors(t *testing.T) {
 	m := NewMutex("m")
-	ex := New(nil)
+	ex := NewWithOptions(nil, Options{})
 	ex.Spawn("a", 1, 0, func(tc *TC) {
 		tc.Lock(m)
 		tc.Lock(m) // recursive: panics
@@ -186,7 +186,7 @@ func TestMutexErrors(t *testing.T) {
 	ex.Shutdown()
 
 	m2 := NewMutex("m2")
-	ex2 := New(nil)
+	ex2 := NewWithOptions(nil, Options{})
 	ex2.Spawn("b", 1, 0, func(tc *TC) {
 		tc.Unlock(m2) // not held
 	})

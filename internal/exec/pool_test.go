@@ -19,7 +19,7 @@ func TestPooledBoundedGoroutines(t *testing.T) {
 	const n, wantPeak = 2000, 4
 	t.Run("direct", func(t *testing.T) {
 		before := runtime.NumGoroutine()
-		ex := New(nil)
+		ex := NewWithOptions(nil, Options{})
 		rng := newDetRand(7)
 		done := 0
 		for i := 0; i < n; i++ {
@@ -57,7 +57,7 @@ func TestPooledBoundedGoroutines(t *testing.T) {
 // TestPoolPeakIsLiveBodies pins the pool's size: it grows to one worker
 // per body suspended mid-execution at once, and no further.
 func TestPoolPeakIsLiveBodies(t *testing.T) {
-	ex := New(nil)
+	ex := NewWithOptions(nil, Options{})
 	// A priority ladder: each thread is preempted mid-consume by the next,
 	// so at time 5 all five bodies are live at once.
 	for i := 0; i < 5; i++ {
@@ -80,7 +80,7 @@ func TestPoolPeakIsLiveBodies(t *testing.T) {
 // are a pure function of the schedule.
 func TestPoolAccountingDeterministic(t *testing.T) {
 	run := func() int {
-		ex := New(nil)
+		ex := NewWithOptions(nil, Options{})
 		rng := newDetRand(11)
 		for i := 0; i < 300; i++ {
 			prio := 1 + rng.next()%5
@@ -105,7 +105,7 @@ func TestPoolAccountingDeterministic(t *testing.T) {
 // TestWorkerPanicSurfaces: a panicking body on a pool worker reports its
 // error exactly like a dedicated goroutine would.
 func TestWorkerPanicSurfaces(t *testing.T) {
-	ex := New(nil)
+	ex := NewWithOptions(nil, Options{})
 	ex.Spawn("ok", 2, 0, func(tc *TC) { tc.Consume(tu(1)) })
 	ex.Spawn("bad", 1, 0, func(tc *TC) {
 		tc.Consume(tu(1))

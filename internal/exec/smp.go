@@ -299,10 +299,8 @@ func (ex *Exec) runSlices(until rtime.Time) {
 		if th == nil {
 			continue
 		}
-		if ex.cpuSink != nil {
-			ex.cpuSink.RunOn(th.name, c, ex.now, end, th.label)
-		} else {
-			ex.sink.Run(th.name, ex.now, end, th.label)
+		if ex.tr != nil {
+			ex.tr.RunOn(th.name, c, ex.now, end, th.label)
 		}
 		th.needCPU -= delta
 		th.consumed += delta

@@ -80,7 +80,7 @@ func TestStatsPoolCounters(t *testing.T) {
 	}
 }
 
-// SMP runs record per-CPU segments through the CPUSink path and count
+// SMP runs record per-CPU segments through Trace.RunOn and count
 // migrations in the registry identically to the executive's tally.
 func TestStatsSMPMigrationsAndCPUSegments(t *testing.T) {
 	reg := obs.NewRegistry()

@@ -12,7 +12,7 @@ import (
 // cancel that timer (the handle's seq no longer matches).
 func TestTimerHandleCancel(t *testing.T) {
 	t.Run("direct", func(t *testing.T) {
-		ex := New(nil)
+		ex := NewWithOptions(nil, Options{})
 		defer ex.Shutdown()
 		var fired []string
 		note := func(name string) func() {

@@ -108,7 +108,7 @@ func RunSimulationMetrics(sys sim.System, horizon rtime.Time) (*sim.Result, erro
 // to PollingTaskServer, deferrable ones to DeferrableTaskServer (executions
 // are inherently "limited": that is the point of the paper).
 func RunExecution(sys sim.System, m ExecModel, horizon rtime.Time) (*ExecOutcome, error) {
-	return runExecutionSink(sys, m, horizon, trace.New())
+	return runExecution(sys, m, horizon, trace.New())
 }
 
 // RunExecutionMetrics executes sys without recording a trace: the fast path
@@ -117,14 +117,14 @@ func RunExecution(sys sim.System, m ExecModel, horizon rtime.Time) (*ExecOutcome
 // segment appends, no entity registration — mirroring RunSimulationMetrics
 // on the simulation side.
 func RunExecutionMetrics(sys sim.System, m ExecModel, horizon rtime.Time) (*ExecOutcome, error) {
-	return runExecutionSink(sys, m, horizon, trace.Nop{})
+	return runExecution(sys, m, horizon, nil)
 }
 
-func runExecutionSink(sys sim.System, m ExecModel, horizon rtime.Time, sink trace.Sink) (*ExecOutcome, error) {
+func runExecution(sys sim.System, m ExecModel, horizon rtime.Time, tr *trace.Trace) (*ExecOutcome, error) {
 	if sys.Server == nil {
 		return nil, fmt.Errorf("experiments: execution needs a task server")
 	}
-	vm := rtsjvm.NewVMSink(sink, m.Overheads, m.execOptions())
+	vm := rtsjvm.NewVM(tr, m.Overheads, m.execOptions())
 	spec := *sys.Server
 	name := spec.Name
 	params := core.NewTaskServerParameters(0, spec.Capacity, spec.Period)

@@ -67,7 +67,7 @@ func TestPolicyMatrixWorkerDeterminism(t *testing.T) {
 }
 
 // TestRunSetMetricsFastPath checks the metrics-only simulation path against
-// the trace-recording one: disabling the trace sink must not change any
+// the trace-recording one: running without a trace must not change any
 // measured outcome.
 func TestRunSetMetricsFastPath(t *testing.T) {
 	p := GenParams("(2, 2)")

@@ -80,7 +80,7 @@ func TestExecutionTablesKernelIndependent(t *testing.T) {
 				if fp, want := recordsFingerprint(co.Records), tablesFingerprints[name][i]; fp != want {
 					t.Errorf("system %d: reference records fingerprint %#x, committed %#x", i, fp, want)
 				}
-				// The metrics-only fast path (trace.Nop through the whole
+				// The metrics-only fast path (a nil trace through the whole
 				// executive) must not perturb the schedule: identical event
 				// records, no trace.
 				mo, err := RunExecutionMetrics(sys, model, p.Horizon())

@@ -10,7 +10,6 @@ import (
 	"rtsj/internal/rtime"
 	"rtsj/internal/rtsjvm"
 	"rtsj/internal/sim"
-	"rtsj/internal/trace"
 )
 
 // Overload scenario family: deterministic workloads that drive a task
@@ -240,7 +239,7 @@ func RunOverload(p OverloadParams) (*OverloadResult, error) {
 // runOverloadOnce executes one workload on one server configuration,
 // folding counters, fingerprint and invariant violations into res.
 func runOverloadOnce(p OverloadParams, sys *overloadSystem, res *OverloadResult) error {
-	vm := rtsjvm.NewVMSink(trace.Nop{}, rtsjvm.Overheads{}, exec.Options{})
+	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
 	params := core.NewTaskServerParameters(0, sys.capacity, sys.period)
 	var srv core.TaskServer
 	if sys.policy == sim.PollingServer {

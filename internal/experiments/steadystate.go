@@ -28,9 +28,9 @@ type SteadyStateParams struct {
 	Utilization float64
 	// Seed drives period classes and offsets.
 	Seed uint64
-	// Sink optionally records the run's schedule (nil keeps the
+	// Trace optionally records the run's schedule (nil keeps the
 	// metrics-only fast path); cmd/stress -perfetto uses it.
-	Sink trace.Sink
+	Trace *trace.Trace
 	// Stats optionally wires the executive's kernel counters
 	// (exec.Options.Stats). Observational only.
 	Stats *exec.Stats
@@ -81,7 +81,7 @@ func RunPeriodicSteadyState(p SteadyStateParams) (*SteadyStateResult, error) {
 		return nil, fmt.Errorf("steadystate: horizon must be positive (got %g)", p.HorizonTU)
 	}
 	rng := &stressRand{s: p.Seed ^ 0xa076_1d64_78bd_642f}
-	ex := exec.NewWithOptions(p.Sink, exec.Options{Stats: p.Stats})
+	ex := exec.NewWithOptions(p.Trace, exec.Options{Stats: p.Stats})
 	res := &SteadyStateResult{Entities: p.Entities, Fingerprint: 14695981039346656037}
 	res.Horizon = rtime.AtTU(p.HorizonTU)
 

@@ -39,10 +39,10 @@ type StressParams struct {
 	// means 1) under the Global migration policy — the multi-CPU stress
 	// smoke of cmd/stress -cpus.
 	CPUs int
-	// Sink optionally records the run's schedule (nil keeps the
-	// metrics-only fast path). cmd/stress -perfetto passes a *trace.Trace
-	// here to export the schedule.
-	Sink trace.Sink
+	// Trace optionally records the run's schedule (nil keeps the
+	// metrics-only fast path). cmd/stress -perfetto passes a trace here
+	// to export the schedule.
+	Trace *trace.Trace
 	// Stats optionally wires the executive's kernel counters
 	// (exec.Options.Stats). Observational only — the fingerprint and all
 	// result fields are identical with or without it.
@@ -97,7 +97,7 @@ func RunStress(p StressParams) (*StressResult, error) {
 		p.PriorityBands = 1
 	}
 	rng := &stressRand{s: p.Seed ^ 0x9e3779b97f4a7c15}
-	ex := exec.NewWithOptions(p.Sink, exec.Options{CPUs: p.CPUs, Stats: p.Stats})
+	ex := exec.NewWithOptions(p.Trace, exec.Options{CPUs: p.CPUs, Stats: p.Stats})
 	res := &StressResult{Jobs: p.Jobs, Fingerprint: 14695981039346656037}
 
 	// Release window: jobs at ~0.5tu average cost, spread to ~55% load,

@@ -177,6 +177,11 @@ func TestParseRejectsOutOfRangeKnobs(t *testing.T) {
 		{"overrun=1:-0.5", "overrun max -0.5"},
 		{"overrun=1:1000.5", "overrun max 1000.5"},
 		{"jitter=0.5:-2tu", "negative jitter max"},
+		{"jitter=0.5:NaN", `duration "NaN" is not finite`},
+		{"jitter=0.5:Inf", `duration "Inf" is not finite`},
+		{"jitter=0.5:-Inf", `duration "-Inf" is not finite`},
+		{"jitter=0.5:1e300", `duration "1e300" is out of range`},
+		{"jitter=0.5:9.3e12", `duration "9.3e12" is out of range`},
 		{"seed=1 drop=0 overrun=1:1000 jitter=1:0tu", ""},
 		{"drop=1 overrun=0:0", ""},
 	} {

@@ -5,8 +5,9 @@ import "testing"
 // FuzzParse checks the fault-plan parser against arbitrary input: no
 // input may panic, and an accepted plan formats to a fixed point: String,
 // Parse and String again yields the same text. The seed corpus under
-// testdata/fuzz/FuzzParse holds accepted plans and the NaN, out-of-range
-// and negative-jitter plans ParseArgs rejects; run the fuzzer with
+// testdata/fuzz/FuzzParse holds accepted plans and the NaN, infinite,
+// out-of-range and negative-jitter plans ParseArgs rejects; run the fuzzer
+// with
 //
 //	go test -run '^$' -fuzz FuzzParse -fuzztime 30s ./internal/faults
 func FuzzParse(f *testing.F) {

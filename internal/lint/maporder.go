@@ -8,7 +8,7 @@ import (
 
 // MapOrder flags `range` over a map whose body is order-sensitive: it
 // appends to a slice declared outside the loop, writes output (a
-// trace.Sink, io.Writer, string builder or fmt call), assigns a
+// *trace.Trace, io.Writer, string builder or fmt call), assigns a
 // loop-variable-derived value to an outer variable (last-writer-wins
 // selection), or folds floats/strings into an outer accumulator. Integer
 // tallies (count++, sum += n) are exact and commutative, so they are
@@ -29,9 +29,10 @@ var writeishNames = map[string]bool{
 	"Fprint": true, "Fprintf": true, "Fprintln": true,
 	"Print": true, "Printf": true, "Println": true,
 	"Sprint": true, "Sprintf": true, "Sprintln": true,
-	// trace.Sink methods: segment and event appends are recorded in
-	// call order and feed fingerprints.
-	"Run": true, "Event": true, "DeclareEntity": true, "Segment": true,
+	// *trace.Trace recording methods: segment and event appends are
+	// recorded in call order and feed fingerprints.
+	"Run": true, "RunOn": true, "Mark": true, "DeclareEntity": true,
+	"Event": true, "Segment": true,
 }
 
 func runMapOrder(pass *Pass) {

@@ -216,7 +216,7 @@ func checkGlobalWrites(pass *Pass) {
 // interface-conformance pins or synchronization values that are
 // deterministic by construction (sync.Pool recycling, sync.Once setup).
 func allowlistedGlobal(vs *ast.ValueSpec) bool {
-	// Blank-named conformance pins: var _ Sink = (*Trace)(nil).
+	// Blank-named conformance pins: var _ io.Writer = (*Buf)(nil).
 	blankOnly := true
 	for _, name := range vs.Names {
 		if name.Name != "_" {

@@ -30,6 +30,21 @@ func writeUnsorted(m map[string]int, b *strings.Builder) {
 	}
 }
 
+// recorder has the recording methods of *trace.Trace.
+type recorder struct{}
+
+func (recorder) RunOn(entity string, cpu int) {}
+func (recorder) Mark(entity string)           {}
+
+func recordUnsorted(r recorder, m map[string]int) {
+	for k, v := range m {
+		r.RunOn(k, v) // want `RunOn inside range over map m: output written in map iteration order`
+	}
+	for k := range m {
+		r.Mark(k) // want `Mark inside range over map m: output written in map iteration order`
+	}
+}
+
 func lastWriterWins(m map[string]int, want int) string {
 	name := "unknown"
 	for k, v := range m {

@@ -142,7 +142,8 @@ func formatTU(v float64) string {
 
 // ParseDuration parses durations written in time units ("3tu", "2.5tu"),
 // milliseconds ("3ms"), microseconds ("250us"), or bare numbers interpreted
-// as time units ("3").
+// as time units ("3"). NaN, infinities and values beyond the int64
+// nanosecond range are errors.
 func ParseDuration(s string) (Duration, error) {
 	orig := s
 	s = strings.TrimSpace(s)
@@ -163,5 +164,14 @@ func ParseDuration(s string) (Duration, error) {
 	if err != nil {
 		return 0, fmt.Errorf("rtime: cannot parse duration %q: %v", orig, err)
 	}
-	return Duration(math.Round(v * float64(unit))), nil
+	ns := math.Round(v * float64(unit))
+	// Converting NaN or a float outside [-2⁶³, 2⁶³) to int64 is
+	// implementation-defined, so check before converting.
+	if math.IsNaN(ns) || math.IsInf(ns, 0) {
+		return 0, fmt.Errorf("rtime: duration %q is not finite", orig)
+	}
+	if ns < -(1<<63) || ns >= 1<<63 {
+		return 0, fmt.Errorf("rtime: duration %q is out of range", orig)
+	}
+	return Duration(ns), nil
 }

@@ -121,6 +121,13 @@ func TestParseDuration(t *testing.T) {
 		{" 4 tu", 4 * TU, true},
 		{"abc", 0, false},
 		{"", 0, false},
+		{"NaN", 0, false},
+		{"Inf", 0, false},
+		{"-Inf", 0, false},
+		{"1e300", 0, false},
+		{"9.3e12", 0, false},
+		{"-9.3e12tu", 0, false},
+		{"9.2e12", TUs(9.2e12), true},
 	}
 	for _, c := range cases {
 		got, err := ParseDuration(c.in)

@@ -13,10 +13,10 @@
 //
 // # Constructors and executive configuration
 //
-// NewVM is the convenience constructor (default executive options,
-// always-readable trace); NewVMSink is fully explicit — any trace.Sink
-// (nil or trace.Nop for the metrics-only fast path) and any exec.Options,
-// such as a virtual CPU count.
+// NewVM is the one constructor. It takes the trace to record into (nil
+// records nothing — the metrics-only fast path; pass trace.New() to read
+// VM.Trace afterwards), the overhead model and the exec.Options of the
+// executive, such as a virtual CPU count.
 //
 // # Periodic emulation modes
 //

@@ -174,7 +174,7 @@ func TestKernelDiffVMCorpus(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			run := func(opts exec.Options) *VM {
-				vm := NewVMSink(trace.New(), sc.oh, opts)
+				vm := NewVM(trace.New(), sc.oh, opts)
 				sc.build(vm)
 				if err := vm.Run(sc.horizon); err != nil {
 					t.Fatalf("%+v: %v", opts, err)

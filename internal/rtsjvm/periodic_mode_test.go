@@ -96,7 +96,7 @@ func TestPeriodicModeDiffCorpus(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			run := func(activation bool) *VM {
 				t.Helper()
-				vm := NewVMSink(trace.New(), sc.oh, exec.Options{})
+				vm := NewVM(trace.New(), sc.oh, exec.Options{})
 				sc.build(vm, func(name string, prio int, pp *PeriodicParameters, work func(*RTC)) {
 					if activation {
 						vm.NewActivationThread(name, prio, pp, work)
@@ -144,7 +144,7 @@ func TestActivationThreadMissedMatchesLoop(t *testing.T) {
 	// the loop observes its final skip count before the run ends (Missed
 	// only updates inside WaitForNextPeriod, which the horizon must not
 	// truncate).
-	vmLoop := NewVM(nil, Overheads{})
+	vmLoop := NewVM(nil, Overheads{}, exec.Options{})
 	loopMissed := 0
 	vmLoop.NewRealtimeThread("p", 5, pp, func(r *RTC) {
 		for k := 0; ; k++ {
@@ -161,7 +161,7 @@ func TestActivationThreadMissedMatchesLoop(t *testing.T) {
 		t.Fatal("loop scenario never missed a release; test is vacuous")
 	}
 
-	vmAct := NewVM(nil, Overheads{})
+	vmAct := NewVM(nil, Overheads{}, exec.Options{})
 	k, lastMissed := 0, 0
 	rt := vmAct.NewActivationThread("p", 5, pp, func(r *RTC) {
 		r.Consume(overrunWork(k))
@@ -182,7 +182,7 @@ func TestActivationThreadMissedMatchesLoop(t *testing.T) {
 }
 
 func TestWaitForNextPeriodPanicsInActivationBody(t *testing.T) {
-	vm := NewVM(nil, Overheads{})
+	vm := NewVM(nil, Overheads{}, exec.Options{})
 	defer vm.Shutdown()
 	vm.NewActivationThread("p", 5, &PeriodicParameters{Period: rtime.TUs(5), Cost: rtime.TUs(1)},
 		func(r *RTC) { r.WaitForNextPeriod() })

@@ -5,12 +5,13 @@ import (
 
 	"rtsj/internal/exec"
 	"rtsj/internal/rtime"
+	"rtsj/internal/trace"
 )
 
 func tu(v float64) rtime.Duration { return rtime.TUs(v) }
 func at(v float64) rtime.Time     { return rtime.AtTU(v) }
 
-func newTestVM(oh Overheads) *VM { return NewVM(nil, oh) }
+func newTestVM(oh Overheads) *VM { return NewVM(trace.New(), oh, exec.Options{}) }
 
 func runVM(t *testing.T, vm *VM, horizon float64) {
 	t.Helper()

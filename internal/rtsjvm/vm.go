@@ -61,24 +61,13 @@ type VM struct {
 	sched   *PriorityScheduler
 }
 
-// NewVM creates a VM tracing into tr with the given overhead model, on an
-// executive with default options. A nil tr records into a fresh trace
-// (this convenience constructor always yields a readable Trace); use
-// NewVMSink with trace.Nop for the metrics-only fast path. The timer
-// daemon thread is created immediately.
-func NewVM(tr *trace.Trace, oh Overheads) *VM {
-	if tr == nil {
-		tr = trace.New()
-	}
-	return NewVMSink(tr, oh, exec.Options{})
-}
-
-// NewVMSink is the fully explicit constructor: the VM records into sink
-// (nil or trace.Nop records nothing — the metrics-only fast path used by
-// the execution tables) on an executive configured by opts.
-func NewVMSink(sink trace.Sink, oh Overheads, opts exec.Options) *VM {
+// NewVM creates a VM recording into tr, with the given overhead model, on
+// an executive configured by opts. A nil tr records nothing — the
+// metrics-only fast path used by the execution tables. The timer daemon
+// thread is created immediately.
+func NewVM(tr *trace.Trace, oh Overheads, opts exec.Options) *VM {
 	vm := &VM{
-		ex:      exec.NewWithOptions(sink, opts),
+		ex:      exec.NewWithOptions(tr, opts),
 		oh:      oh,
 		daemonQ: exec.NewWaitQueue("timerd"),
 		sched:   NewPriorityScheduler(),
@@ -96,8 +85,7 @@ func (vm *VM) Overheads() Overheads { return vm.oh }
 // Scheduler returns the VM's priority scheduler (feasibility set).
 func (vm *VM) Scheduler() *PriorityScheduler { return vm.sched }
 
-// Trace returns the execution trace (nil when the VM records into a
-// non-accumulating sink, e.g. trace.Nop).
+// Trace returns the execution trace (nil when the VM records nothing).
 func (vm *VM) Trace() *trace.Trace { return vm.ex.Trace() }
 
 // Now returns the current virtual time.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"rtsj/internal/rtime"
@@ -51,24 +52,43 @@ func TestHeapCalendarFutureNotDue(t *testing.T) {
 	}
 }
 
-// TestRunWithSinkTypedNil pins the typed-nil hazard: a nil *trace.Trace
-// passed through the Sink interface must select the no-recording fast path
-// instead of dereferencing the nil receiver.
-func TestRunWithSinkTypedNil(t *testing.T) {
-	sys := System{
-		Periodics:  []PeriodicTask{{Name: "tau1", Period: rtime.TUs(6), Cost: rtime.TUs(2), Priority: 1}},
-		Aperiodics: []AperiodicJob{{Name: "J1", Release: 0, Cost: rtime.TUs(1)}},
-	}
-	var tr *trace.Trace
-	r, err := RunWithSink(sys, NewFP(sys, nil), rtime.AtTU(12), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Trace != nil {
-		t.Fatal("typed-nil sink should record nothing")
-	}
-	if len(r.Aperiodics()) != 1 || !r.Aperiodics()[0].Finished {
-		t.Fatalf("run outcome wrong: %+v", r.Aperiodics())
+// TestRunNilTraceMatchesRecorded checks that recording does not perturb the
+// schedule: a run with a nil trace (the metrics-only path, which skips
+// every recording site) and a run recording into a trace give the same
+// jobs and misses under every server policy, and only the recorded run
+// carries a trace.
+func TestRunNilTraceMatchesRecorded(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for i := 0; i < 20*len(allPolicies); i++ {
+		sys := randomRunnerSystem(rng, allPolicies[i%len(allPolicies)])
+		horizon := rtime.AtTU(float64(20 + rng.Intn(70)))
+		plain, err := Run(sys, NewFP(sys, nil), horizon, nil)
+		if err != nil {
+			t.Fatalf("system %d: %v", i, err)
+		}
+		if plain.Trace != nil {
+			t.Fatalf("system %d: a nil-trace run carries a trace", i)
+		}
+		plainJobs := snapshotJobs(plain)
+		tr := trace.New()
+		rec, err := Run(sys, NewFP(sys, tr), horizon, tr)
+		if err != nil {
+			t.Fatalf("system %d: %v", i, err)
+		}
+		if rec.Trace != tr {
+			t.Fatalf("system %d: recorded run returned trace %p, want %p", i, rec.Trace, tr)
+		}
+		recJobs := snapshotJobs(rec)
+		if plain.PeriodicMisses != rec.PeriodicMisses || len(plainJobs) != len(recJobs) {
+			t.Fatalf("system %d (%v): %d misses, %d jobs without a trace; %d, %d recorded",
+				i, policyOf(sys), plain.PeriodicMisses, len(plainJobs), rec.PeriodicMisses, len(recJobs))
+		}
+		for k := range recJobs {
+			if plainJobs[k] != recJobs[k] {
+				t.Fatalf("system %d (%v): job %d = %+v without a trace, %+v recorded",
+					i, policyOf(sys), k, plainJobs[k], recJobs[k])
+			}
+		}
 	}
 }
 

@@ -104,24 +104,17 @@ func (r *Result) Periodics() []*Job {
 
 // Run simulates sys under the dispatcher until the horizon and returns the
 // result. With a nil trace the run records nothing (Result.Trace is nil):
-// the metrics-only fast path used by the table and matrix experiments.
+// the metrics-only fast path used by the table and matrix experiments,
+// which also skips job-name formatting for every trace label.
 func Run(sys System, d Dispatcher, horizon rtime.Time, tr *trace.Trace) (*Result, error) {
-	return RunWithSink(sys, d, horizon, tr)
+	return runWithCalendar(sys, d, horizon, tr, &heapCalendar{})
 }
 
-// RunWithSink simulates sys, streaming schedule recordings into sink. A nil
-// sink (or trace.Nop) disables recording entirely — the engine then also
-// skips job-name formatting for every trace label. When sink is a
-// *trace.Trace it is returned in Result.Trace.
-func RunWithSink(sys System, d Dispatcher, horizon rtime.Time, sink trace.Sink) (*Result, error) {
-	return runWithCalendar(sys, d, horizon, sink, &heapCalendar{})
-}
-
-func runWithCalendar(sys System, d Dispatcher, horizon rtime.Time, sink trace.Sink, cal calendar) (*Result, error) {
+func runWithCalendar(sys System, d Dispatcher, horizon rtime.Time, tr *trace.Trace, cal calendar) (*Result, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	res, err := new(engine).simulate(sys, d, horizon, sink, cal)
+	res, err := new(engine).simulate(sys, d, horizon, tr, cal)
 	if err != nil {
 		return nil, err
 	}
@@ -135,8 +128,7 @@ type engine struct {
 	sys     System
 	d       Dispatcher
 	horizon rtime.Time
-	sink    trace.Sink
-	rec     bool // false: skip recording and trace-label formatting
+	tr      *trace.Trace // nil: skip recording and trace-label formatting
 
 	now    rtime.Time
 	cal    calendar
@@ -151,22 +143,12 @@ type engine struct {
 // releases pending in cal (which must be empty), and returns the result.
 // It keeps the storage of the previous run's index, job slice and slab, so
 // the records of that run's Result are overwritten.
-func (e *engine) simulate(sys System, d Dispatcher, horizon rtime.Time, sink trace.Sink, cal calendar) (Result, error) {
-	if t, ok := sink.(*trace.Trace); ok && t == nil {
-		sink = nil // typed-nil *Trace means "no recording", like untyped nil
-	}
-	rec := true
-	if sink == nil {
-		sink, rec = trace.Nop{}, false
-	} else if _, nop := sink.(trace.Nop); nop {
-		rec = false
-	}
+func (e *engine) simulate(sys System, d Dispatcher, horizon rtime.Time, tr *trace.Trace, cal calendar) (Result, error) {
 	*e = engine{
 		sys:     sys,
 		d:       d,
 		horizon: horizon,
-		sink:    sink,
-		rec:     rec,
+		tr:      tr,
 		cal:     cal,
 		apSort:  e.apSort,
 		jobs:    e.jobs[:0],
@@ -176,18 +158,14 @@ func (e *engine) simulate(sys System, d Dispatcher, horizon rtime.Time, sink tra
 	if err := e.run(); err != nil {
 		return Result{}, err
 	}
-	res := Result{Jobs: e.jobs, PeriodicMisses: e.misses, Horizon: horizon}
-	if tr, ok := sink.(*trace.Trace); ok {
-		res.Trace = tr
-	}
-	return res, nil
+	return Result{Jobs: e.jobs, PeriodicMisses: e.misses, Horizon: horizon, Trace: tr}, nil
 }
 
 func (e *engine) init() {
 	for i, t := range e.sys.Periodics {
 		e.cal.push(release{at: t.Offset, idx: i})
-		if e.rec {
-			e.sink.DeclareEntity(t.Name)
+		if e.tr != nil {
+			e.tr.DeclareEntity(t.Name)
 		}
 	}
 	aps := e.sys.Aperiodics
@@ -250,8 +228,8 @@ func (e *engine) releasePeriodic(r release) {
 	e.seq++
 	e.cal.push(release{at: rel.Add(t.Period), idx: r.idx})
 	e.jobs = append(e.jobs, j)
-	if e.rec {
-		e.sink.Mark(t.Name, rel, trace.Arrival, j.Name())
+	if e.tr != nil {
+		e.tr.Mark(t.Name, rel, trace.Arrival, j.Name())
 	}
 	e.d.Release(rel, j)
 }
@@ -291,8 +269,8 @@ func (e *engine) releaseAperiodic(r release) {
 	}
 	e.jobs = append(e.jobs, j)
 	e.d.Release(a.Release, j)
-	if e.rec {
-		e.sink.Mark(j.Entity, a.Release, trace.Arrival, name)
+	if e.tr != nil {
+		e.tr.Mark(j.Entity, a.Release, trace.Arrival, name)
 	}
 }
 
@@ -334,8 +312,8 @@ func (e *engine) run() error {
 		guard = 0
 
 		entity := j.Entity
-		if e.rec {
-			e.sink.Run(entity, e.now, e.now.Add(slice), j.Label)
+		if e.tr != nil {
+			e.tr.Run(entity, e.now, e.now.Add(slice), j.Label)
 		}
 		j.Started = true
 		j.Remaining -= slice
@@ -346,19 +324,19 @@ func (e *engine) run() error {
 		if j.Remaining == 0 && !j.Aborted {
 			j.Finished = true
 			j.Finish = e.now
-			if e.rec {
-				e.sink.Mark(entity, e.now, trace.Completion, j.Name())
+			if e.tr != nil {
+				e.tr.Mark(entity, e.now, trace.Completion, j.Name())
 			}
 			if j.Periodic && j.AbsDL != rtime.Forever && e.now > j.AbsDL {
 				e.misses++
-				if e.rec {
-					e.sink.Mark(entity, j.AbsDL, trace.DeadlineMiss, j.Name())
+				if e.tr != nil {
+					e.tr.Mark(entity, j.AbsDL, trace.DeadlineMiss, j.Name())
 				}
 			}
 			e.d.Completed(e.now, j)
 		} else if j.Aborted {
-			if e.rec {
-				e.sink.Mark(entity, e.now, trace.Interrupted, j.Name())
+			if e.tr != nil {
+				e.tr.Mark(entity, e.now, trace.Interrupted, j.Name())
 			}
 		}
 	}

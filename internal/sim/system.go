@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"rtsj/internal/rtime"
 )
@@ -132,6 +133,18 @@ func (p ServerPolicy) String() string {
 	default:
 		return fmt.Sprintf("ServerPolicy(%d)", int(p))
 	}
+}
+
+// ParseServerPolicy returns the policy whose lower-cased String() is name
+// ("bg", "ps", "ds", "ps-lim", "ds-lim", "ss", "pe", "slack"): the one
+// vocabulary of the spec format and the command-line flags.
+func ParseServerPolicy(name string) (ServerPolicy, bool) {
+	for p := NoServer; p <= SlackStealer; p++ {
+		if strings.ToLower(p.String()) == name {
+			return p, true
+		}
+	}
+	return 0, false
 }
 
 // ServerSpec configures the aperiodic task server of a system.

@@ -9,7 +9,8 @@ import (
 // error, never a panic, and any input Parse accepts must format to a
 // fixed point: Format, Parse and Format again yields the same text. The
 // seed corpus under testdata/fuzz/FuzzParse holds the cmd/rtss golden
-// systems and one rtgen system; run the fuzzer with
+// systems, one rtgen system, and files whose durations are NaN, infinite or
+// out of range; run the fuzzer with
 //
 //	go test -run '^$' -fuzz FuzzParse -fuzztime 30s ./internal/spec
 func FuzzParse(f *testing.F) {

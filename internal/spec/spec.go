@@ -7,7 +7,7 @@
 //	periodic tau1 6 2 prio=2      # name period cost [prio=] [offset=] [deadline=]
 //	aperiodic J1 2.5 3            # name release cost [declared=] [deadline=] [value=]
 //	horizon 60
-//	cpus 4                        # virtual CPUs for -exec runs (default 1)
+//	cpus 4                        # virtual CPUs for -exec runs (default 1, at most MaxCPUs)
 //	faults seed=1 overrun=0.2:0.5 # deterministic fault plan (see faults.ParseArgs)
 //
 // Durations and instants are in time units unless suffixed (see
@@ -18,11 +18,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
 	"rtsj/internal/faults"
+	"rtsj/internal/gen"
 	"rtsj/internal/rtime"
 	"rtsj/internal/sim"
 )
@@ -52,14 +52,15 @@ type File struct {
 	Faults *faults.Plan
 }
 
-var serverPolicies = map[string]sim.ServerPolicy{
-	"bg": sim.NoServer,
-	"ps": sim.PollingServer, "ds": sim.DeferrableServer,
-	"ps-lim": sim.LimitedPollingServer, "ds-lim": sim.LimitedDeferrableServer,
-	"ss": sim.SporadicServer, "pe": sim.PriorityExchange, "slack": sim.SlackStealer,
-}
+// MaxCPUs bounds the cpus directive. The executive sizes its per-CPU
+// state by the count and scans every CPU on each scheduling decision, so a
+// mistyped or hostile count must not size that state beyond memory.
+const MaxCPUs = 1024
 
-// Parse reads a system description.
+// Parse reads a system description. Besides malformed lines and invalid
+// systems it rejects a file that asks for more than gen.MaxEventsPerSystem
+// jobs (periodic releases before the horizon plus aperiodic events) or
+// more than MaxCPUs CPUs, so one file cannot make a run exhaust memory.
 func Parse(r io.Reader) (*File, error) {
 	f := &File{Horizon: rtime.AtTU(60)}
 	sc := bufio.NewScanner(r)
@@ -84,7 +85,35 @@ func Parse(r io.Reader) (*File, error) {
 	if err := f.System.Validate(); err != nil {
 		return nil, err
 	}
+	if !f.jobsWithin(gen.MaxEventsPerSystem) {
+		return nil, fmt.Errorf("spec: the file asks for more than %d jobs up to horizon %v",
+			gen.MaxEventsPerSystem, rtime.Duration(f.Horizon))
+	}
 	return f, nil
+}
+
+// jobsWithin reports whether a run of f releases at most limit jobs: every
+// aperiodic event and each periodic release before the horizon. Periods
+// must be positive (System.Validate).
+func (f *File) jobsWithin(limit uint64) bool {
+	n := uint64(len(f.System.Aperiodics))
+	if n > limit {
+		return false
+	}
+	for _, t := range f.System.Periodics {
+		if t.Offset >= f.Horizon {
+			continue
+		}
+		// The span fits in a uint64 for any offset below the horizon,
+		// negative offsets included.
+		span := uint64(f.Horizon) - uint64(t.Offset)
+		k := (span-1)/uint64(t.Period) + 1
+		if k > limit-n {
+			return false
+		}
+		n += k
+	}
+	return true
 }
 
 func (f *File) parseLine(fields []string) error {
@@ -116,7 +145,7 @@ func (f *File) parseLine(fields []string) error {
 		if len(fields) < 4 {
 			return fmt.Errorf("server wants: server <policy> <capacity> <period> [prio=N]")
 		}
-		pol, ok := serverPolicies[fields[1]]
+		pol, ok := sim.ParseServerPolicy(fields[1])
 		if !ok {
 			return fmt.Errorf("unknown server policy %q", fields[1])
 		}
@@ -175,8 +204,8 @@ func (f *File) parseLine(fields []string) error {
 		if err := parseInt(fields[1], &f.CPUs); err != nil {
 			return err
 		}
-		if f.CPUs < 1 {
-			return fmt.Errorf("cpus wants a positive CPU count (got %d)", f.CPUs)
+		if f.CPUs < 1 || f.CPUs > MaxCPUs {
+			return fmt.Errorf("cpus wants a CPU count from 1 to %d (got %d)", MaxCPUs, f.CPUs)
 		}
 	case "faults":
 		p, err := faults.ParseArgs(fields[1:])
@@ -263,22 +292,7 @@ func Format(f *File) string {
 		fmt.Fprintf(&b, "cpus %d\n", f.CPUs)
 	}
 	if s := f.System.Server; s != nil {
-		// Pick the policy's name over sorted keys so the rendered form is a
-		// pure function of the file (map iteration order must not leak into
-		// output; "ds-lim" and friends alias no policy, so first match wins).
-		keys := make([]string, 0, len(serverPolicies))
-		for k := range serverPolicies {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		name := "bg"
-		for _, k := range keys {
-			if serverPolicies[k] == s.Policy {
-				name = k
-				break
-			}
-		}
-		fmt.Fprintf(&b, "server %s %s %s prio=%d\n", name, s.Capacity, s.Period, s.Priority)
+		fmt.Fprintf(&b, "server %s %s %s prio=%d\n", strings.ToLower(s.Policy.String()), s.Capacity, s.Period, s.Priority)
 	}
 	for _, t := range f.System.Periodics {
 		fmt.Fprintf(&b, "periodic %s %s %s prio=%d", t.Name, t.Period, t.Cost, t.Priority)

@@ -94,6 +94,36 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseBoundsWorkload checks Parse rejects a file that asks for more
+// jobs than gen.MaxEventsPerSystem or more CPUs than MaxCPUs, and accepts
+// both limits exactly.
+func TestParseBoundsWorkload(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		want      string // substring of the error; "" means valid
+	}{
+		{"1e9 periodic jobs", "policy fp\nperiodic tau1 0.001 0.0005 prio=2\nhorizon 1000000\n", "more than 100000 jobs"},
+		{"periodic plus aperiodic", "periodic tau1 1 0.5\naperiodic J1 0 0.1\nhorizon 100000\n", "more than 100000 jobs"},
+		{"negative offset", "periodic tau1 1 0.5 offset=-9e12\nhorizon 9e12\n", "more than 100000 jobs"},
+		{"1e9 CPUs", "cpus 1000000000\nperiodic tau1 6 2\n", "cpus wants a CPU count from 1 to 1024"},
+		{"CPU limit", "cpus 1025\n", "cpus wants a CPU count from 1 to 1024"},
+		{"exactly the job limit", "periodic tau1 1 0.5\nhorizon 100000\n", ""},
+		{"releases at or past the horizon", "periodic tau1 1 0.5 offset=200000\nhorizon 100000\n", ""},
+		{"exactly the CPU limit", "cpus 1024\nperiodic tau1 6 2\n", ""},
+	} {
+		_, err := Parse(strings.NewReader(c.src))
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", c.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestParseCommentsAndBlank(t *testing.T) {
 	f, err := Parse(strings.NewReader("\n# only comments\n  \nperiodic a 5 1 # trailing\n"))
 	if err != nil {

@@ -109,47 +109,12 @@ type Event struct {
 	Label string
 }
 
-// Sink receives schedule recordings from an engine. *Trace is the
-// accumulating implementation; Nop discards everything, which lets
-// metrics-only runs (the table and matrix cells) skip all trace
-// bookkeeping and its allocations.
-type Sink interface {
-	// DeclareEntity registers a row before any segment is recorded.
-	DeclareEntity(name string)
-	// Run records that entity executed over [start, end).
-	Run(entity string, start, end rtime.Time, label string)
-	// Mark records a point event.
-	Mark(entity string, at rtime.Time, kind EventKind, label string)
-}
-
-// CPUSink is the optional Sink extension for engines that schedule more
-// than one virtual CPU: RunOn is Run with an explicit CPU index. Engines
-// probe for it once with a type assertion and fall back to Run (CPU 0)
-// when the sink does not care.
-type CPUSink interface {
-	Sink
-	// RunOn records that entity executed over [start, end) on cpu.
-	RunOn(entity string, cpu int, start, end rtime.Time, label string)
-}
-
-// Nop is a Sink that discards every recording.
-type Nop struct{}
-
-// DeclareEntity implements Sink.
-func (Nop) DeclareEntity(string) {}
-
-// Run implements Sink.
-func (Nop) Run(string, rtime.Time, rtime.Time, string) {}
-
-// RunOn implements CPUSink.
-func (Nop) RunOn(string, int, rtime.Time, rtime.Time, string) {}
-
-// Mark implements Sink.
-func (Nop) Mark(string, rtime.Time, EventKind, string) {}
-
 // Trace accumulates segments and events for one run. The zero value is
-// ready to use. Trace is not safe for concurrent use; both engines are
-// single-threaded at the points where they record.
+// ready to use. Both engines take a *Trace and record only when it is
+// non-nil, so a nil *Trace is the metrics-only run: it records nothing and
+// costs one pointer test per recording site. Trace is not safe for
+// concurrent use; both engines are single-threaded at the points where
+// they record.
 type Trace struct {
 	// Segments is every execution interval, in recording order.
 	Segments []Segment
@@ -162,12 +127,6 @@ type Trace struct {
 
 // New returns an empty trace.
 func New() *Trace { return &Trace{} }
-
-// Both implementations satisfy Sink and the CPU-aware extension.
-var (
-	_ CPUSink = (*Trace)(nil)
-	_ CPUSink = Nop{}
-)
 
 func (tr *Trace) noteEntity(name string) {
 	if tr.order == nil {
@@ -190,8 +149,8 @@ func (tr *Trace) Run(entity string, start, end rtime.Time, label string) {
 	tr.RunOn(entity, 0, start, end, label)
 }
 
-// RunOn records that entity executed over [start, end) on cpu
-// (CPUSink). Zero-length segments are dropped. Adjacent segments with
+// RunOn records that entity executed over [start, end) on cpu.
+// Zero-length segments are dropped. Adjacent segments with
 // equal label and CPU are merged — the SMP executive re-places an
 // occupant on the same CPU across consecutive slices, so the CPU
 // condition only splits segments at real migrations.
