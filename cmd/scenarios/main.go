@@ -12,11 +12,6 @@
 // miss-storm's hard periodic set misses a deadline — the graceful-
 // degradation property CI smokes with a 10k-event burst.
 //
-// The "campaign" family runs the stock utilization-sweep campaign
-// in-process through the streaming reducer (-n overrides systems per point,
-// -seed the generation seed) and prints the schedulability curve; the
-// sharded front-end lives in cmd/tables -campaign.
-//
 // The "smp" family runs the multiprocessor scenario sweeps
 // (internal/experiments.RunSMP) on -cpus virtual CPUs: the
 // global-vs-partitioned-vs-clustered EDF/FP deadline-miss curves and the
@@ -45,15 +40,14 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("scenarios", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	family := fs.String("family", "figures", "scenario family: figures | overload | campaign | smp")
+	family := fs.String("family", "figures", "scenario family: figures | overload | smp")
 	scenario := fs.String("scenario", "", "scenario to run: figures 1-3, overload miss-storm|transient|saturation, smp miss-curve|migration-sweep; empty for all")
 	ideal := fs.Bool("ideal", true, "figures: also show the ideal (literature) polling server schedule")
 	workers := fs.Int("workers", 0, "harness worker pool size (0: $RTSJ_WORKERS or GOMAXPROCS)")
-	events := fs.Int("n", 0, "overload: approximate event count; campaign: systems per point (0: default)")
-	seed := fs.Int64("seed", 0, "overload/campaign: workload seed (0: default)")
+	events := fs.Int("n", 0, "overload: approximate event count (0: default)")
+	seed := fs.Int64("seed", 0, "overload: workload seed (0: default)")
 	faultsFlag := fs.String("faults", "", "overload: extra fault plan (e.g. 'seed=1 overrun=0.3:0.5'); 'off' or empty for none")
 	quiet := fs.Bool("quiet", false, "overload/smp: one summary line per scenario")
-	progress := fs.Bool("progress", false, "campaign: report live progress (systems/s, ETA) on stderr")
 	cpus := fs.Int("cpus", 4, "smp: virtual CPU count")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -79,12 +73,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runFigures(stdout, stderr, n, *ideal)
 	case "overload":
 		return runOverload(stdout, stderr, *scenario, *events, *seed, *faultsFlag, *quiet)
-	case "campaign":
-		return runCampaign(stdout, stderr, *events, *seed, *progress)
 	case "smp":
 		return runSMP(stdout, stderr, *scenario, *cpus, *quiet)
 	default:
-		fmt.Fprintf(stderr, "scenarios: unknown family %q (want figures, overload, campaign or smp)\n", *family)
+		fmt.Fprintf(stderr, "scenarios: unknown family %q (want figures, overload or smp)\n", *family)
 		return 2
 	}
 }
@@ -117,29 +109,6 @@ func runFigures(stdout, stderr io.Writer, n int, ideal bool) int {
 		}
 		fmt.Fprintln(stdout)
 	}
-	return 0
-}
-
-// runCampaign streams the stock utilization sweep in-process and prints
-// the resulting schedulability curve.
-func runCampaign(stdout, stderr io.Writer, systems int, seed int64, progress bool) int {
-	spec := experiments.DefaultCampaignSpec()
-	if systems > 0 {
-		spec.Systems = systems
-	}
-	if seed != 0 {
-		spec.Seed = seed
-	}
-	var opts experiments.CampaignOptions
-	if progress {
-		opts.Progress = stderr
-	}
-	curve, err := experiments.RunCampaignOpts(spec, opts)
-	if err != nil {
-		fmt.Fprintf(stderr, "scenarios: %v\n", err)
-		return 1
-	}
-	fmt.Fprint(stdout, curve.Format())
 	return 0
 }
 

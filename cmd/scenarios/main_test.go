@@ -26,6 +26,8 @@ func TestRejectsBadCommandLines(t *testing.T) {
 		{"figures scenario out of range", []string{"-scenario", "4"}, `figures scenario must be 1-3 (got "4")`},
 		{"pooled flag is gone", []string{"-family", "overload", "-pooled", "8"}, "flag provided but not defined: -pooled"},
 		{"activation flag is gone", []string{"-family", "overload", "-activation"}, "flag provided but not defined: -activation"},
+		{"campaign family is gone", []string{"-family", "campaign"}, `unknown family "campaign"`},
+		{"progress flag is gone", []string{"-family", "overload", "-progress"}, "flag provided but not defined: -progress"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := runCmd(tc.args...)

@@ -149,9 +149,6 @@ func (h *ServableAsyncEventHandler) Name() string { return h.name }
 // Cost returns the declared cost.
 func (h *ServableAsyncEventHandler) Cost() rtime.Duration { return h.cost }
 
-// ActualCost returns the handler's actual demand.
-func (h *ServableAsyncEventHandler) ActualCost() rtime.Duration { return h.actual }
-
 // Server returns the unique server the handler is bound to.
 func (h *ServableAsyncEventHandler) Server() TaskServer { return h.server }
 
@@ -205,11 +202,6 @@ func NewServableAsyncEvent(vm *rtsjvm.VM, name string) *ServableAsyncEvent {
 // the paper introduces.
 func (e *ServableAsyncEvent) AddServableHandler(h *ServableAsyncEventHandler) {
 	e.servable = append(e.servable, h)
-}
-
-// ServableHandlers returns the bound servable handlers.
-func (e *ServableAsyncEvent) ServableHandlers() []*ServableAsyncEventHandler {
-	return e.servable
 }
 
 // Fire redefines AsyncEvent.fire: standard handlers are released as usual,

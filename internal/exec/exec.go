@@ -14,9 +14,6 @@ type Options struct {
 	// Migration selects how ready threads map onto the CPUs (Global,
 	// Partitioned, Clustered). Irrelevant with one CPU.
 	Migration MigrationPolicy
-	// ClusterSize is the CPUs-per-cluster of the Clustered policy
-	// (default 2). Ignored by the other policies.
-	ClusterSize int
 	// MigrationCost, when positive, is added to a thread's remaining
 	// demand each time it resumes a consume on a different CPU than the
 	// one it last occupied — the cache-reload penalty of a migration.
@@ -102,10 +99,9 @@ type Thread struct {
 	dynPrio    func(release rtime.Time) int
 
 	// SMP state (kernel/token-owned, like the scheduling state above):
-	// the requested CPU affinity (-1 when none), the scheduling domain
-	// whose ready queue the thread lives in, the CPU it last occupied
-	// (-1 before first placement) and its cross-CPU migration count.
-	affinity   int
+	// the scheduling domain whose ready queue the thread lives in, the
+	// CPU it last occupied (-1 before first placement) and its cross-CPU
+	// migration count.
 	domain     int
 	lastCPU    int
 	migrations int
@@ -190,7 +186,6 @@ type Exec struct {
 	// a scratch buffer for top-K selection, and the migration tally.
 	ncpu        int
 	policy      MigrationPolicy
-	clusterSize int
 	migrateCost rtime.Duration
 	domains     [][]int
 	readyQ      []readyHeap
@@ -231,10 +226,6 @@ func NewWithOptions(tr *trace.Trace, opts Options) *Exec {
 		ex.ncpu = 1
 	}
 	ex.policy = opts.Migration
-	ex.clusterSize = opts.ClusterSize
-	if ex.clusterSize <= 0 {
-		ex.clusterSize = 2
-	}
 	ex.migrateCost = opts.MigrationCost
 	switch {
 	case ex.policy == Partitioned && ex.ncpu > 1:
@@ -242,8 +233,8 @@ func NewWithOptions(tr *trace.Trace, opts Options) *Exec {
 			ex.domains = append(ex.domains, []int{c})
 		}
 	case ex.policy == Clustered && ex.ncpu > 1:
-		for lo := 0; lo < ex.ncpu; lo += ex.clusterSize {
-			hi := lo + ex.clusterSize
+		for lo := 0; lo < ex.ncpu; lo += clusterSize {
+			hi := lo + clusterSize
 			if hi > ex.ncpu {
 				hi = ex.ncpu
 			}
@@ -300,15 +291,14 @@ func (ex *Exec) newThread(name string, prio, affinity int, body func(tc *TC)) *T
 	th := &ex.threadChunk[0]
 	ex.threadChunk = ex.threadChunk[1:]
 	*th = Thread{
-		ex:       ex,
-		name:     name,
-		prio:     prio,
-		boost:    prio,
-		state:    stateNew,
-		heapIdx:  -1,
-		affinity: affinity,
-		lastCPU:  -1,
-		body:     body,
+		ex:      ex,
+		name:    name,
+		prio:    prio,
+		boost:   prio,
+		state:   stateNew,
+		heapIdx: -1,
+		lastCPU: -1,
+		body:    body,
 	}
 	ex.threads = append(ex.threads, th)
 	th.domain = ex.domainFor(affinity, len(ex.threads)-1)

@@ -12,7 +12,7 @@ import (
 // Model. A *scheduling domain* is a set of CPUs sharing one ready queue:
 // the Global policy has a single domain spanning every CPU, Partitioned
 // has one single-CPU domain per CPU (threads are pinned by a static
-// affinity map), and Clustered groups ClusterSize CPUs per domain. Each
+// affinity map), and Clustered groups clusterSize CPUs per domain. Each
 // scheduling decision selects, per domain, the top-K ready threads (K =
 // CPUs in the domain, ordered by effective priority desc, readySeq asc —
 // the uniprocessor tie-break) and places them onto the domain's CPUs:
@@ -56,11 +56,14 @@ const (
 	// (SpawnOn, or spawn order modulo CPU count when unset); threads
 	// never migrate, and each CPU schedules its partition independently.
 	Partitioned
-	// Clustered partitions the CPUs into clusters of Options.ClusterSize
+	// Clustered partitions the CPUs into clusters of clusterSize CPUs
 	// and pins threads to a cluster by the same static map; threads
 	// migrate freely inside their cluster but never across clusters.
 	Clustered
 )
+
+// clusterSize is the CPUs-per-cluster of the Clustered policy.
+const clusterSize = 2
 
 // String returns the policy's short name.
 func (p MigrationPolicy) String() string {
@@ -84,17 +87,6 @@ func (ex *Exec) Migration() MigrationPolicy { return ex.policy }
 // far. Always 0 with one CPU or under Partitioned.
 func (ex *Exec) Migrations() int { return ex.migrations }
 
-// Affinity returns the CPU the thread was pinned to at spawn (SpawnOn /
-// SpawnPeriodicOn), or -1 when no affinity was requested. Under the
-// Partitioned and Clustered policies an unpinned thread is still mapped
-// statically (spawn order modulo CPU count); under Global the affinity is
-// recorded but does not constrain placement.
-func (th *Thread) Affinity() int { return th.affinity }
-
-// LastCPU returns the CPU the thread last occupied, or -1 if it has never
-// been scheduled.
-func (th *Thread) LastCPU() int { return th.lastCPU }
-
 // Migrations returns how many times the thread resumed on a different CPU
 // than the one it last occupied.
 func (th *Thread) Migrations() int { return th.migrations }
@@ -102,8 +94,8 @@ func (th *Thread) Migrations() int { return th.migrations }
 // SpawnOn creates a thread like Spawn with an explicit CPU affinity.
 // cpu must be a valid CPU index, or -1 for no affinity (Spawn's default).
 // The affinity is the static placement input of the Partitioned and
-// Clustered migration policies; the Global policy records it but
-// schedules from one shared queue regardless.
+// Clustered migration policies; the Global policy ignores it and
+// schedules from one shared queue.
 func (ex *Exec) SpawnOn(name string, prio int, startAt rtime.Time, cpu int, body func(tc *TC)) *Thread {
 	// The body is bound to a worker lazily, the first time the scheduler
 	// actually runs the thread (see resume); threads that never run never
@@ -128,7 +120,7 @@ func (ex *Exec) domainFor(affinity, spawnIdx int) int {
 	case Partitioned:
 		return cpu
 	case Clustered:
-		return cpu / ex.clusterSize
+		return cpu / clusterSize
 	default:
 		return 0
 	}

@@ -156,11 +156,10 @@ func (w *campaignWorker) system(p gen.Params, policy sim.ServerPolicy, horizon r
 	return one, nil
 }
 
-// runCampaignRange is RunCampaignRange with an optional per-system tick,
-// called from the fold (serialized, in index order) as each system's
-// partial merges — the progress reporter's feed. A nil tick costs one
-// branch per fold.
-func runCampaignRange(s CampaignSpec, point, lo, hi int, tick func()) (metrics.Partial, error) {
+// runCampaignRange is RunCampaignRange with an optional progress tracker,
+// counted from the fold (serialized, in index order) as each system's
+// partial merges. A nil tracker costs one branch per fold.
+func runCampaignRange(s CampaignSpec, point, lo, hi int, prog *progressTracker) (metrics.Partial, error) {
 	if err := s.Validate(); err != nil {
 		return metrics.Partial{}, err
 	}
@@ -178,9 +177,7 @@ func runCampaignRange(s CampaignSpec, point, lo, hi int, tick func()) (metrics.P
 		},
 		func(acc metrics.Partial, _ int, one metrics.Partial) metrics.Partial {
 			acc.Merge(one)
-			if tick != nil {
-				tick()
-			}
+			prog.add(1)
 			return acc
 		})
 }
@@ -211,24 +208,18 @@ func RunCampaign(s CampaignSpec) (*Curve, error) {
 	return RunCampaignOpts(s, CampaignOptions{})
 }
 
-// RunCampaignOpts is RunCampaign with observability options: a live
-// progress stream and/or a stats registry (campaign.systems counts folded
-// systems). The curve is bit-identical to RunCampaign's — options only
-// add observation, never behavior.
+// RunCampaignOpts is RunCampaign with a live progress stream. The curve is
+// bit-identical to RunCampaign's — options only add observation, never
+// behavior.
 func RunCampaignOpts(s CampaignSpec, opts CampaignOptions) (*Curve, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	systems := opts.Stats.Counter("campaign.systems")
-	prog := newProgress(opts.Progress, "campaign", int64(len(s.Points)*s.Systems), opts.ProgressInterval, nil)
+	prog := newProgress(opts.Progress, "campaign", int64(len(s.Points)*s.Systems), nil)
 	defer prog.close()
-	tick := func() {
-		prog.add(1)
-		systems.Inc()
-	}
 	c := &Curve{Spec: s, Points: make([]CurvePoint, 0, len(s.Points))}
 	for i, d := range s.Points {
-		part, err := runCampaignRange(s, i, 0, s.Systems, tick)
+		part, err := runCampaignRange(s, i, 0, s.Systems, prog)
 		if err != nil {
 			return nil, fmt.Errorf("campaign point %d (density %v): %w", i, d, err)
 		}

@@ -6,29 +6,23 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"rtsj/internal/obs"
 )
 
 // CampaignOptions is the observability configuration of a campaign run:
-// an optional live progress stream and an optional stats registry. The
-// zero value disables both, and every campaign entry point that takes
-// options delegates from its plain variant with the zero value — results
-// are bit-identical either way (progress goes to its own writer, stats
-// are observational only).
+// an optional live progress stream. The zero value disables it, and every
+// campaign entry point that takes options delegates from its plain variant
+// with the zero value — results are bit-identical either way (progress
+// goes to its own writer).
 type CampaignOptions struct {
 	// Progress, when non-nil, receives live progress lines (systems done,
-	// throughput, ETA, and — sharded — per-shard health) on every
-	// ProgressInterval. cmd front-ends pass os.Stderr so progress never
+	// throughput, ETA, and — sharded — per-shard health) every
+	// progressInterval. cmd front-ends pass os.Stderr so progress never
 	// mixes into result output.
 	Progress io.Writer
-	// ProgressInterval is the reporting period (default 1s).
-	ProgressInterval time.Duration
-	// Stats, when non-nil, is the registry campaign counters register
-	// into: coordinator request/retry/in-flight instruments and per-shard
-	// request-latency histograms (RunCampaignShardedOpts).
-	Stats *obs.Registry
 }
+
+// progressInterval is the reporting period of a progress tracker.
+const progressInterval = time.Second
 
 // progressTracker emits campaign progress lines on an interval from its
 // own goroutine. All methods are nil-receiver-safe, so callers without a
@@ -45,15 +39,12 @@ type progressTracker struct {
 	stopOnce sync.Once
 }
 
-// newProgress starts a tracker writing to w every interval, or returns
-// nil (a valid no-op tracker) when w is nil. total is the work size in
-// systems; label names the unit stream in each line.
-func newProgress(w io.Writer, label string, total int64, interval time.Duration, health func() string) *progressTracker {
+// newProgress starts a tracker writing to w every progressInterval, or
+// returns nil (a valid no-op tracker) when w is nil. total is the work
+// size in systems; label names the unit stream in each line.
+func newProgress(w io.Writer, label string, total int64, health func() string) *progressTracker {
 	if w == nil {
 		return nil
-	}
-	if interval <= 0 {
-		interval = time.Second
 	}
 	p := &progressTracker{
 		w: w, label: label, total: total, health: health,
@@ -62,7 +53,7 @@ func newProgress(w io.Writer, label string, total int64, interval time.Duration,
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		t := time.NewTicker(interval)
+		t := time.NewTicker(progressInterval)
 		defer t.Stop()
 		for {
 			select {

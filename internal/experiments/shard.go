@@ -200,7 +200,8 @@ type ShardConn struct {
 }
 
 // shardHealth renders the per-shard status fragment of a progress line:
-// one "name:served(ok|FAILED|+k inflight)"-style cell per shard.
+// one "name:served(ok|FAILED)" cell per shard, served counting the
+// ranges the shard answered.
 func shardHealth(sessions []*shardSession) string {
 	out := ""
 	for i, ss := range sessions {
@@ -237,15 +238,11 @@ type shardSession struct {
 	enc  *json.Encoder
 	dec  *json.Decoder
 
-	// Coordinator-side observability (all optional): request/latency
-	// instruments, the shared in-flight gauge, the progress tracker, and
-	// the session's own health tallies for the progress health line.
-	requests *obs.Counter
-	latency  *obs.Histogram
-	inflight *obs.Gauge
-	prog     *progressTracker
-	served   atomic.Int64
-	failed   atomic.Bool
+	// The progress tracker (nil without one), and the session's own
+	// health tallies for the progress health line.
+	prog   *progressTracker
+	served atomic.Int64
+	failed atomic.Bool
 }
 
 // run drives the session through work synchronously: write a request,
@@ -257,19 +254,12 @@ func (ss *shardSession) run(s CampaignSpec, work []shardChunk) ([]rangedPartial,
 	out := make([]rangedPartial, 0, len(work))
 	for _, ch := range work {
 		req := ShardRequest{V: ShardProtocolVersion, Spec: s, Point: ch.point, Lo: ch.lo, Hi: ch.hi}
-		ss.requests.Inc()
-		ss.inflight.Add(1)
-		began := time.Now()
 		if err := ss.enc.Encode(req); err != nil {
-			ss.inflight.Add(-1)
 			ss.failed.Store(true)
 			return out, fmt.Errorf("campaign: %s: write request: %w", ss.name, err)
 		}
 		var resp ShardResponse
-		err := ss.dec.Decode(&resp)
-		ss.latency.Observe(time.Since(began).Milliseconds())
-		ss.inflight.Add(-1)
-		if err != nil {
+		if err := ss.dec.Decode(&resp); err != nil {
 			ss.failed.Store(true)
 			return out, fmt.Errorf("campaign: %s: read response for point %d range [%d, %d): %w",
 				ss.name, ch.point, ch.lo, ch.hi, err)
@@ -330,12 +320,9 @@ func RunCampaignSharded(s CampaignSpec, shards []ShardConn, batch int) (*Curve, 
 }
 
 // RunCampaignShardedOpts is RunCampaignSharded with observability
-// options. Progress lines carry per-shard health (served ranges, ok or
-// FAILED, in-flight requests); the stats registry gains coordinator
-// counters ("campaign.requests", "campaign.retries", "campaign.inflight")
-// and one request-latency histogram per shard
-// ("campaign.shard<i>.request_ms"). The curve stays bit-identical to
-// RunCampaignSharded's — observation only.
+// options. Progress lines carry per-shard health: the ranges each shard
+// answered, and whether it is ok or FAILED. The curve stays bit-identical
+// to RunCampaignSharded's — observation only.
 func RunCampaignShardedOpts(s CampaignSpec, shards []ShardConn, batch int, opts CampaignOptions) (*Curve, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -363,27 +350,18 @@ func RunCampaignShardedOpts(s CampaignSpec, shards []ShardConn, batch int, opts 
 	}
 
 	sessions := make([]*shardSession, len(shards))
-	requests := opts.Stats.Counter("campaign.requests")
-	retriesC := opts.Stats.Counter("campaign.retries")
-	inflight := opts.Stats.Gauge("campaign.inflight")
 	for si, conn := range shards {
 		name := conn.Name
 		if name == "" {
 			name = fmt.Sprintf("shard %d", si)
 		}
 		sessions[si] = &shardSession{
-			name:     name,
-			enc:      json.NewEncoder(conn.W),
-			dec:      json.NewDecoder(bufio.NewReader(conn.R)),
-			requests: requests,
-			inflight: inflight,
-		}
-		if opts.Stats != nil {
-			sessions[si].latency = opts.Stats.Histogram(
-				fmt.Sprintf("campaign.shard%d.request_ms", si), obs.DefaultLatencyBuckets)
+			name: name,
+			enc:  json.NewEncoder(conn.W),
+			dec:  json.NewDecoder(bufio.NewReader(conn.R)),
 		}
 	}
-	prog := newProgress(opts.Progress, "campaign", int64(len(s.Points)*s.Systems), opts.ProgressInterval,
+	prog := newProgress(opts.Progress, "campaign", int64(len(s.Points)*s.Systems),
 		func() string { return shardHealth(sessions) })
 	defer prog.close()
 	for _, ss := range sessions {
@@ -430,7 +408,6 @@ func RunCampaignShardedOpts(s CampaignSpec, shards []ShardConn, batch int, opts 
 		if len(survivors) == 0 {
 			return nil, firstErr
 		}
-		retriesC.Add(int64(len(leftover)))
 		retries, _ := harness.MapN(len(survivors), len(survivors), func(k int) (shardResult, error) {
 			var work []shardChunk
 			for ci := k; ci < len(leftover); ci += len(survivors) {

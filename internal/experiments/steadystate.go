@@ -69,7 +69,9 @@ type SteadyStateResult struct {
 	Fingerprint uint64
 }
 
-// RunPeriodicSteadyState builds and runs the scenario.
+// RunPeriodicSteadyState builds and runs the scenario, then audits the
+// executive's invariants (exec.Exec.CheckInvariants); a violation fails
+// the run.
 func RunPeriodicSteadyState(p SteadyStateParams) (*SteadyStateResult, error) {
 	if p.Entities <= 0 {
 		return nil, fmt.Errorf("steadystate: need at least one entity (got %d)", p.Entities)
@@ -106,6 +108,9 @@ func RunPeriodicSteadyState(p SteadyStateParams) (*SteadyStateResult, error) {
 	}
 
 	err := ex.Run(res.Horizon)
+	if err == nil {
+		err = ex.CheckInvariants()
+	}
 	res.FinalTime = ex.Now()
 	res.PeakWorkers = ex.PoolPeak()
 	for _, th := range ex.Threads() {

@@ -37,16 +37,6 @@ type RTC struct {
 // parameters the thread is released at pp.Start; otherwise it starts
 // immediately. The body typically loops on WaitForNextPeriod.
 func (vm *VM) NewRealtimeThread(name string, prio int, pp *PeriodicParameters, body func(*RTC)) *RealtimeThread {
-	return vm.NewRealtimeThreadOn(name, prio, -1, pp, body)
-}
-
-// NewRealtimeThreadOn creates and starts a realtime thread like
-// NewRealtimeThread with an explicit CPU affinity — the RTSJ-style
-// processor-affinity surface over exec.SpawnOn. cpu is a virtual CPU index
-// or -1 for no affinity; it is the static placement input of the
-// Partitioned and Clustered migration policies (exec.Options.Migration)
-// and is recorded but non-constraining under Global.
-func (vm *VM) NewRealtimeThreadOn(name string, prio, cpu int, pp *PeriodicParameters, body func(*RTC)) *RealtimeThread {
 	if pp != nil && pp.Miss == exec.MissAbort {
 		panic("rtsjvm: the abort miss policy requires activation mode (NewActivationThread)")
 	}
@@ -56,7 +46,7 @@ func (vm *VM) NewRealtimeThreadOn(name string, prio, cpu int, pp *PeriodicParame
 		start = pp.Start
 	}
 	first := start
-	rt.th = vm.ex.SpawnOn(name, prio, start, cpu, func(tc *exec.TC) {
+	rt.th = vm.ex.Spawn(name, prio, start, func(tc *exec.TC) {
 		body(&RTC{TC: tc, rt: rt, next: first})
 	})
 	return rt
@@ -74,13 +64,6 @@ func (vm *VM) NewRealtimeThreadOn(name string, prio, cpu int, pp *PeriodicParame
 // pp must carry a positive Period. Calling WaitForNextPeriod inside an
 // activation body panics: the release boundary is the body return.
 func (vm *VM) NewActivationThread(name string, prio int, pp *PeriodicParameters, body func(*RTC)) *RealtimeThread {
-	return vm.NewActivationThreadOn(name, prio, -1, pp, body)
-}
-
-// NewActivationThreadOn creates an activation-mode periodic thread like
-// NewActivationThread with an explicit CPU affinity (a virtual CPU index,
-// or -1 for none — see NewRealtimeThreadOn for the affinity contract).
-func (vm *VM) NewActivationThreadOn(name string, prio, cpu int, pp *PeriodicParameters, body func(*RTC)) *RealtimeThread {
 	if pp == nil || pp.Period <= 0 {
 		panic("rtsjvm: NewActivationThread needs periodic parameters with a positive period")
 	}
@@ -89,7 +72,7 @@ func (vm *VM) NewActivationThreadOn(name string, prio, cpu int, pp *PeriodicPara
 	if pp.Start > start {
 		start = pp.Start
 	}
-	rt.th = vm.ex.SpawnPeriodicOn(name, prio, cpu,
+	rt.th = vm.ex.SpawnPeriodic(name, prio,
 		exec.ActivationSpec{Start: start, Period: pp.Period, Miss: pp.Miss},
 		func(tc *exec.TC) {
 			body(&RTC{
