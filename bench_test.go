@@ -293,6 +293,70 @@ func BenchmarkEngineExecThroughput(b *testing.B) {
 	b.ReportMetric(float64(events*b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkExecRunExecutionMetrics times one table execution system —
+// Table 5's deferrable server on system 0 of set (2, 2), under the default
+// execution model — on a fresh VM (experiments.RunExecutionMetrics, which
+// builds a VM and shuts it down per run) and on one VM reset between runs,
+// as each worker of the table fan-out runs its systems. Both report
+// -benchmem figures; the reset run must give the fresh run's records.
+func BenchmarkExecRunExecutionMetrics(b *testing.B) {
+	p := experiments.GenParams("(2, 2)")
+	sys := gen.WithServer(gen.Generate(p)[0], p, sim.LimitedDeferrableServer, 100)
+	model := experiments.DefaultExecModel()
+	want, err := experiments.RunExecutionMetrics(sys, model, p.Horizon())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := experiments.RunExecutionMetrics(sys, model, p.Horizon()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reset", func(b *testing.B) {
+		b.ReportAllocs()
+		vm := rtsjvm.NewVM(nil, model.Overheads, exec.Options{})
+		defer vm.Shutdown()
+		var srv core.TaskServer
+		for i := 0; i < b.N; i++ {
+			vm.Reset(nil, model.Overheads, exec.Options{})
+			srv = executeDS(b, vm, sys, model, p.Horizon())
+		}
+		got := srv.Records()
+		if len(got) != len(want.Records) {
+			b.Fatalf("%d records on the reset VM, %d on a fresh one", len(got), len(want.Records))
+		}
+		for i := range got {
+			if *got[i] != *want.Records[i] {
+				b.Fatalf("record %d: %+v on the reset VM, %+v on a fresh one", i, *got[i], *want.Records[i])
+			}
+		}
+	})
+}
+
+// executeDS realizes sys on vm as the experiments bridge does for a
+// deferrable server — the framework server, then one servable event,
+// handler and one-shot timer per aperiodic, with the model's cost noise —
+// and runs it to the horizon.
+func executeDS(b *testing.B, vm *rtsjvm.VM, sys sim.System, m experiments.ExecModel, horizon rtime.Time) core.TaskServer {
+	spec := sys.Server
+	srv := core.NewDeferrableTaskServer(vm, "DS", spec.Priority,
+		core.NewTaskServerParameters(0, spec.Capacity, spec.Period))
+	for i, a := range sys.Aperiodics {
+		actual := rtime.Duration(float64(a.Cost) * (1 + gen.Noise(m.NoiseSeed, m.SysIndex, i)*m.CostNoise))
+		h := core.NewServableAsyncEventHandler(srv, a.Name, a.DeclaredCost()).SetActualCost(actual)
+		e := core.NewServableAsyncEvent(vm, a.Name)
+		e.AddServableHandler(h)
+		vm.NewOneShotTimer(a.Release, e, a.Name).Start()
+	}
+	if err := vm.Run(horizon); err != nil {
+		b.Fatal(err)
+	}
+	return srv
+}
+
 // BenchmarkExecThroughput measures the virtual-time executive alone —
 // no sim engine, no RTSJ emulation — on a mixed workload: eight periodic
 // consume/sleep threads at staggered priorities (mostly batched inline by

@@ -214,21 +214,31 @@ func (e *ServableAsyncEvent) Fire(tc *exec.TC) {
 }
 
 // release is one pending execution request for a handler. It carries its
-// event record by value, so one allocation holds both; the server's
-// records list points into it.
+// event record by value, so one allocation holds both, and the links of
+// the server's two intrusive lists, so registering a release grows no
+// slice: the records list (every release, in release order) and the
+// pending list (queued releases, FIFO).
 type release struct {
 	h   *ServableAsyncEventHandler
 	rec EventRecord
+
+	nextRec    *release // next release in release order
+	prev, next *release // pending-list neighbours
 }
 
 // serverCore is the state shared by the server policies.
 type serverCore struct {
-	vm      *rtsjvm.VM
-	name    string
-	prio    int
-	params  *TaskServerParameters
-	pending []*release
-	records []*EventRecord
+	vm     *rtsjvm.VM
+	name   string
+	prio   int
+	params *TaskServerParameters
+
+	// The pending list (head, tail, length) and the records list (head,
+	// tail, length), both linked through the releases.
+	pendHead, pendTail *release
+	npending           int
+	recHead, recTail   *release
+	nrecords           int
 
 	capacity rtime.Duration
 
@@ -260,8 +270,14 @@ func (s *serverCore) SchedulableRelease() rtsjvm.ReleaseParameters {
 // Params implements TaskServer.
 func (s *serverCore) Params() *TaskServerParameters { return s.params }
 
-// Records implements TaskServer.
-func (s *serverCore) Records() []*EventRecord { return s.records }
+// Records implements TaskServer. Each call returns a new slice.
+func (s *serverCore) Records() []*EventRecord {
+	out := make([]*EventRecord, 0, s.nrecords)
+	for rel := s.recHead; rel != nil; rel = rel.nextRec {
+		out = append(out, &rel.rec)
+	}
+	return out
+}
 
 // Capacity returns the remaining capacity (for inspection/tests).
 func (s *serverCore) Capacity() rtime.Duration { return s.capacity }
@@ -312,8 +328,14 @@ func (s *serverCore) register(tc *exec.TC, h *ServableAsyncEventHandler) *releas
 	if oh := s.vm.Overheads().EventRelease; oh > 0 {
 		tc.Consume(oh)
 	}
-	s.records = append(s.records, &rel.rec)
-	if s.maxPending > 0 && len(s.pending) >= s.maxPending {
+	if s.recTail == nil {
+		s.recHead = rel
+	} else {
+		s.recTail.nextRec = rel
+	}
+	s.recTail = rel
+	s.nrecords++
+	if s.maxPending > 0 && s.npending >= s.maxPending {
 		rel.rec.Shed = true
 		s.shed++
 		if tr := s.vm.Trace(); tr != nil {
@@ -321,7 +343,14 @@ func (s *serverCore) register(tc *exec.TC, h *ServableAsyncEventHandler) *releas
 		}
 		return nil
 	}
-	s.pending = append(s.pending, rel)
+	rel.prev = s.pendTail
+	if s.pendTail == nil {
+		s.pendHead = rel
+	} else {
+		s.pendTail.next = rel
+	}
+	s.pendTail = rel
+	s.npending++
 	return rel
 }
 
@@ -329,7 +358,7 @@ func (s *serverCore) register(tc *exec.TC, h *ServableAsyncEventHandler) *releas
 // the budget granted by fit — the paper's chooseNextEvent (which may serve
 // a later, smaller event before an earlier, larger one).
 func (s *serverCore) firstFitting(fit func(h *ServableAsyncEventHandler) rtime.Duration) *release {
-	for _, rel := range s.pending {
+	for rel := s.pendHead; rel != nil; rel = rel.next {
 		if rel.h.cost <= fit(rel.h) {
 			return rel
 		}
@@ -337,18 +366,27 @@ func (s *serverCore) firstFitting(fit func(h *ServableAsyncEventHandler) rtime.D
 	return nil
 }
 
-// removePending drops a release from the pending list.
+// removePending drops a release from the pending list, if it is queued.
 func (s *serverCore) removePending(rel *release) {
-	for i, x := range s.pending {
-		if x == rel {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			return
-		}
+	if rel.prev == nil && s.pendHead != rel {
+		return
 	}
+	if rel.prev == nil {
+		s.pendHead = rel.next
+	} else {
+		rel.prev.next = rel.next
+	}
+	if rel.next == nil {
+		s.pendTail = rel.prev
+	} else {
+		rel.next.prev = rel.prev
+	}
+	rel.prev, rel.next = nil, nil
+	s.npending--
 }
 
 // PendingCount returns the number of queued releases.
-func (s *serverCore) PendingCount() int { return len(s.pending) }
+func (s *serverCore) PendingCount() int { return s.npending }
 
 // serve executes one release under a Timed budget in the server's thread
 // context, measures the elapsed (virtual wall-clock) time, and records the

@@ -137,3 +137,62 @@ func TestAllocsBudgetArmedThenCancelled(t *testing.T) {
 		t.Fatal("no budgeted section completed")
 	}
 }
+
+// TestAllocsResetRun: one whole run on a reset executive — Reset, spawn a
+// periodic entity, a looping thread that waits on a queue and a sleeper,
+// arm a timer past the horizon, run — reuses the previous run's threads,
+// timer nodes, heaps and workers, on one CPU and on two under every
+// migration policy. The bodies are built once, outside the step; a run
+// ends with bodies in progress and timers armed, which Reset unwinds and
+// recycles.
+func TestAllocsResetRun(t *testing.T) {
+	for _, opts := range []Options{
+		{},
+		{CPUs: 2, Migration: Global},
+		{CPUs: 2, Migration: Partitioned},
+		{CPUs: 3, Migration: Clustered, MigrationCost: tu(0.5)},
+	} {
+		t.Run(fmt.Sprintf("%d-%v", max(opts.CPUs, 1), opts.Migration), func(t *testing.T) {
+			ex := NewWithOptions(nil, opts)
+			defer ex.Shutdown()
+			q := NewWaitQueue("q")
+			periodic := func(tc *TC) { tc.Consume(tu(1.5)) }
+			waiter := func(tc *TC) {
+				for {
+					tc.Wait(q)
+					tc.Consume(tu(0.5))
+				}
+			}
+			sleeper := func(tc *TC) {
+				for {
+					tc.Consume(tu(2))
+					tc.NotifyAll(q)
+					tc.Sleep(tu(1))
+				}
+			}
+			noop := func() {}
+			step := func() {
+				ex.Reset(nil, opts)
+				ex.SpawnPeriodic("p", 3, ActivationSpec{Period: tu(2)}, periodic)
+				ex.Spawn("w", 2, 0, waiter)
+				ex.Spawn("s", 1, at(0.5), sleeper)
+				ex.At(at(100), noop)
+				if err := ex.Run(at(9.25)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertNoAllocs(t, step)
+			nodes, workers := ex.timerNodes, ex.PoolPeak()
+			for i := 0; i < 50; i++ {
+				step()
+			}
+			if ex.timerNodes != nodes || ex.PoolPeak() != workers {
+				t.Errorf("after 50 more resets: %d timer nodes, %d workers; want %d and %d",
+					ex.timerNodes, ex.PoolPeak(), nodes, workers)
+			}
+			if ex.Now() != at(9.25) || len(ex.Threads()) != 3 {
+				t.Fatalf("run ended at %v with %d threads", ex.Now(), len(ex.Threads()))
+			}
+		})
+	}
+}

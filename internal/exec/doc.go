@@ -72,6 +72,22 @@
 // the number of workers is the peak number of bodies in progress at once,
 // not the thread count. Every worker made stays resident until Shutdown.
 //
+// # Lifecycle
+//
+// An executive goes New → Run → Reset → Run … → Shutdown. NewWithOptions
+// builds it; threads are spawned and timers armed before a Run, and a Run
+// may be followed by more spawns and a later Run with a further horizon.
+// Reset ends a run for good: it unwinds every body still in progress (as
+// Shutdown does) and returns the executive to the state NewWithOptions
+// builds, under new Options if wanted, while keeping its storage — the
+// resident workers with their grown stacks, the timer nodes, the heaps and
+// the thread chunks. A warm executive therefore runs system after system
+// without allocating (TestAllocsResetRun). A Timer or *Thread handle from
+// before a Reset must not be used after it (see Reset). Reset never stops
+// a worker: the resident workers are coroutines the garbage collector
+// cannot reclaim, so whoever owns the executive must call Shutdown when
+// it drops it, and Shutdown is the only call that stops them.
+//
 // # Activation-driven periodic entities
 //
 // SpawnPeriodic expresses a periodic entity as an activation body dispatched

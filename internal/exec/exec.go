@@ -120,6 +120,8 @@ type Thread struct {
 	held      []*Mutex
 	waitingOn *Mutex
 
+	waitQ *WaitQueue // the queue of the thread's last Wait, nil for none
+
 	label string
 	body  func(tc *TC)
 	tc    TC // the context every dispatch of body receives
@@ -164,12 +166,18 @@ const (
 // Exec is the virtual-time executive. Create with NewWithOptions,
 // add threads with Spawn, then call Run.
 type Exec struct {
-	now         rtime.Time
-	threads     []*Thread
-	threadChunk []Thread     // unused tail of the chunk newThread carves threads from
-	tr          *trace.Trace // the recording; nil records nothing
-	stats       Stats        // instrument set; zero (all nil) when disabled
-	statsOn     bool         // Options.Stats was non-nil; guards hook bodies
+	now     rtime.Time
+	threads []*Thread
+	tr      *trace.Trace // the recording; nil records nothing
+	stats   Stats        // instrument set; zero (all nil) when disabled
+	statsOn bool         // Options.Stats was non-nil; guards hook bodies
+
+	// Thread storage: every chunk newThread has carved threads from, the
+	// unused tail of the chunk in use, and the index of the chunk after
+	// it. Reset rewinds to the first chunk.
+	threadChunks [][]Thread
+	threadChunk  []Thread
+	nextChunk    int
 
 	// The coroutine workers thread bodies run on (pool.go).
 	pool workerPool
@@ -183,7 +191,8 @@ type Exec struct {
 	// per-domain CPU index sets, the per-domain ready queues (heaps; one
 	// domain with one CPU is the uniprocessor), the CPU
 	// occupancy vector recomputed by assignCPUs each scheduling decision,
-	// a scratch buffer for top-K selection, and the migration tally.
+	// a scratch buffer for top-K selection and the horizon drain, and the
+	// migration tally.
 	ncpu        int
 	policy      MigrationPolicy
 	migrateCost rtime.Duration
@@ -216,49 +225,123 @@ type Exec struct {
 // nothing — the metrics-only fast path, the same convention as the sim
 // engine; pass trace.New() to keep a full schedule recording.
 func NewWithOptions(tr *trace.Trace, opts Options) *Exec {
-	ex := &Exec{tr: tr}
+	ex := &Exec{}
+	ex.configure(tr, opts)
+	return ex
+}
+
+// configure applies tr and opts to an executive with no thread: the
+// recording, the stats hooks and the CPU topology. It rebuilds the
+// scheduling domains only when the topology changed, and reuses the ready
+// queues' and the occupancy vector's storage.
+func (ex *Exec) configure(tr *trace.Trace, opts Options) {
+	ex.tr = tr
+	ex.stats, ex.statsOn = Stats{}, false
 	if opts.Stats != nil {
 		ex.stats = *opts.Stats
 		ex.statsOn = true
 	}
-	ex.ncpu = opts.CPUs
-	if ex.ncpu <= 0 {
-		ex.ncpu = 1
+	ncpu := max(opts.CPUs, 1)
+	if ex.domains == nil || ncpu != ex.ncpu || opts.Migration != ex.policy {
+		ex.domains = buildDomains(ncpu, opts.Migration)
 	}
+	ex.ncpu = ncpu
 	ex.policy = opts.Migration
 	ex.migrateCost = opts.MigrationCost
+	if n := len(ex.domains); cap(ex.readyQ) < n {
+		ex.readyQ = make([]readyHeap, n)
+	} else {
+		ex.readyQ = ex.readyQ[:n]
+	}
+	if cap(ex.cpuRun) < ncpu {
+		ex.cpuRun = make([]*Thread, ncpu)
+	}
+	ex.cpuRun = ex.cpuRun[:ncpu]
+}
+
+// buildDomains returns the CPU index sets of the scheduling domains of
+// ncpu CPUs under policy (see smp.go).
+func buildDomains(ncpu int, policy MigrationPolicy) [][]int {
+	var domains [][]int
 	switch {
-	case ex.policy == Partitioned && ex.ncpu > 1:
-		for c := 0; c < ex.ncpu; c++ {
-			ex.domains = append(ex.domains, []int{c})
+	case policy == Partitioned && ncpu > 1:
+		for c := 0; c < ncpu; c++ {
+			domains = append(domains, []int{c})
 		}
-	case ex.policy == Clustered && ex.ncpu > 1:
-		for lo := 0; lo < ex.ncpu; lo += clusterSize {
-			hi := lo + clusterSize
-			if hi > ex.ncpu {
-				hi = ex.ncpu
-			}
+	case policy == Clustered && ncpu > 1:
+		for lo := 0; lo < ncpu; lo += clusterSize {
+			hi := min(lo+clusterSize, ncpu)
 			cl := make([]int, 0, hi-lo)
 			for c := lo; c < hi; c++ {
 				cl = append(cl, c)
 			}
-			ex.domains = append(ex.domains, cl)
+			domains = append(domains, cl)
 		}
 	default:
-		all := make([]int, ex.ncpu)
+		all := make([]int, ncpu)
 		for c := range all {
 			all[c] = c
 		}
-		ex.domains = [][]int{all}
+		domains = [][]int{all}
 	}
-	ex.readyQ = make([]readyHeap, len(ex.domains))
-	ex.cpuRun = make([]*Thread, ex.ncpu)
-	return ex
+	return domains
+}
+
+// Reset unwinds every thread body still in progress, as Shutdown does,
+// and returns the executive to the state NewWithOptions(tr, opts) builds:
+// no thread, virtual time zero, a fresh sequence counter. It keeps the
+// storage a run has grown — the resident coroutine workers with their
+// stacks, the timer nodes (back on the free list), the timer and ready
+// heaps and the thread chunks — so a run after Reset allocates only what
+// outgrows the previous runs. The schedule of a run after Reset is the
+// schedule the same setup gives on a fresh executive. Call Reset between
+// runs, never from a thread body; Shutdown stays the caller's duty when
+// the executive is dropped, since only Shutdown stops the workers.
+//
+// Two hazards come with the reuse:
+//   - a Timer handle from a previous run must not be used: sequence
+//     numbers restart, so a stale handle can match, and cancel, a timer of
+//     the new run that reuses its node;
+//   - a *Thread from a previous run aliases the new run's threads: its
+//     storage is cleared by Reset and carved again by the next Spawn.
+func (ex *Exec) Reset(tr *trace.Trace, opts Options) {
+	if ex.running {
+		panic("exec: Reset during Run")
+	}
+	ex.unwind()
+	for _, th := range ex.threads {
+		*th = Thread{}
+	}
+	clear(ex.threads)
+	ex.threads = ex.threads[:0]
+	ex.threadChunk, ex.nextChunk = nil, 0
+	for _, k := range ex.theap.a {
+		ex.freeTimer(k.node)
+	}
+	clear(ex.theap.a)
+	ex.theap.a = ex.theap.a[:0]
+	for d := range ex.readyQ {
+		clear(ex.readyQ[d].a)
+		ex.readyQ[d].a = ex.readyQ[d].a[:0]
+	}
+	clear(ex.cpuRun)
+	ex.pickBuf = ex.pickBuf[:0]
+	ex.now = 0
+	ex.migrations = 0
+	ex.next = nil
+	ex.phase = phaseIdle
+	ex.until, ex.zeroSteps, ex.lastNow, ex.drainSteps = 0, 0, 0, 0
+	ex.runErr = nil
+	ex.seq = 0
+	ex.shutdown = false
+	ex.errs = nil
+	ex.configure(tr, opts)
 }
 
 // PoolPeak returns the number of coroutine workers the executive has
-// made. Workers stay resident until Shutdown, so this is also the peak
-// number of thread bodies that were in progress at once.
+// made. Workers stay resident until Shutdown, and Reset keeps them, so
+// this is also the peak number of thread bodies that were in progress at
+// once in any run since construction.
 func (ex *Exec) PoolPeak() int { return ex.pool.made }
 
 // Trace returns the execution trace, and nil on the metrics-only fast
@@ -286,7 +369,11 @@ func (ex *Exec) newThread(name string, prio, affinity int, body func(tc *TC)) *T
 		ex.panicBadCPU(name, affinity)
 	}
 	if len(ex.threadChunk) == 0 {
-		ex.threadChunk = make([]Thread, chunkSize(len(ex.threads), 1))
+		if ex.nextChunk == len(ex.threadChunks) {
+			ex.threadChunks = append(ex.threadChunks, make([]Thread, chunkSize(len(ex.threads), 1)))
+		}
+		ex.threadChunk = ex.threadChunks[ex.nextChunk]
+		ex.nextChunk++
 	}
 	th := &ex.threadChunk[0]
 	ex.threadChunk = ex.threadChunk[1:]
@@ -382,6 +469,7 @@ func (ex *Exec) sleepUntil(th *Thread, until rtime.Time) {
 // the waker calls makeReady explicitly.
 func (ex *Exec) block(th *Thread, q *WaitQueue) {
 	th.state = stateBlocked
+	th.waitQ = q
 	ex.readyRemove(th)
 	if q != nil {
 		q.waiters = append(q.waiters, th)

@@ -279,12 +279,25 @@ func (ex *Exec) dispatch(cur *Thread) (killed bool) {
 // worker. Call after Run to avoid goroutine leaks when many executives are
 // created (e.g. in benchmarks). Each suspended body is resumed with its
 // kill flag set and unwinds to its worker, so Shutdown returns with every
-// worker goroutine gone.
+// worker goroutine gone. Reset unwinds the same way but keeps the workers
+// for the next run.
 func (ex *Exec) Shutdown() {
+	ex.unwind()
+	ex.pool.stopWorkers()
+}
+
+// unwind kills every thread body still in progress: each suspended body is
+// resumed with its kill flag set and unwinds to its worker, which goes
+// back to the free list. A thread blocked on a wait queue leaves it, so a
+// queue that outlives the run holds no killed thread.
+func (ex *Exec) unwind() {
 	ex.shutdown = true
 	for _, th := range ex.threads {
 		if th.state == stateDone {
 			continue
+		}
+		if th.state == stateBlocked && th.waitQ != nil {
+			th.waitQ.drop(th)
 		}
 		if th.co == nil {
 			// No body in progress, so there is nothing to unwind: a
@@ -296,5 +309,4 @@ func (ex *Exec) Shutdown() {
 		th.killed = true
 		th.co.resume()
 	}
-	ex.pool.stopWorkers()
 }

@@ -322,10 +322,11 @@ func (ex *Exec) setBasePrio(th *Thread, p int) {
 
 // pickReadyZeroCPUDomain returns the highest-ranked ready thread of
 // domain d that is not mid-consume (horizon drain). Threads mid-consume
-// are popped aside and re-pushed; the returned thread stays in the heap.
+// are popped aside, into the executive's scratch buffer, and re-pushed;
+// the returned thread stays in the heap.
 func (ex *Exec) pickReadyZeroCPUDomain(d int) *Thread {
 	h := &ex.readyQ[d]
-	var stash []*Thread
+	stash := ex.pickBuf[:0]
 	var found *Thread
 	for {
 		th := h.peek()
@@ -341,6 +342,7 @@ func (ex *Exec) pickReadyZeroCPUDomain(d int) *Thread {
 	for _, th := range stash {
 		h.push(th)
 	}
+	ex.pickBuf = stash
 	return found
 }
 

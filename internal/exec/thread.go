@@ -92,6 +92,16 @@ func (ex *Exec) NotifyAll(q *WaitQueue) {
 	q.waiters = q.waiters[:0]
 }
 
+// drop removes th from q's waiters, if it is there.
+func (q *WaitQueue) drop(th *Thread) {
+	for i, w := range q.waiters {
+		if w == th {
+			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+			return
+		}
+	}
+}
+
 // WithBudget runs fn under a virtual-time budget, the analogue of RTSJ's
 // Timed.doInterruptible: if fn does not complete within the budget, its
 // current (or next) Consume unwinds and WithBudget returns true. The

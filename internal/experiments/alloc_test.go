@@ -106,3 +106,97 @@ func TestAllocsTablesSimulationSystem(t *testing.T) {
 		})
 	}
 }
+
+// The allocations that remain when a table system executes on a warmed
+// campaignWorker are the framework objects the bridge builds for the
+// system; the executive, the VM, timer nodes, threads and coroutine
+// workers contribute none. TestAllocsTablesExecutionSystem pins them
+// exactly with these constants.
+const (
+	// execAllocsPerEvent is what the bridge builds for each aperiodic
+	// event of a system: the event (a core.ServableAsyncEvent, its
+	// rtsjvm.AsyncEvent and its servable-handler slice), the handler (a
+	// core.ServableAsyncEventHandler) and the timer callback (the closure
+	// rtsjvm.VM.FireAt arms for the event's rtsjvm.OneShotTimer).
+	execAllocsPerEvent = 5
+	// execAllocsPerRelease is the release record a server registers when
+	// the event fires before the horizon: one core release holding its
+	// EventRecord.
+	execAllocsPerRelease = 1
+)
+
+// execAllocsPerSystem is what each framework server costs per system,
+// on top of the events:
+//   - PS: the TaskServerParameters, the PollingTaskServer and its bound
+//     run method, its RealtimeThread, the body closure the thread spawns
+//     with and the RTC that body receives, and the slice Records returns
+//     (7);
+//   - DS: the TaskServerParameters, the DeferrableTaskServer, its wakeUp
+//     event with its name, its handler slice and the bound runOnce
+//     method, the AsyncEventHandler with its wait queue, bound body
+//     method and waiter slice, the replenishment PeriodicTimer with its
+//     Firable closure, label and bound fire method, and the slice
+//     Records returns (15).
+var execAllocsPerSystem = map[sim.ServerPolicy]int{
+	sim.LimitedPollingServer:    7,
+	sim.LimitedDeferrableServer: 15,
+}
+
+// TestAllocsTablesExecutionSystem pins the execution side of Tables 3 and
+// 5: on a warmed campaignWorker, all 60 table systems run on the worker's
+// one VM, reset between systems, and the cycle allocates exactly the
+// framework objects above — execAllocsPerEvent per aperiodic event,
+// execAllocsPerRelease per registered release and execAllocsPerSystem
+// per system. Any allocation by the executive, the VM, a timer node, a
+// thread or a coroutine worker breaks the equality.
+func TestAllocsTablesExecutionSystem(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; allocation counts are meaningless under -race")
+	}
+	type set struct {
+		p       gen.Params
+		systems []sim.System
+	}
+	var sets []set
+	events := 0
+	for _, key := range SetKeys {
+		p := GenParams(key)
+		s := set{p, gen.Generate(p)}
+		for _, sys := range s.systems {
+			events += len(sys.Aperiodics)
+		}
+		sets = append(sets, s)
+	}
+	model := DefaultExecModel()
+	for _, pol := range []sim.ServerPolicy{sim.LimitedPollingServer, sim.LimitedDeferrableServer} {
+		t.Run(pol.String(), func(t *testing.T) {
+			w := newCampaignWorker()
+			defer w.close()
+			systems, releases, served := 0, 0, 0
+			cycle := func() {
+				systems, releases, served = 0, 0, 0
+				for _, s := range sets {
+					for i, base := range s.systems {
+						sum, err := w.setSystem(s.p, base, i, pol, Execution, model)
+						if err != nil {
+							t.Fatal(err)
+						}
+						systems++
+						releases += sum.Total
+						served += sum.Served
+					}
+				}
+			}
+			cycle() // warm-up: the VM's storage grows to the largest system
+			runtime.GC()
+			want := execAllocsPerEvent*events + execAllocsPerRelease*releases + execAllocsPerSystem[pol]*systems
+			if n := testing.AllocsPerRun(5, cycle); n != float64(want) {
+				t.Errorf("%v allocations per %d-system cycle (%d events, %d releases), want %d",
+					n, systems, events, releases, want)
+			}
+			if systems != 60 || served == 0 || releases == 0 {
+				t.Fatalf("cycle ran %d systems, %d releases, %d served", systems, releases, served)
+			}
+		})
+	}
+}

@@ -121,10 +121,23 @@ func RunExecutionMetrics(sys sim.System, m ExecModel, horizon rtime.Time) (*Exec
 }
 
 func runExecution(sys sim.System, m ExecModel, horizon rtime.Time, tr *trace.Trace) (*ExecOutcome, error) {
+	vm := rtsjvm.NewVM(tr, m.Overheads, m.execOptions())
+	srv, err := runOnVM(vm, sys, m, horizon)
+	vm.Shutdown()
+	if err != nil {
+		return nil, err
+	}
+	return &ExecOutcome{Trace: vm.Trace(), Records: srv.Records(), Server: srv}, nil
+}
+
+// runOnVM realizes sys on vm — fresh from NewVM, or just reset — and runs
+// it to the horizon. It returns the server that ran the handlers, and
+// leaves the VM's bodies parked where the horizon found them: the caller
+// resets the VM for its next system or shuts it down.
+func runOnVM(vm *rtsjvm.VM, sys sim.System, m ExecModel, horizon rtime.Time) (core.TaskServer, error) {
 	if sys.Server == nil {
 		return nil, fmt.Errorf("experiments: execution needs a task server")
 	}
-	vm := rtsjvm.NewVM(tr, m.Overheads, m.execOptions())
 	spec := *sys.Server
 	name := spec.Name
 	params := core.NewTaskServerParameters(0, spec.Capacity, spec.Period)
@@ -171,20 +184,16 @@ func runExecution(sys sim.System, m ExecModel, horizon rtime.Time, tr *trace.Tra
 		vm.NewOneShotTimer(a.Release, e, jn).Start()
 	}
 
-	err := vm.Run(horizon)
-	if err == nil {
-		// The scheduler invariant net runs after every execution: one
-		// O(threads) pass, so the whole experiment corpus doubles as its
-		// test bed.
-		if ierr := vm.Exec().CheckInvariants(); ierr != nil {
-			err = fmt.Errorf("experiments: post-run invariants: %w", ierr)
-		}
-	}
-	vm.Shutdown()
-	if err != nil {
+	if err := vm.Run(horizon); err != nil {
 		return nil, err
 	}
-	return &ExecOutcome{Trace: vm.Trace(), Records: srv.Records(), Server: srv}, nil
+	// The scheduler invariant net runs after every execution: one
+	// O(threads) pass, so the whole experiment corpus doubles as its test
+	// bed.
+	if err := vm.Exec().CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("experiments: post-run invariants: %w", err)
+	}
+	return srv, nil
 }
 
 // SimEvents extracts the metric events of a simulation.

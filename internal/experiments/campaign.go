@@ -10,6 +10,7 @@ import (
 	"rtsj/internal/harness"
 	"rtsj/internal/metrics"
 	"rtsj/internal/rtime"
+	"rtsj/internal/rtsjvm"
 	"rtsj/internal/sim"
 )
 
@@ -122,13 +123,17 @@ func RunCampaignRange(s CampaignSpec, point, lo, hi int) (metrics.Partial, error
 }
 
 // campaignWorker is the state one reducer goroutine reuses for every
-// system it runs, in a campaign range or a table set: the generator
-// buffer, the simulator and the event slice of the fold. After warm-up a
-// simulated system allocates nothing.
+// system it runs, in a campaign range or a table cell: the generator
+// buffer, the simulator, the event slice of the fold and, built on the
+// first executed system, the execution platform. After warm-up a
+// simulated system allocates nothing. Whoever makes a worker that may
+// execute must close it, since only Shutdown stops the VM's resident
+// coroutines.
 type campaignWorker struct {
 	buf    gen.Buffer
 	runner sim.Runner
 	events []metrics.Event
+	vm     *rtsjvm.VM // nil until the first executed system
 }
 
 func newCampaignWorker() *campaignWorker { return new(campaignWorker) }
@@ -142,6 +147,40 @@ func (w *campaignWorker) simulate(sys sim.System, horizon rtime.Time) ([]metrics
 	}
 	w.events = metrics.AppendSimEvents(slices.Grow(w.events[:0], len(r.Jobs)), r)
 	return w.events, nil
+}
+
+// execute runs sys on the worker's VM, built on first use and reset for
+// every later system, and returns its metric events in the worker's event
+// slice, which the next call overwrites. On error the VM is shut down and
+// dropped: the next system gets a fresh one.
+func (w *campaignWorker) execute(sys sim.System, m ExecModel, horizon rtime.Time) ([]metrics.Event, error) {
+	if w.vm == nil {
+		w.vm = rtsjvm.NewVM(nil, m.Overheads, m.execOptions())
+	} else {
+		w.vm.Reset(nil, m.Overheads, m.execOptions())
+	}
+	srv, err := runOnVM(w.vm, sys, m, horizon)
+	if err != nil {
+		w.close()
+		return nil, err
+	}
+	// metrics.FromRecords' mapping, appended to the worker's slice.
+	w.events = w.events[:0]
+	for _, r := range srv.Records() {
+		w.events = append(w.events, metrics.Event{
+			Name: r.Handler, Released: r.Released, Finished: r.Finished,
+			Served: r.Served, Interrupted: r.Interrupted, Shed: r.Shed,
+		})
+	}
+	return w.events, nil
+}
+
+// close shuts the worker's VM down, if it has one.
+func (w *campaignWorker) close() {
+	if w.vm != nil {
+		w.vm.Shutdown()
+		w.vm = nil
+	}
 }
 
 // system generates, simulates and folds system i of p into a partial of

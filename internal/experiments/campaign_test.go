@@ -219,6 +219,49 @@ func TestServeShardOversizedSpec(t *testing.T) {
 	}
 }
 
+// TestServeShardRangeCap asks for one system more than a request may:
+// the worker answers with an error response, computes nothing and ends
+// the session. (TestShardedBatchCapped has a request at the cap served.)
+func TestServeShardRangeCap(t *testing.T) {
+	s := testCampaignSpec()
+	s.Systems = maxShardRangeSystems + 1
+	req, _ := json.Marshal(ShardRequest{V: ShardProtocolVersion, Spec: s, Lo: 0, Hi: maxShardRangeSystems + 1})
+	var out bytes.Buffer
+	err := ServeShard(bytes.NewReader(append(req, '\n')), &out)
+	if err == nil || !strings.Contains(err.Error(), "more than the 65536 one request may") {
+		t.Fatalf("err = %v, want the range cap", err)
+	}
+	var resp ShardResponse
+	if derr := json.NewDecoder(&out).Decode(&resp); derr != nil {
+		t.Fatalf("no error response emitted: %v", derr)
+	}
+	if resp.Error == "" || resp.Partial != nil || resp.Hi != maxShardRangeSystems+1 {
+		t.Fatalf("response %+v, want an error for the echoed range and no partial", resp)
+	}
+}
+
+// TestShardedBatchCapped runs a sharded campaign with a batch beyond the
+// range cap: the coordinator deals chunks the worker accepts, and the
+// curve equals the in-process one.
+func TestShardedBatchCapped(t *testing.T) {
+	s := testCampaignSpec()
+	s.Points = s.Points[:1]
+	s.Systems = maxShardRangeSystems + 10
+	want, err := RunCampaign(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := pipeShards(t, 1)
+	defer closeShards(conns)
+	got, err := RunCampaignSharded(s, conns, 10*maxShardRangeSystems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Format() != want.Format() {
+		t.Errorf("sharded curve\n%s\nin-process\n%s", got.Format(), want.Format())
+	}
+}
+
 // fakeShard scripts a coordinator-side failure: it answers every request
 // with a fixed mutation of the honest response.
 func fakeShard(t *testing.T, mutate func(*ShardResponse)) ShardConn {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"rtsj/internal/harness"
 	"rtsj/internal/metrics"
 	"rtsj/internal/sim"
 )
@@ -30,33 +29,31 @@ var MatrixPolicies = []sim.ServerPolicy{
 // sees unbounded slack and acts as an immediate-service upper baseline
 // while background acts as a FIFO baseline.
 //
-// The policy x set grid is flattened into independent cells and fanned
-// across the harness worker pool; each cell is a RunSet simulation, which
-// additionally parallelizes its ten generated systems. Cell placement is by index, so the resulting
-// matrix is bit-identical for any worker count.
+// The policy x set grid runs as one runCells fan-out over every cell's
+// systems; cells aggregate in system order, so the resulting matrix is
+// bit-identical for any worker count.
 func RunPolicyMatrix() (*PolicyMatrix, error) {
 	m := &PolicyMatrix{
 		Policies: MatrixPolicies,
 		Cells:    make(map[sim.ServerPolicy]map[string]metrics.SetSummary),
 	}
-	nSets := len(SetKeys)
-	cells, err := harness.MapN(0, len(m.Policies)*nSets, func(i int) (metrics.SetSummary, error) {
-		pol, key := m.Policies[i/nSets], SetKeys[i%nSets]
-		s, err := RunSet(key, pol, Simulation, ExecModel{})
-		if err != nil {
-			return metrics.SetSummary{}, fmt.Errorf("matrix %v %s: %v", pol, key, err)
+	var cells []tableCell
+	for _, pol := range m.Policies {
+		for _, key := range SetKeys {
+			cells = append(cells, tableCell{key: key, policy: pol, mode: Simulation})
 		}
-		return s, nil
+	}
+	sums, err := runCells(cells, ExecModel{}, func(c tableCell, err error) error {
+		return fmt.Errorf("matrix %v %s: %v", c.policy, c.key, err)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, cell := range cells {
-		pol, key := m.Policies[i/nSets], SetKeys[i%nSets]
-		if m.Cells[pol] == nil {
-			m.Cells[pol] = make(map[string]metrics.SetSummary)
+	for i, c := range cells {
+		if m.Cells[c.policy] == nil {
+			m.Cells[c.policy] = make(map[string]metrics.SetSummary)
 		}
-		m.Cells[pol][key] = cell
+		m.Cells[c.policy][c.key] = sums[i]
 	}
 	return m, nil
 }

@@ -6,6 +6,7 @@ import (
 	"rtsj/internal/exec"
 	"rtsj/internal/faults"
 	"rtsj/internal/rtime"
+	"rtsj/internal/sim"
 )
 
 // Pinned fingerprints of the canonical scenario configurations
@@ -107,33 +108,59 @@ func TestOverloadMatrix(t *testing.T) {
 	}
 }
 
-// TestOverloadMissPolicies pins the miss-storm fingerprint under each
-// non-default miss policy. The continue-late pin was captured from
-// looping periodics and the abort pin from activation ones; activation
-// periodics matched the looping pin too.
+// overrunPeriodics is a hard periodic set too heavy for the CPU the
+// miss-storm's saturated deferrable server leaves (utilization 0.94
+// against about a third), so its tasks overrun their periods and each
+// miss policy schedules differently.
+func overrunPeriodics() []sim.PeriodicTask {
+	return []sim.PeriodicTask{
+		{Name: "tau1", Period: 12 * rtime.TU, Cost: 4 * rtime.TU, Priority: 50},
+		{Name: "tau2", Period: 18 * rtime.TU, Cost: 6 * rtime.TU, Priority: 40},
+		{Name: "tau3", Period: 36 * rtime.TU, Cost: 10 * rtime.TU, Priority: 30},
+	}
+}
+
+// TestOverloadMissPolicies pins the miss-storm under each miss policy,
+// with the storm's hard periodics replaced by overrunPeriodics: under
+// skip the periodics miss deadlines, and the three policies must give
+// three different fingerprints. (With the scenario's own periodic set
+// nothing overruns, and all policies share one fingerprint.)
 func TestOverloadMissPolicies(t *testing.T) {
+	fps := map[uint64]string{}
 	for _, tc := range []struct {
 		name string
 		miss exec.MissPolicy
 		want uint64
 	}{
-		{"continue-late", exec.MissContinueLate, 0x880273e5fda40b58},
-		{"abort", exec.MissAbort, 0x880273e5fda40b58},
+		{"skip", exec.MissSkip, 0x56adab6bb37f5e7c},
+		{"continue-late", exec.MissContinueLate, 0x84e2f4e5c636a7ff},
+		{"abort", exec.MissAbort, 0x50b4e810300d65a9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := DefaultOverloadParams(OverloadMissStorm)
-			p.Events = 120
 			p.PeriodicMiss = tc.miss
-			r, err := RunOverload(p)
+			sys, err := buildOverloadSystem(p)
 			if err != nil {
+				t.Fatal(err)
+			}
+			sys.periodics = overrunPeriodics()
+			r := &OverloadResult{Scenario: p.Scenario, Events: len(sys.jobs), Fingerprint: 14695981039346656037}
+			if err := runOverloadOnce(p, sys, r); err != nil {
 				t.Fatal(err)
 			}
 			if len(r.Violations) != 0 {
 				t.Errorf("invariant violations: %v", r.Violations)
 			}
+			if tc.miss == exec.MissSkip && r.PeriodicMisses == 0 {
+				t.Error("the hard periodics never overran: the pin cannot tell the policies apart")
+			}
 			if r.Fingerprint != tc.want {
 				t.Errorf("fingerprint %#x, pinned %#x", r.Fingerprint, tc.want)
 			}
+			if other, dup := fps[r.Fingerprint]; dup {
+				t.Errorf("fingerprint %#x equals the %s policy's", r.Fingerprint, other)
+			}
+			fps[r.Fingerprint] = tc.name
 		})
 	}
 }

@@ -59,7 +59,8 @@ type ShardResponse struct {
 // version-mismatched request, or a failing range, is answered with an
 // error response (when the stream still permits one) and terminates the
 // session with a non-nil error — a confused coordinator must not be
-// half-served.
+// half-served. So is a request for more than maxShardRangeSystems
+// systems.
 //
 // cmd/shard wires this to stdin/stdout or to accepted TCP connections.
 func ServeShard(r io.Reader, w io.Writer) error {
@@ -131,6 +132,14 @@ func ServeShardStats(r io.Reader, w io.Writer, st *ShardStats) error {
 			_ = respond(ShardResponse{Point: req.Point, Lo: req.Lo, Hi: req.Hi, Error: werr.Error()})
 			return werr
 		}
+		if n := req.Hi - req.Lo; n > maxShardRangeSystems {
+			werr := fmt.Errorf("shard: range [%d, %d) asks for %d systems, more than the %d one request may",
+				req.Lo, req.Hi, n, maxShardRangeSystems)
+			st.Requests.Inc()
+			st.Errors.Inc()
+			_ = respond(ShardResponse{Point: req.Point, Lo: req.Lo, Hi: req.Hi, Error: werr.Error()})
+			return werr
+		}
 		st.Requests.Inc()
 		st.InFlight.Add(1)
 		began := time.Now()
@@ -148,6 +157,12 @@ func ServeShardStats(r io.Reader, w io.Writer, st *ShardStats) error {
 		}
 	}
 }
+
+// maxShardRangeSystems bounds the systems one request may ask for
+// (Hi - Lo), so a peer cannot pin a worker on one endless range. The
+// coordinator never deals larger chunks; at a few microseconds per
+// simulated system a full range takes well under a second.
+const maxShardRangeSystems = 1 << 16
 
 // maxShardRequestBytes bounds one request line, so a peer that never ends
 // its line cannot grow the worker's read buffer without limit. A stock
@@ -297,7 +312,8 @@ func (ss *shardSession) run(s CampaignSpec, work []shardChunk) ([]rangedPartial,
 // RunCampaignSharded runs the campaign across the connected shard workers
 // and merges their partials into the curve. Each sweep point's index space
 // is split into chunks of batch systems (batch <= 0 picks a default that
-// keeps every shard several chunks deep); chunks are dealt round-robin and
+// keeps every shard several chunks deep; either is capped at the range a
+// worker serves per request); chunks are dealt round-robin and
 // each worker processes its chunks in order over its connection.
 //
 // A failing shard does not abort the campaign outright: the shard is
@@ -338,6 +354,7 @@ func RunCampaignShardedOpts(s CampaignSpec, shards []ShardConn, batch int, opts 
 			batch = 1
 		}
 	}
+	batch = min(batch, maxShardRangeSystems) // the most a worker serves per request
 	var chunks []shardChunk
 	for point := range s.Points {
 		for lo := 0; lo < s.Systems; lo += batch {

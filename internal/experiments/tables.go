@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"rtsj/internal/gen"
 	"rtsj/internal/harness"
@@ -85,44 +86,112 @@ const (
 )
 
 // RunSet measures one generated set under a policy and mode, returning the
-// per-set averages. The generated systems are independent work units: they
-// are fanned across the harness worker pool, each worker simulating on
-// its own reused campaignWorker, and the summaries are folded in system
-// order, which keeps the result bit-identical to a serial run for any
-// worker count.
+// per-set averages. It is a one-cell runCells: the set's systems fan out
+// across the harness worker pool and fold in system order.
 func RunSet(key string, policy sim.ServerPolicy, mode Mode, model ExecModel) (metrics.SetSummary, error) {
-	p := GenParams(key)
-	systems := gen.Generate(p)
-	summaries, err := harness.ReduceN(0, len(systems), make([]metrics.Summary, len(systems)), newCampaignWorker,
-		func(w *campaignWorker, i int) (metrics.Summary, error) {
-			return w.setSystem(p, systems[i], i, policy, mode, model)
-		},
-		func(out []metrics.Summary, i int, s metrics.Summary) []metrics.Summary { out[i] = s; return out })
+	sums, err := runCells([]tableCell{{key: key, policy: policy, mode: mode}}, model, nil)
 	if err != nil {
 		return metrics.SetSummary{}, err
 	}
-	return metrics.Aggregate(summaries), nil
+	return sums[0], nil
+}
+
+// tableCell is one (set, policy, mode) cell of a table or of the policy
+// matrix.
+type tableCell struct {
+	table  string // the table the cell belongs to, for error context
+	key    string
+	policy sim.ServerPolicy
+	mode   Mode
+}
+
+// runCells measures every cell in one fan-out over all their systems.
+// Each distinct set is generated once. Every harness worker runs its share
+// of the cells × systems units on one campaignWorker, whose gen buffer,
+// sim.Runner and VM carry over from unit to unit and from cell to cell;
+// the workers' VMs are shut down once the fan-out returns, on success or
+// error. The fold stores each system's summary under its cell, and each
+// cell aggregates its summaries in system order, so every cell is
+// bit-identical to a serial run for any worker count. wrap, when non-nil,
+// adds the failing cell's context to an error.
+func runCells(cells []tableCell, model ExecModel, wrap func(c tableCell, err error) error) ([]metrics.SetSummary, error) {
+	type set struct {
+		p       gen.Params
+		systems []sim.System
+	}
+	sets := make(map[string]*set, len(SetKeys))
+	cellSets := make([]*set, len(cells))
+	type unit struct{ cell, sys int }
+	var units []unit
+	sums := make([][]metrics.Summary, len(cells))
+	for c, cell := range cells {
+		st := sets[cell.key]
+		if st == nil {
+			p := GenParams(cell.key)
+			st = &set{p, gen.Generate(p)}
+			sets[cell.key] = st
+		}
+		cellSets[c] = st
+		sums[c] = make([]metrics.Summary, len(st.systems))
+		for i := range st.systems {
+			units = append(units, unit{c, i})
+		}
+	}
+	var mu sync.Mutex
+	var workers []*campaignWorker
+	defer func() {
+		for _, w := range workers {
+			w.close()
+		}
+	}()
+	newWorker := func() *campaignWorker {
+		w := newCampaignWorker()
+		mu.Lock()
+		workers = append(workers, w)
+		mu.Unlock()
+		return w
+	}
+	_, err := harness.ReduceN(0, len(units), sums, newWorker,
+		func(w *campaignWorker, u int) (metrics.Summary, error) {
+			c, i := units[u].cell, units[u].sys
+			st := cellSets[c]
+			s, err := w.setSystem(st.p, st.systems[i], i, cells[c].policy, cells[c].mode, model)
+			if err != nil && wrap != nil {
+				err = wrap(cells[c], err)
+			}
+			return s, err
+		},
+		func(out [][]metrics.Summary, u int, s metrics.Summary) [][]metrics.Summary {
+			out[units[u].cell][units[u].sys] = s
+			return out
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]metrics.SetSummary, len(cells))
+	for c := range cells {
+		out[c] = metrics.Aggregate(sums[c])
+	}
+	return out, nil
 }
 
 // setSystem measures system i of a set generated from p: base with the
 // policy's server attached, simulated on the worker's Runner or executed
-// on a fresh VM. The summary is a plain value: nothing in it aliases w.
+// on the worker's VM. The summary is a plain value: nothing in it aliases
+// w.
 func (w *campaignWorker) setSystem(p gen.Params, base sim.System, i int, policy sim.ServerPolicy, mode Mode, model ExecModel) (metrics.Summary, error) {
 	sys := w.buf.WithServer(base, p, policy, 100)
 	var evs []metrics.Event
+	var err error
 	switch mode {
 	case Simulation:
-		var err error
-		if evs, err = w.simulate(sys, p.Horizon()); err != nil {
-			return metrics.Summary{}, err
-		}
+		evs, err = w.simulate(sys, p.Horizon())
 	case Execution:
 		model.SysIndex = i
-		o, err := RunExecutionMetrics(sys, model, p.Horizon())
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		evs = ExecEvents(o)
+		evs, err = w.execute(sys, model, p.Horizon())
+	}
+	if err != nil {
+		return metrics.Summary{}, err
 	}
 	return metrics.Summarize(evs), nil
 }
@@ -140,40 +209,50 @@ var tableSpecs = map[string]struct {
 	"5": {"Measures on Deferrable Server executions", sim.LimitedDeferrableServer, Execution, PaperTable5},
 }
 
-// RunTable regenerates one of the paper's Tables 2-5, fanning the six set
-// cells across the harness worker pool.
+// RunTable regenerates one of the paper's Tables 2-5.
 func RunTable(id string) (*Table, error) {
-	spec, ok := tableSpecs[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: no table %q (have 2-5)", id)
-	}
-	t := &Table{ID: id, Title: spec.title, Paper: spec.paper, Measured: make(map[string]Cell)}
-	model := DefaultExecModel()
-	cells, err := harness.Map(0, SetKeys, func(_ int, key string) (Cell, error) {
-		s, err := RunSet(key, spec.policy, spec.mode, model)
-		if err != nil {
-			return Cell{}, fmt.Errorf("table %s, set %s: %v", id, key, err)
-		}
-		return Cell{AART: s.AART, AIR: s.AIR, ASR: s.ASR}, nil
-	})
+	tabs, err := RunTables([]string{id})
 	if err != nil {
 		return nil, err
 	}
-	for i, key := range SetKeys {
-		t.Measured[key] = cells[i]
-	}
-	return t, nil
+	return tabs[0], nil
 }
 
 // TableIDs lists the paper's measurement tables.
 var TableIDs = []string{"2", "3", "4", "5"}
 
-// RunTables regenerates several tables concurrently (the full evaluation
-// when ids is TableIDs), preserving the requested order.
+// RunTables regenerates several tables (the full evaluation when ids is
+// TableIDs), preserving the requested order. Every (table, set) cell runs
+// in one runCells fan-out, so each set is generated once and each worker
+// keeps one execution platform across all the tables.
 func RunTables(ids []string) ([]*Table, error) {
-	return harness.Map(0, ids, func(_ int, id string) (*Table, error) {
-		return RunTable(id)
+	var cells []tableCell
+	for _, id := range ids {
+		spec, ok := tableSpecs[id]
+		if !ok {
+			return nil, fmt.Errorf("experiments: no table %q (have 2-5)", id)
+		}
+		for _, key := range SetKeys {
+			cells = append(cells, tableCell{table: id, key: key, policy: spec.policy, mode: spec.mode})
+		}
+	}
+	sums, err := runCells(cells, DefaultExecModel(), func(c tableCell, err error) error {
+		return fmt.Errorf("table %s, set %s: %v", c.table, c.key, err)
 	})
+	if err != nil {
+		return nil, err
+	}
+	tabs := make([]*Table, len(ids))
+	for t, id := range ids {
+		spec := tableSpecs[id]
+		tab := &Table{ID: id, Title: spec.title, Paper: spec.paper, Measured: make(map[string]Cell, len(SetKeys))}
+		for k, key := range SetKeys {
+			s := sums[t*len(SetKeys)+k]
+			tab.Measured[key] = Cell{AART: s.AART, AIR: s.AIR, ASR: s.ASR}
+		}
+		tabs[t] = tab
+	}
+	return tabs, nil
 }
 
 // Format renders the table with measured-vs-paper rows.

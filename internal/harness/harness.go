@@ -1,6 +1,6 @@
-// Package harness runs independent experiment work units — per-system runs
-// inside a set, per-set cells inside a table, per-cell entries of the policy
-// matrix, per-config sweeps — across a bounded worker pool.
+// Package harness runs independent experiment work units — the systems
+// of every cell of the tables or of the policy matrix, the systems of a
+// campaign range, per-config sweeps — across a bounded worker pool.
 //
 // The paper's evaluation is embarrassingly parallel (6 policies x 6 sets x
 // 10 generated systems, every unit seeded deterministically), so the only
@@ -12,8 +12,8 @@
 // is O(workers + reorder window), independent of the item count, and each
 // of its goroutines owns one reusable state, so a unit can run on storage
 // warmed by the previous one. Map and MapN are ReduceN callers whose fold
-// stores every result in an item-ordered slice — fine for a table's ten
-// systems, prohibitive for a million-system campaign.
+// stores every result in an item-ordered slice — fine for the figures,
+// prohibitive for a million-system campaign.
 package harness
 
 import (
@@ -63,8 +63,9 @@ func Workers() int {
 }
 
 // extraWorkers counts the helper goroutines live across every ReduceN call
-// in the process. Calls nest (tables -> sets -> systems); the process-wide
-// budget keeps total concurrency bounded by Workers() no matter how deep.
+// in the process. Calls may nest (each figure of experiments.RunFigures runs its two
+// engines in a nested MapN); the process-wide budget keeps total
+// concurrency bounded by Workers() no matter how deep.
 var extraWorkers atomic.Int64
 
 func acquireWorker(limit int64) bool {

@@ -18,6 +18,19 @@
 // VM.Trace afterwards), the overhead model and the exec.Options of the
 // executive, such as a virtual CPU count.
 //
+// # Lifecycle
+//
+// A VM follows its executive's lifecycle: NewVM → Run → Reset → Run … →
+// Shutdown. VM.Reset resets the executive (exec.Exec.Reset), empties the
+// timer daemon's firing queue in place, clears the feasibility set and
+// spawns the timer daemon again, so the next system starts from the state
+// NewVM builds on storage the previous runs grew. Events, handlers, timers
+// and threads made before a Reset belong to the run it ended. The owner of
+// the VM calls Shutdown once, when it drops the VM: it is the only call
+// that stops the executive's resident coroutine workers. The execution
+// tables keep one VM per harness worker this way
+// (internal/experiments).
+//
 // # Periodic emulation modes
 //
 // A periodic realtime thread can be emulated two ways, with identical

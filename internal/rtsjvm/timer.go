@@ -55,6 +55,8 @@ type PeriodicTimer struct {
 	stopped  bool
 	started  bool
 	timer    exec.Timer
+	next     rtime.Time // the instant the armed firing is due
+	fire     func()     // onFire, bound once so re-arming allocates nothing
 }
 
 // NewPeriodicTimer creates a periodic timer. Call Start to arm it.
@@ -71,17 +73,22 @@ func (t *PeriodicTimer) Start() {
 		return
 	}
 	t.started = true
+	t.fire = t.onFire
 	t.arm(t.start)
 }
 
 func (t *PeriodicTimer) arm(at rtime.Time) {
-	t.timer = t.vm.ex.At(at, func() {
-		if t.stopped {
-			return
-		}
-		t.vm.enqueueFire(t.target, t.label)
-		t.arm(at.Add(t.interval))
-	})
+	t.next = at
+	t.timer = t.vm.ex.At(at, t.fire)
+}
+
+// onFire hands one firing to the timer daemon and arms the next.
+func (t *PeriodicTimer) onFire() {
+	if t.stopped {
+		return
+	}
+	t.vm.enqueueFire(t.target, t.label)
+	t.arm(t.next.Add(t.interval))
 }
 
 // Stop disarms the timer permanently.

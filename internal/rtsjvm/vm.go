@@ -59,6 +59,7 @@ type VM struct {
 	pending []pendingFire // firings queued for the daemon; pending[head:] are unserved
 	head    int
 	sched   *PriorityScheduler
+	daemon  func(tc *exec.TC) // daemonBody, bound once so Reset re-spawns it for free
 }
 
 // NewVM creates a VM recording into tr, with the given overhead model, on
@@ -72,8 +73,27 @@ func NewVM(tr *trace.Trace, oh Overheads, opts exec.Options) *VM {
 		daemonQ: exec.NewWaitQueue("timerd"),
 		sched:   NewPriorityScheduler(),
 	}
-	vm.ex.Spawn("timerd", TimerPriority, 0, vm.daemonBody)
+	vm.daemon = vm.daemonBody
+	vm.ex.Spawn("timerd", TimerPriority, 0, vm.daemon)
 	return vm
+}
+
+// Reset returns the VM to the state NewVM(tr, oh, opts) builds, on the
+// same executive: exec.Exec.Reset unwinds the previous run's bodies and
+// keeps its storage, the daemon's firing queue and wait queue are emptied
+// in place, the feasibility set is emptied and the timer daemon is
+// spawned again. A run after Reset gives the schedule the same setup gives
+// on a fresh VM. Objects made on the VM before Reset (events, handlers,
+// timers, threads) belong to the previous run and must not be used; see
+// exec.Exec.Reset for the two hazards of stale Timer and Thread handles.
+// Shutdown stops the resident workers once the VM is dropped.
+func (vm *VM) Reset(tr *trace.Trace, oh Overheads, opts exec.Options) {
+	vm.ex.Reset(tr, opts)
+	vm.oh = oh
+	clear(vm.pending)
+	vm.pending, vm.head = vm.pending[:0], 0
+	vm.sched.set = nil
+	vm.ex.Spawn("timerd", TimerPriority, 0, vm.daemon)
 }
 
 // Exec exposes the underlying executive.
@@ -94,7 +114,8 @@ func (vm *VM) Now() rtime.Time { return vm.ex.Now() }
 // Run advances the system until the horizon (or quiescence).
 func (vm *VM) Run(until rtime.Time) error { return vm.ex.Run(until) }
 
-// Shutdown unwinds all thread goroutines; call once per VM after Run.
+// Shutdown unwinds all thread goroutines and stops the executive's
+// workers; call once per VM, after its last Run.
 func (vm *VM) Shutdown() { vm.ex.Shutdown() }
 
 // daemonBody is the timer daemon: it pops due firings scheduled by
