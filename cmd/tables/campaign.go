@@ -128,8 +128,10 @@ func dispatchCampaign(spec experiments.CampaignSpec, cf campaignFlags, workers i
 
 // runCampaignSubprocess spawns n shard worker processes speaking the wire
 // protocol over their stdin/stdout pipes. The coordinator's -workers value
-// is forwarded to every shard: the flag bounds each process's pool, so n
-// shards run up to n*workers simulation goroutines machine-wide.
+// is forwarded to every shard, where it bounds that process's pool. It
+// also bounds the coordinator's own pool (harness.Workers), which drives
+// the sessions: at most min(n, harness.Workers()) shards are busy at
+// once, so -shards 4 -workers 1 keeps one shard busy at a time.
 func runCampaignSubprocess(spec experiments.CampaignSpec, n int, bin string, batch, workers int, opts experiments.CampaignOptions, stderr io.Writer) (*experiments.Curve, error) {
 	conns := make([]experiments.ShardConn, n)
 	cmds := make([]*exec.Cmd, n)

@@ -27,8 +27,8 @@
 // called Run, a trampoline that resumes the chosen thread's worker: a
 // real context switch is one coroutine yield plus one resume, and never
 // passes through the Go scheduler. The ready queues and the timer queue
-// are binary heaps. Use New for the defaults and NewWithOptions for full
-// configuration.
+// are binary heaps. NewWithOptions is the one constructor; a zero Options
+// gives the uniprocessor defaults.
 //
 // Determinism is checked two ways. The differential tests run every
 // scenario on every configuration (looping or activation periodics,
@@ -74,8 +74,8 @@
 //
 // # Lifecycle
 //
-// An executive goes New → Run → Reset → Run … → Shutdown. NewWithOptions
-// builds it; threads are spawned and timers armed before a Run, and a Run
+// An executive goes NewWithOptions → Run → Reset → Run … → Shutdown.
+// Threads are spawned and timers armed before a Run, and a Run
 // may be followed by more spawns and a later Run with a further horizon.
 // Reset ends a run for good: it unwinds every body still in progress (as
 // Shutdown does) and returns the executive to the state NewWithOptions

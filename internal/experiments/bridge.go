@@ -16,6 +16,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 
 	"rtsj/internal/core"
@@ -104,9 +105,7 @@ func RunSimulationMetrics(sys sim.System, horizon rtime.Time) (*sim.Result, erro
 
 // RunExecution realizes sys on the Task Server Framework and runs it on
 // the RTSJ emulation until the horizon, recording a full trace. The
-// system's server policy selects the framework server: polling policies map
-// to PollingTaskServer, deferrable ones to DeferrableTaskServer (executions
-// are inherently "limited": that is the point of the paper).
+// system's server policy selects the framework server (see newTaskServer).
 func RunExecution(sys sim.System, m ExecModel, horizon rtime.Time) (*ExecOutcome, error) {
 	return runExecution(sys, m, horizon, trace.New())
 }
@@ -138,51 +137,15 @@ func runOnVM(vm *rtsjvm.VM, sys sim.System, m ExecModel, horizon rtime.Time) (co
 	if sys.Server == nil {
 		return nil, fmt.Errorf("experiments: execution needs a task server")
 	}
-	spec := *sys.Server
-	name := spec.Name
-	params := core.NewTaskServerParameters(0, spec.Capacity, spec.Period)
-	var srv core.TaskServer
-	switch spec.Policy {
-	case sim.PollingServer, sim.LimitedPollingServer:
-		if name == "" {
-			name = "PS"
-		}
-		srv = core.NewPollingTaskServer(vm, name, spec.Priority, params)
-	case sim.DeferrableServer, sim.LimitedDeferrableServer:
-		if name == "" {
-			name = "DS"
-		}
-		srv = core.NewDeferrableTaskServer(vm, name, spec.Priority, params)
-	case sim.SporadicServer:
-		if name == "" {
-			name = "SS"
-		}
-		srv = core.NewSporadicTaskServer(vm, name, spec.Priority, params)
-	default:
-		return nil, fmt.Errorf("experiments: policy %v has no framework implementation", spec.Policy)
+	srv, err := newTaskServer(vm, *sys.Server)
+	if err != nil {
+		return nil, err
 	}
-
 	for _, pt := range sys.Periodics {
 		pp := &rtsjvm.PeriodicParameters{Start: pt.Offset, Period: pt.Period, Cost: pt.Cost, Deadline: pt.Deadline}
 		vm.NewActivationThread(pt.Name, pt.Priority, pp, func(r *rtsjvm.RTC) { r.Consume(pt.Cost) })
 	}
-
-	for i := range sys.Aperiodics {
-		a := sys.Aperiodics[i]
-		jn := a.Name
-		if jn == "" {
-			jn = sim.AperiodicName(i) // must match the sim engine's naming
-		}
-		actual := a.Cost
-		if m.CostNoise > 0 {
-			u := gen.Noise(m.NoiseSeed, m.SysIndex, i)
-			actual = rtime.Duration(float64(actual) * (1 + u*m.CostNoise))
-		}
-		h := core.NewServableAsyncEventHandler(srv, jn, a.DeclaredCost()).SetActualCost(actual)
-		e := core.NewServableAsyncEvent(vm, jn)
-		e.AddServableHandler(h)
-		vm.NewOneShotTimer(a.Release, e, jn).Start()
-	}
+	releaseAperiodics(vm, srv, sys.Aperiodics, m, horizon)
 
 	if err := vm.Run(horizon); err != nil {
 		return nil, err
@@ -194,6 +157,54 @@ func runOnVM(vm *rtsjvm.VM, sys sim.System, m ExecModel, horizon rtime.Time) (co
 		return nil, fmt.Errorf("experiments: post-run invariants: %w", err)
 	}
 	return srv, nil
+}
+
+// newTaskServer builds the framework server spec asks for on vm: polling
+// policies map to PollingTaskServer, deferrable ones to
+// DeferrableTaskServer and the sporadic one to SporadicTaskServer
+// (executions are inherently "limited": that is the point of the paper).
+// An unnamed server is named "PS", "DS" or "SS" after its class.
+func newTaskServer(vm *rtsjvm.VM, spec sim.ServerSpec) (core.TaskServer, error) {
+	params := core.NewTaskServerParameters(0, spec.Capacity, spec.Period)
+	switch spec.Policy {
+	case sim.PollingServer, sim.LimitedPollingServer:
+		return core.NewPollingTaskServer(vm, cmp.Or(spec.Name, "PS"), spec.Priority, params), nil
+	case sim.DeferrableServer, sim.LimitedDeferrableServer:
+		return core.NewDeferrableTaskServer(vm, cmp.Or(spec.Name, "DS"), spec.Priority, params), nil
+	case sim.SporadicServer:
+		return core.NewSporadicTaskServer(vm, cmp.Or(spec.Name, "SS"), spec.Priority, params), nil
+	}
+	return nil, fmt.Errorf("experiments: policy %v has no framework implementation", spec.Policy)
+}
+
+// releaseAperiodics wires each job released before the horizon to srv: a
+// servable handler, named as the sim engine names the job, bound to its
+// own ServableAsyncEvent, which a one-shot timer fires at the release. The
+// handler's actual demand is the job's cost inflated by the model's cost
+// noise. It returns how many jobs it armed.
+func releaseAperiodics(vm *rtsjvm.VM, srv core.TaskServer, jobs []sim.AperiodicJob, m ExecModel, horizon rtime.Time) int {
+	armed := 0
+	for i := range jobs {
+		a := jobs[i]
+		if a.Release >= horizon {
+			continue // never fires inside the observation window
+		}
+		jn := a.Name
+		if jn == "" {
+			jn = sim.AperiodicName(i)
+		}
+		actual := a.Cost
+		if m.CostNoise > 0 {
+			u := gen.Noise(m.NoiseSeed, m.SysIndex, i)
+			actual = rtime.Duration(float64(actual) * (1 + u*m.CostNoise))
+		}
+		h := core.NewServableAsyncEventHandler(srv, jn, a.DeclaredCost()).SetActualCost(actual)
+		e := core.NewServableAsyncEvent(vm, jn)
+		e.AddServableHandler(h)
+		vm.NewOneShotTimer(a.Release, e, jn).Start()
+		armed++
+	}
+	return armed
 }
 
 // SimEvents extracts the metric events of a simulation.

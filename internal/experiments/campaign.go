@@ -164,14 +164,7 @@ func (w *campaignWorker) execute(sys sim.System, m ExecModel, horizon rtime.Time
 		w.close()
 		return nil, err
 	}
-	// metrics.FromRecords' mapping, appended to the worker's slice.
-	w.events = w.events[:0]
-	for _, r := range srv.Records() {
-		w.events = append(w.events, metrics.Event{
-			Name: r.Handler, Released: r.Released, Finished: r.Finished,
-			Served: r.Served, Interrupted: r.Interrupted, Shed: r.Shed,
-		})
-	}
+	w.events = metrics.AppendRecordEvents(w.events[:0], srv.Records())
 	return w.events, nil
 }
 

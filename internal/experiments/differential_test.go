@@ -33,7 +33,7 @@ func TestExecutionMatchesLimitedSimulation(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				compareServerSegments(t, trial, sys, simRes.Trace, execRes.Trace)
+				compareServerSegments(t, trial, sys, simRes.Trace, execRes)
 				compareOutcomes(t, trial, sys, simRes, execRes)
 				if t.Failed() {
 					t.Logf("system: %+v", sys.Aperiodics)
@@ -72,22 +72,14 @@ func randomServedSystem(rng *rand.Rand, policy sim.ServerPolicy) sim.System {
 	return sys
 }
 
-func compareServerSegments(t *testing.T, trial int, sys sim.System, simTr, execTr *trace.Trace) {
+func compareServerSegments(t *testing.T, trial int, sys sim.System, simTr *trace.Trace, execRes *ExecOutcome) {
 	t.Helper()
 	name := sys.Server.Policy.String()
 	if sys.Server.Name != "" {
 		name = sys.Server.Name
 	}
-	// The framework names map PS-lim -> PS, DS-lim -> DS.
-	var execName string
-	switch sys.Server.Policy {
-	case sim.LimitedPollingServer:
-		execName = "PS"
-	case sim.LimitedDeferrableServer:
-		execName = "DS"
-	}
 	a := simTr.SegmentsOf(name)
-	b := execTr.SegmentsOf(execName)
+	b := execRes.Trace.SegmentsOf(execRes.Server.SchedulableName())
 	if len(a) != len(b) {
 		t.Errorf("trial %d: server segments differ: sim %d vs exec %d", trial, len(a), len(b))
 		return

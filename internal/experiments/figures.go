@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"rtsj/internal/harness"
 	"rtsj/internal/rtime"
 	"rtsj/internal/sim"
 	"rtsj/internal/trace"
@@ -57,17 +56,22 @@ type Figure struct {
 	Events     []string // per-event outcome lines
 }
 
-// RunFigures regenerates several figures concurrently, in the given order
+// RunFigures regenerates several figures, in the given order
 // (RunFigures(1, 2, 3) is the paper's full set).
 func RunFigures(ns ...int) ([]*Figure, error) {
-	return harness.Map(0, ns, func(_ int, n int) (*Figure, error) {
-		return RunFigure(n)
-	})
+	figs := make([]*Figure, 0, len(ns))
+	for _, n := range ns {
+		fig, err := RunFigure(n)
+		if err != nil {
+			return nil, err
+		}
+		figs = append(figs, fig)
+	}
+	return figs, nil
 }
 
-// RunFigure regenerates the figure for scenario n (1-3). The framework
-// execution and the ideal-policy simulation it is contrasted with are
-// independent, so they run concurrently.
+// RunFigure regenerates the figure for scenario n (1-3): the framework
+// execution and the ideal-policy simulation it is contrasted with.
 func RunFigure(n int) (*Figure, error) {
 	if n < 1 || n > len(Scenarios) {
 		return nil, fmt.Errorf("experiments: no scenario %d", n)
@@ -76,19 +80,12 @@ func RunFigure(n int) (*Figure, error) {
 	horizon := rtime.AtTU(spec.HorizonTU)
 	opts := trace.GanttOptions{Until: horizon}
 
-	var (
-		o      *ExecOutcome
-		rIdeal *sim.Result
-	)
-	if _, err := harness.MapN(0, 2, func(i int) (struct{}, error) {
-		var err error
-		if i == 0 {
-			o, err = RunExecution(spec.System(sim.LimitedPollingServer), ZeroExecModel(), horizon)
-		} else {
-			rIdeal, err = RunSimulation(spec.System(sim.PollingServer), horizon)
-		}
-		return struct{}{}, err
-	}); err != nil {
+	o, err := RunExecution(spec.System(sim.LimitedPollingServer), ZeroExecModel(), horizon)
+	if err != nil {
+		return nil, err
+	}
+	rIdeal, err := RunSimulation(spec.System(sim.PollingServer), horizon)
+	if err != nil {
 		return nil, err
 	}
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"rtsj/internal/core"
 	"rtsj/internal/exec"
 	"rtsj/internal/faults"
 	"rtsj/internal/gen"
@@ -115,17 +114,6 @@ type OverloadResult struct {
 	Violations []string
 }
 
-// overloadSystem is one concrete workload: a generated aperiodic storm
-// plus the fixed hard periodic set, under one server configuration.
-type overloadSystem struct {
-	jobs      []sim.AperiodicJob
-	policy    sim.ServerPolicy
-	capacity  rtime.Duration
-	period    rtime.Duration
-	horizon   rtime.Time
-	periodics []sim.PeriodicTask
-}
-
 // hardPeriodics is the fixed hard real-time set every scenario carries:
 // utilization ~0.25, schedulable under worst-case server interference for
 // every scenario configuration (response-time analysis: R1=9<=12,
@@ -142,23 +130,19 @@ func hardPeriodics() []sim.PeriodicTask {
 // requires.
 const serverPrio = 100
 
-// buildOverloadSystem derives the scenario workload from the parameters.
-func buildOverloadSystem(p OverloadParams) (*overloadSystem, error) {
-	const serverPeriod = 6.0
-	sys := &overloadSystem{
-		policy:    sim.DeferrableServer,
-		capacity:  rtime.TUs(4),
-		period:    rtime.TUs(serverPeriod),
-		periodics: hardPeriodics(),
-	}
+// buildOverloadSystem derives the scenario workload from the parameters:
+// a generated aperiodic storm plus the fixed hard periodic set under one
+// server, and the horizon it runs to.
+func buildOverloadSystem(p OverloadParams) (sim.System, rtime.Time, error) {
 	g := gen.Params{
 		AverageCost:    0.5,
 		StdDeviation:   0.2,
 		ServerCapacity: 4,
-		ServerPeriod:   serverPeriod,
+		ServerPeriod:   6,
 		NbGeneration:   1,
 		Seed:           p.Seed,
 	}
+	policy := sim.DeferrableServer
 	switch p.Scenario {
 	case OverloadMissStorm:
 		// MMPP bursts at 12x the calm density: ~96 arrivals (~48tu of
@@ -184,23 +168,20 @@ func buildOverloadSystem(p OverloadParams) (*overloadSystem, error) {
 		g.Arrivals = gen.PoissonArrivals
 		g.TaskDensity = 2.5
 		g.HorizonPeriods = max(4, p.Events*2/5)
-		sys.policy = sim.PollingServer
+		policy = sim.PollingServer
 	default:
-		return nil, fmt.Errorf("overload: unknown scenario %q", p.Scenario)
+		return sim.System{}, 0, fmt.Errorf("overload: unknown scenario %q", p.Scenario)
 	}
-	generated := gen.Generate(g)[0]
-	sys.jobs = generated.Aperiodics
-	sys.horizon = g.Horizon()
-	if p.Scenario == OverloadTransient {
-		sys.horizon = sys.horizon.Add(10 * sys.period)
-	}
+	sys := gen.WithServer(gen.Generate(g)[0], g, policy, serverPrio)
+	sys.Periodics = hardPeriodics()
 	// Workload-level faults apply before any engine sees the jobs, so the
 	// faulted workload is identical across every configuration.
-	if p.Faults.Enabled() {
-		faulted := p.Faults.ApplySystem(sim.System{Aperiodics: sys.jobs}, 0)
-		sys.jobs = faulted.Aperiodics
+	sys = p.Faults.ApplySystem(sys, 0)
+	horizon := g.Horizon()
+	if p.Scenario == OverloadTransient {
+		horizon = horizon.Add(10 * sys.Server.Period)
 	}
-	return sys, nil
+	return sys, horizon, nil
 }
 
 // RunOverload builds and runs one overload scenario. The saturation
@@ -217,19 +198,21 @@ func RunOverload(p OverloadParams) (*OverloadResult, error) {
 	if p.MaxPending <= 0 {
 		p.MaxPending = def.MaxPending
 	}
-	sys, err := buildOverloadSystem(p)
+	sys, horizon, err := buildOverloadSystem(p)
 	if err != nil {
 		return nil, err
 	}
-	res := &OverloadResult{Scenario: p.Scenario, Events: len(sys.jobs), Fingerprint: 14695981039346656037}
-	caps := []rtime.Duration{sys.capacity}
+	res := &OverloadResult{Scenario: p.Scenario, Events: len(sys.Aperiodics), Fingerprint: 14695981039346656037}
+	caps := []rtime.Duration{sys.Server.Capacity}
 	if p.Scenario == OverloadSaturation {
 		caps = []rtime.Duration{rtime.TUs(1), rtime.TUs(2), rtime.TUs(3), rtime.TUs(4)}
 	}
 	for _, capa := range caps {
-		sub := *sys
-		sub.capacity = capa
-		if err := runOverloadOnce(p, &sub, res); err != nil {
+		spec := *sys.Server
+		spec.Capacity = capa
+		sub := sys
+		sub.Server = &spec
+		if err := runOverloadOnce(p, sub, horizon, res); err != nil {
 			return nil, err
 		}
 	}
@@ -238,14 +221,12 @@ func RunOverload(p OverloadParams) (*OverloadResult, error) {
 
 // runOverloadOnce executes one workload on one server configuration,
 // folding counters, fingerprint and invariant violations into res.
-func runOverloadOnce(p OverloadParams, sys *overloadSystem, res *OverloadResult) error {
+func runOverloadOnce(p OverloadParams, sys sim.System, horizon rtime.Time, res *OverloadResult) error {
 	vm := rtsjvm.NewVM(nil, rtsjvm.Overheads{}, exec.Options{})
-	params := core.NewTaskServerParameters(0, sys.capacity, sys.period)
-	var srv core.TaskServer
-	if sys.policy == sim.PollingServer {
-		srv = core.NewPollingTaskServer(vm, "PS", serverPrio, params)
-	} else {
-		srv = core.NewDeferrableTaskServer(vm, "DS", serverPrio, params)
+	srv, err := newTaskServer(vm, *sys.Server)
+	if err != nil {
+		vm.Shutdown()
+		return err
 	}
 	srv.SetMaxPending(p.MaxPending)
 	srv.SetClampCapacity(true)
@@ -253,8 +234,8 @@ func runOverloadOnce(p OverloadParams, sys *overloadSystem, res *OverloadResult)
 	check := &faults.Checker{}
 	fp := res.Fingerprint
 	periodicReleases, periodicMisses := 0, 0
-	for ti := range sys.periodics {
-		pt := sys.periodics[ti]
+	for ti := range sys.Periodics {
+		pt := sys.Periodics[ti]
 		taskIdx := uint64(ti)
 		pp := &rtsjvm.PeriodicParameters{Period: pt.Period, Cost: pt.Cost, Miss: p.PeriodicMiss}
 		// Each release is one activation: exact declared cost, deadline
@@ -272,25 +253,14 @@ func runOverloadOnce(p OverloadParams, sys *overloadSystem, res *OverloadResult)
 		})
 	}
 
-	released := 0
-	for i := range sys.jobs {
-		a := sys.jobs[i]
-		if a.Release >= sys.horizon {
-			continue // never fired inside the observation window
-		}
-		jn := a.Name
-		h := core.NewServableAsyncEventHandler(srv, jn, a.DeclaredCost()).SetActualCost(a.Cost)
-		e := core.NewServableAsyncEvent(vm, jn)
-		e.AddServableHandler(h)
-		vm.NewOneShotTimer(a.Release, e, jn).Start()
-		released++
-	}
+	released := releaseAperiodics(vm, srv, sys.Aperiodics, ExecModel{}, horizon)
 
 	// Mid-run invariant sampling: one probe per server period, registered
 	// upfront (identically in every configuration, so the sampling itself
 	// never perturbs the schedule comparison).
 	ex := vm.Exec()
-	for t := rtime.Time(sys.period); t < sys.horizon; t = t.Add(sys.period) {
+	period := sys.Server.Period
+	for t := rtime.Time(period); t < horizon; t = t.Add(period) {
 		ex.At(t, func() {
 			check.Monotone("shed", srv.ShedCount())
 			check.Monotone("periodic-misses", periodicMisses)
@@ -302,7 +272,7 @@ func runOverloadOnce(p OverloadParams, sys *overloadSystem, res *OverloadResult)
 		})
 	}
 
-	err := vm.Run(sys.horizon)
+	err = vm.Run(horizon)
 	res.PeakWorkers = max(res.PeakWorkers, ex.PoolPeak())
 	res.FinalTime = ex.Now()
 	if ierr := ex.CheckInvariants(); ierr != nil {

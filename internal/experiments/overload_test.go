@@ -139,13 +139,13 @@ func TestOverloadMissPolicies(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := DefaultOverloadParams(OverloadMissStorm)
 			p.PeriodicMiss = tc.miss
-			sys, err := buildOverloadSystem(p)
+			sys, horizon, err := buildOverloadSystem(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.periodics = overrunPeriodics()
-			r := &OverloadResult{Scenario: p.Scenario, Events: len(sys.jobs), Fingerprint: 14695981039346656037}
-			if err := runOverloadOnce(p, sys, r); err != nil {
+			sys.Periodics = overrunPeriodics()
+			r := &OverloadResult{Scenario: p.Scenario, Events: len(sys.Aperiodics), Fingerprint: 14695981039346656037}
+			if err := runOverloadOnce(p, sys, horizon, r); err != nil {
 				t.Fatal(err)
 			}
 			if len(r.Violations) != 0 {

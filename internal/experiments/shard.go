@@ -339,6 +339,12 @@ func RunCampaignSharded(s CampaignSpec, shards []ShardConn, batch int) (*Curve, 
 // options. Progress lines carry per-shard health: the ranges each shard
 // answered, and whether it is ok or FAILED. The curve stays bit-identical
 // to RunCampaignSharded's — observation only.
+//
+// The shard sessions share the coordinator's CPU budget: they run on
+// harness.MapN, whose helper goroutines come from the process-wide budget
+// of Workers()-1. With more shards than workers, sessions take turns: a
+// goroutine drives one session through all its chunks before it starts
+// the next, so under Workers() == 1 one shard is busy at a time.
 func RunCampaignShardedOpts(s CampaignSpec, shards []ShardConn, batch int, opts CampaignOptions) (*Curve, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -385,10 +391,11 @@ func RunCampaignShardedOpts(s CampaignSpec, shards []ShardConn, batch int, opts 
 		ss.prog = prog
 	}
 
-	// First pass: one goroutine per shard connection drives that shard's
-	// chunk queue. Shards run concurrently; determinism comes from the
-	// exact merge below, not from any ordering here. A shard's failure is
-	// captured, not propagated: its unanswered chunks feed the retry pass.
+	// First pass: each session drives its shard's chunk queue, on as many
+	// goroutines as the harness budget grants (see the doc comment).
+	// Determinism comes from the exact merge below, not from any ordering
+	// here. A shard's failure is captured, not propagated: its unanswered
+	// chunks feed the retry pass.
 	type shardResult struct {
 		done     []rangedPartial
 		leftover []shardChunk

@@ -24,9 +24,9 @@ const (
 	// miss curve of the configured policy/scheduler — the global-vs-
 	// partitioned EDF/FP comparison.
 	SMPMissCurve = "miss-curve"
-	// SMPMigration fixes the workload and sweeps the per-migration cache
-	// penalty (exec.Options.MigrationCost) under the Global policy,
-	// recording how misses grow as migrations get more expensive.
+	// SMPMigration draws one task set at 0.75 utilization per CPU and runs
+	// it at each per-migration cache penalty (exec.Options.MigrationCost)
+	// of the sweep, under a policy that can migrate.
 	SMPMigration = "migration-sweep"
 )
 
@@ -43,8 +43,9 @@ type SMPParams struct {
 	// Policy selects the migration policy. The migration sweep requires a
 	// policy that can migrate (it rejects Partitioned).
 	Policy exec.MigrationPolicy
-	// Sched selects the scheduler: "fp" (rate-monotonic fixed priorities)
-	// or "edf" (job-level dynamic priorities by absolute deadline).
+	// Sched selects the scheduler: "fp" (rate-monotonic fixed priorities,
+	// the default) or "edf" (job-level dynamic priorities by absolute
+	// deadline).
 	Sched string
 	// Tasks is the periodic task count (default 12).
 	Tasks int
@@ -64,6 +65,7 @@ func DefaultSMPParams(scenario string) SMPParams {
 	return SMPParams{
 		Scenario:  scenario,
 		CPUs:      4,
+		Sched:     "fp",
 		Tasks:     12,
 		Seed:      2007,
 		HorizonTU: 400,
@@ -182,17 +184,18 @@ func genSMPTasks(p SMPParams, point int, util float64) []smpTask {
 // RunSMP builds and runs the scenario sweep. The executive invariants are
 // checked after every point; violations are collected, not fatal.
 func RunSMP(p SMPParams) (*SMPResult, error) {
+	def := DefaultSMPParams(p.Scenario)
 	if p.CPUs <= 0 {
-		p.CPUs = 4
+		p.CPUs = def.CPUs
 	}
 	if p.Tasks <= 0 {
-		p.Tasks = 12
+		p.Tasks = def.Tasks
 	}
 	if p.HorizonTU <= 0 {
-		p.HorizonTU = 400
+		p.HorizonTU = def.HorizonTU
 	}
 	if p.Sched == "" {
-		p.Sched = "fp"
+		p.Sched = def.Sched
 	}
 	if p.Sched != "fp" && p.Sched != "edf" {
 		return nil, fmt.Errorf("smp: unknown scheduler %q (want fp or edf)", p.Sched)
@@ -205,30 +208,25 @@ func RunSMP(p SMPParams) (*SMPResult, error) {
 		Fingerprint: 14695981039346656037,
 	}
 	var sweep []float64
-	var costs []rtime.Duration
+	var fixed []smpTask // the migration sweep's one task set
 	switch p.Scenario {
 	case SMPMissCurve:
 		sweep = []float64{0.55, 0.70, 0.85, 1.00}
-		for range sweep {
-			costs = append(costs, p.MigrationCost)
-		}
 	case SMPMigration:
 		if p.Policy == exec.Partitioned {
 			return nil, fmt.Errorf("smp: the migration sweep needs a policy that can migrate (got partitioned)")
 		}
-		for _, tu := range []float64{0, 0.1, 0.25, 0.5, 1.0} {
-			sweep = append(sweep, tu)
-			costs = append(costs, rtime.TUs(tu))
-		}
+		sweep = []float64{0, 0.1, 0.25, 0.5, 1.0}
+		fixed = genSMPTasks(p, 0, 0.75)
 	default:
 		return nil, fmt.Errorf("smp: unknown scenario %q (want %v)", p.Scenario, SMPScenarios())
 	}
 	for i, param := range sweep {
-		util := param
-		if p.Scenario == SMPMigration {
-			util = 0.75
+		tasks, cost := fixed, rtime.TUs(param)
+		if tasks == nil { // the miss curve sweeps utilization
+			tasks, cost = genSMPTasks(p, i, param), p.MigrationCost
 		}
-		pt, err := runSMPOnce(p, res, i, util, costs[i])
+		pt, err := runSMPOnce(p, res, tasks, cost)
 		if err != nil {
 			return nil, err
 		}
@@ -251,11 +249,10 @@ func RunSMP(p SMPParams) (*SMPResult, error) {
 	return res, nil
 }
 
-// runSMPOnce runs one sweep point on a fresh executive and folds its
-// completions into the result fingerprint.
-func runSMPOnce(p SMPParams, res *SMPResult, point int, util float64, cost rtime.Duration) (SMPPoint, error) {
+// runSMPOnce runs one sweep point's tasks on a fresh executive and folds
+// its completions into the result fingerprint.
+func runSMPOnce(p SMPParams, res *SMPResult, tasks []smpTask, cost rtime.Duration) (SMPPoint, error) {
 	var pt SMPPoint
-	tasks := genSMPTasks(p, point, util)
 	ex := exec.NewWithOptions(nil, exec.Options{
 		CPUs:          p.CPUs,
 		Migration:     p.Policy,

@@ -17,10 +17,11 @@ type smpKey struct {
 }
 
 // smpFingerprints pins every canonical SMP sweep at M in {2, 4}. The
-// values were captured when the tasks could also run as looping threads,
-// which matched them exactly. A change here means the multiprocessor
-// schedules changed — intentional changes must update the whole table
-// together. Note clustered at M=2 equals global at M=2: one cluster of two
+// miss-curve values were captured when the tasks could also run as
+// looping threads, which matched them exactly; the migration-sweep values
+// when the sweep began running one task set at every cost. A change here
+// means the multiprocessor schedules changed — intentional changes must
+// update the whole table together. Note clustered at M=2 equals global at M=2: one cluster of two
 // CPUs is a single global domain.
 var smpFingerprints = map[smpKey]uint64{
 	{SMPMissCurve, 2, exec.Global, "fp"}:       0x1db12f35969e0720,
@@ -35,14 +36,14 @@ var smpFingerprints = map[smpKey]uint64{
 	{SMPMissCurve, 4, exec.Clustered, "fp"}:    0x44eec1d24ea3c017,
 	{SMPMissCurve, 2, exec.Clustered, "edf"}:   0x7a91006a7b19c3e6,
 	{SMPMissCurve, 4, exec.Clustered, "edf"}:   0x67556544a0571c36,
-	{SMPMigration, 2, exec.Global, "fp"}:       0x7593d8b4d0168413,
-	{SMPMigration, 4, exec.Global, "fp"}:       0x64d0d1e66c0b884a,
-	{SMPMigration, 2, exec.Global, "edf"}:      0x2e3f9a0829fdfee8,
-	{SMPMigration, 4, exec.Global, "edf"}:      0xdde28ae195211123,
-	{SMPMigration, 2, exec.Clustered, "fp"}:    0x7593d8b4d0168413,
-	{SMPMigration, 4, exec.Clustered, "fp"}:    0xc7ccf42faffd48,
-	{SMPMigration, 2, exec.Clustered, "edf"}:   0x2e3f9a0829fdfee8,
-	{SMPMigration, 4, exec.Clustered, "edf"}:   0x82131a557f29831,
+	{SMPMigration, 2, exec.Global, "fp"}:       0x4f41887ee1ad5b28,
+	{SMPMigration, 4, exec.Global, "fp"}:       0xa1edc36e9a147434,
+	{SMPMigration, 2, exec.Global, "edf"}:      0x5b6dfc6dd082a903,
+	{SMPMigration, 4, exec.Global, "edf"}:      0x2250bbc6e694038e,
+	{SMPMigration, 2, exec.Clustered, "fp"}:    0x4f41887ee1ad5b28,
+	{SMPMigration, 4, exec.Clustered, "fp"}:    0x801a153dc88bdc90,
+	{SMPMigration, 2, exec.Clustered, "edf"}:   0x5b6dfc6dd082a903,
+	{SMPMigration, 4, exec.Clustered, "edf"}:   0x9f84a6a08dbedf68,
 }
 
 // TestSMPMatrix runs every pinned SMP configuration once. Its subtests
@@ -120,10 +121,10 @@ func TestSMPSchedulingProperties(t *testing.T) {
 	}
 }
 
-// TestSMPMigrationCostHurts pins that the migration sweep is not vacuous:
-// charging more per migration strictly increases total demand, so the
-// most expensive point must consume at least as much virtual time — and
-// migrate no more — than the free one.
+// TestSMPMigrationCostHurts checks that the migration sweep is not
+// vacuous (the free point migrates), that every point runs the same task
+// set (no point skips a release, and all complete as many releases), and
+// that the costliest point misses no fewer deadlines than the free one.
 func TestSMPMigrationCostHurts(t *testing.T) {
 	r, err := RunSMP(DefaultSMPParams(SMPMigration))
 	if err != nil {
@@ -135,6 +136,15 @@ func TestSMPMigrationCostHurts(t *testing.T) {
 	}
 	if free.Migrations == 0 {
 		t.Fatal("no migrations under global scheduling: sweep is vacuous")
+	}
+	for _, pt := range r.Points {
+		if pt.Skips != 0 {
+			t.Fatalf("point %v skipped %d releases: release counts are not comparable", pt.Param, pt.Skips)
+		}
+		if pt.Releases != free.Releases {
+			t.Errorf("point %v completed %d releases, the free point %d: the sweep changed its task set",
+				pt.Param, pt.Releases, free.Releases)
+		}
 	}
 	if costly.Misses < free.Misses {
 		t.Errorf("costly migration (%d misses) beat free migration (%d)", costly.Misses, free.Misses)

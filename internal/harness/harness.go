@@ -11,9 +11,9 @@
 // partials) is bit-identical for any worker count. Its steady-state memory
 // is O(workers + reorder window), independent of the item count, and each
 // of its goroutines owns one reusable state, so a unit can run on storage
-// warmed by the previous one. Map and MapN are ReduceN callers whose fold
-// stores every result in an item-ordered slice — fine for the figures,
-// prohibitive for a million-system campaign.
+// warmed by the previous one. MapN is a ReduceN caller whose fold stores
+// every result in an index-ordered slice — fine for the few shard
+// sessions of a sharded campaign, prohibitive for its million systems.
 package harness
 
 import (
@@ -38,7 +38,7 @@ func SetWorkers(n int) { override.Store(int64(n)) }
 
 var envWarnOnce sync.Once
 
-// Workers returns the worker count used when Map, MapN or ReduceN is called
+// Workers returns the worker count used when MapN or ReduceN is called
 // with workers<=0.
 // Precedence: the SetWorkers override (the cmd front-ends' -workers flag),
 // else $RTSJ_WORKERS, else GOMAXPROCS. An invalid $RTSJ_WORKERS value
@@ -63,9 +63,10 @@ func Workers() int {
 }
 
 // extraWorkers counts the helper goroutines live across every ReduceN call
-// in the process. Calls may nest (each figure of experiments.RunFigures runs its two
-// engines in a nested MapN); the process-wide budget keeps total
-// concurrency bounded by Workers() no matter how deep.
+// in the process. Calls may nest (a unit may itself call MapN or ReduceN)
+// or run side by side (the shard sessions of one sharded campaign); the
+// process-wide budget keeps total concurrency bounded by Workers() no
+// matter how deep or how many.
 var extraWorkers atomic.Int64
 
 func acquireWorker(limit int64) bool {
@@ -80,26 +81,19 @@ func acquireWorker(limit int64) bool {
 	}
 }
 
-// Map applies fn to every item concurrently and returns the results in
-// item order. fn receives the item index and the item; it must be safe to
-// call concurrently. If any call fails, Map waits for in-flight work and
-// returns the error of the lowest-indexed failure — deterministic no
-// matter which worker hit it first.
+// MapN applies fn to every index in [0, n) concurrently and returns the
+// results in index order. fn must be safe to call concurrently. If any
+// call fails, MapN waits for in-flight work and returns the error of the
+// lowest-indexed failure — deterministic no matter which worker hit it
+// first.
 //
-// Map runs on ReduceN's pool: the calling goroutine always processes items
-// itself, and up to workers-1 helper goroutines (workers<=0 selects
-// Workers()) join it, gated by a process-wide budget of Workers()-1
-// helpers. Nested calls therefore share one bounded pool: when the budget
-// is exhausted an inner call simply runs inline in its caller, which also
-// makes nesting deadlock-free.
-func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
-	return MapN(workers, len(items), func(i int) (R, error) { return fn(i, items[i]) })
-}
-
-// MapN is Map over the index range [0, n): for work units that are cheaper
-// to describe by index (table cells, sweep points) than to materialize as a
-// slice. It is ReduceN with a stateless fn and a fold that stores each
-// result at its index.
+// MapN is ReduceN with a stateless fn and a fold that stores each result
+// at its index: the calling goroutine always processes indices itself,
+// and up to workers-1 helper goroutines (workers<=0 selects Workers())
+// join it, gated by a process-wide budget of Workers()-1 helpers. Nested
+// calls therefore share one bounded pool: when the budget is exhausted an
+// inner call simply runs inline in its caller, which also makes nesting
+// deadlock-free.
 func MapN[R any](workers, n int, fn func(i int) (R, error)) ([]R, error) {
 	return ReduceN(workers, n, make([]R, n),
 		func() struct{} { return struct{}{} },

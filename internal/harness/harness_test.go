@@ -14,8 +14,8 @@ func TestMapPreservesOrder(t *testing.T) {
 		items[i] = i
 	}
 	for _, workers := range []int{1, 2, 4, 16, 200} {
-		got, err := Map(workers, items, func(i, item int) (int, error) {
-			return item * item, nil
+		got, err := MapN(workers, len(items), func(i int) (int, error) {
+			return items[i] * items[i], nil
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -29,7 +29,7 @@ func TestMapPreservesOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(4, nil, func(i, item int) (int, error) { return 0, nil })
+	got, err := MapN(4, 0, func(i int) (int, error) { return 0, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -37,8 +37,7 @@ func TestMapEmpty(t *testing.T) {
 
 func TestMapBoundsConcurrency(t *testing.T) {
 	var cur, peak atomic.Int64
-	items := make([]int, 64)
-	_, err := Map(3, items, func(i, item int) (int, error) {
+	_, err := MapN(3, 64, func(i int) (int, error) {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -71,10 +70,8 @@ func TestNestedMapBoundsConcurrency(t *testing.T) {
 			}
 		}
 	}
-	outer := make([]int, 6)
-	_, err := Map(0, outer, func(int, int) (int, error) {
-		inner := make([]int, 6)
-		_, err := Map(0, inner, func(int, int) (int, error) {
+	_, err := MapN(0, 6, func(int) (int, error) {
+		_, err := MapN(0, 6, func(int) (int, error) {
 			enter()
 			runtime.Gosched()
 			cur.Add(-1)
@@ -93,9 +90,8 @@ func TestNestedMapBoundsConcurrency(t *testing.T) {
 }
 
 func TestMapReturnsLowestIndexedError(t *testing.T) {
-	items := make([]int, 50)
 	for trial := 0; trial < 10; trial++ {
-		_, err := Map(8, items, func(i, item int) (int, error) {
+		_, err := MapN(8, 50, func(i int) (int, error) {
 			if i == 7 || i == 31 {
 				return 0, fmt.Errorf("unit %d failed", i)
 			}
@@ -109,7 +105,7 @@ func TestMapReturnsLowestIndexedError(t *testing.T) {
 
 func TestMapSingleError(t *testing.T) {
 	want := errors.New("boom")
-	_, err := Map(1, []int{0, 1, 2}, func(i, item int) (int, error) {
+	_, err := MapN(1, 3, func(i int) (int, error) {
 		if i == 1 {
 			return 0, want
 		}

@@ -10,20 +10,20 @@ import (
 )
 
 // TestReduceMatchesMap pins the streaming contract: for every worker count,
-// ReduceN folds exactly the values Map would retain, in exactly item order.
+// ReduceN folds exactly the values MapN would retain, in exactly item order.
 func TestReduceMatchesMap(t *testing.T) {
 	items := make([]int, 500)
 	for i := range items {
 		items[i] = i * 3
 	}
-	fn := func(i, item int) (int, error) { return item*item + i, nil }
-	want, err := Map(1, items, fn)
+	fn := func(i int) (int, error) { return items[i]*items[i] + i, nil }
+	want, err := MapN(1, len(items), fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0), 0} {
 		got, err := ReduceN(workers, len(items), []int(nil), noState,
-			func(_ struct{}, i int) (int, error) { return fn(i, items[i]) },
+			func(_ struct{}, i int) (int, error) { return fn(i) },
 			func(acc []int, i int, r int) []int {
 				if i != len(acc) {
 					t.Errorf("workers=%d: folded index %d at fold position %d", workers, i, len(acc))
@@ -56,7 +56,7 @@ func TestReduceNEmpty(t *testing.T) {
 	}
 }
 
-// TestReduceLowestIndexError checks the error contract matches Map: the
+// TestReduceLowestIndexError checks the error contract matches MapN: the
 // lowest-indexed failure wins regardless of which worker hits one first.
 func TestReduceLowestIndexError(t *testing.T) {
 	boom := func(i int) error { return fmt.Errorf("unit %d failed", i) }

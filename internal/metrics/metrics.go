@@ -68,9 +68,16 @@ func AppendSimEvents(dst []Event, r *sim.Result) []Event {
 
 // FromRecords extracts events from a task server's records.
 func FromRecords(recs []*core.EventRecord) []Event {
-	out := make([]Event, 0, len(recs))
+	return AppendRecordEvents(make([]Event, 0, len(recs)), recs)
+}
+
+// AppendRecordEvents appends the events of a task server's records to dst
+// and returns the extended slice: one event per record, in record order.
+// Like AppendSimEvents, it allocates nothing once dst has grown to the
+// largest system.
+func AppendRecordEvents(dst []Event, recs []*core.EventRecord) []Event {
 	for _, r := range recs {
-		out = append(out, Event{
+		dst = append(dst, Event{
 			Name:        r.Handler,
 			Released:    r.Released,
 			Finished:    r.Finished,
@@ -79,7 +86,7 @@ func FromRecords(recs []*core.EventRecord) []Event {
 			Shed:        r.Shed,
 		})
 	}
-	return out
+	return dst
 }
 
 // Summary holds the per-system measures of Section 6.1.
