@@ -6,7 +6,11 @@
 package rtsj_test
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"testing"
 
 	"rtsj/internal/analysis"
@@ -47,6 +51,7 @@ func BenchmarkFigure4Scenario3(b *testing.B) { benchmarkFigure(b, 3) }
 func benchmarkSet(b *testing.B, key string, policy sim.ServerPolicy, mode experiments.Mode) {
 	model := experiments.DefaultExecModel()
 	var last metrics.SetSummary
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s, err := experiments.RunSet(key, policy, mode, model)
 		if err != nil {
@@ -79,6 +84,7 @@ func BenchmarkTable5DSExecution(b *testing.B) {
 // (the full evaluation of the paper). Tables run back to back; each table
 // internally fans its cells across the harness worker pool.
 func BenchmarkTablesAllSets(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, id := range experiments.TableIDs {
 			if _, err := experiments.RunTable(id); err != nil {
@@ -272,6 +278,79 @@ func BenchmarkCampaignStreaming(b *testing.B) {
 	b.ReportMetric(float64(spec.Systems*b.N)/b.Elapsed().Seconds(), "systems/s")
 }
 
+// BenchmarkCampaignShardSession measures the server side of the shard
+// wire: one ServeShard session, fed over in-memory pipes, serves the 64
+// requests of one run of rtbench's sharded workload per op (the stock
+// sweep at 160 systems per point over two shards), recorded from what
+// RunCampaignSharded sends: shard 0's requests, then shard 1's. The
+// session is warmed before timing and lives across ops, as a connection
+// does. The requests are recorded once up front and the responses read
+// as raw lines, so allocs/op counts the session alone. The pool is fixed
+// at one worker: a helper goroutine's start-up allocations depend on the
+// scheduler, and the exact allocs/op gate needs one count.
+func BenchmarkCampaignShardSession(b *testing.B) {
+	harness.SetWorkers(1)
+	defer harness.SetWorkers(0)
+	spec := experiments.DefaultCampaignSpec()
+	spec.Systems = 160
+	var sent [2]bytes.Buffer
+	shards := make([]experiments.ShardConn, len(sent))
+	for i := range shards {
+		reqR, reqW := io.Pipe()
+		respR, respW := io.Pipe()
+		go func() { respW.CloseWithError(experiments.ServeShard(reqR, respW)) }()
+		defer reqW.Close()
+		shards[i] = experiments.ShardConn{R: respR, W: io.MultiWriter(&sent[i], reqW)}
+	}
+	if _, err := experiments.RunCampaignSharded(spec, shards, 0); err != nil {
+		b.Fatal(err)
+	}
+	var lines [][]byte
+	for _, buf := range sent {
+		for line := range bytes.Lines(buf.Bytes()) {
+			lines = append(lines, line)
+		}
+	}
+	reqR, reqW := io.Pipe()
+	respR, respW := io.Pipe()
+	served := make(chan error, 1)
+	go func() {
+		err := experiments.ServeShard(reqR, respW)
+		respW.CloseWithError(err)
+		served <- err
+	}()
+	resp := bufio.NewReader(respR)
+	var last []byte
+	pass := func() {
+		for _, line := range lines {
+			if _, err := reqW.Write(line); err != nil {
+				b.Fatal(err)
+			}
+			out, err := resp.ReadSlice('\n')
+			if err != nil {
+				b.Fatal(err)
+			}
+			last = out
+		}
+	}
+	pass() // warm the session's worker before timing
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	var r experiments.ShardResponse
+	if err := json.Unmarshal(last, &r); err != nil || r.Partial == nil || r.Partial.Systems != 20 {
+		b.Fatalf("last response %q (%v)", last, err)
+	}
+	reqW.Close()
+	if err := <-served; err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(spec.Systems*len(spec.Points)*b.N)/b.Elapsed().Seconds(), "systems/s")
+}
+
 // BenchmarkEngineExecThroughput measures the virtual-time executive running
 // the framework (events per second of wall time, including goroutine
 // handoffs).
@@ -284,6 +363,7 @@ func BenchmarkEngineExecThroughput(b *testing.B) {
 	base := gen.Generate(p)[0]
 	sys := gen.WithServer(base, p, sim.LimitedDeferrableServer, 100)
 	events := len(sys.Aperiodics)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunExecution(sys, experiments.ZeroExecModel(), p.Horizon()); err != nil {

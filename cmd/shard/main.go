@@ -11,6 +11,16 @@
 //	shard -listen :7700 &
 //	tables -campaign -shard-addr host1:7700,host2:7700
 //
+// A listening shard serves at most maxSessions connections at once and
+// closes any beyond that as soon as it accepts them. Once a request's
+// first byte arrives, the rest of it must arrive within readTimeout, and
+// each response must be taken within writeTimeout; a session that misses
+// either ends, so a peer that stalls mid-request or stops reading cannot
+// hold a session open. The wait between requests is not bounded: a
+// coordinator's sessions sit idle while it drives other shards, for as
+// long as its campaign takes. A peer that vanished is still dropped, by
+// TCP keep-alive.
+//
 // -workers bounds the worker pool of this process (default $RTSJ_WORKERS,
 // else GOMAXPROCS); the coordinator's own -workers value does not travel
 // over the wire.
@@ -23,6 +33,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -30,6 +41,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"time"
 
 	"rtsj/internal/experiments"
 	"rtsj/internal/harness"
@@ -94,16 +106,92 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	logger.Printf("shard: listening on %s", ln.Addr())
+	return fail(serve(ln, bounds{maxSessions, readTimeout, writeTimeout}, stats, logger))
+}
+
+// The bounds of -listen: once a request's first byte arrives, a peer
+// has readTimeout to send the rest of it, and writeTimeout to take each
+// response; maxSessions sessions are served at once. A coordinator sends
+// each request (about 200 bytes for the stock sweep) in one write and
+// reads each answer at once, so on loopback a request arrives in one read
+// and a response write returns within a millisecond; a minute lets the
+// largest request a session accepts (1 MiB) arrive at 17 KB/s. A
+// coordinator holds one session per address it lists; 64 idle warm
+// sessions hold about 3 MB per worker.
+const (
+	maxSessions  = 64
+	readTimeout  = time.Minute
+	writeTimeout = time.Minute
+)
+
+// bounds are the limits serve holds every connection to.
+type bounds struct {
+	sessions    int
+	read, write time.Duration
+}
+
+// serve accepts connections on ln until it fails, serving one shard
+// session per connection under b: a connection beyond b.sessions open
+// sessions is closed at once.
+func serve(ln net.Listener, b bounds, stats *experiments.ShardStats, logger *log.Logger) error {
+	slots := make(chan struct{}, b.sessions)
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			return fail(err)
+			return err
 		}
-		go func(c net.Conn) {
-			defer c.Close()
-			if err := experiments.ServeShardStats(c, c, stats); err != nil {
-				logger.Printf("shard: %s: %v", c.RemoteAddr(), err)
-			}
-		}(conn)
+		select {
+		case slots <- struct{}{}:
+		default:
+			logger.Printf("shard: %s: refused, %d sessions already open", conn.RemoteAddr(), b.sessions)
+			conn.Close()
+			continue
+		}
+		go func() {
+			defer func() { <-slots }()
+			session(conn, b, stats, logger)
+		}()
 	}
+}
+
+// session serves one shard session on c, held to b's deadlines through a
+// deadlineConn, and closes c when the session ends.
+func session(c net.Conn, b bounds, stats *experiments.ShardStats, logger *log.Logger) {
+	defer c.Close()
+	dc := &deadlineConn{Conn: c, b: b}
+	if err := experiments.ServeShardStats(dc, dc, stats); err != nil {
+		logger.Printf("shard: %s: %v", c.RemoteAddr(), err)
+	}
+}
+
+// deadlineConn holds a session's connection to its per-request bounds.
+// The read deadline is armed when a request's first byte is read and
+// cleared once every request read so far has ended in its newline, so it
+// bounds how long one request takes to arrive, never the wait before it.
+// Every write gets its own deadline.
+type deadlineConn struct {
+	net.Conn
+	b       bounds
+	partial bool // a request has begun to arrive and its newline has not
+}
+
+func (c *deadlineConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n == 0 {
+		return n, err
+	}
+	switch end := bytes.LastIndexByte(p[:n], '\n'); {
+	case end == n-1:
+		c.partial = false
+		c.SetReadDeadline(time.Time{})
+	case end >= 0 || !c.partial: // a new request began in p
+		c.partial = true
+		c.SetReadDeadline(time.Now().Add(c.b.read))
+	}
+	return n, err
+}
+
+func (c *deadlineConn) Write(p []byte) (int, error) {
+	c.SetWriteDeadline(time.Now().Add(c.b.write))
+	return c.Conn.Write(p)
 }

@@ -1,10 +1,17 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"log"
+	"net"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"rtsj/internal/experiments"
 	"rtsj/internal/harness"
@@ -108,5 +115,161 @@ func TestRejectsBadCommandLines(t *testing.T) {
 				t.Errorf("a rejected command line printed %q", stdout)
 			}
 		})
+	}
+}
+
+// listenShard serves shard sessions under b on a loopback listener until
+// the test ends, and returns the listener's address.
+func listenShard(t *testing.T, b bounds) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		serve(ln, b, nil, log.New(io.Discard, "", 0))
+		close(done)
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	return ln.Addr().String()
+}
+
+// dialShard connects to addr; the connection closes when the test ends.
+func dialShard(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// emptyRequest is a request line for the empty range [0, 0): answered
+// at once, with nothing to compute.
+func emptyRequest(t *testing.T) []byte {
+	t.Helper()
+	line, err := json.Marshal(experiments.ShardRequest{V: experiments.ShardProtocolVersion, Spec: experiments.DefaultCampaignSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(line, '\n')
+}
+
+// TestListenSessionCap holds the only session of a one-session shard
+// open, then checks that a second connection is closed without an answer.
+func TestListenSessionCap(t *testing.T) {
+	addr := listenShard(t, bounds{sessions: 1, read: time.Minute, write: time.Minute})
+	first := dialShard(t, addr)
+	if _, err := first.Write(emptyRequest(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bufio.NewReader(first).ReadString('\n'); err != nil {
+		t.Fatalf("first session: %v", err)
+	}
+	second := dialShard(t, addr)
+	second.SetDeadline(time.Now().Add(10 * time.Second))
+	second.Write(emptyRequest(t)) // may fail once the shard has closed it
+	if line, err := bufio.NewReader(second).ReadString('\n'); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("second session answered %q (%v), want it closed", line, err)
+	}
+}
+
+// TestListenIdleBetweenRequests checks the read bound does not cover the
+// wait between requests: a peer that waits three read bounds before its
+// first request and again before its second is answered both times, as a
+// coordinator's session is after waiting on its other shards. Each
+// request goes out in two writes, so its bound is armed and must be
+// cleared again.
+func TestListenIdleBetweenRequests(t *testing.T) {
+	const read = 100 * time.Millisecond
+	addr := listenShard(t, bounds{sessions: 1, read: read, write: time.Minute})
+	c := dialShard(t, addr)
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	resp := bufio.NewReader(c)
+	req := emptyRequest(t)
+	for i := range 2 {
+		time.Sleep(3 * read)
+		if _, err := c.Write(req[:10]); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		time.Sleep(read / 10)
+		if _, err := c.Write(req[10:]); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		line, err := resp.ReadString('\n')
+		if err != nil || strings.Contains(line, "error") {
+			t.Fatalf("request %d after an idle wait: %q (%v), want an answer", i, line, err)
+		}
+	}
+}
+
+// TestListenStalledRequest checks a session whose peer stops partway
+// through a request ends after the read bound, counted from the
+// request's first byte. The peer's writes are half a bound apart, and the
+// stalled request is the first, follows a whole one, or begins in the
+// same write that ends the request before it.
+func TestListenStalledRequest(t *testing.T) {
+	const read = 100 * time.Millisecond
+	whole := emptyRequest(t)
+	for _, tc := range []struct {
+		name   string
+		writes [][]byte
+	}{
+		{"first request", [][]byte{whole[:10]}},
+		{"after a whole one", [][]byte{whole, whole[:10]}},
+		{"begun with the previous end", [][]byte{whole[:10], append(bytes.Clone(whole[10:]), whole[:10]...)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := listenShard(t, bounds{sessions: 1, read: read, write: time.Minute})
+			c := dialShard(t, addr)
+			c.SetDeadline(time.Now().Add(10 * time.Second))
+			var last time.Time
+			for i, w := range tc.writes {
+				if i > 0 {
+					time.Sleep(read / 2)
+				}
+				last = time.Now()
+				if _, err := c.Write(w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out, err := io.ReadAll(c) // any answer, the error response, then the close
+			if err != nil {
+				t.Fatalf("session did not end: %v (read %q)", err, out)
+			}
+			if waited := time.Since(last); waited < read {
+				t.Fatalf("session ended %v after the stalled request began, before the %v read bound", waited, read)
+			}
+			if !strings.Contains(string(out), "timeout") {
+				t.Fatalf("session ended with %q, want a timeout error response", out)
+			}
+		})
+	}
+}
+
+// TestSessionStalledReader checks a peer that sends a request but never
+// reads the response does not hold its session: the response write misses
+// the write bound and the session ends. net.Pipe has no buffer, so the
+// first response write stalls.
+func TestSessionStalledReader(t *testing.T) {
+	srv, peer := net.Pipe()
+	defer peer.Close()
+	ended := make(chan struct{})
+	go func() {
+		session(srv, bounds{sessions: 1, read: time.Minute, write: 100 * time.Millisecond}, nil, log.New(io.Discard, "", 0))
+		close(ended)
+	}()
+	if _, err := peer.Write(emptyRequest(t)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the shard never ended the session of a peer that reads nothing")
 	}
 }

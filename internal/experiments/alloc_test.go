@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"bytes"
+	"io"
 	"runtime"
 	"testing"
 
 	"rtsj/internal/gen"
+	"rtsj/internal/harness"
 	"rtsj/internal/sim"
 )
 
@@ -198,5 +201,67 @@ func TestAllocsTablesExecutionSystem(t *testing.T) {
 				t.Fatalf("cycle ran %d systems, %d releases, %d served", systems, releases, served)
 			}
 		})
+	}
+}
+
+// shardWorkloadRequests records the request stream of one run of the
+// sharded workload, the stock sweep at 160 systems per point over two
+// shards, as RunCampaignSharded deals it: shard 0's requests, then shard
+// 1's. BenchmarkCampaignShardSession records the same stream, so both
+// follow the coordinator's dealing.
+func shardWorkloadRequests(t *testing.T) (stream []byte, requests int) {
+	s := DefaultCampaignSpec()
+	s.Systems = 160
+	var sent [2]bytes.Buffer
+	shards := make([]ShardConn, len(sent))
+	for i := range shards {
+		reqR, reqW := io.Pipe()
+		respR, respW := io.Pipe()
+		go func() { respW.CloseWithError(ServeShard(reqR, respW)) }()
+		defer reqW.Close()
+		shards[i] = ShardConn{R: respR, W: io.MultiWriter(&sent[i], reqW)}
+	}
+	if _, err := RunCampaignSharded(s, shards, 0); err != nil {
+		t.Fatal(err)
+	}
+	stream = append(sent[0].Bytes(), sent[1].Bytes()...)
+	return stream, bytes.Count(stream, []byte{'\n'})
+}
+
+// shardAllocsPerRequest is what one request costs a warm shard session:
+// decoding the request (the request and its points slice), the reducer
+// call's bookkeeping (its state, result ring, fill flags and
+// synchronization, and the range's unit and fold closures) and the
+// response (the partial it points at and the response value). The systems
+// themselves allocate nothing on the session's warm worker.
+const shardAllocsPerRequest = 14
+
+// TestAllocsShardSession pins a warm shard session's allocations per
+// request: a session serving the sharded workload's request stream three
+// times over allocates exactly shardAllocsPerRequest more per extra
+// request than a session serving it once, so nothing it builds for the
+// first pass is rebuilt for a later one. One harness worker keeps the
+// count exact: a helper goroutine's start-up allocations depend on the
+// scheduler.
+func TestAllocsShardSession(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; allocation counts are meaningless under -race")
+	}
+	harness.SetWorkers(1)
+	defer harness.SetWorkers(0)
+	stream, requests := shardWorkloadRequests(t)
+	session := func(passes int) float64 {
+		in := bytes.Repeat(stream, passes)
+		runtime.GC()
+		return testing.AllocsPerRun(3, func() {
+			if err := ServeShard(bytes.NewReader(in), io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	once, thrice := session(1), session(3)
+	if got, want := thrice-once, float64(2*requests*shardAllocsPerRequest); got != want {
+		t.Errorf("%v allocations for %d more requests on a warm session, want %v (%d per request)",
+			got, 2*requests, want, shardAllocsPerRequest)
 	}
 }

@@ -119,7 +119,7 @@ func (s CampaignSpec) Load(density float64) float64 {
 // into the partial in index order — so the range's memory footprint is
 // independent of hi-lo.
 func RunCampaignRange(s CampaignSpec, point, lo, hi int) (metrics.Partial, error) {
-	return runCampaignRange(s, point, lo, hi, nil)
+	return runCampaignRange(s, point, lo, hi, nil, newCampaignWorker)
 }
 
 // campaignWorker is the state one reducer goroutine reuses for every
@@ -188,10 +188,10 @@ func (w *campaignWorker) system(p gen.Params, policy sim.ServerPolicy, horizon r
 	return one, nil
 }
 
-// runCampaignRange is RunCampaignRange with an optional progress tracker,
-// counted from the fold (serialized, in index order) as each system's
-// partial merges. A nil tracker costs one branch per fold.
-func runCampaignRange(s CampaignSpec, point, lo, hi int, prog *progressTracker) (metrics.Partial, error) {
+// runCampaignRange is RunCampaignRange drawing its workers from newState,
+// with an optional progress tracker, counted from the fold (serialized, in
+// index order) as each system's partial merges; a nil one costs a branch.
+func runCampaignRange(s CampaignSpec, point, lo, hi int, prog *progressTracker, newState func() *campaignWorker) (metrics.Partial, error) {
 	if err := s.Validate(); err != nil {
 		return metrics.Partial{}, err
 	}
@@ -203,7 +203,7 @@ func runCampaignRange(s CampaignSpec, point, lo, hi int, prog *progressTracker) 
 	}
 	p := s.pointParams(point)
 	horizon := p.Horizon()
-	return harness.ReduceN(0, hi-lo, metrics.Partial{}, newCampaignWorker,
+	return harness.ReduceN(0, hi-lo, metrics.Partial{}, newState,
 		func(w *campaignWorker, k int) (metrics.Partial, error) {
 			return w.system(p, s.Policy, horizon, lo+k)
 		},
@@ -249,9 +249,12 @@ func RunCampaignOpts(s CampaignSpec, opts CampaignOptions) (*Curve, error) {
 	}
 	prog := newProgress(opts.Progress, "campaign", int64(len(s.Points)*s.Systems), nil)
 	defer prog.close()
+	ws := new(workerSet)
+	defer ws.close()
 	c := &Curve{Spec: s, Points: make([]CurvePoint, 0, len(s.Points))}
 	for i, d := range s.Points {
-		part, err := runCampaignRange(s, i, 0, s.Systems, prog)
+		part, err := runCampaignRange(s, i, 0, s.Systems, prog, ws.get)
+		ws.release()
 		if err != nil {
 			return nil, fmt.Errorf("campaign point %d (density %v): %w", i, d, err)
 		}

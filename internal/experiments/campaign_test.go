@@ -511,3 +511,60 @@ func TestCampaignSpecValidate(t *testing.T) {
 		t.Errorf("a point at the events-per-system bound: %v", err)
 	}
 }
+
+// TestShardSessionReuse checks that a session's warm workers carry nothing
+// from one request into the next: one session serves requests of two
+// specs that differ in policy, sweep points, horizon and average cost,
+// interleaved, first in ascending and then in descending point order, and
+// every partial must equal a fresh RunCampaignRange of the same range.
+// Two harness workers let a helper draw a second worker from the set.
+func TestShardSessionReuse(t *testing.T) {
+	harness.SetWorkers(2)
+	defer harness.SetWorkers(0)
+	a := testCampaignSpec()
+	b := DefaultCampaignSpec()
+	b.Points = []float64{4, 1}
+	b.Systems = 120
+	b.HorizonPeriods = 25
+	b.AverageCost = 1.5
+	b.Policy = sim.PollingServer
+	var reqs []ShardRequest
+	for _, descending := range []bool{false, true} {
+		for k := 0; k < 3; k++ {
+			for _, s := range []CampaignSpec{a, b} {
+				point := min(k, len(s.Points)-1)
+				if descending {
+					point = len(s.Points) - 1 - point
+				}
+				for lo := 0; lo < s.Systems; lo += 60 {
+					reqs = append(reqs, ShardRequest{V: ShardProtocolVersion, Spec: s, Point: point, Lo: lo, Hi: lo + 60})
+				}
+			}
+		}
+	}
+	var in, out bytes.Buffer
+	enc := json.NewEncoder(&in)
+	for _, req := range reqs {
+		if err := enc.Encode(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ServeShard(&in, &out); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(&out)
+	for _, req := range reqs {
+		var resp ShardResponse
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunCampaignRange(req.Spec, req.Point, req.Lo, req.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Partial == nil || *resp.Partial != want {
+			t.Fatalf("%v point %d [%d, %d): partial %+v (error %q), want %+v",
+				req.Spec.Policy, req.Point, req.Lo, req.Hi, resp.Partial, resp.Error, want)
+		}
+	}
+}

@@ -22,8 +22,8 @@ const ShardProtocolVersion = 1
 
 // ShardRequest is one line of the shard protocol: newline-delimited JSON
 // from coordinator to worker, asking for the partial metrics of systems
-// [Lo, Hi) of one sweep point. The spec travels in full with every request,
-// so workers are stateless and any worker can serve any range.
+// [Lo, Hi) of one sweep point. Each carries the whole spec: a session keeps
+// only reusable scratch between requests, so any worker serves any range.
 type ShardRequest struct {
 	// V is the protocol version (ShardProtocolVersion).
 	V int `json:"v"`
@@ -53,14 +53,14 @@ type ShardResponse struct {
 }
 
 // ServeShard runs one shard-worker session: it decodes range requests from
-// r line by line, computes each through the streaming reducer
-// (RunCampaignRange) and encodes one response line per request to w, until
-// EOF. A malformed, over-long (beyond maxShardRequestBytes) or
-// version-mismatched request, or a failing range, is answered with an
-// error response (when the stream still permits one) and terminates the
-// session with a non-nil error — a confused coordinator must not be
-// half-served. So is a request for more than maxShardRangeSystems
-// systems.
+// r line by line, computes each as RunCampaignRange does and encodes one
+// response line per request to w, until EOF. It keeps no campaign state
+// between requests, only reusable scratch. A malformed, over-long (beyond
+// maxShardRequestBytes) or version-mismatched request, or a failing range,
+// is answered with an error response (when the stream still permits one)
+// and terminates the session with a non-nil error — a confused coordinator
+// must not be half-served. So is a request for more than
+// maxShardRangeSystems systems.
 //
 // cmd/shard wires this to stdin/stdout or to accepted TCP connections.
 func ServeShard(r io.Reader, w io.Writer) error {
@@ -108,6 +108,9 @@ func ServeShardStats(r io.Reader, w io.Writer, st *ShardStats) error {
 	dec := json.NewDecoder(bufio.NewReader(&lineLimit{r: r, max: maxShardRequestBytes}))
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
+	ws := new(workerSet)
+	defer ws.close()
+	get := ws.get // one method value for the whole session
 	respond := func(resp ShardResponse) error {
 		resp.V = ShardProtocolVersion
 		if err := enc.Encode(resp); err != nil {
@@ -143,7 +146,8 @@ func ServeShardStats(r io.Reader, w io.Writer, st *ShardStats) error {
 		st.Requests.Inc()
 		st.InFlight.Add(1)
 		began := time.Now()
-		part, err := RunCampaignRange(req.Spec, req.Point, req.Lo, req.Hi)
+		part, err := runCampaignRange(req.Spec, req.Point, req.Lo, req.Hi, nil, get)
+		ws.release()
 		st.Latency.Observe(time.Since(began).Milliseconds())
 		st.InFlight.Add(-1)
 		if err != nil {

@@ -105,15 +105,40 @@ type tableCell struct {
 	mode   Mode
 }
 
-// runCells measures every cell in one fan-out over all their systems.
-// Each distinct set is generated once. Every harness worker runs its share
-// of the cells × systems units on one campaignWorker, whose gen buffer,
-// sim.Runner and VM carry over from unit to unit and from cell to cell;
-// the workers' VMs are shut down once the fan-out returns, on success or
-// error. The fold stores each system's summary under its cell, and each
-// cell aggregates its summaries in system order, so every cell is
-// bit-identical to a serial run for any worker count. wrap, when non-nil,
-// adds the failing cell's context to an error.
+// workerSet keeps campaignWorkers warm across ReduceN calls: get, as
+// newState, hands out its workers in turn and builds one when all are out;
+// release takes them back after each call; close shuts their VMs down.
+type workerSet struct {
+	mu   sync.Mutex
+	all  []*campaignWorker
+	used int // workers handed out since the last release
+}
+
+func (ws *workerSet) get() *campaignWorker {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if ws.used++; ws.used > len(ws.all) {
+		ws.all = append(ws.all, newCampaignWorker())
+	}
+	return ws.all[ws.used-1]
+}
+
+func (ws *workerSet) release() { ws.used = 0 }
+
+func (ws *workerSet) close() {
+	for _, w := range ws.all {
+		w.close()
+	}
+}
+
+// runCells measures every cell in one fan-out over all their systems. Each
+// distinct set is generated once. Every harness worker runs its share of
+// the cells × systems units on one campaignWorker of a workerSet, closed
+// once the fan-out returns, so its gen buffer, sim.Runner and VM carry over
+// from unit to unit and cell to cell. The fold stores each system's summary
+// under its cell, and each cell aggregates its summaries in system order,
+// so every cell is bit-identical to a serial run for any worker count.
+// wrap, when non-nil, adds the failing cell's context to an error.
 func runCells(cells []tableCell, model ExecModel, wrap func(c tableCell, err error) error) ([]metrics.SetSummary, error) {
 	type set struct {
 		p       gen.Params
@@ -137,21 +162,9 @@ func runCells(cells []tableCell, model ExecModel, wrap func(c tableCell, err err
 			units = append(units, unit{c, i})
 		}
 	}
-	var mu sync.Mutex
-	var workers []*campaignWorker
-	defer func() {
-		for _, w := range workers {
-			w.close()
-		}
-	}()
-	newWorker := func() *campaignWorker {
-		w := newCampaignWorker()
-		mu.Lock()
-		workers = append(workers, w)
-		mu.Unlock()
-		return w
-	}
-	_, err := harness.ReduceN(0, len(units), sums, newWorker,
+	ws := new(workerSet)
+	defer ws.close()
+	_, err := harness.ReduceN(0, len(units), sums, ws.get,
 		func(w *campaignWorker, u int) (metrics.Summary, error) {
 			c, i := units[u].cell, units[u].sys
 			st := cellSets[c]
