@@ -139,11 +139,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if *quiet && *perfettoOut == "" {
 			runExec = experiments.RunExecutionMetrics
 		}
-		model := experiments.DefaultExecModel()
-		// A cpus directive maps onto the executive's virtual CPU count
-		// (Global migration policy); the simulator side stays uniprocessor.
-		model.CPUs = parsed.CPUs
-		o, err := runExec(parsed.System, model, parsed.Horizon)
+		o, err := runExec(parsed.System, experiments.DefaultExecModel(), parsed.Horizon)
 		if err != nil {
 			return err
 		}

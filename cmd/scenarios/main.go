@@ -11,12 +11,6 @@
 // saturation. It exits non-zero if any invariant is violated or if the
 // miss-storm's hard periodic set misses a deadline — the graceful-
 // degradation property CI smokes with a 10k-event burst.
-//
-// The "smp" family runs the multiprocessor scenario sweeps
-// (internal/experiments.RunSMP) on -cpus virtual CPUs: the
-// global-vs-partitioned-vs-clustered EDF/FP deadline-miss curves and the
-// migration-cost sweep. Results are deterministic fingerprinted schedules;
-// the command exits non-zero on any executive invariant violation.
 package main
 
 import (
@@ -26,7 +20,6 @@ import (
 	"io"
 	"os"
 
-	"rtsj/internal/exec"
 	"rtsj/internal/experiments"
 	"rtsj/internal/faults"
 	"rtsj/internal/harness"
@@ -40,15 +33,14 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("scenarios", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	family := fs.String("family", "figures", "scenario family: figures | overload | smp")
-	scenario := fs.String("scenario", "", "scenario to run: figures 1-3, overload miss-storm|transient|saturation, smp miss-curve|migration-sweep; empty for all")
+	family := fs.String("family", "figures", "scenario family: figures | overload")
+	scenario := fs.String("scenario", "", "scenario to run: figures 1-3, overload miss-storm|transient|saturation; empty for all")
 	ideal := fs.Bool("ideal", true, "figures: also show the ideal (literature) polling server schedule")
 	workers := fs.Int("workers", 0, "harness worker pool size (0: $RTSJ_WORKERS or GOMAXPROCS)")
 	events := fs.Int("n", 0, "overload: approximate event count (0: default)")
 	seed := fs.Int64("seed", 0, "overload: workload seed (0: default)")
 	faultsFlag := fs.String("faults", "", "overload: extra fault plan (e.g. 'seed=1 overrun=0.3:0.5'); 'off' or empty for none")
-	quiet := fs.Bool("quiet", false, "overload/smp: one summary line per scenario")
-	cpus := fs.Int("cpus", 4, "smp: virtual CPU count")
+	quiet := fs.Bool("quiet", false, "overload: one summary line per scenario")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -73,10 +65,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runFigures(stdout, stderr, n, *ideal)
 	case "overload":
 		return runOverload(stdout, stderr, *scenario, *events, *seed, *faultsFlag, *quiet)
-	case "smp":
-		return runSMP(stdout, stderr, *scenario, *cpus, *quiet)
 	default:
-		fmt.Fprintf(stderr, "scenarios: unknown family %q (want figures, overload or smp)\n", *family)
+		fmt.Fprintf(stderr, "scenarios: unknown family %q (want figures or overload)\n", *family)
 		return 2
 	}
 }
@@ -158,60 +148,6 @@ func runOverload(stdout, stderr io.Writer, scenario string, events int, seed int
 		if name == experiments.OverloadMissStorm && r.Shed == 0 {
 			fmt.Fprintf(stderr, "scenarios: %s: shed nothing (storm not overloading)\n", name)
 			failed = true
-		}
-	}
-	if failed {
-		return 1
-	}
-	return 0
-}
-
-// runSMP sweeps the multiprocessor scenarios over every migration policy
-// and scheduler, printing the per-point miss/migration curves (or one
-// fingerprinted summary line per configuration with -quiet).
-func runSMP(stdout, stderr io.Writer, scenario string, cpus int, quiet bool) int {
-	names := experiments.SMPScenarios()
-	if scenario != "" {
-		names = []string{scenario}
-	}
-	policies := []exec.MigrationPolicy{exec.Global, exec.Partitioned, exec.Clustered}
-	failed := false
-	for _, name := range names {
-		for _, pol := range policies {
-			if name == experiments.SMPMigration && pol == exec.Partitioned {
-				continue // a partitioned system cannot migrate
-			}
-			for _, sched := range []string{"fp", "edf"} {
-				p := experiments.DefaultSMPParams(name)
-				p.CPUs = cpus
-				p.Policy = pol
-				p.Sched = sched
-				r, err := experiments.RunSMP(p)
-				if err != nil {
-					fmt.Fprintf(stderr, "scenarios: %s: %v\n", name, err)
-					return 1
-				}
-				if quiet {
-					fmt.Fprintf(stdout, "%-15s m=%d %-11s %-3s releases=%d misses=%d skips=%d migrations=%d fp=%#x\n",
-						name, r.CPUs, pol, sched, r.Releases, r.Misses, r.Skips, r.Migrations, r.Fingerprint)
-				} else {
-					fmt.Fprintf(stdout, "=== SMP %s: %d CPUs, %s, %s ===\n", name, r.CPUs, pol, sched)
-					for _, pt := range r.Points {
-						label := "U/cpu"
-						if name == experiments.SMPMigration {
-							label = "cost(tu)"
-						}
-						fmt.Fprintf(stdout, "  %s=%-5.2f releases=%-5d misses=%-4d skips=%-4d migrations=%d\n",
-							label, pt.Param, pt.Releases, pt.Misses, pt.Skips, pt.Migrations)
-					}
-					fmt.Fprintf(stdout, "  total: %d releases, %d misses, %d migrations  fingerprint: %#x\n\n",
-						r.Releases, r.Misses, r.Migrations, r.Fingerprint)
-				}
-				for _, v := range r.Violations {
-					fmt.Fprintf(stderr, "scenarios: %s/%s/%s: INVARIANT: %s\n", name, pol, sched, v)
-					failed = true
-				}
-			}
 		}
 	}
 	if failed {

@@ -43,11 +43,6 @@ type ExecModel struct {
 	// NoiseSeed and SysIndex derive the deterministic per-event u.
 	NoiseSeed int64
 	SysIndex  int // system index within its set, for noise derivation
-	// CPUs sets the executive's virtual CPU count (exec.Options.CPUs; 0
-	// means 1) under the Global migration policy. The paper's experiments
-	// are uniprocessor; M=1 runs the same code path byte-identically
-	// (TestExecutionTablesSMPM1).
-	CPUs int
 	// Stats optionally wires the executive's kernel counters
 	// (exec.Options.Stats). Observational only: table and matrix outputs
 	// are byte-identical with or without it (pinned by the obs
@@ -57,7 +52,7 @@ type ExecModel struct {
 
 // execOptions maps the model onto the executive configuration.
 func (m ExecModel) execOptions() exec.Options {
-	return exec.Options{CPUs: m.CPUs, Stats: m.Stats}
+	return exec.Options{Stats: m.Stats}
 }
 
 // DefaultExecModel is the execution platform used for Tables 3 and 5. Its

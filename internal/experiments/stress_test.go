@@ -81,3 +81,39 @@ func TestStressSchedulesIdenticalAcrossConfigs(t *testing.T) {
 			got.TotalConsumed, got.FinalTime, want.totalConsumed, want.finalTime)
 	}
 }
+
+// TestStressSMPM1 pins the stress scenario's M=1 reduction and the
+// multi-CPU smoke: CPUs=1 matches the uniprocessor fingerprint exactly,
+// and CPUs=4 completes every job with the pinned schedule, captured from
+// looping background threads (which activation ones matched).
+func TestStressSMPM1(t *testing.T) {
+	p := DefaultStressParams()
+	p.Jobs = 2000
+	uni, err := RunStress(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.CPUs = 1
+	m1, err := RunStress(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m1.Fingerprint != uni.Fingerprint {
+		t.Fatalf("CPUs=1 stress fingerprint %#x differs from uniprocessor %#x",
+			m1.Fingerprint, uni.Fingerprint)
+	}
+	p.CPUs = 4
+	smp, err := RunStress(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if smp.Completed != smp.Jobs {
+		t.Fatalf("4-CPU stress completed %d of %d jobs", smp.Completed, smp.Jobs)
+	}
+	if want := uint64(0x3bd688efd75df539); smp.Fingerprint != want {
+		t.Fatalf("4-CPU stress fingerprint %#x, pinned %#x", smp.Fingerprint, want)
+	}
+	if smp.Fingerprint == uni.Fingerprint {
+		t.Fatal("4-CPU stress schedule identical to uniprocessor: CPUs not taking effect")
+	}
+}

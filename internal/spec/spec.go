@@ -7,7 +7,6 @@
 //	periodic tau1 6 2 prio=2      # name period cost [prio=] [offset=] [deadline=]
 //	aperiodic J1 2.5 3            # name release cost [declared=] [deadline=] [value=]
 //	horizon 60
-//	cpus 4                        # virtual CPUs for -exec runs (default 1, at most MaxCPUs)
 //	faults seed=1 overrun=0.2:0.5 # deterministic fault plan (see faults.ParseArgs)
 //
 // Durations and instants are in time units unless suffixed (see
@@ -42,25 +41,15 @@ type File struct {
 	Policy  PolicyKind // dispatcher the file selects
 	System  sim.System // the described workload
 	Horizon rtime.Time // observation window (default 60 tu)
-	// CPUs is the virtual CPU count declared by a cpus directive (0 when
-	// absent, meaning 1). It only affects -exec runs: the executive
-	// schedules the workload on this many CPUs under the Global migration
-	// policy.
-	CPUs int
 	// Faults is the optional deterministic fault-injection plan declared
 	// by a faults directive; nil when absent.
 	Faults *faults.Plan
 }
 
-// MaxCPUs bounds the cpus directive. The executive sizes its per-CPU
-// state by the count and scans every CPU on each scheduling decision, so a
-// mistyped or hostile count must not size that state beyond memory.
-const MaxCPUs = 1024
-
 // Parse reads a system description. Besides malformed lines and invalid
 // systems it rejects a file that asks for more than gen.MaxEventsPerSystem
-// jobs (periodic releases before the horizon plus aperiodic events) or
-// more than MaxCPUs CPUs, so one file cannot make a run exhaust memory.
+// jobs (periodic releases before the horizon plus aperiodic events), so
+// one file cannot make a run exhaust memory.
 func Parse(r io.Reader) (*File, error) {
 	f := &File{Horizon: rtime.AtTU(60)}
 	sc := bufio.NewScanner(r)
@@ -198,15 +187,7 @@ func (f *File) parseLine(fields []string) error {
 		}
 		f.System.Periodics = append(f.System.Periodics, t)
 	case "cpus":
-		if len(fields) != 2 {
-			return fmt.Errorf("cpus wants one argument")
-		}
-		if err := parseInt(fields[1], &f.CPUs); err != nil {
-			return err
-		}
-		if f.CPUs < 1 || f.CPUs > MaxCPUs {
-			return fmt.Errorf("cpus wants a CPU count from 1 to %d (got %d)", MaxCPUs, f.CPUs)
-		}
+		return fmt.Errorf("cpus is not supported: specs run on one CPU")
 	case "faults":
 		p, err := faults.ParseArgs(fields[1:])
 		if err != nil {
@@ -288,9 +269,6 @@ func Format(f *File) string {
 		b.WriteString("policy fp\n")
 	}
 	fmt.Fprintf(&b, "horizon %s\n", rtime.Duration(f.Horizon))
-	if f.CPUs > 1 {
-		fmt.Fprintf(&b, "cpus %d\n", f.CPUs)
-	}
 	if s := f.System.Server; s != nil {
 		fmt.Fprintf(&b, "server %s %s %s prio=%d\n", strings.ToLower(s.Policy.String()), s.Capacity, s.Period, s.Priority)
 	}

@@ -12,7 +12,6 @@ const sample = `
 # Table 1 task set
 policy fp
 horizon 18tu
-cpus 2
 server ps-lim 3 6 prio=10
 periodic tau1 6 2 prio=2
 periodic tau2 6 1 prio=1
@@ -30,9 +29,6 @@ func TestParseSample(t *testing.T) {
 	}
 	if f.Horizon != rtime.AtTU(18) {
 		t.Errorf("horizon = %v", f.Horizon)
-	}
-	if f.CPUs != 2 {
-		t.Errorf("cpus = %d", f.CPUs)
 	}
 	if f.System.Server == nil || f.System.Server.Policy != sim.LimitedPollingServer ||
 		f.System.Server.Capacity != rtime.TUs(3) || f.System.Server.Priority != 10 {
@@ -77,10 +73,6 @@ func TestParseErrors(t *testing.T) {
 		"horizon",
 		"horizon xyz",
 		"frobnicate 1 2",
-		"cpus",
-		"cpus zero",
-		"cpus 0",
-		"cpus -1",
 		"periodic t1 6 2 prio=abc",
 		"aperiodic j 0 2 value=abc",
 		"periodic t1 1 5", // cost > period fails validation
@@ -95,8 +87,8 @@ func TestParseErrors(t *testing.T) {
 }
 
 // TestParseBoundsWorkload checks Parse rejects a file that asks for more
-// jobs than gen.MaxEventsPerSystem or more CPUs than MaxCPUs, and accepts
-// both limits exactly.
+// jobs than gen.MaxEventsPerSystem or declares a CPU count (specs run on
+// one CPU), and accepts the job limit exactly.
 func TestParseBoundsWorkload(t *testing.T) {
 	for _, c := range []struct {
 		name, src string
@@ -105,11 +97,9 @@ func TestParseBoundsWorkload(t *testing.T) {
 		{"1e9 periodic jobs", "policy fp\nperiodic tau1 0.001 0.0005 prio=2\nhorizon 1000000\n", "more than 100000 jobs"},
 		{"periodic plus aperiodic", "periodic tau1 1 0.5\naperiodic J1 0 0.1\nhorizon 100000\n", "more than 100000 jobs"},
 		{"negative offset", "periodic tau1 1 0.5 offset=-9e12\nhorizon 9e12\n", "more than 100000 jobs"},
-		{"1e9 CPUs", "cpus 1000000000\nperiodic tau1 6 2\n", "cpus wants a CPU count from 1 to 1024"},
-		{"CPU limit", "cpus 1025\n", "cpus wants a CPU count from 1 to 1024"},
+		{"cpus directive", "cpus 2\nperiodic tau1 6 2\n", "line 1: cpus is not supported: specs run on one CPU"},
 		{"exactly the job limit", "periodic tau1 1 0.5\nhorizon 100000\n", ""},
 		{"releases at or past the horizon", "periodic tau1 1 0.5 offset=200000\nhorizon 100000\n", ""},
-		{"exactly the CPU limit", "cpus 1024\nperiodic tau1 6 2\n", ""},
 	} {
 		_, err := Parse(strings.NewReader(c.src))
 		if c.want == "" {
@@ -146,9 +136,6 @@ func TestFormatRoundTrip(t *testing.T) {
 	}
 	if g.Horizon != f.Horizon || g.Policy != f.Policy {
 		t.Error("header round trip")
-	}
-	if g.CPUs != f.CPUs {
-		t.Errorf("cpus lost in round trip: %d vs %d", g.CPUs, f.CPUs)
 	}
 	if len(g.System.Periodics) != len(f.System.Periodics) ||
 		len(g.System.Aperiodics) != len(f.System.Aperiodics) {
