@@ -567,10 +567,10 @@ func BenchmarkExecPeriodicSteadyState(b *testing.B) {
 }
 
 // BenchmarkExecSMPThroughput runs the large-N sporadic stress scenario on
-// four virtual CPUs under the Global migration policy: the direct kernel
-// keeps per-CPU ready heaps and places up to four occupants per decision,
-// so this measures the whole multiprocessor decision loop (domain pick,
-// placement, lockstep slice advance) at scale.
+// four virtual CPUs: the kernel feeds them from its one ready heap and
+// places up to four occupants per decision, so this measures the whole
+// multiprocessor decision loop (top-M pick, placement, lockstep slice
+// advance) at scale.
 func BenchmarkExecSMPThroughput(b *testing.B) {
 	p := experiments.DefaultStressParams()
 	p.CPUs = 4

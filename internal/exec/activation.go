@@ -37,15 +37,6 @@ type ActivationSpec struct {
 	Period rtime.Duration
 	// Miss selects the overrun policy (default MissSkip).
 	Miss MissPolicy
-	// Priority, when non-nil, computes the entity's base priority for each
-	// release from the release instant (called in kernel context at spawn
-	// and at every rearm, overriding the prio argument): the job-level
-	// fixed-priority hook that EDF scheduling builds on — return the
-	// negated absolute deadline and earliest-deadline jobs rank highest.
-	// A looping thread gets the same effect by calling TC.SetPriority at
-	// the same point in its loop (after advancing its release, before the
-	// sleep), which keeps the two formulations schedule-identical.
-	Priority func(release rtime.Time) int
 }
 
 // SpawnPeriodic creates an activation-driven periodic entity: body runs
@@ -58,30 +49,18 @@ type ActivationSpec struct {
 // A body that panics terminates the entity (no further releases), exactly
 // as a panic would unwind a per-thread periodic loop.
 func (ex *Exec) SpawnPeriodic(name string, prio int, spec ActivationSpec, body func(tc *TC)) *Thread {
-	return ex.SpawnPeriodicOn(name, prio, -1, spec, body)
-}
-
-// SpawnPeriodicOn creates an activation-driven periodic entity like
-// SpawnPeriodic with an explicit CPU affinity (a CPU index, or -1 for
-// none — see SpawnOn for the affinity contract).
-func (ex *Exec) SpawnPeriodicOn(name string, prio, cpu int, spec ActivationSpec, body func(tc *TC)) *Thread {
 	if spec.Period <= 0 {
 		panic(fmt.Sprintf("exec: SpawnPeriodic %s needs a positive period (got %v)", name, spec.Period))
 	}
-	th := ex.newThread(name, prio, cpu, body)
+	th := ex.newThread(name, prio, body)
 	th.periodic = true
 	th.period = spec.Period
 	th.missPolicy = spec.Miss
-	th.dynPrio = spec.Priority
 	startAt := spec.Start
 	if startAt < ex.now {
 		startAt = ex.now
 	}
 	th.nextRel = startAt
-	if th.dynPrio != nil {
-		th.prio = th.dynPrio(startAt)
-		th.boost = th.prio
-	}
 	// As with Spawn, the body is bound to a worker lazily, here at each
 	// release (see resume).
 	ex.scheduleFirstRelease(th, startAt)
@@ -131,11 +110,6 @@ func (ex *Exec) rearm(th *Thread) {
 			th.missed++
 			ex.stats.Misses.Inc()
 		}
-	}
-	if th.dynPrio != nil {
-		// Rebase the priority for the next release before the sleep, the
-		// same point a looping thread would call TC.SetPriority.
-		ex.setBasePrio(th, th.dynPrio(th.nextRel))
 	}
 	ex.sleepUntil(th, th.nextRel)
 }

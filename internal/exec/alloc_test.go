@@ -141,18 +141,17 @@ func TestAllocsBudgetArmedThenCancelled(t *testing.T) {
 // TestAllocsResetRun: one whole run on a reset executive — Reset, spawn a
 // periodic entity, a looping thread that waits on a queue and a sleeper,
 // arm a timer past the horizon, run — reuses the previous run's threads,
-// timer nodes, heaps and workers, on one CPU and on two under every
-// migration policy. The bodies are built once, outside the step; a run
+// timer nodes, heaps and workers, on one CPU, on two, and on three with a
+// migration cost. The bodies are built once, outside the step; a run
 // ends with bodies in progress and timers armed, which Reset unwinds and
 // recycles.
 func TestAllocsResetRun(t *testing.T) {
 	for _, opts := range []Options{
 		{},
-		{CPUs: 2, Migration: Global},
-		{CPUs: 2, Migration: Partitioned},
-		{CPUs: 3, Migration: Clustered, MigrationCost: tu(0.5)},
+		{CPUs: 2},
+		{CPUs: 3, MigrationCost: tu(0.5)},
 	} {
-		t.Run(fmt.Sprintf("%d-%v", max(opts.CPUs, 1), opts.Migration), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%d-global", max(opts.CPUs, 1)), func(t *testing.T) {
 			ex := NewWithOptions(nil, opts)
 			defer ex.Shutdown()
 			q := NewWaitQueue("q")

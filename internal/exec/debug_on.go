@@ -11,21 +11,13 @@ import (
 // See debug_off.go for the default build.
 const debugChecks = true
 
-// checkReadyHeap verifies, on every dispatch and for every scheduling
-// domain, that the ready heap's index bookkeeping is consistent, that the
-// heap property holds at every node, and that draining a copy yields a
-// fully sorted dispatch order (the check that used to run as
-// sort.SliceIsSorted on the hot path before it was gated behind the
-// debugchecks build tag).
+// checkReadyHeap verifies, on every dispatch, that the ready heap's index
+// bookkeeping is consistent, that the heap property holds at every node,
+// and that draining a copy yields a fully sorted dispatch order (the check
+// that used to run as sort.SliceIsSorted on the hot path before it was
+// gated behind the debugchecks build tag).
 func (ex *Exec) checkReadyHeap() {
-	for d := range ex.readyQ {
-		ex.checkReadyHeapDomain(d)
-	}
-}
-
-// checkReadyHeapDomain audits one domain's ready heap.
-func (ex *Exec) checkReadyHeapDomain(d int) {
-	h := &ex.readyQ[d]
+	h := &ex.readyQ
 	for i, th := range h.a {
 		if th.heapIdx != i {
 			panic(fmt.Sprintf("exec: ready heap index corrupt: %s at %d has heapIdx %d",
@@ -33,9 +25,6 @@ func (ex *Exec) checkReadyHeapDomain(d int) {
 		}
 		if th.state != stateReady {
 			panic(fmt.Sprintf("exec: non-ready thread %s (state %d) in ready heap", th.name, th.state))
-		}
-		if th.domain != d {
-			panic(fmt.Sprintf("exec: thread %s of domain %d in ready heap %d", th.name, th.domain, d))
 		}
 		if p := (i - 1) / 2; i > 0 && h.less(i, p) {
 			panic(fmt.Sprintf("exec: ready heap property violated at %d (%s above %s)",

@@ -26,9 +26,11 @@
 // a *different* thread must run does the body yield to the goroutine that
 // called Run, a trampoline that resumes the chosen thread's worker: a
 // real context switch is one coroutine yield plus one resume, and never
-// passes through the Go scheduler. The ready queues and the timer queue
+// passes through the Go scheduler. The ready queue and the timer queue
 // are binary heaps. NewWithOptions is the one constructor; a zero Options
-// gives the uniprocessor defaults.
+// gives the uniprocessor defaults. Options.CPUs runs the same loop on M
+// virtual CPUs fed from the one ready queue (smp.go); no experiment of
+// the paper uses more than one.
 //
 // Determinism is checked two ways. The differential tests run every
 // scenario on every configuration (looping or activation periodics,

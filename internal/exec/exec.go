@@ -11,9 +11,6 @@ type Options struct {
 	// smp.go). Zero and one are the uniprocessor: the same code path with
 	// one CPU, byte-identical to the pre-SMP executive.
 	CPUs int
-	// Migration selects how ready threads map onto the CPUs (Global,
-	// Partitioned, Clustered). Irrelevant with one CPU.
-	Migration MigrationPolicy
 	// MigrationCost, when positive, is added to a thread's remaining
 	// demand each time it resumes a consume on a different CPU than the
 	// one it last occupied — the cache-reload penalty of a migration.
@@ -88,21 +85,17 @@ type Thread struct {
 
 	// Activation-driven periodic state (SpawnPeriodic): the release period,
 	// the current/next release instant, the overrun miss policy and its
-	// skip/abort counts, and the optional per-release dynamic priority
-	// hook (ActivationSpec.Priority).
+	// skip/abort counts.
 	periodic   bool
 	period     rtime.Duration
 	nextRel    rtime.Time
 	missPolicy MissPolicy
 	missed     int
 	aborted    int
-	dynPrio    func(release rtime.Time) int
 
 	// SMP state (kernel/token-owned, like the scheduling state above):
-	// the scheduling domain whose ready queue the thread lives in, the
-	// CPU it last occupied (-1 before first placement) and its cross-CPU
-	// migration count.
-	domain     int
+	// the CPU the thread last occupied (-1 before first placement) and
+	// its cross-CPU migration count.
 	lastCPU    int
 	migrations int
 
@@ -187,17 +180,13 @@ type Exec struct {
 	freeTimers *timerNode
 	timerNodes int
 
-	// SMP topology (smp.go): the virtual CPU count, migration policy,
-	// per-domain CPU index sets, the per-domain ready queues (heaps; one
-	// domain with one CPU is the uniprocessor), the CPU
-	// occupancy vector recomputed by assignCPUs each scheduling decision,
-	// a scratch buffer for top-K selection and the horizon drain, and the
-	// migration tally.
+	// SMP topology (smp.go): the virtual CPU count, the one ready queue
+	// every CPU is fed from, the CPU occupancy vector recomputed by
+	// assignCPUs each scheduling decision, a scratch buffer for top-M
+	// selection and the horizon drain, and the migration tally.
 	ncpu        int
-	policy      MigrationPolicy
 	migrateCost rtime.Duration
-	domains     [][]int
-	readyQ      []readyHeap
+	readyQ      readyHeap
 	cpuRun      []*Thread
 	pickBuf     []*Thread
 	migrations  int
@@ -231,9 +220,8 @@ func NewWithOptions(tr *trace.Trace, opts Options) *Exec {
 }
 
 // configure applies tr and opts to an executive with no thread: the
-// recording, the stats hooks and the CPU topology. It rebuilds the
-// scheduling domains only when the topology changed, and reuses the ready
-// queues' and the occupancy vector's storage.
+// recording, the stats hooks and the CPU count. It reuses the occupancy
+// vector's storage.
 func (ex *Exec) configure(tr *trace.Trace, opts Options) {
 	ex.tr = tr
 	ex.stats, ex.statsOn = Stats{}, false
@@ -241,50 +229,12 @@ func (ex *Exec) configure(tr *trace.Trace, opts Options) {
 		ex.stats = *opts.Stats
 		ex.statsOn = true
 	}
-	ncpu := max(opts.CPUs, 1)
-	if ex.domains == nil || ncpu != ex.ncpu || opts.Migration != ex.policy {
-		ex.domains = buildDomains(ncpu, opts.Migration)
-	}
-	ex.ncpu = ncpu
-	ex.policy = opts.Migration
+	ex.ncpu = max(opts.CPUs, 1)
 	ex.migrateCost = opts.MigrationCost
-	if n := len(ex.domains); cap(ex.readyQ) < n {
-		ex.readyQ = make([]readyHeap, n)
-	} else {
-		ex.readyQ = ex.readyQ[:n]
+	if cap(ex.cpuRun) < ex.ncpu {
+		ex.cpuRun = make([]*Thread, ex.ncpu)
 	}
-	if cap(ex.cpuRun) < ncpu {
-		ex.cpuRun = make([]*Thread, ncpu)
-	}
-	ex.cpuRun = ex.cpuRun[:ncpu]
-}
-
-// buildDomains returns the CPU index sets of the scheduling domains of
-// ncpu CPUs under policy (see smp.go).
-func buildDomains(ncpu int, policy MigrationPolicy) [][]int {
-	var domains [][]int
-	switch {
-	case policy == Partitioned && ncpu > 1:
-		for c := 0; c < ncpu; c++ {
-			domains = append(domains, []int{c})
-		}
-	case policy == Clustered && ncpu > 1:
-		for lo := 0; lo < ncpu; lo += clusterSize {
-			hi := min(lo+clusterSize, ncpu)
-			cl := make([]int, 0, hi-lo)
-			for c := lo; c < hi; c++ {
-				cl = append(cl, c)
-			}
-			domains = append(domains, cl)
-		}
-	default:
-		all := make([]int, ncpu)
-		for c := range all {
-			all[c] = c
-		}
-		domains = [][]int{all}
-	}
-	return domains
+	ex.cpuRun = ex.cpuRun[:ex.ncpu]
 }
 
 // Reset unwinds every thread body still in progress, as Shutdown does,
@@ -320,10 +270,8 @@ func (ex *Exec) Reset(tr *trace.Trace, opts Options) {
 	}
 	clear(ex.theap.a)
 	ex.theap.a = ex.theap.a[:0]
-	for d := range ex.readyQ {
-		clear(ex.readyQ[d].a)
-		ex.readyQ[d].a = ex.readyQ[d].a[:0]
-	}
+	clear(ex.readyQ.a)
+	ex.readyQ.a = ex.readyQ.a[:0]
 	clear(ex.cpuRun)
 	ex.pickBuf = ex.pickBuf[:0]
 	ex.now = 0
@@ -362,12 +310,8 @@ func (ex *Exec) Threads() []*Thread {
 
 // newThread constructs and registers a thread without starting or
 // scheduling it — the construction invariants shared by Spawn and
-// SpawnPeriodic (entity declaration, scheduling-domain assignment,
-// handoff state). affinity is a CPU index or -1 for none.
-func (ex *Exec) newThread(name string, prio, affinity int, body func(tc *TC)) *Thread {
-	if affinity < -1 || affinity >= ex.ncpu {
-		ex.panicBadCPU(name, affinity)
-	}
+// SpawnPeriodic (entity declaration, handoff state).
+func (ex *Exec) newThread(name string, prio int, body func(tc *TC)) *Thread {
 	if len(ex.threadChunk) == 0 {
 		if ex.nextChunk == len(ex.threadChunks) {
 			ex.threadChunks = append(ex.threadChunks, make([]Thread, chunkSize(len(ex.threads), 1)))
@@ -388,7 +332,6 @@ func (ex *Exec) newThread(name string, prio, affinity int, body func(tc *TC)) *T
 		body:    body,
 	}
 	ex.threads = append(ex.threads, th)
-	th.domain = ex.domainFor(affinity, len(ex.threads)-1)
 	th.tc.th = th
 	if ex.tr != nil {
 		ex.tr.DeclareEntity(name)
@@ -409,10 +352,14 @@ func (ex *Exec) scheduleFirstRelease(th *Thread, startAt rtime.Time) {
 }
 
 // Spawn creates a thread that becomes ready at startAt. The body runs on a
-// coroutine worker under the executive's scheduling discipline. SpawnOn is
-// the same with an explicit CPU affinity.
+// coroutine worker under the executive's scheduling discipline.
 func (ex *Exec) Spawn(name string, prio int, startAt rtime.Time, body func(tc *TC)) *Thread {
-	return ex.SpawnOn(name, prio, startAt, -1, body)
+	// The body is bound to a worker lazily, the first time the scheduler
+	// actually runs the thread (see resume); threads that never run never
+	// cost a worker.
+	th := ex.newThread(name, prio, body)
+	ex.scheduleFirstRelease(th, startAt)
+	return th
 }
 
 type killSentinel struct{}
@@ -426,8 +373,8 @@ func (ex *Exec) nextSeq() int64 {
 	return ex.seq
 }
 
-// makeReady moves th to its domain's ready queue (re-queuing, with a fresh
-// FIFO rank, if it was already there).
+// makeReady moves th to the ready queue (re-queuing, with a fresh FIFO
+// rank, if it was already there).
 func (ex *Exec) makeReady(th *Thread) {
 	if th.state == stateDone {
 		return
@@ -435,19 +382,19 @@ func (ex *Exec) makeReady(th *Thread) {
 	th.state = stateReady
 	th.readySeq = ex.nextSeq()
 	if th.heapIdx >= 0 {
-		ex.readyQ[th.domain].fix(th.heapIdx) // seq grew: sink to the new FIFO rank
+		ex.readyQ.fix(th.heapIdx) // seq grew: sink to the new FIFO rank
 	} else {
-		ex.readyQ[th.domain].push(th)
+		ex.readyQ.push(th)
 		if ex.statsOn {
-			ex.stats.ReadyMax.Max(int64(len(ex.readyQ[th.domain].a)))
+			ex.stats.ReadyMax.Max(int64(len(ex.readyQ.a)))
 		}
 	}
 }
 
-// readyRemove drops th from its domain's ready heap, if it is queued.
+// readyRemove drops th from the ready heap, if it is queued.
 func (ex *Exec) readyRemove(th *Thread) {
 	if th.heapIdx >= 0 {
-		ex.readyQ[th.domain].remove(th)
+		ex.readyQ.remove(th)
 	}
 }
 

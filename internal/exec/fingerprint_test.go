@@ -40,67 +40,29 @@ var referenceFingerprints = map[string]uint64{
 }
 
 // smpCorpusFingerprints pins TestSMPDiffCorpus, keyed like its subtests.
-// At M=1 every policy reduces to the uniprocessor schedule, and Clustered
-// at M=2 is one two-CPU domain, the same as Global.
 var smpCorpusFingerprints = map[string]uint64{
-	"parallel-periodics/global/m1":        0x1880656d505b4856,
-	"parallel-periodics/global/m2":        0x1a0db6aabeeabcdb,
-	"parallel-periodics/global/m4":        0xab846f2f47844463,
-	"parallel-periodics/partitioned/m1":   0x1880656d505b4856,
-	"parallel-periodics/partitioned/m2":   0x9a23a6bcd71deac9,
-	"parallel-periodics/partitioned/m4":   0xf64034b4ae033511,
-	"parallel-periodics/clustered/m1":     0x1880656d505b4856,
-	"parallel-periodics/clustered/m2":     0x1a0db6aabeeabcdb,
-	"parallel-periodics/clustered/m4":     0xc49977ed8ca11ae7,
-	"pinned-affinity/global/m1":           0x9b9d5623f8cff48,
-	"pinned-affinity/global/m2":           0x1c14b089bd6f5fb6,
-	"pinned-affinity/global/m4":           0x826ddd2e29500a46,
-	"pinned-affinity/partitioned/m1":      0x9b9d5623f8cff48,
-	"pinned-affinity/partitioned/m2":      0xe23410736d114668,
-	"pinned-affinity/partitioned/m4":      0xfad373ec785ecd52,
-	"pinned-affinity/clustered/m1":        0x9b9d5623f8cff48,
-	"pinned-affinity/clustered/m2":        0x1c14b089bd6f5fb6,
-	"pinned-affinity/clustered/m4":        0x79d818c4feee7750,
-	"sporadic-burst/global/m1":            0x38bebadaf509954a,
-	"sporadic-burst/global/m2":            0xcd0234942c700e06,
-	"sporadic-burst/global/m4":            0x342ba0d647fc57cb,
-	"sporadic-burst/partitioned/m1":       0x38bebadaf509954a,
-	"sporadic-burst/partitioned/m2":       0x7ea416513d7a2239,
-	"sporadic-burst/partitioned/m4":       0x44e974b83c03f5,
-	"sporadic-burst/clustered/m1":         0x38bebadaf509954a,
-	"sporadic-burst/clustered/m2":         0xcd0234942c700e06,
-	"sporadic-burst/clustered/m4":         0xf2dfdceb0ffaa8d8,
-	"mutex-across-cpus/global/m1":         0x19a2dde38bec7a98,
-	"mutex-across-cpus/global/m2":         0x26c2b0c9e7e3fccc,
-	"mutex-across-cpus/global/m4":         0x9a391391fd61f0d2,
-	"mutex-across-cpus/partitioned/m1":    0x19a2dde38bec7a98,
-	"mutex-across-cpus/partitioned/m2":    0x7aaed3bf866eed92,
-	"mutex-across-cpus/partitioned/m4":    0xcb89152347212404,
-	"mutex-across-cpus/clustered/m1":      0x19a2dde38bec7a98,
-	"mutex-across-cpus/clustered/m2":      0x26c2b0c9e7e3fccc,
-	"mutex-across-cpus/clustered/m4":      0x4c3a6d534e236c24,
-	"edf-dynamic-priority/global/m1":      0xe5785aa26167aaba,
-	"edf-dynamic-priority/global/m2":      0xe9d2f8a0cb646a00,
-	"edf-dynamic-priority/global/m4":      0x763457a980c8a71f,
-	"edf-dynamic-priority/partitioned/m1": 0xe5785aa26167aaba,
-	"edf-dynamic-priority/partitioned/m2": 0x28788aecb56edc4d,
-	"edf-dynamic-priority/partitioned/m4": 0xef44e89cdcf02f15,
-	"edf-dynamic-priority/clustered/m1":   0xe5785aa26167aaba,
-	"edf-dynamic-priority/clustered/m2":   0xe9d2f8a0cb646a00,
-	"edf-dynamic-priority/clustered/m4":   0x2fa2b992d43daf85,
+	"parallel-periodics/global/m1": 0x1880656d505b4856,
+	"parallel-periodics/global/m2": 0x1a0db6aabeeabcdb,
+	"parallel-periodics/global/m4": 0xab846f2f47844463,
+	"sporadic-burst/global/m1":     0x38bebadaf509954a,
+	"sporadic-burst/global/m2":     0xcd0234942c700e06,
+	"sporadic-burst/global/m4":     0x342ba0d647fc57cb,
+	"mutex-across-cpus/global/m1":  0x19a2dde38bec7a98,
+	"mutex-across-cpus/global/m2":  0x26c2b0c9e7e3fccc,
+	"mutex-across-cpus/global/m4":  0x9a391391fd61f0d2,
 }
 
 // smpFuzzFingerprints pins TestSMPDiffFuzz, indexed by trial (seed 7000+i).
 var smpFuzzFingerprints = []uint64{
-	0xf6b538d61461b977, 0xd97b5811eb276f2e, 0xf69767e2ba4909ab, 0x79be1ac7889ebc56,
-	0xdd2e6290f1f0a24e, 0x77631b59f5dc2aea, 0xbd6f4f778839b7f0, 0xfd85ca2e48f5af38,
+	0xf6b538d61461b977, 0xd97b5811eb276f2e, 0x57043d18b042e626, 0x79be1ac7889ebc56,
+	0xdd2e6290f1f0a24e, 0x98142ce1de1aaa43, 0xbd6f4f778839b7f0, 0xfd85ca2e48f5af38,
 	0xcca5361ce21d380, 0x5e070b130f149906, 0x98a4a546627242b9, 0x5661626259d20a04,
-	0xb03ded3158ba1b73, 0xc98bccd4d5e58d16, 0xeda049b925c3e4c1, 0xa373cfd0db9d45d9,
-	0xe8c9a4f8ea2d5ec7, 0xd8cc760f9c4a897e, 0x147bcfdd7a48eaea, 0x18229ae54b329131,
-	0x51911aadb515e769, 0x1584f2098978b467, 0xfa0688d1933b3131, 0xcd285d4a988bc29f,
+	0xb03ded3158ba1b73, 0xd7a6dfeea707ab46, 0xeda049b925c3e4c1, 0xa373cfd0db9d45d9,
+	0x9505d4b9d375f5c1, 0x47fe79885e23d9cf, 0x147bcfdd7a48eaea, 0x18229ae54b329131,
+	0x311b6f66c6510f37, 0x1584f2098978b467, 0xfa0688d1933b3131, 0xcd285d4a988bc29f,
 	0x73ba64e71a1744ce, 0xd5f591aa7c936f0f, 0x6939f19e1ee57122, 0x3dfe3888b82eebc6,
-	0x92d22f74822cf498, 0xe10879d6fa06d272, 0x198edf04d117a93f, 0x4ec47c1e13f9f980,
-	0x4588d6a29db8f89e, 0xd9bb6102c0b8f9e3, 0x8e85d2a20f193e34, 0xe201db332f8001ae,
+	0x39dd1bf1a91d4c2f, 0xe10879d6fa06d272, 0x198edf04d117a93f, 0x281052b801fe114,
+	0x4588d6a29db8f89e, 0xff69172506a7dd39, 0x8e85d2a20f193e34, 0xe201db332f8001ae,
 	0x5694093db13310ed, 0xd2e213953e73a2db, 0x3dbad9f8265f4850, 0xd34cfb529704b647,
 }
 

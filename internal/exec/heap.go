@@ -1,6 +1,6 @@
 package exec
 
-// Binary heaps backing the executive's ready queues and timer queue. Both
+// Binary heaps backing the executive's ready queue and timer queue. Both
 // are keyed by total orders, so pop order is deterministic:
 //
 //   ready: (effective priority desc, readySeq asc) — FIFO within a

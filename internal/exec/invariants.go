@@ -49,14 +49,9 @@ func (ex *Exec) CheckInvariants() error {
 			note("thread %s: in the ready heap in state %d", th.name, th.state)
 		}
 	}
-	for d := range ex.readyQ {
-		for i, th := range ex.readyQ[d].a {
-			if th.heapIdx != i {
-				note("ready heap %d: slot %d holds %s with heapIdx %d", d, i, th.name, th.heapIdx)
-			}
-			if th.domain != d {
-				note("ready heap %d: holds %s of domain %d", d, th.name, th.domain)
-			}
+	for i, th := range ex.readyQ.a {
+		if th.heapIdx != i {
+			note("ready heap: slot %d holds %s with heapIdx %d", i, th.name, th.heapIdx)
 		}
 	}
 	for c, th := range ex.cpuRun {

@@ -21,15 +21,15 @@ import (
 // test; the first entry is the reference. Both run on the resident worker
 // pool, which recycles freed workers inside the scenarios. The smp1 entry
 // runs the whole corpus through the M=1 SMP reduction — an explicit CPU
-// count and a non-trivial migration policy — which must stay
-// byte-identical to the uniprocessor schedules
-// (TestSMPM1MatchesUniprocessor pins the same property for every policy).
+// count — which must stay byte-identical to the uniprocessor schedules
+// (TestSMPM1MatchesUniprocessor pins the same property over the SMP
+// corpus).
 var diffConfigs = []struct {
 	name string
 	opts Options
 }{
 	{"direct", Options{}},
-	{"direct-smp1", Options{CPUs: 1, Migration: Partitioned}},
+	{"direct-smp1", Options{CPUs: 1}},
 }
 
 // diffRun builds the scenario on every configuration, runs to the horizon,

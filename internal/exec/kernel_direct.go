@@ -24,15 +24,15 @@ import (
 // and each switch is a happens-before edge.
 //
 // Determinism contract. Each pass of dispatch fires the due timers in
-// (instant, seq) order, assigns ready threads to the virtual CPUs
-// (per-domain top-K by priority, FIFO within a priority by wake order; see
-// smp.go), lets zero-step occupants run in ascending CPU index order,
-// advances consume slices on every occupied CPU in lockstep to the next
-// timer or the horizon, and drains zero-CPU threads at the horizon. Every
-// decision depends only on virtual time and the executive's sequence
-// counter, never on goroutine timing, so the schedule — segments,
-// timestamps, events — is the same from run to run. The ready queues and
-// the timer queue are binary heaps (heap.go); with one CPU the assignment
+// (instant, seq) order, assigns ready threads to the virtual CPUs (top-M
+// by priority, FIFO within a priority by wake order; see smp.go), lets
+// zero-step occupants run in ascending CPU index order, advances consume
+// slices on every occupied CPU in lockstep to the next timer or the
+// horizon, and drains zero-CPU threads at the horizon. Every decision
+// depends only on virtual time and the executive's sequence counter,
+// never on goroutine timing, so the schedule — segments, timestamps,
+// events — is the same from run to run. The ready queue and the timer
+// queue are binary heaps (heap.go); with one CPU the assignment
 // degenerates to "the heap top runs".
 
 // runBody executes the body with the executive's panic discipline and
@@ -147,19 +147,31 @@ func (ex *Exec) fireDueTimers() {
 	}
 }
 
-// pickReadyZeroCPU returns the highest-priority ready thread across every
-// scheduling domain that is not mid-consume (horizon drain — time is
-// frozen at the horizon instant, so the drain serializes zero-time
-// completions globally).
+// pickReadyZeroCPU returns the highest-ranked ready thread that is not
+// mid-consume (horizon drain — time is frozen at the horizon instant, so
+// the drain serializes zero-time completions). Threads mid-consume are
+// popped aside, into the executive's scratch buffer, and re-pushed; the
+// returned thread stays in the heap.
 func (ex *Exec) pickReadyZeroCPU() *Thread {
-	var best *Thread
-	for d := range ex.readyQ {
-		th := ex.pickReadyZeroCPUDomain(d)
-		if th != nil && (best == nil || higherRank(th, best)) {
-			best = th
+	h := &ex.readyQ
+	stash := ex.pickBuf[:0]
+	var found *Thread
+	for {
+		th := h.peek()
+		if th == nil {
+			break
 		}
+		if th.needCPU == 0 {
+			found = th
+			break
+		}
+		stash = append(stash, h.pop())
 	}
-	return best
+	for _, th := range stash {
+		h.push(th)
+	}
+	ex.pickBuf = stash
+	return found
 }
 
 // Run advances virtual time until the horizon, or until the system

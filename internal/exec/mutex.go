@@ -55,7 +55,7 @@ func recomputeBoost(th *Thread) {
 	}
 	th.boost = boost
 	if th.heapIdx >= 0 {
-		th.ex.readyQ[th.domain].fix(th.heapIdx)
+		th.ex.readyQ.fix(th.heapIdx)
 	}
 	if th.waitingOn != nil && th.waitingOn.owner != nil {
 		recomputeBoost(th.waitingOn.owner)

@@ -130,7 +130,7 @@ func TestWithBudgetZeroAndNegative(t *testing.T) {
 		opts Options
 	}{
 		{"channel", Options{}},
-		{"channel-smp1", Options{CPUs: 1, Migration: Clustered}},
+		{"channel-smp1", Options{CPUs: 1}},
 	}
 	for i, cfg := range append(channelRows, diffConfigs...) {
 		cfg, pinned := cfg, i < len(channelRows)

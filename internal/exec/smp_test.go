@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"rtsj/internal/rtime"
@@ -17,26 +18,28 @@ import (
 // (TestSMPM1MatchesUniprocessor).
 
 // smpScenario builds one workload. activation selects the dispatch
-// formulation for its periodic entities (SpawnPeriodicOn vs a looping
-// SpawnOn body) — the two must be schedule-identical, so the scenario is
-// compared across that axis too.
+// formulation for its periodic entities (SpawnPeriodic vs a looping
+// Spawn body) — the two must be schedule-identical, so the scenario is
+// compared across that axis too. parallel is the most CPUs the workload
+// can keep busy at once (0: as many as it is given).
 type smpScenario struct {
-	name    string
-	horizon rtime.Time
-	build   func(ex *Exec, m int, activation bool)
+	name     string
+	horizon  rtime.Time
+	parallel int
+	build    func(ex *Exec, activation bool)
 }
 
-// smpPeriodicOn spawns a periodic entity in either formulation with the
+// smpPeriodic spawns a periodic entity in either formulation with the
 // exact kernel-call sequence the activation rearm issues, so the two modes
 // stay trace-identical (the property TestActivationDiff* pins at M=1).
-func smpPeriodicOn(ex *Exec, name string, prio, cpu int, period, cost rtime.Duration, activation bool) {
+func smpPeriodic(ex *Exec, name string, prio int, period, cost rtime.Duration, activation bool) {
 	if activation {
-		ex.SpawnPeriodicOn(name, prio, cpu, ActivationSpec{Period: period}, func(tc *TC) {
+		ex.SpawnPeriodic(name, prio, ActivationSpec{Period: period}, func(tc *TC) {
 			tc.Consume(cost)
 		})
 		return
 	}
-	ex.SpawnOn(name, prio, 0, cpu, func(tc *TC) {
+	ex.Spawn(name, prio, 0, func(tc *TC) {
 		next := rtime.Time(0)
 		for {
 			tc.Consume(cost)
@@ -50,78 +53,44 @@ func smpPeriodicOn(ex *Exec, name string, prio, cpu int, period, cost rtime.Dura
 }
 
 var smpCorpus = []smpScenario{
-	{"parallel-periodics", at(40), func(ex *Exec, m int, activation bool) {
+	{"parallel-periodics", at(40), 0, func(ex *Exec, activation bool) {
 		// More ready work than CPUs at every instant: occupancy, placement
 		// and preemption all exercised.
 		for i := 0; i < 6; i++ {
-			smpPeriodicOn(ex, fmt.Sprintf("p%d", i), 2+i%3, -1,
+			smpPeriodic(ex, fmt.Sprintf("p%d", i), 2+i%3,
 				tu(float64(5+2*i)), tu(float64(2+i%4)), activation)
 		}
 	}},
-	{"pinned-affinity", at(40), func(ex *Exec, m int, activation bool) {
-		// Explicit affinities: under Partitioned each CPU schedules its own
-		// column; under Global they are placement hints only.
-		for i := 0; i < 8; i++ {
-			smpPeriodicOn(ex, fmt.Sprintf("a%d", i), 2+i%4, i%m,
-				tu(float64(6+i)), tu(float64(2+i%3)), activation)
-		}
-	}},
-	{"sporadic-burst", at(60), func(ex *Exec, m int, activation bool) {
+	{"sporadic-burst", at(60), 0, func(ex *Exec, activation bool) {
 		// One-shot jobs arriving in bursts over a periodic base load, with
 		// same-instant releases forcing the (instant, CPU, prio, spawn
 		// order) tie-break.
-		smpPeriodicOn(ex, "base", 1, -1, tu(7), tu(3), activation)
+		smpPeriodic(ex, "base", 1, tu(7), tu(3), activation)
 		rng := newDetRand(99)
 		for i := 0; i < 16; i++ {
 			cost := tu(float64(1+rng.next()%30) / 10)
 			prio := 2 + rng.next()%4
 			rel := at(float64((i / 4) * 9)) // four jobs per burst instant
-			ex.SpawnOn(fmt.Sprintf("j%d", i), prio, rel, -1, func(tc *TC) {
+			ex.Spawn(fmt.Sprintf("j%d", i), prio, rel, func(tc *TC) {
 				tc.Consume(cost)
 			})
 		}
 	}},
-	{"mutex-across-cpus", at(50), func(ex *Exec, m int, activation bool) {
+	{"mutex-across-cpus", at(50), 3, func(ex *Exec, activation bool) {
 		// A lock shared by threads that may run on different CPUs: priority
 		// inheritance and the serialization it forces must replay
-		// identically.
+		// identically. The lock holder, one contender past its critical
+		// section and the background entity are the most that run at once.
 		mx := NewMutex("m")
 		for i := 0; i < 4; i++ {
 			prio := 1 + i
 			start := at(float64(i))
-			ex.SpawnOn(fmt.Sprintf("c%d", i), prio, start, -1, func(tc *TC) {
+			ex.Spawn(fmt.Sprintf("c%d", i), prio, start, func(tc *TC) {
 				tc.WithLock(mx, func() { tc.Consume(tu(3)) })
 				tc.Consume(tu(1))
 			})
 		}
-		smpPeriodicOn(ex, "bg", 1, -1, tu(11), tu(4), activation)
-	}},
-	{"edf-dynamic-priority", at(60), func(ex *Exec, m int, activation bool) {
-		// Job-level dynamic priorities (EDF by negated absolute deadline)
-		// through both the ActivationSpec.Priority hook and TC.SetPriority.
-		for i := 0; i < 5; i++ {
-			period := tu(float64(6 + 3*i))
-			cost := tu(float64(2 + i))
-			edf := func(rel rtime.Time) int { return -int(int64(rel.Add(period))) }
-			name := fmt.Sprintf("e%d", i)
-			if activation {
-				ex.SpawnPeriodicOn(name, 0, -1, ActivationSpec{Period: period, Priority: edf},
-					func(tc *TC) { tc.Consume(cost) })
-				continue
-			}
-			ex.SpawnOn(name, edf(0), 0, -1, func(tc *TC) {
-				next := rtime.Time(0)
-				for {
-					tc.Consume(cost)
-					next = next.Add(period)
-					for next < tc.Now() {
-						next = next.Add(period)
-					}
-					tc.SetPriority(edf(next))
-					tc.SleepUntil(next)
-				}
-			})
-		}
+		smpPeriodic(ex, "bg", 1, tu(11), tu(4), activation)
 	}},
 }
 
@@ -135,150 +104,161 @@ var smpDiffConfigs = []struct {
 	{"direct/activation", true},
 }
 
-// smpPolicies pairs each policy with the CPU counts it is exercised at.
-var smpPolicies = []struct {
-	policy MigrationPolicy
-	cpus   []int
-}{
-	{Global, []int{1, 2, 4}},
-	{Partitioned, []int{1, 2, 4}},
-	{Clustered, []int{1, 2, 4}},
-}
+// smpCPUs are the CPU counts each SMP scenario runs at.
+var smpCPUs = []int{1, 2, 4}
 
-// TestSMPDiffCorpus runs every SMP scenario through the full
-// configuration x policy x M matrix and requires trace-for-trace identity
-// with the per-thread reference at the same (policy, M), the reference's
-// committed fingerprint, a valid m-CPU occupancy, and a clean invariant
-// net.
+// TestSMPDiffCorpus runs every SMP scenario at every CPU count and
+// requires trace-for-trace identity with the per-thread reference at the
+// same M, the reference's committed fingerprint, a valid m-CPU occupancy,
+// and a clean invariant net. Above one CPU the reference must also use
+// the CPUs it is given — its schedule must not fit on one CPU fewer (on
+// the workload's own parallelism where that is lower) — and migrate, so
+// the fingerprint guards the multi-CPU placement. The subtests keep the
+// "global" segment of the placement policy that was the only one kept.
 func TestSMPDiffCorpus(t *testing.T) {
 	for _, sc := range smpCorpus {
-		for _, pol := range smpPolicies {
-			for _, m := range pol.cpus {
-				sc, pol, m := sc, pol, m
-				key := fmt.Sprintf("%s/%v/m%d", sc.name, pol.policy, m)
-				t.Run(key, func(t *testing.T) {
-					t.Parallel()
-					run := func(cfg int) *Exec {
-						c := smpDiffConfigs[cfg]
-						ex := NewWithOptions(trace.New(), Options{CPUs: m, Migration: pol.policy})
-						sc.build(ex, m, c.activation)
-						if err := ex.Run(sc.horizon); err != nil {
-							t.Fatalf("%s: %v", c.name, err)
-						}
-						if err := ex.CheckInvariants(); err != nil {
-							t.Errorf("%s: %v", c.name, err)
-						}
-						return ex
+		for _, m := range smpCPUs {
+			sc, m := sc, m
+			key := fmt.Sprintf("%s/global/m%d", sc.name, m)
+			t.Run(key, func(t *testing.T) {
+				t.Parallel()
+				run := func(cfg int) *Exec {
+					c := smpDiffConfigs[cfg]
+					ex := NewWithOptions(trace.New(), Options{CPUs: m})
+					sc.build(ex, c.activation)
+					if err := ex.Run(sc.horizon); err != nil {
+						t.Fatalf("%s: %v", c.name, err)
 					}
-					ref := run(0)
-					defer ref.Shutdown()
-					if err := ref.Trace().CheckCPUs(m); err != nil {
-						t.Errorf("reference trace invalid: %v", err)
+					if err := ex.CheckInvariants(); err != nil {
+						t.Errorf("%s: %v", c.name, err)
 					}
-					if fp := ref.Trace().Fingerprint(); fp != smpCorpusFingerprints[key] {
-						t.Errorf("reference schedule fingerprint %#x, committed %#x", fp, smpCorpusFingerprints[key])
+					return ex
+				}
+				ref := run(0)
+				defer ref.Shutdown()
+				if err := ref.Trace().CheckCPUs(m); err != nil {
+					t.Errorf("reference trace invalid: %v", err)
+				}
+				if m > 1 {
+					busy := m
+					if sc.parallel > 0 {
+						busy = min(m, sc.parallel)
 					}
-					for cfg := 1; cfg < len(smpDiffConfigs); cfg++ {
-						got := run(cfg)
-						compareExecsCPUs(t, smpDiffConfigs[cfg].name, ref, got, m)
-						got.Shutdown()
+					if ref.Trace().CheckCPUs(busy-1) == nil {
+						t.Errorf("schedule fits on %d CPUs: the pin does not exercise %d in parallel", busy-1, busy)
 					}
-				})
-			}
+					if ref.Migrations() == 0 {
+						t.Error("no thread migrated: the pin does not exercise placement")
+					}
+				}
+				if fp := ref.Trace().Fingerprint(); fp != smpCorpusFingerprints[key] {
+					t.Errorf("reference schedule fingerprint %#x, committed %#x", fp, smpCorpusFingerprints[key])
+				}
+				for cfg := 1; cfg < len(smpDiffConfigs); cfg++ {
+					got := run(cfg)
+					compareExecsCPUs(t, smpDiffConfigs[cfg].name, ref, got, m)
+					got.Shutdown()
+				}
+			})
 		}
 	}
 }
 
 // TestSMPM1MatchesUniprocessor pins the core reduction: for every scenario
-// in the SMP corpus and every migration policy, an executive configured
-// with CPUs=1 is byte-identical — segments, events, final time, per-thread
+// in the SMP corpus, an executive configured with CPUs=1 and a migration
+// cost is byte-identical — segments, events, final time, per-thread
 // accounting — to the plain uniprocessor executive (Options zero value).
-// The direct/<policy> subtests compare the two runs with each other; the
-// channel/<policy> subtests require both to reproduce the M=1 schedule the
-// retired channel kernel produced, as committed in smpCorpusFingerprints.
-// The smp1 entries of diffConfigs and vmDiffConfigs extend the same
-// property over the entire pre-SMP differential corpus.
+// The direct subtests compare the two runs with each other; the channel
+// subtests require both to reproduce the M=1 schedule the retired channel
+// kernel produced, as committed in smpCorpusFingerprints. The smp1 entries
+// of diffConfigs and vmDiffConfigs extend the same property over the
+// entire pre-SMP differential corpus.
 func TestSMPM1MatchesUniprocessor(t *testing.T) {
 	for _, sc := range smpCorpus {
-		for _, pol := range smpPolicies {
-			sc, pol := sc, pol
-			run := func(t *testing.T, opts Options) *Exec {
-				ex := NewWithOptions(trace.New(), opts)
-				sc.build(ex, 1, false)
-				if err := ex.Run(sc.horizon); err != nil {
-					t.Fatal(err)
-				}
-				return ex
+		sc := sc
+		run := func(t *testing.T, opts Options) *Exec {
+			ex := NewWithOptions(trace.New(), opts)
+			sc.build(ex, false)
+			if err := ex.Run(sc.horizon); err != nil {
+				t.Fatal(err)
 			}
-			smpOpts := Options{CPUs: 1, Migration: pol.policy, MigrationCost: tu(1)}
-			t.Run(fmt.Sprintf("%s/direct/%v", sc.name, pol.policy), func(t *testing.T) {
-				t.Parallel()
-				uni := run(t, Options{})
-				smp := run(t, smpOpts)
-				compareExecs(t, "m1", uni, smp)
-				if smp.Migrations() != 0 {
-					t.Errorf("M=1 run migrated %d times", smp.Migrations())
-				}
-				uni.Shutdown()
-				smp.Shutdown()
-			})
-			t.Run(fmt.Sprintf("%s/channel/%v", sc.name, pol.policy), func(t *testing.T) {
-				t.Parallel()
-				key := fmt.Sprintf("%s/%v/m1", sc.name, pol.policy)
-				want, ok := smpCorpusFingerprints[key]
-				if !ok {
-					t.Fatalf("%s: no committed fingerprint", key)
-				}
-				for _, c := range []struct {
-					label string
-					opts  Options
-				}{{"uniprocessor", Options{}}, {"m1", smpOpts}} {
-					ex := run(t, c.opts)
-					if fp := ex.Trace().Fingerprint(); fp != want {
-						t.Errorf("%s run: schedule fingerprint %#x, committed %#x", c.label, fp, want)
-					}
-					ex.Shutdown()
-				}
-			})
+			return ex
 		}
+		smpOpts := Options{CPUs: 1, MigrationCost: tu(1)}
+		t.Run(sc.name+"/direct/global", func(t *testing.T) {
+			t.Parallel()
+			uni := run(t, Options{})
+			smp := run(t, smpOpts)
+			compareExecs(t, "m1", uni, smp)
+			if smp.Migrations() != 0 {
+				t.Errorf("M=1 run migrated %d times", smp.Migrations())
+			}
+			uni.Shutdown()
+			smp.Shutdown()
+		})
+		t.Run(sc.name+"/channel/global", func(t *testing.T) {
+			t.Parallel()
+			key := sc.name + "/global/m1"
+			want, ok := smpCorpusFingerprints[key]
+			if !ok {
+				t.Fatalf("%s: no committed fingerprint", key)
+			}
+			for _, c := range []struct {
+				label string
+				opts  Options
+			}{{"uniprocessor", Options{}}, {"m1", smpOpts}} {
+				ex := run(t, c.opts)
+				if fp := ex.Trace().Fingerprint(); fp != want {
+					t.Errorf("%s run: schedule fingerprint %#x, committed %#x", c.label, fp, want)
+				}
+				ex.Shutdown()
+			}
+		})
 	}
 }
 
 // TestSMPDiffFuzz drives randomized workloads — random thread counts,
-// priorities, affinities, costs, policies and CPU counts — through the
+// priorities, costs, migration costs and CPU counts — through the
 // configuration matrix: every configuration must match the per-thread
 // reference trace-for-trace, the reference must match the trial's
 // committed fingerprint, and rerunning it must reproduce it exactly
-// (determinism across reruns).
+// (determinism across reruns). At least one trial must migrate a thread.
 func TestSMPDiffFuzz(t *testing.T) {
 	trials := 40
 	if testing.Short() {
 		trials = 8
 	}
-	policies := []MigrationPolicy{Global, Partitioned, Clustered}
+	// Checked only when every trial ran, so a -run filter that selects a
+	// few one-CPU trials does not fail.
+	var ran, migrated atomic.Int64
+	t.Cleanup(func() {
+		if !t.Failed() && ran.Load() == int64(trials) && migrated.Load() == 0 {
+			t.Error("no trial migrated a thread: the pins do not exercise placement")
+		}
+	})
 	for trial := 0; trial < trials; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial-%d", trial), func(t *testing.T) {
 			t.Parallel()
 			rng := newDetRand(uint64(7000 + trial))
 			m := 1 << (rng.next() % 3) // 1, 2 or 4 CPUs
-			policy := policies[rng.next()%len(policies)]
+			// The next draw once chose a migration policy; it stays so each
+			// trial sees the stream its fingerprint was captured from.
+			rng.next()
 			cost := rtime.Duration(rng.next()%2) * tu(1) / 4 // migration cost 0 or 0.25tu
 			n := 3 + rng.next()%8
 			type plan struct {
-				prio, cpu int
-				start     rtime.Time
-				period    rtime.Duration // 0: one-shot
-				cost      rtime.Duration
+				prio   int
+				start  rtime.Time
+				period rtime.Duration // 0: one-shot
+				cost   rtime.Duration
 			}
 			plans := make([]plan, n)
 			for i := range plans {
-				plans[i] = plan{
-					prio:  1 + rng.next()%5,
-					cpu:   rng.next()%(m+1) - 1, // -1..m-1
-					start: rtime.Time(rtime.Duration(rng.next()%10) * tu(1) / 2),
-					cost:  rtime.Duration(1+rng.next()%25) * tu(1) / 10,
-				}
+				plans[i].prio = 1 + rng.next()%5
+				rng.next() // once a CPU-affinity draw, kept like the policy draw
+				plans[i].start = rtime.Time(rtime.Duration(rng.next()%10) * tu(1) / 2)
+				plans[i].cost = rtime.Duration(1+rng.next()%25) * tu(1) / 10
 				if rng.next()%2 == 0 {
 					plans[i].period = rtime.Duration(4+rng.next()%10) * tu(1)
 				}
@@ -287,19 +267,15 @@ func TestSMPDiffFuzz(t *testing.T) {
 				for i, p := range plans {
 					name := fmt.Sprintf("z%d", i)
 					if p.period > 0 {
-						smpPeriodicOn(ex, name, p.prio, p.cpu, p.period, p.cost, activation)
+						smpPeriodic(ex, name, p.prio, p.period, p.cost, activation)
 						continue
 					}
 					c := p.cost
-					ex.SpawnOn(name, p.prio, p.start, p.cpu, func(tc *TC) { tc.Consume(c) })
+					ex.Spawn(name, p.prio, p.start, func(tc *TC) { tc.Consume(c) })
 				}
 			}
 			run := func(activation bool) *Exec {
-				ex := NewWithOptions(trace.New(), Options{
-					CPUs:          m,
-					Migration:     policy,
-					MigrationCost: cost,
-				})
+				ex := NewWithOptions(trace.New(), Options{CPUs: m, MigrationCost: cost})
 				build(ex, activation)
 				if err := ex.Run(at(60)); err != nil {
 					t.Fatal(err)
@@ -317,6 +293,8 @@ func TestSMPDiffFuzz(t *testing.T) {
 			if fp := ref.Trace().Fingerprint(); fp != smpFuzzFingerprints[trial] {
 				t.Errorf("reference schedule fingerprint %#x, committed %#x", fp, smpFuzzFingerprints[trial])
 			}
+			ran.Add(1)
+			migrated.Add(int64(ref.Migrations()))
 			for _, cmp := range []struct {
 				name       string
 				activation bool
@@ -329,7 +307,7 @@ func TestSMPDiffFuzz(t *testing.T) {
 				got.Shutdown()
 			}
 			if t.Failed() {
-				t.Fatalf("fuzz trial %d diverged (seed %d, m=%d, policy=%v)", trial, 7000+trial, m, policy)
+				t.Fatalf("fuzz trial %d diverged (seed %d, m=%d)", trial, 7000+trial, m)
 			}
 		})
 	}
@@ -367,35 +345,12 @@ func TestSMPOccupancy(t *testing.T) {
 	}
 }
 
-// TestSMPPartitionedIsolation pins the partitioned policy: threads pinned
-// to different CPUs never share one, and a CPU-0 overload cannot steal
-// time from CPU 1.
-func TestSMPPartitionedIsolation(t *testing.T) {
-	ex := NewWithOptions(trace.New(), Options{CPUs: 2, Migration: Partitioned})
-	hog := ex.SpawnOn("hog", 9, 0, 0, func(tc *TC) { tc.Consume(tu(100)) })
-	quiet := ex.SpawnOn("quiet", 1, 0, 1, func(tc *TC) { tc.Consume(tu(10)) })
-	if err := ex.Run(at(20)); err != nil {
-		t.Fatal(err)
-	}
-	if hog.Consumed() != tu(20) {
-		t.Errorf("hog consumed %v, want the whole 20tu window", hog.Consumed())
-	}
-	if quiet.Consumed() != tu(10) || !quiet.Done() {
-		t.Errorf("quiet consumed %v done=%v: partition not isolated from the CPU-0 hog",
-			quiet.Consumed(), quiet.Done())
-	}
-	if ex.Migrations() != 0 {
-		t.Errorf("partitioned run migrated %d times", ex.Migrations())
-	}
-	ex.Shutdown()
-}
-
-// TestSMPMigrationCostCharged pins the migration accounting: under Global
-// with a migration cost, a preempted thread resuming on another CPU pays
+// TestSMPMigrationCostCharged pins the migration accounting: with a
+// migration cost, a preempted thread resuming on another CPU pays
 // the penalty, visible as extra consumed-time demand.
 func TestSMPMigrationCostCharged(t *testing.T) {
 	run := func(cost rtime.Duration) (*Exec, *Thread) {
-		ex := NewWithOptions(trace.New(), Options{CPUs: 2, Migration: Global, MigrationCost: cost})
+		ex := NewWithOptions(trace.New(), Options{CPUs: 2, MigrationCost: cost})
 		// The victim starts alone on CPU 0; two simultaneous higher-priority
 		// bursts displace it, with the long burst (earlier spawn order)
 		// landing on CPU 0. When the short burst finishes, the victim
@@ -425,20 +380,4 @@ func TestSMPMigrationCostCharged(t *testing.T) {
 	}
 	free.Shutdown()
 	paid.Shutdown()
-}
-
-// TestSMPAffinityValidation pins the spawn-time affinity check.
-func TestSMPAffinityValidation(t *testing.T) {
-	ex := NewWithOptions(nil, Options{CPUs: 2})
-	defer ex.Shutdown()
-	for _, cpu := range []int{-2, 2, 7} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("affinity %d accepted on a 2-CPU executive", cpu)
-				}
-			}()
-			ex.SpawnOn("bad", 1, 0, cpu, func(tc *TC) {})
-		}()
-	}
 }

@@ -25,7 +25,7 @@ type Stats struct {
 	Migrations *obs.Counter
 	// TimerHeapMax is the timer queue's high-water mark.
 	TimerHeapMax *obs.Gauge
-	// ReadyMax is the high-water mark across the per-domain ready queues.
+	// ReadyMax is the ready queue's high-water mark.
 	ReadyMax *obs.Gauge
 	// PoolSpawns counts coroutine workers created (Exec.PoolPeak).
 	PoolSpawns *obs.Counter

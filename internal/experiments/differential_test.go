@@ -21,28 +21,58 @@ func TestExecutionMatchesLimitedSimulation(t *testing.T) {
 		t.Run(policy.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
 			for trial := 0; trial < 40; trial++ {
-				sys := randomServedSystem(rng, policy)
-				horizon := rtime.AtTU(60)
-
-				simRes, err := RunSimulation(sys, horizon)
-				if err != nil {
-					t.Fatal(err)
-				}
-				execRes, err := RunExecution(sys, ZeroExecModel(), horizon)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				compareServerSegments(t, trial, sys, simRes.Trace, execRes)
-				compareOutcomes(t, trial, sys, simRes, execRes)
-				if t.Failed() {
-					t.Logf("system: %+v", sys.Aperiodics)
-					t.Logf("sim:\n%s", simRes.Trace.Gantt(trace.GanttOptions{}))
-					t.Logf("exec:\n%s", execRes.Trace.Gantt(trace.GanttOptions{}))
-					t.FailNow()
-				}
+				matchLimited(t, trial, randomServedSystem(rng, policy), rtime.AtTU(60))
 			}
 		})
+	}
+	for _, r := range limitedRegressions {
+		r := r
+		t.Run(r.name, func(t *testing.T) { matchLimited(t, 0, r.sys, r.horizon) })
+	}
+}
+
+// limitedRegressions are systems on which the simulator and the executive
+// once disagreed, each named for the case it covers.
+var limitedRegressions = []struct {
+	name    string
+	sys     sim.System
+	horizon rtime.Time
+}{
+	// A PS-lim burst that ends exactly on a period boundary: J1 is served
+	// over [48, 54), and the framework's server thread then waits for its
+	// next period at 54, the instant of that release. waitForNextPeriod
+	// skips only releases already past, so it returns at once and J2 is
+	// served at 54, not at 60.
+	{"ps-lim-capacity-equals-period", sim.System{
+		Aperiodics: []sim.AperiodicJob{
+			{Name: "J1", Release: rtime.AtTU(47), Cost: rtime.TUs(6)},
+			{Name: "J2", Release: rtime.AtTU(50), Cost: rtime.TUs(2)},
+		},
+		Server: &sim.ServerSpec{Policy: sim.LimitedPollingServer,
+			Capacity: rtime.TUs(6), Period: rtime.TUs(6), Priority: 100},
+	}, rtime.AtTU(72)},
+}
+
+// matchLimited runs sys on both sides up to horizon and requires equal
+// server segments and per-event outcomes, under a cost-free execution
+// model.
+func matchLimited(t *testing.T, trial int, sys sim.System, horizon rtime.Time) {
+	t.Helper()
+	simRes, err := RunSimulation(sys, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	execRes, err := RunExecution(sys, ZeroExecModel(), horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareServerSegments(t, trial, sys, simRes.Trace, execRes)
+	compareOutcomes(t, trial, sys, simRes, execRes)
+	if t.Failed() {
+		t.Logf("system: %+v", sys.Aperiodics)
+		t.Logf("sim:\n%s", simRes.Trace.Gantt(trace.GanttOptions{}))
+		t.Logf("exec:\n%s", execRes.Trace.Gantt(trace.GanttOptions{}))
+		t.FailNow()
 	}
 }
 

@@ -102,15 +102,15 @@ func bridgeCase(name string, opts exec.Options, record bool, key string, i int, 
 // periodics, Timed interrupts (from the model's cost noise and from a
 // looping thread's own budget), bodies still in progress at the horizon
 // (every server), a run ending with a thread error, and 1 CPU as well as
-// 2 CPUs under Global and Partitioned migration, with and without Stats.
+// 2 CPUs with and without a migration cost, with and without Stats.
 func TestVMResetMatchesFresh(t *testing.T) {
 	tu := rtime.TUs
 	periodics := []sim.PeriodicTask{
 		{Name: "tau1", Offset: 0, Period: tu(5), Cost: tu(1), Priority: 20},
 		{Name: "tau2", Offset: rtime.Time(tu(1)), Period: tu(7), Cost: tu(2), Priority: 10},
 	}
-	global2 := exec.Options{CPUs: 2, Migration: exec.Global}
-	part2 := exec.Options{CPUs: 2, Migration: exec.Partitioned, MigrationCost: tu(0.1)}
+	global2 := exec.Options{CPUs: 2}
+	costly2 := exec.Options{CPUs: 2, MigrationCost: tu(0.1)}
 	withStats := exec.Options{Stats: exec.NewStats(obs.NewRegistry())}
 
 	// A PS system whose extra realtime thread panics mid-run.
@@ -161,8 +161,8 @@ func TestVMResetMatchesFresh(t *testing.T) {
 		bridgeCase("SS with activation periodics, 2 CPUs global", global2, true, "(2, 0)", 2, sim.SporadicServer, periodics...),
 		{"thread error", exec.Options{}, true, threadError},
 		bridgeCase("PS after an error", exec.Options{}, false, "(3, 0)", 4, sim.LimitedPollingServer),
-		{"looping periodics with Timed, 2 CPUs partitioned", part2, true, looping},
-		bridgeCase("DS with activation periodics, 2 CPUs partitioned", part2, false, "(2, 2)", 6, sim.LimitedDeferrableServer, periodics...),
+		{"looping periodics with Timed, 2 CPUs with a migration cost", costly2, true, looping},
+		bridgeCase("DS with activation periodics, 2 CPUs with a migration cost", costly2, false, "(2, 2)", 6, sim.LimitedDeferrableServer, periodics...),
 		bridgeCase("PS with stats", withStats, true, "(1, 0)", 7, sim.LimitedPollingServer, periodics...),
 		bridgeCase("SS, 1 CPU", exec.Options{}, true, "(3, 2)", 8, sim.SporadicServer),
 	}

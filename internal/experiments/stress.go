@@ -36,7 +36,7 @@ type StressParams struct {
 	// fault schedule is a pure function of (plan seed, job index).
 	Faults *faults.Plan
 	// CPUs sets the executive's virtual CPU count (exec.Options.CPUs; 0
-	// means 1) under the Global migration policy — the multi-CPU stress
+	// means 1), all fed from its one ready queue — the multi-CPU stress
 	// smoke of cmd/stress -cpus.
 	CPUs int
 	// Trace optionally records the run's schedule (nil keeps the

@@ -166,7 +166,7 @@ var vmDiffConfigs = []struct {
 	opts exec.Options
 }{
 	{"direct", exec.Options{}},
-	{"direct-smp1", exec.Options{CPUs: 1, Migration: exec.Partitioned}},
+	{"direct-smp1", exec.Options{CPUs: 1}},
 }
 
 func TestKernelDiffVMCorpus(t *testing.T) {

@@ -230,14 +230,20 @@ func (s *psLimited) tick(now rtime.Time, tr *trace.Trace) {
 			s.budget = s.rem
 		} else {
 			// chooseNextEvent returned null: lose the remaining capacity
-			// and wait for the next period.
+			// and wait for the next period. Like waitForNextPeriod, skip
+			// only the releases already past: a release due now (a burst
+			// that ended exactly on a period boundary) activates the
+			// server at once.
 			if s.rem > 0 && tr != nil {
 				tr.Mark(s.nm, now, trace.CapacityLost, "")
 			}
 			s.rem = 0
 			s.sleeping = true
-			for s.nextAct <= now {
+			for s.nextAct < now {
 				s.nextAct = s.nextAct.Add(s.ts)
+			}
+			if s.nextAct == now {
+				s.tick(now, tr)
 			}
 		}
 	}
